@@ -37,8 +37,6 @@ from .forms import (
     classify_full,
     conjugate,
     eigen_split,
-    endo_to_form,
-    form_to_endo,
     kks_pairing,
     spin_weight_to_cartan,
     torus_rotation,
@@ -49,7 +47,6 @@ from .polytopes import (
     Polytope,
     clip,
     contains,
-    h_representation,
     hull,
     intersect,
     polytope_to_json,

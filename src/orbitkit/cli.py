@@ -3,8 +3,8 @@
 Commands: classify, polytope, sample, verify <suite>, klein <sub>,
 iwasawa <sub>, export.  Every run prints a JSON report to stdout; exit code 0
 means all asserted tolerances were met, 1 is an assertion failure, 2 a
-usage or parse error.  The default seed comes from ORBITKIT_SEED (fallback 0)
-and an explicit --seed wins.
+usage or parse error.  The default seed comes from ORBITKIT_SEED (fallback 0;
+a non-integer value is a usage error) and an explicit --seed wins.
 """
 
 from __future__ import annotations
@@ -29,19 +29,6 @@ from .forms import (
     classify_full,
 )
 
-VERIFY_SUITES = (
-    "ags",
-    "prop16",
-    "octahedron",
-    "intersection",
-    "singular",
-    "spin-cover",
-    "edge-prism",
-    "square",
-    "f3-segments",
-)
-
-
 @dataclass
 class RunReport:
     command: str
@@ -61,10 +48,22 @@ class RunReport:
 
 
 def _default_seed() -> int:
+    text = os.environ.get("ORBITKIT_SEED", "0")
     try:
-        return int(os.environ.get("ORBITKIT_SEED", "0"))
-    except ValueError:
-        return 0
+        return int(text)
+    except ValueError as exc:
+        raise ParseError(f"ORBITKIT_SEED must be an integer, got {text!r}") from exc
+
+
+def _sample_count(text: str) -> int:
+    """argparse type of --n; a ParseError passes through parse_args to main."""
+    try:
+        n = int(text)
+    except ValueError as exc:
+        raise ParseError(f"--n must be an integer, got {text!r}") from exc
+    if n < 1:
+        raise ParseError(f"--n must be at least 1, got {n}")
+    return n
 
 
 def _parse_lambda(text: str):
@@ -89,6 +88,18 @@ def _load_form(path: str) -> TwoForm:
 def _write(path: str, text: str):
     with open(path, "w") as fh:
         fh.write(text)
+
+
+def _write_polytope(P, off_path, facets_path) -> list:
+    """Write P as an OFF mesh and/or a facet JSON file; return the paths written."""
+    artifacts = []
+    if off_path:
+        _write(off_path, polytopes.to_off(P))
+        artifacts.append(off_path)
+    if facets_path:
+        _write(facets_path, json.dumps(polytopes.polytope_to_json(P), indent=2))
+        artifacts.append(facets_path)
+    return artifacts
 
 
 def _emit(report: RunReport) -> int:
@@ -121,13 +132,6 @@ def cmd_classify(args) -> int:
 def cmd_polytope(args) -> int:
     lam = _parse_lambda(args.lam)
     P = moment.moment_polytope(lam)
-    artifacts = []
-    if args.out_off:
-        _write(args.out_off, polytopes.to_off(P))
-        artifacts.append(args.out_off)
-    if args.out_facets:
-        _write(args.out_facets, json.dumps(polytopes.polytope_to_json(P), indent=2))
-        artifacts.append(args.out_facets)
     report = RunReport(
         "polytope",
         {"lambda": list(lam)},
@@ -137,7 +141,7 @@ def cmd_polytope(args) -> int:
             "vertices": len(P.vertices),
             "facets": len(P.facets),
         },
-        artifacts=artifacts,
+        artifacts=_write_polytope(P, args.out_off, args.out_facets),
     )
     return _emit(report)
 
@@ -286,16 +290,11 @@ def _suite_spin_cover(n: int) -> dict:
     }
 
 
-def _suite_edge_prism(n: int, seed: int, tol: float) -> dict:
+def _suite_edge_prism(n: int, seed: int) -> dict:
+    tol = 1e-12
     worst = 0.0
     all_in_region = True
-    for k in range(n):
-        rng = moment.stream(seed, k)
-        abc = rng.standard_normal(3)
-        abc = abc / np.linalg.norm(abc)
-        abg = rng.standard_normal(3)
-        abg = abg / np.linalg.norm(abg)
-        t = float(rng.uniform(0.0, 1.0))
+    for abc, abg, t in klein.fibre_draws(n, seed, klein.EDGE_PRISM_T_LO):
         x, y, z = klein.edge_prism_point(*abc, *abg, t)
         worst = max(worst, abs(x - y - abc[0] * z - abc[0] * (3.0 + t)))
         if not klein.prism_region_test((x, y, z)):
@@ -309,13 +308,7 @@ def _suite_square(n: int, seed: int, tol: float) -> dict:
     worst_z = 0.0
     worst_limit = 0.0
     worst_contain = 0.0
-    for k in range(n):
-        rng = moment.stream(seed, k)
-        u = rng.standard_normal(3)
-        u = u / np.linalg.norm(u)
-        v = rng.standard_normal(3)
-        v = v / np.linalg.norm(v)
-        t = float(rng.uniform(0.05, 1.0))
+    for u, v, t in klein.fibre_draws(n, seed, klein.SQUARE_T_LO):
         form = klein.square_fiber_form(u, v, t)
         x, y, z = moment.mu_t(form)
         J = klein.ocs_over_plane(klein.plane_in_span4(v), u)
@@ -365,34 +358,32 @@ def _suite_f3_segments() -> dict:
     return {"pass": ok, **results}
 
 
+#: verify suite name -> (suite function, the command-line args it takes).
+SUITES = {
+    "ags": (_suite_ags, ("n", "seed", "tol")),
+    "prop16": (_suite_prop16, ()),
+    "octahedron": (_suite_octahedron, ()),
+    "intersection": (_suite_intersection, ()),
+    "singular": (_suite_singular, ("n", "seed", "tol")),
+    "spin-cover": (_suite_spin_cover, ("n",)),
+    "edge-prism": (_suite_edge_prism, ("n", "seed")),
+    "square": (_suite_square, ("n", "seed", "tol")),
+    "f3-segments": (_suite_f3_segments, ()),
+}
+
+
 def cmd_verify(args) -> int:
-    suite = args.suite
-    if suite not in VERIFY_SUITES:
-        raise UnknownSuite(f"unknown suite {suite!r}")
+    if args.suite not in SUITES:
+        raise UnknownSuite(f"unknown suite {args.suite!r}")
+    fn, used = SUITES[args.suite]
+    parameters = {k: getattr(args, k) for k in used}
     t0 = time.time()
-    if suite == "prop16":
-        metrics = _suite_prop16()
-    elif suite == "octahedron":
-        metrics = _suite_octahedron()
-    elif suite == "intersection":
-        metrics = _suite_intersection()
-    elif suite == "ags":
-        metrics = _suite_ags(args.n, args.seed, args.tol)
-    elif suite == "singular":
-        metrics = _suite_singular(args.n, args.seed, args.tol)
-    elif suite == "spin-cover":
-        metrics = _suite_spin_cover(args.n)
-    elif suite == "edge-prism":
-        metrics = _suite_edge_prism(args.n, args.seed, 1e-12)
-    elif suite == "square":
-        metrics = _suite_square(args.n, args.seed, args.tol)
-    else:
-        metrics = _suite_f3_segments()
+    metrics = fn(**parameters)
     metrics["elapsed_seconds"] = time.time() - t0
     passed = bool(metrics.pop("pass"))
     report = RunReport(
-        f"verify {suite}",
-        {"n": args.n, "seed": args.seed, "tol": args.tol},
+        f"verify {args.suite}",
+        parameters,
         passed,
         metrics=metrics,
     )
@@ -401,44 +392,24 @@ def cmd_verify(args) -> int:
 
 def cmd_klein(args) -> int:
     if args.sub == "edge-prism":
-        pts = []
-        for k in range(args.n):
-            rng = moment.stream(args.seed, k)
-            abc = rng.standard_normal(3)
-            abc = abc / np.linalg.norm(abc)
-            abg = rng.standard_normal(3)
-            abg = abg / np.linalg.norm(abg)
-            t = float(rng.uniform(0.0, 1.0))
-            pts.append(klein.edge_prism_point(*abc, *abg, t))
-        cloud = moment.SampleCloud(
-            args.seed, np.array(pts),
-            f"source=klein_edge_prism n={args.n} seed={args.seed}",
-        )
+        draws = klein.fibre_draws(args.n, args.seed, klein.EDGE_PRISM_T_LO)
+        pts = [klein.edge_prism_point(*abc, *abg, t) for abc, abg, t in draws]
         region = klein.prism_region()
         inside = all(klein.prism_region_test(p) for p in pts)
     else:
-        pts = []
-        for k in range(args.n):
-            rng = moment.stream(args.seed, k)
-            u = rng.standard_normal(3)
-            u = u / np.linalg.norm(u)
-            v = rng.standard_normal(3)
-            v = v / np.linalg.norm(v)
-            t = float(rng.uniform(0.05, 1.0))
-            pts.append(klein.square_fiber_points(u, v, t))
-        cloud = moment.SampleCloud(
-            args.seed, np.array(pts),
-            f"source=klein_square n={args.n} seed={args.seed}",
-        )
+        draws = klein.fibre_draws(args.n, args.seed, klein.SQUARE_T_LO)
+        pts = [klein.square_fiber_points(u, v, t) for u, v, t in draws]
         region = polytopes.hull(np.array(pts), exact=False)
         inside = True
+    cloud = moment.SampleCloud(
+        args.seed, np.array(pts),
+        f"source=klein_{args.sub.replace('-', '_')} n={args.n} seed={args.seed}",
+    )
     artifacts = []
     if args.out:
         _write(args.out, cloud.to_csv())
         artifacts.append(args.out)
-        facet_path = args.out + ".facets.json"
-        _write(facet_path, json.dumps(polytopes.polytope_to_json(region), indent=2))
-        artifacts.append(facet_path)
+        artifacts += _write_polytope(region, None, args.out + ".facets.json")
     report = RunReport(
         f"klein {args.sub}",
         {"n": args.n, "seed": args.seed},
@@ -477,13 +448,6 @@ def cmd_export(args) -> int:
     form = _load_form(args.form)
     result = classify_full(form, tol=args.tol)
     P = moment.moment_polytope(result.triple)
-    artifacts = []
-    if args.out_off:
-        _write(args.out_off, polytopes.to_off(P))
-        artifacts.append(args.out_off)
-    if args.out_facets:
-        _write(args.out_facets, json.dumps(polytopes.polytope_to_json(P), indent=2))
-        artifacts.append(args.out_facets)
     report = RunReport(
         "export",
         {"form": args.form, "tol": args.tol},
@@ -495,7 +459,7 @@ def cmd_export(args) -> int:
             "facets": len(P.facets),
             "vertices": len(P.vertices),
         },
-        artifacts=artifacts,
+        artifacts=_write_polytope(P, args.out_off, args.out_facets),
     )
     return _emit(report)
 
@@ -521,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="Haar-sample an orbit and project")
     p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--n", type=_sample_count, default=1000)
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", default=None)
@@ -529,21 +493,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("suite")
-    p.add_argument("--n", type=int, default=10000)
+    p.add_argument("--n", type=_sample_count, default=10000)
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("klein", help="emit inverse-image clouds")
     p.add_argument("sub", choices=("edge-prism", "square"))
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--n", type=_sample_count, default=1000)
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_klein)
 
     p = sub.add_parser("iwasawa", help="integrability scans on the nilmanifold")
     p.add_argument("sub", choices=("scan-complex", "scan-k", "scan-kk", "mixed"))
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--n", type=_sample_count, default=1000)
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--which", choices=("K", "K_intersection"), default="K")
@@ -561,9 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ParseError, UnknownSuite) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -182,14 +182,6 @@ class TwoForm:
         return cls(tuple(data["coeffs"]))
 
 
-def form_to_endo(form: TwoForm) -> np.ndarray:
-    return form.endomorphism()
-
-
-def endo_to_form(F) -> TwoForm:
-    return TwoForm.from_matrix(F)
-
-
 @dataclass(frozen=True)
 class InvariantPlane:
     """Oriented invariant 2-plane: F u = value * v, F v = -value * u."""

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import moment, polytopes, weyl
+from . import iwasawa, moment, polytopes, weyl
 from .errors import (
     DegenerateOrientation,
     DegenerateVector,
@@ -244,19 +244,34 @@ def f3_plane(form: TwoForm, tol: float = 1e-8) -> SimplePlaneForm:
 
 
 # ---------------------------------------------------------------------------
-# Edge prism
+# Fibre sampling
 # ---------------------------------------------------------------------------
 
-def edge_prism_form(a: float, b: float, c: float) -> TwoForm:
-    """Anti-self-dual completion a(e12-e34) + b(e13-e42) + c(e14-e23) - e56."""
-    out = (
-        a * (TwoForm.basis(1, 2) - TwoForm.basis(3, 4))
-        + b * (TwoForm.basis(1, 3) - TwoForm.basis(4, 2))
-        + c * (TwoForm.basis(1, 4) - TwoForm.basis(2, 3))
-        - TwoForm.basis(5, 6)
-    )
-    return out
+#: Lower end of the fibre parameter t for the edge prism and the square.
+EDGE_PRISM_T_LO = 0.0
+SQUARE_T_LO = 0.05
 
+
+def fibre_draws(n: int, seed: int, t_lo: float) -> list:
+    """Per-sample fibre parameters (u, v, t) for samples 0..n-1.
+
+    Sample k draws, from moment.stream(seed, k) and in this order, two unit
+    3-vectors u and v and then t ~ U(t_lo, 1).
+    """
+    draws = []
+    for k in range(n):
+        rng = moment.stream(seed, k)
+        u = rng.standard_normal(3)
+        u = u / np.linalg.norm(u)
+        v = rng.standard_normal(3)
+        v = v / np.linalg.norm(v)
+        draws.append((u, v, float(rng.uniform(t_lo, 1.0))))
+    return draws
+
+
+# ---------------------------------------------------------------------------
+# Edge prism
+# ---------------------------------------------------------------------------
 
 def edge_prism_point(a, b, c, alpha, beta, gamma, t,
                      tol: float = 1e-12) -> tuple[float, float, float]:
@@ -268,7 +283,7 @@ def edge_prism_point(a, b, c, alpha, beta, gamma, t,
         raise NormViolation("(alpha, beta, gamma) must be a unit vector")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    w = edge_prism_form(a, b, c)
+    w = iwasawa.asd_edge_form(a, b, c)
     e = np.zeros(6)
     e[0], e[2], e[4] = alpha, beta, gamma
     je = w.endomorphism() @ e

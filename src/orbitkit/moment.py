@@ -55,10 +55,6 @@ def haar_rotations(n: int, seed: int, start: int = 0) -> np.ndarray:
     return q
 
 
-def haar_rotation(seed: int, index: int = 0) -> np.ndarray:
-    return haar_rotations(1, seed, start=index)[0]
-
-
 @dataclass(frozen=True)
 class SampleCloud:
     """Reproducible cloud of Cartan points: same seed, same sequence."""
@@ -172,6 +168,8 @@ def verify_singular(lam, i: int, w, n: int, seed: int, tol: float = 1e-9,
     act on the Cartan form of w.lam; every moment image must land in the
     convex hull of w.(W_i.lam).
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     lam = tuple(float(c) for c in lam)
     _require_chamber(lam)
     q = weyl.act(w, weyl.FUNDAMENTAL_WEIGHTS[i])
@@ -181,14 +179,12 @@ def verify_singular(lam, i: int, w, n: int, seed: int, tol: float = 1e-9,
         weyl.singular_vertex_set(tuple(Fraction(c) for c in lam), w, i), exact=True
     )
     Fb = TwoForm.from_cartan(base).endomorphism()
-    worst = 0.0
     pts = np.empty((n, 3))
     for k in range(n):
         g = stream(seed, k).standard_normal(len(basis)) * (np.pi / 2)
         R = exp_skew(np.einsum("n,nab->ab", g, basis))
-        mu = _mu_of_matrix(R @ Fb @ R.T)
-        pts[k] = mu
-        worst = max(worst, polytopes.violation(poly, mu))
+        pts[k] = _mu_of_matrix(R @ Fb @ R.T)
+    worst = max(0.0, float(np.max(polytopes.violations_many(poly, pts))))
     report = {
         "pass": bool(worst <= tol),
         "max_violation": float(worst),

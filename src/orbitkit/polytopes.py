@@ -515,11 +515,6 @@ def hull(points, exact=None, tol: float = 1e-9) -> Polytope:
     return _hull_float(pts, tol)
 
 
-def h_representation(P: Polytope):
-    """Canonical facet system (primitive integer normals when exact)."""
-    return P.facets
-
-
 def violation(P: Polytope, point) -> float:
     """Largest scaled constraint violation of a point (<= 0 means inside)."""
     worst = -math.inf
@@ -649,48 +644,20 @@ def clip(P: Polytope, normal, offset, tol: float = 1e-9) -> Polytope:
 
 
 def section(P: Polytope, normal, offset, tol: float = 1e-9) -> Polytope:
-    """Slice of a 3-polytope by the plane normal . p = offset (dim <= 2)."""
+    """Slice of a 3-polytope by the plane normal . p = offset (dim <= 2).
+
+    The plane enters as the facet pair normal . p <= offset and
+    -normal . p <= -offset, so every feasible vertex lies on it.
+    """
     if P.dim != 3:
         raise ValueError("section requires a 3-dimensional polytope")
     exact = P.exact and all(_is_exact_scalar(c) for c in normal) and _is_exact_scalar(offset)
     if exact:
         plane = Facet(tuple(normal), Fraction(offset))
-        cand = [v for v in P.vertices if _dot(plane.normal, v) == plane.offset]
     else:
         plane = Facet(tuple(float(c) for c in normal), float(offset))
-        nn = _float_norm(plane.normal)
-        cand = [
-            v
-            for v in P.vertices
-            if abs(float(_dot(plane.normal, v)) - plane.offset) <= tol * nn
-        ]
-    solver = _cramer_exact if exact else _cramer_float
-    for f, g in itertools.combinations(P.facets, 2):
-        sol = solver(
-            (plane.normal, f.normal, g.normal),
-            (plane.offset, f.offset, g.offset),
-        )
-        if sol is None:
-            continue
-        if exact:
-            if all(_dot(c.normal, sol) <= c.offset for c in P.facets):
-                cand.append(sol)
-        else:
-            ok = all(
-                float(_dot(c.normal, sol)) - float(c.offset)
-                <= tol * _float_norm(c.normal)
-                for c in P.facets
-            )
-            if ok:
-                cand.append(sol)
-    if exact:
-        cand = sorted(set(cand))
-    else:
-        out = []
-        for p in cand:
-            if not any(max(abs(p[k] - q[k]) for k in range(3)) <= 10 * tol for q in out):
-                out.append(p)
-        cand = out
+    flipped = Facet(_neg(plane.normal), -plane.offset)
+    cand = _feasible_vertices(list(P.facets) + [plane, flipped], exact, tol)
     if not cand:
         raise EmptySection("plane misses the polytope")
     return hull(cand, exact=exact, tol=tol)

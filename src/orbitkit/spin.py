@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .forms import torus_rotation
+
 #: Ordered index pairs of the wedge-square coordinate basis v_ab, a < b.
 WEDGE_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
@@ -50,18 +52,6 @@ class SpinCoverResult:
     discrepancy: float
 
 
-def so6_circle(theta: float) -> np.ndarray:
-    """Simultaneous rotation by theta in the planes <e1,e2>, <e3,e4>, <e5,e6>."""
-    c, s = np.cos(theta), np.sin(theta)
-    R = np.zeros((6, 6))
-    for k in range(3):
-        R[2 * k, 2 * k] = c
-        R[2 * k, 2 * k + 1] = -s
-        R[2 * k + 1, 2 * k] = s
-        R[2 * k + 1, 2 * k + 1] = c
-    return R
-
-
 def su4_circle(theta: float) -> np.ndarray:
     """The unitary element exp(i theta/2 diag(weights))."""
     w = np.array(NU1_QUADRUPLE)
@@ -81,7 +71,7 @@ def spin_cover_check(theta: float) -> SpinCoverResult:
     The discrepancy (operator norm) vanishes for every theta, while the 4x4
     unitary element itself has period 4 pi.
     """
-    so6 = so6_circle(theta)
+    so6 = torus_rotation(theta, theta, theta)
     wedge = wedge_action(theta)
     disc = float(np.linalg.norm(wedge - so6, ord=2))
     return SpinCoverResult(so6, wedge, su4_circle(theta), disc)

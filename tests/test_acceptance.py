@@ -15,7 +15,6 @@ from orbitkit.forms import (
     canonical_triple,
     classify,
     conjugate,
-    form_to_endo,
 )
 
 
@@ -213,7 +212,7 @@ def test_c08_integrable_complex_structures():
             gap = np.min(np.linalg.norm(images_arr - target, axis=1))
             assert gap <= spacing
         # The standard structure is integrable, at a vertex off that edge.
-        J0 = form_to_endo(TwoForm.from_cartan((1, 1, 1)))
+        J0 = TwoForm.from_cartan((1, 1, 1)).endomorphism()
         assert iwasawa.nijenhuis_norm(algebra, J0) < 1e-10
         vertex = moment.mu_t(TwoForm.from_cartan((1, 1, 1)))
         assert iwasawa._segment_distance(vertex, end1, end2) > 1.0
@@ -252,7 +251,7 @@ def test_c10_classification_equivariance_and_weyl():
         rng = np.random.default_rng(seed)
         for k in range(n):
             f = TwoForm(tuple(rng.standard_normal(15)))
-            R = moment.haar_rotation(seed, k)
+            R = moment.haar_rotations(1, seed, start=k)[0]
             g = conjugate(f, R)
             assert classify(f) is classify(g)
             t_f = canonical_triple(f)

@@ -162,3 +162,44 @@ def test_export(capsys, form_file, tmp_path):
     assert code == 0
     assert report["metrics"]["class"] == "PPlus"
     assert report["metrics"]["facets"] == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ("sample", "--lambda", "1,0.5,2"),
+    ("verify", "singular"),
+    ("verify", "edge-prism"),
+    ("verify", "square"),
+    ("verify", "ags"),
+    ("klein", "edge-prism"),
+    ("klein", "square"),
+    ("iwasawa", "scan-k"),
+    ("iwasawa", "mixed"),
+])
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_sample_count_below_one_exits_2(capsys, argv, n):
+    code = cli.main([*argv, "--n", n])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--n must be at least 1" in captured.err
+
+
+def test_non_integer_seed_env_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("ORBITKIT_SEED", "abc")
+    code = cli.main(["verify", "prop16"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "ORBITKIT_SEED" in captured.err
+
+
+def test_verify_echoes_only_used_parameters(capsys):
+    code, report = run_cli(capsys, "verify", "prop16", "--n", "5")
+    assert code == 0
+    assert report["parameters"] == {}
+    code, report = run_cli(capsys, "verify", "edge-prism", "--n", "20",
+                           "--seed", "4", "--tol", "1e-30")
+    assert code == 0
+    assert report["parameters"] == {"n": 20, "seed": 4}
+    code, report = run_cli(capsys, "verify", "spin-cover", "--n", "10",
+                           "--seed", "4")
+    assert report["parameters"] == {"n": 10}

@@ -14,8 +14,6 @@ from orbitkit.forms import (
     classify_full,
     conjugate,
     eigen_split,
-    endo_to_form,
-    form_to_endo,
     kks_pairing,
     spin_weight_to_cartan,
     torus_rotation,
@@ -25,22 +23,22 @@ W0 = TwoForm.from_cartan((1, 1, 1))
 
 
 def haar(seed, index=0):
-    return moment.haar_rotation(seed, index)
+    return moment.haar_rotations(1, seed, start=index)[0]
 
 
 def test_basis_form_endomorphism_entries():
-    F = form_to_endo(TwoForm.basis(1, 2))
+    F = TwoForm.basis(1, 2).endomorphism()
     assert F[1, 0] == 1.0
     assert F[0, 1] == -1.0
     assert np.count_nonzero(F) == 2
 
 
 def test_zero_form_endomorphism():
-    assert np.all(form_to_endo(TwoForm.zero()) == 0.0)
+    assert np.all(TwoForm.zero().endomorphism() == 0.0)
 
 
 def test_standard_structure_squares_to_minus_identity():
-    J0 = form_to_endo(W0)
+    J0 = W0.endomorphism()
     assert np.array_equal(J0 @ J0, -np.eye(6))
 
 
@@ -48,7 +46,7 @@ def test_endo_round_trip_exact():
     rng = np.random.default_rng(1)
     for _ in range(20):
         f = TwoForm(tuple(rng.standard_normal(15)))
-        assert endo_to_form(form_to_endo(f)).coeffs == f.coeffs
+        assert TwoForm.from_matrix(f.endomorphism()).coeffs == f.coeffs
 
 
 def test_two_form_validation():
@@ -95,7 +93,7 @@ def test_eigen_split_frame_and_action():
         frame = split.frame()
         assert np.max(np.abs(frame.T @ frame - np.eye(6))) <= 1e-10
         assert np.linalg.det(frame) > 0
-        F = form_to_endo(f)
+        F = f.endomorphism()
         for plane in split.planes:
             u = np.array(plane.u)
             v = np.array(plane.v)
@@ -188,7 +186,7 @@ def test_conjugate_against_matrix_oracle():
     assert abs(np.linalg.det(R) - 1.0) <= 1e-12
     f = TwoForm.basis(1, 2)
     out = conjugate(f, R)
-    oracle = endo_to_form(R @ form_to_endo(f) @ R.T)
+    oracle = TwoForm.from_matrix(R @ f.endomorphism() @ R.T)
     assert out.coeffs == oracle.coeffs
     assert np.allclose(out.as_array(), TwoForm.basis(1, 3).as_array())
 
@@ -214,7 +212,7 @@ def test_kks_antisymmetry_exact():
 
 
 def test_kks_stabilizer_direction_vanishes():
-    J0 = form_to_endo(W0)
+    J0 = W0.endomorphism()
     rng = np.random.default_rng(5)
     for _ in range(10):
         X = skew(rng)
@@ -234,7 +232,7 @@ def test_kks_matches_coefficient_pairing_oracle():
         X, Y = skew(rng), skew(rng)
         C = X @ Y - Y @ X
         oracle = float(
-            np.dot(base.as_array(), endo_to_form(C).as_array())
+            np.dot(base.as_array(), TwoForm.from_matrix(C).as_array())
         )
         assert abs(kks_pairing(base, X, Y) - oracle) <= 1e-12
 

@@ -5,7 +5,7 @@ import pytest
 
 from orbitkit import iwasawa, moment
 from orbitkit.errors import IncompatiblePair, WrongClass
-from orbitkit.forms import TwoForm, form_to_endo
+from orbitkit.forms import TwoForm
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +70,7 @@ def test_d_squared_vanishes(algebra):
 
 
 def test_nijenhuis_standard_structure(algebra):
-    J0 = form_to_endo(TwoForm.from_cartan((1, 1, 1)))
+    J0 = TwoForm.from_cartan((1, 1, 1)).endomorphism()
     assert iwasawa.nijenhuis_norm(algebra, J0) == 0.0
 
 
@@ -85,10 +85,10 @@ def test_nijenhuis_edge_family(algebra):
 
 def test_nijenhuis_positive_examples(algebra):
     w3 = TwoForm.from_cartan((-1, -1, 1))
-    assert iwasawa.nijenhuis_norm(algebra, form_to_endo(w3)) > 1.0
+    assert iwasawa.nijenhuis_norm(algebra, w3.endomorphism()) > 1.0
     # A generic rotation of the standard structure is not integrable.
-    J0 = form_to_endo(TwoForm.from_cartan((1, 1, 1)))
-    R = moment.haar_rotation(100)
+    J0 = TwoForm.from_cartan((1, 1, 1)).endomorphism()
+    R = moment.haar_rotations(1, 100)[0]
     assert iwasawa.nijenhuis_norm(algebra, R @ J0 @ R.T) > 1e-3
 
 
@@ -230,7 +230,7 @@ def test_mixed_small_t_approaches_complex_images(algebra):
         g = rng.standard_normal(4)
         v = np.zeros(6)
         v[:4] = g / np.linalg.norm(g)
-        J0 = form_to_endo(TwoForm.from_cartan((1, 1, 1)))
+        J0 = TwoForm.from_cartan((1, 1, 1)).endomorphism()
         V = np.column_stack([v, J0 @ v])
         m = iwasawa.mixed_pair(TwoForm.from_cartan((1, 1, 1)), V, 1e-9)
         assert iwasawa.integrable_set_distance(moment.mu_t(m)) <= 1e-8

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from orbitkit import klein, moment
+from orbitkit import iwasawa, klein, moment
 from orbitkit.errors import (
     DegenerateOrientation,
     IncompatiblePattern,
@@ -16,7 +16,6 @@ from orbitkit.forms import (
     canonical_triple,
     classify,
     conjugate,
-    form_to_endo,
 )
 
 W0 = TwoForm.from_cartan((1, 1, 1))
@@ -25,7 +24,7 @@ E56 = TwoForm.basis(5, 6)
 
 
 def haar(seed, index=0):
-    return moment.haar_rotation(seed, index)
+    return moment.haar_rotations(1, seed, start=index)[0]
 
 
 def test_fibration_project_flattens_values():
@@ -112,7 +111,7 @@ def test_ocs_over_plane_sphere_properties():
         u = rng.standard_normal(3)
         u = u / np.linalg.norm(u)
         J = klein.ocs_over_plane(E56, u)
-        M = form_to_endo(J)
+        M = J.endomorphism()
         assert np.max(np.abs(M @ M + np.eye(6))) <= 1e-12
         assert classify(J) is OrbitClass.P_PLUS
         # The plane of the simple form stays invariant.
@@ -149,7 +148,7 @@ def test_invariant_plane_examples():
     assert np.allclose(out.form.as_array(), (-1 * E56).as_array())
     v = (e[0] + e[2]) / np.sqrt(2)
     out = klein.invariant_plane(W0, v, +1)
-    oracle = TwoForm.from_wedge(v, form_to_endo(W0) @ v)
+    oracle = TwoForm.from_wedge(v, W0.endomorphism() @ v)
     assert np.allclose(out.form.as_array(), oracle.as_array())
     assert abs(out.form.norm() - 1.0) <= 1e-12
 
@@ -218,7 +217,7 @@ def test_f3_plane_extraction():
 
 def test_mixed_structure_decomposition():
     m = klein.mixed_structure(F1_FORM)
-    assert np.allclose(m.J, form_to_endo(W0))
+    assert np.allclose(m.J, W0.endomorphism())
     assert np.allclose(m.P, np.diag([-1, -1, -1, -1, 1, 1]))
     assert m.weights == (1.0, 1.0)
     assert np.allclose(m.form().as_array(), F1_FORM.as_array(), atol=1e-12)
@@ -283,8 +282,8 @@ def test_edge_prism_forms_are_complex_structures():
     for _ in range(20):
         abc = rng.standard_normal(3)
         abc = abc / np.linalg.norm(abc)
-        f = klein.edge_prism_form(*abc)
-        M = form_to_endo(f)
+        f = iwasawa.asd_edge_form(*abc)
+        M = f.endomorphism()
         assert np.max(np.abs(M @ M + np.eye(6))) <= 1e-12
         assert classify(f) is OrbitClass.P_PLUS
         x, y, z = moment.mu_t(f)

@@ -9,7 +9,6 @@ from orbitkit.forms import (
     STABILIZER_DIM,
     TwoForm,
     classify,
-    form_to_endo,
     torus_rotation,
     conjugate,
 )
@@ -24,7 +23,7 @@ def test_mu_examples():
 def test_mu_of_sign_flip_family():
     # -w0 + 2 e ^ (J0 e) projects to (-1 + 2(x1^2+x2^2), ...), summing to -1.
     w0 = TwoForm.from_cartan((1, 1, 1))
-    J0 = form_to_endo(w0)
+    J0 = w0.endomorphism()
     rng = np.random.default_rng(12)
     for _ in range(20):
         e = rng.standard_normal(6)
@@ -49,15 +48,15 @@ def test_mu_torus_equivariance():
 
 
 def test_haar_rotation_properties():
-    R = moment.haar_rotation(0)
+    R = moment.haar_rotations(1, 0)[0]
     assert np.max(np.abs(R.T @ R - np.eye(6))) <= 1e-12
     assert abs(np.linalg.det(R) - 1.0) <= 1e-12
 
 
 def test_haar_rotation_deterministic():
-    assert np.array_equal(moment.haar_rotation(42), moment.haar_rotation(42))
+    assert np.array_equal(moment.haar_rotations(1, 42)[0], moment.haar_rotations(1, 42)[0])
     batch = moment.haar_rotations(5, 42)
-    assert np.array_equal(batch[3], moment.haar_rotation(42, index=3))
+    assert np.array_equal(batch[3], moment.haar_rotations(1, 42, start=3)[0])
 
 
 def test_haar_column_means_small():
@@ -129,7 +128,7 @@ def test_stabilizer_dimensions(lam, dim):
     assert len(basis) == dim
     assert dim == STABILIZER_DIM[classify(form)]
     assert dim == 15 - (15 - dim)  # orbit dim + stabilizer dim = 15
-    F = form_to_endo(form)
+    F = form.endomorphism()
     for X in basis:
         assert np.max(np.abs(X @ F - F @ X)) <= 1e-12
         assert np.max(np.abs(X + X.T)) <= 1e-14
