@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -66,10 +68,23 @@ def _sample_count(text: str) -> int:
     return n
 
 
-def _parse_lambda(text: str):
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite number >= 0."""
     try:
-        parts = [float(p) for p in text.split(",")]
+        tol = float(text)
     except ValueError as exc:
+        raise ParseError(f"--tol must be a number, got {text!r}") from exc
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ParseError(f"--tol must be finite and >= 0, got {text!r}")
+    return tol
+
+
+def _parse_lambda(text: str):
+    """Exact components: "0.1" is 1/10 and "1/3" is accepted; nan and inf
+    are refused."""
+    try:
+        parts = [Fraction(p) for p in text.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad lambda {text!r}") from exc
     if len(parts) != 3:
         raise ParseError(f"lambda needs 3 components, got {len(parts)}")
@@ -134,7 +149,7 @@ def cmd_polytope(args) -> int:
     P = moment.moment_polytope(lam)
     report = RunReport(
         "polytope",
-        {"lambda": list(lam)},
+        {"lambda": [float(c) for c in lam]},
         True,
         metrics={
             "dim": P.dim,
@@ -157,7 +172,8 @@ def cmd_sample(args) -> int:
         artifacts.append(args.out)
     report = RunReport(
         "sample",
-        {"lambda": list(lam), "n": args.n, "seed": args.seed, "tol": args.tol},
+        {"lambda": [float(c) for c in lam], "n": args.n, "seed": args.seed,
+         "tol": args.tol},
         worst <= args.tol,
         metrics={"max_violation": worst, "points": int(len(cloud.points))},
         artifacts=artifacts,
@@ -420,15 +436,20 @@ def cmd_klein(args) -> int:
     return _emit(report)
 
 
+#: iwasawa subcommand -> (iwasawa function name, the command-line args it
+#: takes).  The function is looked up when it runs.
+IWASAWA_SCANS = {
+    "scan-complex": ("scan_complex", ("n", "seed", "tol")),
+    "scan-k": ("scan_K", ("n", "seed")),
+    "scan-kk": ("scan_K_intersection", ("n", "seed")),
+    "mixed": ("mixed_classes_over", ("n", "seed", "which")),
+}
+
+
 def cmd_iwasawa(args) -> int:
-    if args.sub == "scan-complex":
-        cloud, rep = iwasawa.scan_complex(args.n, args.seed, args.tol)
-    elif args.sub == "scan-k":
-        cloud, rep = iwasawa.scan_K(args.n, args.seed)
-    elif args.sub == "scan-kk":
-        cloud, rep = iwasawa.scan_K_intersection(args.n, args.seed)
-    else:
-        cloud, rep = iwasawa.mixed_classes_over(args.n, args.seed, args.which)
+    name, used = IWASAWA_SCANS[args.sub]
+    parameters = {k: getattr(args, k) for k in used}
+    cloud, rep = getattr(iwasawa, name)(**parameters)
     artifacts = []
     if args.out:
         _write(args.out, cloud.to_csv())
@@ -436,7 +457,7 @@ def cmd_iwasawa(args) -> int:
     passed = bool(rep.pop("pass"))
     report = RunReport(
         f"iwasawa {args.sub}",
-        {"n": args.n, "seed": args.seed, "tol": args.tol},
+        parameters,
         passed,
         metrics=rep,
         artifacts=artifacts,
@@ -474,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a 2-form JSON file")
     p.add_argument("--form", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("polytope", help="moment polytope of a Cartan point")
@@ -487,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--n", type=_sample_count, default=1000)
     p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sample)
 
@@ -495,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite")
     p.add_argument("--n", type=_sample_count, default=10000)
     p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("klein", help="emit inverse-image clouds")
@@ -506,17 +527,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_klein)
 
     p = sub.add_parser("iwasawa", help="integrability scans on the nilmanifold")
-    p.add_argument("sub", choices=("scan-complex", "scan-k", "scan-kk", "mixed"))
+    p.add_argument("sub", choices=tuple(IWASAWA_SCANS))
     p.add_argument("--n", type=_sample_count, default=1000)
     p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-6)
     p.add_argument("--which", choices=("K", "K_intersection"), default="K")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_iwasawa)
 
     p = sub.add_parser("export", help="classify a form and export its moment polytope")
     p.add_argument("--form", required=True)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--out-off", default=None)
     p.add_argument("--out-facets", default=None)
     p.set_defaults(func=cmd_export)

@@ -231,13 +231,15 @@ def scan_complex(n: int, seed: int, tol: float = 1e-6,
     return cloud, report
 
 
-def _sample_plane_in(rng, subspace_dim: int = 4) -> np.ndarray:
-    """Orthonormal pair spanning a random plane inside <e1..e_k> (or all of R^6)."""
-    g = rng.standard_normal((subspace_dim, 2))
+def _sample_planes_in(seed: int, n: int, subspace_dim: int = 4,
+                      start: int = 0) -> np.ndarray:
+    """(n, 6, 2) orthonormal pairs spanning random planes inside <e1..e_k>
+    (or all of R^6); plane k is the QR of the 2k normals of sample start + k."""
+    g = moment.normals(seed, n, 2 * subspace_dim, start).reshape(n, subspace_dim, 2)
     q, r = np.linalg.qr(g)
-    q = q * np.sign(np.diag(r))
-    V = np.zeros((6, 2))
-    V[:subspace_dim] = q
+    q = q * np.sign(np.einsum("nii->ni", r))[:, None, :]
+    V = np.zeros((n, 6, 2))
+    V[:, :subspace_dim] = q
     return V
 
 
@@ -253,15 +255,13 @@ def scan_K(n: int, seed: int) -> tuple[moment.SampleCloud, dict]:
     algebra = iwasawa_algebra()
     pts = np.empty((n, 3))
     closed_ok = True
-    for k in range(n):
-        V = _sample_plane_in(moment.stream(seed, k), 4)
+    for k, V in enumerate(_sample_planes_in(seed, n, 4)):
         if not horizontal_closed(algebra, V):
             closed_ok = False
         pts[k] = moment.mu_t(plane_form(V))
     off_failures = 0
     off_checked = 0
-    for k in range(min(n, 200)):
-        V = _sample_plane_in(moment.stream(seed, n + k), 6)
+    for V in _sample_planes_in(seed, min(n, 200), 6, start=n):
         if np.max(np.abs(V[4:])) < 1e-6:
             continue  # essentially inside the subspace; closure may hold
         off_checked += 1
@@ -319,19 +319,17 @@ def scan_K_intersection(n: int, seed: int) -> tuple[moment.SampleCloud, dict]:
     algebra = iwasawa_algebra()
     pts = []
     family_ok = True
+    G = moment.normals(seed, n, 3)
     for k in range(n):
-        rng = moment.stream(seed, k)
         sign = 1 if (k % 2 == 0) else -1
-        g = rng.standard_normal(3)
-        u = g / np.linalg.norm(g)
+        u = G[k] / np.linalg.norm(G[k])
         V = doubly_closed_plane(sign, u)
         if not (horizontal_closed(algebra, V) and vertical_closed(algebra, V)):
             family_ok = False
         pts.append(moment.mu_t(plane_form(V)))
     pts = np.array(pts)
     random_accepted = []
-    for k in range(min(n, 500)):
-        V = _sample_plane_in(moment.stream(seed, n + k), 4)
+    for V in _sample_planes_in(seed, min(n, 500), 4, start=n):
         if vertical_closed(algebra, V):
             random_accepted.append(moment.mu_t(plane_form(V)))
     seg_dev = np.minimum(
@@ -382,7 +380,10 @@ def mixed_classes_over(n: int, seed: int, which: str = "K") -> tuple[moment.Samp
 
     For each sample an integrable J (the standard one or a member of the
     anti-self-dual circle) is paired with a J-invariant plane drawn from the
-    requested class; incompatible draws are skipped and counted.
+    requested class; incompatible draws are skipped and counted.  Sample k
+    takes 9 words of stream (seed, k) whichever branch it takes: 8 normals
+    from words 0-7 (3 for the anti-self-dual direction, 4 for the plane
+    vector, one unused) and t ~ U(0.05, 1) from word 8.
     """
     if which not in ("K", "K_intersection"):
         raise ValueError("which must be 'K' or 'K_intersection'")
@@ -392,17 +393,18 @@ def mixed_classes_over(n: int, seed: int, which: str = "K") -> tuple[moment.Samp
     pts = []
     skipped = 0
     weights = []
+    w = moment.stream(seed, n, 9)
+    G = moment.gaussians(w[:, :8])
+    T = 0.05 + 0.95 * moment.uniforms(w[:, 8])
     for k in range(n):
-        rng = moment.stream(seed, k)
-        t = float(rng.uniform(0.05, 1.0))
+        t = float(T[k])
         if which == "K_intersection" or (k % 2 == 0):
             J_form = TwoForm.from_cartan((1, 1, 1))
         else:
-            g = rng.standard_normal(3)
-            a, b, c = g / np.linalg.norm(g)
+            a, b, c = G[k, :3] / np.linalg.norm(G[k, :3])
             J_form = asd_edge_form(a, b, c)
         J = ocs_matrix(J_form)
-        g = rng.standard_normal(4)
+        g = G[k, 3:7]
         v = np.zeros(6)
         v[:4] = g / np.linalg.norm(g)
         V = np.column_stack([v, J @ v])

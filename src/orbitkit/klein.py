@@ -255,18 +255,15 @@ SQUARE_T_LO = 0.05
 def fibre_draws(n: int, seed: int, t_lo: float) -> list:
     """Per-sample fibre parameters (u, v, t) for samples 0..n-1.
 
-    Sample k draws, from moment.stream(seed, k) and in this order, two unit
-    3-vectors u and v and then t ~ U(t_lo, 1).
+    Sample k takes 7 words of stream (seed, k): the unit 3-vectors u and v
+    from the 6 normals of words 0-5 and t ~ U(t_lo, 1) from word 6.
     """
-    draws = []
-    for k in range(n):
-        rng = moment.stream(seed, k)
-        u = rng.standard_normal(3)
-        u = u / np.linalg.norm(u)
-        v = rng.standard_normal(3)
-        v = v / np.linalg.norm(v)
-        draws.append((u, v, float(rng.uniform(t_lo, 1.0))))
-    return draws
+    w = moment.stream(seed, n, 7)
+    g = moment.gaussians(w[:, :6])
+    u = g[:, :3] / np.linalg.norm(g[:, :3], axis=1, keepdims=True)
+    v = g[:, 3:] / np.linalg.norm(g[:, 3:], axis=1, keepdims=True)
+    t = t_lo + (1.0 - t_lo) * moment.uniforms(w[:, 6])
+    return list(zip(u, v, t.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,16 @@
 """Toric moment map, Haar orbit sampling, moment polytopes and singular values.
 
-Sampling is reproducible and embarrassingly parallel: sample k of a run is
-drawn from a counter-based generator keyed by (seed, k), so output order is
-by sample index regardless of how batches are scheduled.
+Every Monte-Carlo draw comes from one batched counter-based generator,
+Philox-4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+3", SC'11), evaluated over numpy arrays.  Sample k of a run with seed s is
+keyed (s mod 2^64, k mod 2^64); its words are the outputs of counters 1, 2,
+3, ... in the first counter lane, four words per counter, so they equal
+`np.random.Philox(key=[s, k]).random_raw(m)`.  Each call site takes a fixed
+number of words per sample (36 for a Haar rotation), so sample k is the same
+whichever batch it is drawn in, and a batch split by `start` is
+bit-identical to the whole.  Uniforms are (w >> 11) * 2^-53; normals come
+from Box-Muller on word pairs.  Sample files carry the tag
+`stream=philox4x64-10` in their header.
 """
 
 from __future__ import annotations
@@ -17,14 +25,66 @@ from . import polytopes, weyl
 from .errors import ToleranceExceeded
 from .forms import E12, E34, E56, PAIRS, TwoForm
 
+#: Name of the sampling scheme, written into every sample CSV header.
+STREAM = "philox4x64-10"
+
 _MASK64 = (1 << 64) - 1
+#: Philox-4x64 round multipliers and Weyl key increments.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
 
 
-def stream(seed: int, index: int = 0) -> np.random.Generator:
-    """Independent generator for (seed, sample index)."""
-    return np.random.Generator(
-        np.random.Philox(key=[int(seed) & _MASK64, int(index) & _MASK64])
-    )
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high words of the 128-bit products m * x, from 32-bit halves."""
+    m0, m1 = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x0, x1 = x & _LO32, x >> _S32
+    p01 = m0 * x1
+    p10 = m1 * x0
+    mid = ((m0 * x0) >> _S32) + (p01 & _LO32) + (p10 & _LO32)
+    hi = m1 * x1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
+    return np.uint64(m) * x, hi
+
+
+def stream(seed: int, n: int, m: int, start: int = 0) -> np.ndarray:
+    """(n, m) uint64 words: row k is the first m words of sample start + k."""
+    blocks = -(-m // 4)
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (n, blocks))
+    c1 = c2 = c3 = np.zeros((n, blocks), dtype=np.uint64)
+    k1 = (np.arange(n, dtype=np.uint64) + np.uint64(int(start) & _MASK64))[:, None]
+    k0 = int(seed) & _MASK64
+    for r in range(_PHILOX_ROUNDS):
+        key0 = np.uint64((k0 + r * _PHILOX_W[0]) & _MASK64)
+        key1 = k1 + np.uint64((r * _PHILOX_W[1]) & _MASK64)
+        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
+        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
+    return np.stack([c0, c1, c2, c3], axis=-1).reshape(n, 4 * blocks)[:, :m]
+
+
+def uniforms(w: np.ndarray) -> np.ndarray:
+    """Uniforms in [0, 1) from words: the top 53 bits times 2^-53."""
+    return (w >> np.uint64(11)) * 2.0 ** -53
+
+
+def gaussians(w: np.ndarray) -> np.ndarray:
+    """Standard normals from an (n, 2j) word array by Box-Muller on the
+    column pairs (2i, 2i + 1), with the radius uniform in (0, 1]."""
+    u1 = ((w[:, 0::2] >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
+    r = np.sqrt(-2.0 * np.log(u1))
+    phi = (2.0 * np.pi) * uniforms(w[:, 1::2])
+    z = np.empty(w.shape)
+    z[:, 0::2] = r * np.cos(phi)
+    z[:, 1::2] = r * np.sin(phi)
+    return z
+
+
+def normals(seed: int, n: int, m: int, start: int = 0) -> np.ndarray:
+    """(n, m) standard normals; sample k takes the first m + m % 2 words of
+    its stream (an odd m drops the last normal)."""
+    return gaussians(stream(seed, n, m + m % 2, start))[:, :m]
 
 
 def mu_t(form: TwoForm) -> tuple[float, float, float]:
@@ -40,12 +100,11 @@ def _mu_of_matrix(F: np.ndarray) -> tuple[float, float, float]:
 def haar_rotations(n: int, seed: int, start: int = 0) -> np.ndarray:
     """(n, 6, 6) stack of Haar-distributed special orthogonal matrices.
 
-    Gram-Schmidt of a Gaussian matrix via QR with the R-diagonal sign fix,
-    then a fixed column flip to land in the det = +1 component.
+    Gram-Schmidt of a Gaussian matrix (36 normals of sample start + k, row
+    by row) via QR with the R-diagonal sign fix, then a fixed column flip to
+    land in the det = +1 component.
     """
-    g = np.empty((n, 6, 6))
-    for k in range(n):
-        g[k] = stream(seed, start + k).standard_normal((6, 6))
+    g = normals(seed, n, 36, start).reshape(n, 6, 6)
     q, r = np.linalg.qr(g)
     d = np.sign(np.einsum("nii->ni", r))
     d[d == 0] = 1.0
@@ -64,7 +123,7 @@ class SampleCloud:
     source: str
 
     def to_csv(self) -> str:
-        lines = [f"# {self.source}", "x,y,z"]
+        lines = [f"# {self.source} stream={STREAM}", "x,y,z"]
         for p in self.points:
             lines.append(f"{float(p[0])!r},{float(p[1])!r},{float(p[2])!r}")
         return "\n".join(lines) + "\n"
@@ -79,16 +138,16 @@ def orbit_samples(lam, n: int, seed: int) -> SampleCloud:
     if n < 1:
         raise ValueError("n must be at least 1")
     lam = tuple(float(c) for c in lam)
-    F = TwoForm.from_cartan(lam).endomorphism()
     pts = np.empty((n, 3))
     chunk = 20000
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
         R = haar_rotations(hi - lo, seed, start=lo)
-        conj = np.einsum("nab,bc,ndc->nad", R, F, R)
-        pts[lo:hi, 0] = conj[:, 1, 0]
-        pts[lo:hi, 1] = conj[:, 3, 2]
-        pts[lo:hi, 2] = conj[:, 5, 4]
+        # (R F R^T)[2c+1, 2c] = sum_j lam_j det R[2c:2c+2, 2j:2j+2]: only the
+        # three Cartan entries of the conjugate are computed.
+        minors = (R[:, 1::2, 1::2] * R[:, 0::2, 0::2]
+                  - R[:, 1::2, 0::2] * R[:, 0::2, 1::2])
+        pts[lo:hi] = minors @ np.array(lam)
     fixed = np.array([[float(c) for c in p] for p in weyl.weyl_orbit(lam)])
     pts = np.vstack([pts, fixed])
     source = f"source=orbit_samples lambda=({lam[0]!r},{lam[1]!r},{lam[2]!r}) n={n} seed={seed}"
@@ -180,9 +239,9 @@ def verify_singular(lam, i: int, w, n: int, seed: int, tol: float = 1e-9,
     )
     Fb = TwoForm.from_cartan(base).endomorphism()
     pts = np.empty((n, 3))
+    coords = normals(seed, n, len(basis)) * (np.pi / 2)
     for k in range(n):
-        g = stream(seed, k).standard_normal(len(basis)) * (np.pi / 2)
-        R = exp_skew(np.einsum("n,nab->ab", g, basis))
+        R = exp_skew(np.einsum("n,nab->ab", coords[k], basis))
         pts[k] = _mu_of_matrix(R @ Fb @ R.T)
     worst = max(0.0, float(np.max(polytopes.violations_many(poly, pts))))
     report = {
@@ -203,12 +262,11 @@ def monte_carlo_volume_ratio(inner: polytopes.Polytope,
                              outer: polytopes.Polytope,
                              n: int, seed: int, tol: float = 1e-9) -> float:
     """Volume of inner relative to outer by shared uniform sampling of the
-    outer bounding box."""
+    outer bounding box; sample k is the point of 3 uniforms of stream (seed, k)."""
     verts = np.array([[float(c) for c in v] for v in outer.vertices])
     lo = verts.min(axis=0)
     hi = verts.max(axis=0)
-    rng = stream(seed, 0)
-    pts = rng.uniform(lo, hi, size=(n, 3))
+    pts = lo + (hi - lo) * uniforms(stream(seed, n, 3))
     in_outer = polytopes.violations_many(outer, pts) <= tol
     if not np.any(in_outer):
         raise ValueError("no samples landed in the outer polytope")

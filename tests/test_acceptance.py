@@ -158,13 +158,7 @@ def test_c06_edge_prism_identity():
     seed = 17
     with Timer(5.0) as t:
         worst = 0.0
-        for k in range(n):
-            rng = moment.stream(seed, k)
-            abc = rng.standard_normal(3)
-            abc /= np.linalg.norm(abc)
-            abg = rng.standard_normal(3)
-            abg /= np.linalg.norm(abg)
-            tt = float(rng.uniform(0.0, 1.0))
+        for abc, abg, tt in klein.fibre_draws(n, seed, 0.0):
             x, y, z = klein.edge_prism_point(*abc, *abg, tt)
             worst = max(worst, abs(x - y - abc[0] * z - abc[0] * (3.0 + tt)))
             assert klein.prism_region_test((x, y, z)), (abc, abg, tt)

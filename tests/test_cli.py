@@ -125,6 +125,50 @@ def test_bad_lambda_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("lam", ["nan,1,2", "inf,1,2", "1,-inf,2", "1/0,1,2"])
+@pytest.mark.parametrize("command", ["polytope", "sample"])
+def test_non_finite_lambda_exits_2(capsys, command, lam):
+    code = cli.main([command, "--lambda", lam])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "bad lambda" in captured.err
+
+
+def test_lambda_is_parsed_exactly(capsys, tmp_path):
+    off = tmp_path / "p.off"
+    code, report = run_cli(capsys, "polytope", "--lambda", "0.1,0,1",
+                           "--out-off", str(off))
+    assert code == 0
+    assert report["parameters"]["lambda"] == [0.1, 0.0, 1.0]
+    assert "# rational vertices scaled by common denominator 10\n" in off.read_text()
+    code, report = run_cli(capsys, "polytope", "--lambda", "1/3,0,1")
+    assert code == 0
+    assert report["parameters"]["lambda"] == [1 / 3, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "abc"])
+def test_sample_tol_must_be_finite_and_nonnegative(capsys, tol):
+    code = cli.main(["sample", "--lambda", "1,1,1", "--n", "5", "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--tol" in captured.err
+
+
+def test_iwasawa_echoes_only_used_parameters(capsys):
+    for sub in ("scan-k", "scan-kk"):
+        code, report = run_cli(capsys, "iwasawa", sub, "--n", "5", "--seed", "2",
+                               "--tol", "1e-300")
+        assert code == 0
+        assert report["parameters"] == {"n": 5, "seed": 2}
+    code, report = run_cli(capsys, "iwasawa", "mixed", "--n", "5", "--seed", "2")
+    assert report["parameters"] == {"n": 5, "seed": 2, "which": "K"}
+    code, report = run_cli(capsys, "iwasawa", "scan-complex", "--n", "5",
+                           "--seed", "2", "--tol", "1e-7")
+    assert report["parameters"] == {"n": 5, "seed": 2, "tol": 1e-7}
+
+
 def test_iwasawa_scans(capsys, tmp_path):
     out = tmp_path / "scan.csv"
     code, report = run_cli(

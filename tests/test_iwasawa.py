@@ -116,11 +116,9 @@ def test_horizontal_closed_examples(algebra):
 
 def test_horizontal_closure_equivalent_to_subspace(algebra):
     # In-subspace planes all pass; planes with any central component fail.
-    for k in range(60):
-        V = iwasawa._sample_plane_in(moment.stream(7, k), 4)
+    for V in iwasawa._sample_planes_in(7, 60, 4):
         assert iwasawa.horizontal_closed(algebra, V)
-    for k in range(60):
-        V = iwasawa._sample_plane_in(moment.stream(8, k), 6)
+    for V in iwasawa._sample_planes_in(8, 60, 6):
         if np.max(np.abs(V[4:])) > 1e-6:
             assert not iwasawa.horizontal_closed(algebra, V)
 

@@ -59,6 +59,68 @@ def test_haar_rotation_deterministic():
     assert np.array_equal(batch[3], moment.haar_rotations(1, 42, start=3)[0])
 
 
+MASK64 = (1 << 64) - 1
+
+
+@pytest.mark.parametrize("seed,index", [
+    (0, 0), (3, 17), (2 ** 64 - 1, 2 ** 63 + 5), (-1, 4), (-(2 ** 40) - 3, 9),
+])
+def test_stream_words_match_numpy_philox(seed, index):
+    # Sample k's words are numpy's Philox(key=[seed mod 2^64, k]) raw output;
+    # a negative seed is masked to 64 bits.
+    key = np.array([seed & MASK64, index], dtype=np.uint64)
+    want = np.random.Philox(key=key).random_raw(13)
+    got = moment.stream(seed, 3, 13, start=index)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got[0], want)
+    assert np.array_equal(moment.stream(seed, 1, 5, start=index)[0], want[:5])
+    key[1] += 2
+    assert np.array_equal(got[2], np.random.Philox(key=key).random_raw(13))
+
+
+def test_stream_start_wraps_modulo_two_to_the_64():
+    words = moment.stream(5, 4, 8, start=MASK64 - 1)
+    assert np.array_equal(words[2], moment.stream(5, 1, 8, start=0)[0])
+    assert np.array_equal(words[3], moment.stream(5, 1, 8, start=1)[0])
+
+
+def test_haar_rotations_independent_of_chunking():
+    n, seed = 45, 77
+    whole = moment.haar_rotations(n, seed)
+    by7 = np.concatenate([moment.haar_rotations(min(7, n - j), seed, start=j)
+                          for j in range(0, n, 7)])
+    by1 = np.concatenate([moment.haar_rotations(1, seed, start=j) for j in range(n)])
+    assert np.array_equal(whole, by7)
+    assert np.array_equal(whole, by1)
+    big = moment.haar_rotations(20000, seed)
+    split = np.concatenate([moment.haar_rotations(12345, seed),
+                            moment.haar_rotations(20000 - 12345, seed, start=12345)])
+    assert np.array_equal(big, split)
+    assert np.array_equal(big[:n], whole)
+
+
+def test_normals_moments():
+    z = moment.normals(2024, 10000, 10).ravel()
+    assert z.size == 10 ** 5
+    assert np.all(np.isfinite(z))
+    # Standard errors over 1e5 draws: mean 0.003, variance 0.0045,
+    # third moment 0.012, fourth moment 0.03; every bound is about 5 of them.
+    assert abs(z.mean()) < 0.015
+    assert abs(z.var() - 1.0) < 0.025
+    assert abs(np.mean(z ** 3)) < 0.06
+    assert abs(np.mean(z ** 4) - 3.0) < 0.15
+    assert abs(np.mean(np.abs(z) < 1.0) - 0.6826894921) < 0.01
+
+
+def test_normals_take_their_words_in_pairs():
+    # An odd count drops the second normal of the last pair, nothing else.
+    assert np.array_equal(moment.normals(9, 50, 3), moment.normals(9, 50, 4)[:, :3])
+    words = moment.stream(9, 50, 4)
+    assert np.array_equal(moment.normals(9, 50, 4), moment.gaussians(words))
+    u = moment.uniforms(words)
+    assert u.min() >= 0.0 and u.max() < 1.0
+
+
 def test_haar_column_means_small():
     R = moment.haar_rotations(10000, 2024)
     means = R.mean(axis=0)
