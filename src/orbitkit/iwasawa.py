@@ -234,7 +234,7 @@ def scan_complex(n: int, seed: int, tol: float = 1e-6,
 def _sample_planes_in(seed: int, n: int, subspace_dim: int = 4,
                       start: int = 0) -> np.ndarray:
     """(n, 6, 2) orthonormal pairs spanning random planes inside <e1..e_k>
-    (or all of R^6); plane k is the QR of the 2k normals of sample start + k."""
+    (or all of R^6); plane j is the QR of the k x 2 normals of sample start + j."""
     g = moment.normals(seed, n, 2 * subspace_dim, start).reshape(n, subspace_dim, 2)
     q, r = np.linalg.qr(g)
     q = q * np.sign(np.einsum("nii->ni", r))[:, None, :]

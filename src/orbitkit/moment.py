@@ -71,7 +71,8 @@ def uniforms(w: np.ndarray) -> np.ndarray:
 
 def gaussians(w: np.ndarray) -> np.ndarray:
     """Standard normals from an (n, 2j) word array by Box-Muller on the
-    column pairs (2i, 2i + 1), with the radius uniform in (0, 1]."""
+    column pairs (2i, 2i + 1); the radius uniform of word 2i lies in (0, 1],
+    so its logarithm is finite."""
     u1 = ((w[:, 0::2] >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
     r = np.sqrt(-2.0 * np.log(u1))
     phi = (2.0 * np.pi) * uniforms(w[:, 1::2])
