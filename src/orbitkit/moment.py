@@ -49,7 +49,8 @@ def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def stream(seed: int, n: int, m: int, start: int = 0) -> np.ndarray:
-    """(n, m) uint64 words: row k is the first m words of sample start + k."""
+    """(n, m) uint64 words: row k is the first m words of sample start + k,
+    Philox-4x64-10 keyed (seed, start + k) mod 2^64 over counters 1, 2, ..."""
     blocks = -(-m // 4)
     c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (n, blocks))
     c1 = c2 = c3 = np.zeros((n, blocks), dtype=np.uint64)
