@@ -164,8 +164,7 @@ def cmd_polytope(args) -> int:
 def cmd_sample(args) -> int:
     lam = _parse_lambda(args.lam)
     cloud = moment.orbit_samples(lam, args.n, args.seed)
-    P = moment.moment_polytope(lam)
-    worst = float(np.max(polytopes.violations_many(P, cloud.points)))
+    worst = float(np.max(moment.moment_violations(lam, cloud.points)))
     artifacts = []
     if args.out:
         _write(args.out, cloud.to_csv())
@@ -237,8 +236,7 @@ def _suite_ags(n: int, seed: int, tol: float) -> dict:
     per_lambda = {}
     for lam in AGS_LAMBDAS:
         cloud = moment.orbit_samples(lam, n, seed)
-        P = moment.moment_polytope(lam)
-        worst = float(np.max(polytopes.violations_many(P, cloud.points)))
+        worst = float(np.max(moment.moment_violations(lam, cloud.points)))
         per_lambda[str(lam)] = worst
         worst_overall = max(worst_overall, worst)
     generic = (1.0, 0.5, 2.0)
@@ -306,48 +304,48 @@ def _suite_spin_cover(n: int) -> dict:
     }
 
 
-def _suite_edge_prism(n: int, seed: int) -> dict:
-    tol = 1e-12
-    worst = 0.0
-    all_in_region = True
-    for abc, abg, t in klein.fibre_draws(n, seed, klein.EDGE_PRISM_T_LO):
-        x, y, z = klein.edge_prism_point(*abc, *abg, t)
-        worst = max(worst, abs(x - y - abc[0] * z - abc[0] * (3.0 + t)))
-        if not klein.prism_region_test((x, y, z)):
-            all_in_region = False
-    ok = worst <= tol and all_in_region
-    return {"pass": ok, "max_identity_residual": float(worst),
-            "all_in_region": all_in_region, "n": n}
+def _suite_edge_prism(n: int, seed: int):
+    draws = klein.fibre_draws(n, seed, klein.EDGE_PRISM_T_LO)
+    pts = [klein.edge_prism_point(*abc, *abg, t) for abc, abg, t in draws]
+    worst = max(abs(x - y - abc[0] * z - abc[0] * (3.0 + t))
+                for (x, y, z), (abc, _, t) in zip(pts, draws))
+    all_in_region = klein.prism_region_test(pts)
+    cloud = moment.SampleCloud(seed, np.array(pts),
+                               f"source=klein_edge_prism n={n} seed={seed}")
+    return cloud, {"pass": worst <= 1e-12 and all_in_region,
+                   "max_identity_residual": float(worst),
+                   "all_in_region": all_in_region, "n": n, "points": len(pts)}
 
 
-def _suite_square(n: int, seed: int, tol: float) -> dict:
+def _suite_square(n: int, seed: int, tol: float = 1e-9):
     worst_z = 0.0
     worst_limit = 0.0
-    worst_contain = 0.0
+    pts = []
+    triples = []
     for u, v, t in klein.fibre_draws(n, seed, klein.SQUARE_T_LO):
-        form = klein.square_fiber_form(u, v, t)
+        plane = klein.plane_in_span4(v)
+        J = klein.ocs_over_plane(plane, u)
+        form = plane.form + float(t) * J
         x, y, z = moment.mu_t(form)
-        J = klein.ocs_over_plane(klein.plane_in_span4(v), u)
         worst_z = max(worst_z, abs(z - t * J.coeffs[14]))
-        px, py, pz = moment.mu_t(klein.plane_in_span4(v).form)
-        worst_limit = max(
-            worst_limit, max(abs(px) + abs(py) - 1.0, abs(pz))
-        )
-        # Containment in the orbit's own moment polytope; float hull is
-        # plenty for a 1e-9 check and avoids an exact hull per sample.
-        chamber, _ = weyl.to_chamber(canonical_triple(form))
-        orbit = np.array(weyl.weyl_orbit(chamber), dtype=float)
-        P = polytopes.hull(orbit, exact=False)
-        worst_contain = max(worst_contain, polytopes.violation(P, (x, y, z)))
+        px, py, pz = moment.mu_t(plane.form)
+        worst_limit = max(worst_limit, abs(px) + abs(py) - 1.0, abs(pz))
+        pts.append((x, y, z))
+        triples.append(canonical_triple(form))
+    # Containment of each image in its own orbit's moment polytope.
+    worst_contain = max(0.0, float(np.max(moment.moment_violations(triples, pts))))
     example = klein.square_fiber_points((1, 0, 0), (1, 0, 0), 1.0)
     example_ok = max(abs(example[0] - 2), abs(example[1] - 1), abs(example[2] - 1)) < 1e-12
     ok = worst_z <= tol and worst_limit <= tol and worst_contain <= tol and example_ok
-    return {
+    cloud = moment.SampleCloud(seed, np.array(pts),
+                               f"source=klein_square n={n} seed={seed}")
+    return cloud, {
         "pass": ok,
         "max_z_identity_residual": float(worst_z),
         "max_square_limit_violation": float(worst_limit),
         "max_orbit_containment_violation": float(worst_contain),
         "n": n,
+        "points": len(pts),
     }
 
 
@@ -374,95 +372,66 @@ def _suite_f3_segments() -> dict:
     return {"pass": ok, **results}
 
 
-#: verify suite name -> (suite function, the command-line args it takes).
-SUITES = {
-    "ags": (_suite_ags, ("n", "seed", "tol")),
-    "prop16": (_suite_prop16, ()),
-    "octahedron": (_suite_octahedron, ()),
-    "intersection": (_suite_intersection, ()),
-    "singular": (_suite_singular, ("n", "seed", "tol")),
-    "spin-cover": (_suite_spin_cover, ("n",)),
-    "edge-prism": (_suite_edge_prism, ("n", "seed")),
-    "square": (_suite_square, ("n", "seed", "tol")),
-    "f3-segments": (_suite_f3_segments, ()),
+@dataclass(frozen=True)
+class Run:
+    """A `verify`, `klein` or `iwasawa` run: fn(**{a: args.a for a in used})
+    returns the metrics with a "pass" key, or (cloud, metrics); --out writes
+    the cloud as CSV and region(cloud), if given, as facet JSON next to it."""
+
+    fn: object
+    used: tuple = ()
+    region: object = None
+
+
+#: (command, sub) -> the run it starts.  iwasawa functions are looked up
+#: when they run, so a wrapper set on the module later is the one called.
+RUNS = {
+    ("verify", "ags"): Run(_suite_ags, ("n", "seed", "tol")),
+    ("verify", "prop16"): Run(_suite_prop16),
+    ("verify", "octahedron"): Run(_suite_octahedron),
+    ("verify", "intersection"): Run(_suite_intersection),
+    ("verify", "singular"): Run(_suite_singular, ("n", "seed", "tol")),
+    ("verify", "spin-cover"): Run(_suite_spin_cover, ("n",)),
+    ("verify", "edge-prism"): Run(_suite_edge_prism, ("n", "seed")),
+    ("verify", "square"): Run(_suite_square, ("n", "seed", "tol")),
+    ("verify", "f3-segments"): Run(_suite_f3_segments),
+    ("klein", "edge-prism"): Run(_suite_edge_prism, ("n", "seed"),
+                                 lambda cloud: klein.prism_region()),
+    ("klein", "square"): Run(_suite_square, ("n", "seed"),
+                             lambda cloud: polytopes.hull(cloud.points, exact=False)),
+    ("iwasawa", "scan-complex"): Run(lambda **kw: iwasawa.scan_complex(**kw),
+                                     ("n", "seed", "tol")),
+    ("iwasawa", "scan-k"): Run(lambda **kw: iwasawa.scan_K(**kw), ("n", "seed")),
+    ("iwasawa", "scan-kk"): Run(lambda **kw: iwasawa.scan_K_intersection(**kw),
+                                ("n", "seed")),
+    ("iwasawa", "mixed"): Run(lambda **kw: iwasawa.mixed_classes_over(**kw),
+                              ("n", "seed", "which")),
 }
 
 
-def cmd_verify(args) -> int:
-    if args.suite not in SUITES:
-        raise UnknownSuite(f"unknown suite {args.suite!r}")
-    fn, used = SUITES[args.suite]
-    parameters = {k: getattr(args, k) for k in used}
+def _subs(command: str) -> tuple:
+    return tuple(sub for cmd, sub in RUNS if cmd == command)
+
+
+def cmd_run(args) -> int:
+    run = RUNS.get((args.command, args.sub))
+    if run is None:
+        raise UnknownSuite(f"unknown suite {args.sub!r}")
+    parameters = {k: getattr(args, k) for k in run.used}
     t0 = time.time()
-    metrics = fn(**parameters)
+    out = run.fn(**parameters)
+    cloud, metrics = out if isinstance(out, tuple) else (None, out)
     metrics["elapsed_seconds"] = time.time() - t0
     passed = bool(metrics.pop("pass"))
-    report = RunReport(
-        f"verify {args.suite}",
-        parameters,
-        passed,
-        metrics=metrics,
-    )
-    return _emit(report)
-
-
-def cmd_klein(args) -> int:
-    if args.sub == "edge-prism":
-        draws = klein.fibre_draws(args.n, args.seed, klein.EDGE_PRISM_T_LO)
-        pts = [klein.edge_prism_point(*abc, *abg, t) for abc, abg, t in draws]
-        region = klein.prism_region()
-        inside = all(klein.prism_region_test(p) for p in pts)
-    else:
-        draws = klein.fibre_draws(args.n, args.seed, klein.SQUARE_T_LO)
-        pts = [klein.square_fiber_points(u, v, t) for u, v, t in draws]
-        region = polytopes.hull(np.array(pts), exact=False)
-        inside = True
-    cloud = moment.SampleCloud(
-        args.seed, np.array(pts),
-        f"source=klein_{args.sub.replace('-', '_')} n={args.n} seed={args.seed}",
-    )
     artifacts = []
-    if args.out:
-        _write(args.out, cloud.to_csv())
-        artifacts.append(args.out)
-        artifacts += _write_polytope(region, None, args.out + ".facets.json")
-    report = RunReport(
-        f"klein {args.sub}",
-        {"n": args.n, "seed": args.seed},
-        inside,
-        metrics={"points": len(pts)},
-        artifacts=artifacts,
-    )
-    return _emit(report)
-
-
-#: iwasawa subcommand -> (iwasawa function name, the command-line args it
-#: takes).  The function is looked up when it runs.
-IWASAWA_SCANS = {
-    "scan-complex": ("scan_complex", ("n", "seed", "tol")),
-    "scan-k": ("scan_K", ("n", "seed")),
-    "scan-kk": ("scan_K_intersection", ("n", "seed")),
-    "mixed": ("mixed_classes_over", ("n", "seed", "which")),
-}
-
-
-def cmd_iwasawa(args) -> int:
-    name, used = IWASAWA_SCANS[args.sub]
-    parameters = {k: getattr(args, k) for k in used}
-    cloud, rep = getattr(iwasawa, name)(**parameters)
-    artifacts = []
-    if args.out:
-        _write(args.out, cloud.to_csv())
-        artifacts.append(args.out)
-    passed = bool(rep.pop("pass"))
-    report = RunReport(
-        f"iwasawa {args.sub}",
-        parameters,
-        passed,
-        metrics=rep,
-        artifacts=artifacts,
-    )
-    return _emit(report)
+    path = getattr(args, "out", None)
+    if path and cloud is not None:
+        _write(path, cloud.to_csv())
+        artifacts.append(path)
+        if run.region is not None:
+            artifacts += _write_polytope(run.region(cloud), None, path + ".facets.json")
+    return _emit(RunReport(f"{args.command} {args.sub}", parameters, passed,
+                           metrics=metrics, artifacts=artifacts))
 
 
 def cmd_export(args) -> int:
@@ -513,27 +482,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("suite")
+    p.add_argument("sub", metavar="suite", help=", ".join(_subs("verify")))
     p.add_argument("--n", type=_sample_count, default=10000)
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--tol", type=_tolerance, default=1e-9)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("klein", help="emit inverse-image clouds")
-    p.add_argument("sub", choices=("edge-prism", "square"))
+    p.add_argument("sub", choices=_subs("klein"))
     p.add_argument("--n", type=_sample_count, default=1000)
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_klein)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("iwasawa", help="integrability scans on the nilmanifold")
-    p.add_argument("sub", choices=tuple(IWASAWA_SCANS))
+    p.add_argument("sub", choices=_subs("iwasawa"))
     p.add_argument("--n", type=_sample_count, default=1000)
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--tol", type=_tolerance, default=1e-6)
     p.add_argument("--which", choices=("K", "K_intersection"), default="K")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_iwasawa)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("export", help="classify a form and export its moment polytope")
     p.add_argument("--form", required=True)

@@ -380,10 +380,13 @@ def mixed_classes_over(n: int, seed: int, which: str = "K") -> tuple[moment.Samp
 
     For each sample an integrable J (the standard one or a member of the
     anti-self-dual circle) is paired with a J-invariant plane drawn from the
-    requested class; incompatible draws are skipped and counted.  Sample k
-    takes 9 words of stream (seed, k) whichever branch it takes: 8 normals
-    from words 0-7 (3 for the anti-self-dual direction, 4 for the plane
-    vector, one unused) and t ~ U(0.05, 1) from word 8.
+    requested class; incompatible draws are skipped and counted.  The run
+    passes when every draw is produced or skipped, at least one is produced,
+    and every image lies within 1e-9 of conv(W.(1, 1, 1 + t)): the mixed
+    form J + t (v ^ Jv) has chamber triple (1, 1, 1 + t).  Sample k takes 9
+    words of stream (seed, k) whichever branch it takes: 8 normals from words
+    0-7 (3 for the anti-self-dual direction, 4 for the plane vector, one
+    unused) and t ~ U(0.05, 1) from word 8.
     """
     if which not in ("K", "K_intersection"):
         raise ValueError("which must be 'K' or 'K_intersection'")
@@ -392,7 +395,7 @@ def mixed_classes_over(n: int, seed: int, which: str = "K") -> tuple[moment.Samp
     algebra = iwasawa_algebra()
     pts = []
     skipped = 0
-    weights = []
+    lams = []
     w = moment.stream(seed, n, 9)
     G = moment.gaussians(w[:, :8])
     T = 0.05 + 0.95 * moment.uniforms(w[:, 8])
@@ -418,15 +421,17 @@ def mixed_classes_over(n: int, seed: int, which: str = "K") -> tuple[moment.Samp
             skipped += 1
             continue
         pts.append(moment.mu_t(mixed))
-        weights.append(t)
+        lams.append((1.0, 1.0, 1.0 + t))
     pts = np.array(pts)
+    worst = max(0.0, float(np.max(moment.moment_violations(lams, pts)))) if lams else 0.0
     report = {
-        "pass": bool(len(pts) > 0),
+        "pass": len(pts) + skipped == n and len(pts) >= 1 and worst <= 1e-9,
         "n": n,
         "seed": seed,
         "which": which,
         "produced": len(pts),
         "skipped": skipped,
+        "max_orbit_containment_violation": worst,
     }
     cloud = moment.SampleCloud(
         seed, pts, f"source=mixed_classes_over which={which} n={n} seed={seed}"

@@ -293,17 +293,12 @@ def prism_region(t0=1) -> polytopes.Polytope:
     return polytopes.clip(P, (0, 0, 1), -1)
 
 
-_PRISM_CACHE: dict = {}
-
-
 def prism_region_test(p, tol: float = 1e-9, t0=1) -> bool:
-    """Membership in the edge-prism region (z <= -1 inside the polytope)."""
-    key = Fraction(t0)
-    if key not in _PRISM_CACHE:
-        _PRISM_CACHE[key] = prism_region(key)
-    if float(p[2]) > -1.0 + tol:
-        return False
-    return polytopes.contains(_PRISM_CACHE[key], tuple(float(c) for c in p), tol)
+    """Membership in the edge-prism region (z <= -1 inside the polytope) of
+    a point, or of every row of an (n, 3) array."""
+    pts = np.atleast_2d(np.asarray(p, dtype=float))
+    return bool(np.all(pts[:, 2] <= -1.0 + tol)
+                and np.all(moment.moment_violations((1, 1, 1 + t0), pts) <= tol))
 
 
 # ---------------------------------------------------------------------------

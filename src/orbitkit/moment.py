@@ -11,6 +11,12 @@ whichever batch it is drawn in, and a batch split by `start` is
 bit-identical to the whole.  Uniforms are (w >> 11) * 2^-53; normals come
 from Box-Muller on word pairs.  Sample files carry the tag
 `stream=philox4x64-10` in their header.
+
+By Kostant ("On convexity, the Weyl group and the Iwasawa decomposition",
+1973), p lies in the moment polytope conv(W.lam) iff <w.omega_i, p> <=
+<omega_i, lam+> for the 14 vectors w.omega_i (omega_i the fundamental
+weights, lam+ the chamber point of lam): `moment_violations` tests clouds
+against this facet system with no hull.
 """
 
 from __future__ import annotations
@@ -163,6 +169,26 @@ def moment_polytope(lam) -> polytopes.Polytope:
     return polytopes.hull(weyl.weyl_orbit(chamber), exact=True)
 
 
+#: The 14 facet normals w.omega_i, and the 24 Weyl elements as matrices.
+_NORMALS = np.array(sorted({weyl.act(w, weyl.FUNDAMENTAL_WEIGHTS[i])
+                            for i in (1, 2, 3) for w in weyl.weyl_group()}),
+                    dtype=float)
+_NORMAL_LENGTHS = np.linalg.norm(_NORMALS, axis=1)
+_WEYL = np.array(weyl.weyl_group(), dtype=float)
+
+
+def moment_violations(lam, points) -> np.ndarray:
+    """Scaled violation of each row of points against conv(W.lam), as in
+    `polytopes.violations_many` (<= 0 means inside); lam is one triple or one
+    per row.  Offsets are max n.(w.lam) over the 24 Weyl images, so lam needs
+    no chamber reduction.  For singular lam the extra normals only support
+    the polytope: membership is the same, an outside point reads up to 3x."""
+    images = np.einsum("wij,...j->...wi", _WEYL, np.asarray(lam, dtype=float))
+    offsets = np.max(images @ _NORMALS.T, axis=-2)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return np.max((pts @ _NORMALS.T - offsets) / _NORMAL_LENGTHS, axis=1)
+
+
 def _skew_basis() -> np.ndarray:
     out = np.zeros((15, 6, 6))
     for k, (i, j) in enumerate(PAIRS):
@@ -217,7 +243,8 @@ def _require_chamber(lam):
 
 
 def exp_skew(X: np.ndarray) -> np.ndarray:
-    """Rotation exp(X) of a skew matrix (Pade scaling-and-squaring)."""
+    """Rotation exp(X) of a skew matrix, or of each matrix of an (n, 6, 6)
+    stack (Pade scaling-and-squaring, slice by slice)."""
     return expm(np.asarray(X, dtype=float))
 
 
@@ -240,11 +267,10 @@ def verify_singular(lam, i: int, w, n: int, seed: int, tol: float = 1e-9,
         weyl.singular_vertex_set(tuple(Fraction(c) for c in lam), w, i), exact=True
     )
     Fb = TwoForm.from_cartan(base).endomorphism()
-    pts = np.empty((n, 3))
     coords = normals(seed, n, len(basis)) * (np.pi / 2)
-    for k in range(n):
-        R = exp_skew(np.einsum("n,nab->ab", coords[k], basis))
-        pts[k] = _mu_of_matrix(R @ Fb @ R.T)
+    R = exp_skew(np.einsum("kn,nab->kab", coords, basis))
+    conj = R @ Fb @ np.swapaxes(R, 1, 2)
+    pts = conj[:, (1, 3, 5), (0, 2, 4)]
     worst = max(0.0, float(np.max(polytopes.violations_many(poly, pts))))
     report = {
         "pass": bool(worst <= tol),

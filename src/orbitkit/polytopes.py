@@ -71,6 +71,17 @@ def _lex_positive(vec):
     raise ValueError("zero vector")
 
 
+def _json_number(x):
+    """Lossless JSON value: an integer as an int, a rational equal to a float
+    as that float, any other rational as the string "p/q"."""
+    if not _is_exact_scalar(x):
+        return float(x)
+    p, q = Fraction(x).as_integer_ratio()
+    if q == 1:
+        return p
+    return p / q if (p / q).as_integer_ratio() == (p, q) else f"{p}/{q}"
+
+
 @dataclass(frozen=True)
 class Facet:
     """Halfspace normal . p <= offset with outward normal."""
@@ -79,16 +90,9 @@ class Facet:
     offset: object
 
     def to_json(self) -> dict:
-        def num(x):
-            if isinstance(x, Fraction):
-                return int(x) if x.denominator == 1 else float(x)
-            if isinstance(x, float) and x.is_integer():
-                return int(x)
-            return int(x) if isinstance(x, (int, np.integer)) else float(x)
-
         return {
-            "normal": [num(c) for c in self.normal],
-            "offset": num(self.offset),
+            "normal": [_json_number(c) for c in self.normal],
+            "offset": _json_number(self.offset),
             "sense": "le",
         }
 
@@ -743,16 +747,10 @@ def to_off(P: Polytope, tol: float = 1e-9) -> str:
 
 
 def polytope_to_json(P: Polytope) -> dict:
-    def num(x):
-        f = Fraction(x) if _is_exact_scalar(x) else None
-        if f is not None:
-            return int(f) if f.denominator == 1 else float(f)
-        return float(x)
-
     return {
         "dim": P.dim,
         "exact": P.exact,
-        "vertices": [[num(c) for c in v] for v in P.vertices],
+        "vertices": [[_json_number(c) for c in v] for v in P.vertices],
         "facets": [f.to_json() for f in P.facets],
         "equalities": [f.to_json() for f in P.equalities],
     }

@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, report schema, artifact determinism."""
 
+import argparse
 import json
 import os
+from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -247,3 +249,82 @@ def test_verify_echoes_only_used_parameters(capsys):
     code, report = run_cli(capsys, "verify", "spin-cover", "--n", "10",
                            "--seed", "4")
     assert report["parameters"] == {"n": 10}
+
+
+def test_facet_json_is_exact(capsys, tmp_path):
+    off = tmp_path / "p.off"
+    facets = tmp_path / "p.json"
+    code, _ = run_cli(capsys, "polytope", "--lambda", "1/3,0,1",
+                      "--out-off", str(off), "--out-facets", str(facets))
+    assert code == 0
+    lines = [ln for ln in off.read_text().splitlines() if not ln.startswith("#")]
+    denom = int(off.read_text().split("common denominator ")[1].split()[0])
+    nv = int(lines[1].split()[0])
+    off_vertices = {tuple(Fraction(int(c), denom) for c in ln.split())
+                    for ln in lines[2:2 + nv]}
+    data = json.loads(facets.read_text())
+    json_vertices = {tuple(Fraction(str(c)) for c in v) for v in data["vertices"]}
+    assert json_vertices == off_vertices
+    assert ["-1", "-1/3", "0"] in [[str(c) for c in v] for v in data["vertices"]]
+    offsets = {str(f["offset"]) for f in data["facets"]}
+    assert "4/3" in offsets
+    for f in data["facets"]:
+        normal = [Fraction(str(c)) for c in f["normal"]]
+        offset = Fraction(str(f["offset"]))
+        dots = [sum(a * b for a, b in zip(normal, v)) for v in json_vertices]
+        assert max(dots) == offset
+
+
+def test_klein_square_fails_when_an_image_leaves_its_polytope(capsys, monkeypatch):
+    code, report = run_cli(capsys, "klein", "square", "--n", "20", "--seed", "3")
+    assert code == 0 and report["pass"]
+    assert report["metrics"]["max_orbit_containment_violation"] <= 1e-9
+    # Shrinking each sample's triple shifts its image out of the polytope.
+    triple = cli.canonical_triple
+    monkeypatch.setattr(cli, "canonical_triple",
+                        lambda form: tuple(0.9 * c for c in triple(form)))
+    code, report = run_cli(capsys, "klein", "square", "--n", "20", "--seed", "3")
+    assert code == 1
+    assert report["pass"] is False
+    assert report["metrics"]["max_orbit_containment_violation"] > 1e-9
+    assert report["metrics"]["max_z_identity_residual"] <= 1e-9
+
+
+def test_klein_reports_carry_the_fibre_suite(capsys):
+    for sub in ("edge-prism", "square"):
+        _, verify = run_cli(capsys, "verify", sub, "--n", "30", "--seed", "8")
+        _, klein = run_cli(capsys, "klein", sub, "--n", "30", "--seed", "8")
+        assert klein["parameters"] == {"n": 30, "seed": 8}
+        for m in (verify["metrics"], klein["metrics"]):
+            m.pop("elapsed_seconds")
+        assert klein["metrics"] == verify["metrics"]
+        assert klein["metrics"]["points"] == 30
+
+
+def test_mixed_pass_checks_every_draw(capsys):
+    for which in ("K", "K_intersection"):
+        code, report = run_cli(capsys, "iwasawa", "mixed", "--n", "40",
+                               "--which", which)
+        m = report["metrics"]
+        assert code == 0 and report["pass"]
+        assert m["produced"] + m["skipped"] == 40 and m["produced"] >= 1
+        assert 0.0 <= m["max_orbit_containment_violation"] <= 1e-9
+        assert m["elapsed_seconds"] >= 0.0
+
+
+def test_every_run_choice_has_one_registry_entry():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for command in ("verify", "klein", "iwasawa"):
+        sub = commands[command]
+        positional = next(a for a in sub._actions if a.dest == "sub")
+        subs = [s for c, s in cli.RUNS if c == command]
+        if command == "verify":
+            assert positional.help.split(", ") == subs
+        else:
+            assert list(positional.choices) == subs
+        dests = {a.dest for a in sub._actions}
+        for s in subs:
+            assert set(cli.RUNS[command, s].used) <= dests, (command, s)
+    assert {c for c, _ in cli.RUNS} == {"verify", "klein", "iwasawa"}

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitkit import moment, polytopes, weyl
 from orbitkit.forms import (
@@ -279,3 +281,84 @@ def test_exp_skew_rotation():
     R = moment.exp_skew(X)
     assert np.max(np.abs(R.T @ R - np.eye(6))) <= 1e-12
     assert abs(np.linalg.det(R) - 1) <= 1e-12
+    stack = moment.exp_skew(np.stack([X, 2 * X, -X]))
+    for k, c in enumerate((1, 2, -1)):
+        assert np.array_equal(stack[k], moment.exp_skew(c * X))
+
+
+def test_verify_singular_matches_the_per_sample_loop():
+    lam, i, w, n, seed = (1.0, 0.5, 2.0), 3, weyl.weyl_group()[7], 60, 5
+    rep = moment.verify_singular(lam, i, w, n, seed)
+    # Reference: one exponential and one conjugation per sample.
+    basis = moment.stabilizer_algebra(
+        TwoForm.from_cartan(weyl.act(w, weyl.FUNDAMENTAL_WEIGHTS[i])))
+    Fb = TwoForm.from_cartan(weyl.act(w, lam)).endomorphism()
+    coords = moment.normals(seed, n, len(basis)) * (np.pi / 2)
+    pts = []
+    for k in range(n):
+        R = moment.exp_skew(np.einsum("n,nab->ab", coords[k], basis))
+        F = R @ Fb @ R.T
+        pts.append((F[1, 0], F[3, 2], F[5, 4]))
+    poly = polytopes.hull(weyl.singular_vertex_set(lam, w, i), exact=True)
+    worst = max(0.0, float(np.max(polytopes.violations_many(poly, np.array(pts)))))
+    assert rep["max_violation"] == worst
+
+
+TOL = 1e-9
+
+
+def _chamber_point(kind, a, b, u):
+    """A chamber point z >= x >= |y| of the given orbit pattern."""
+    return {
+        "zero": (0.0, 0.0, 0.0),
+        "p_plus": (a, a, a),
+        "p_minus": (a, -a, a),
+        "plane": (0.0, 0.0, a),
+        "f1_plus": (a, a, a + b),
+        "f1_minus": (a, -a, a + b),
+        "f2": (a, a * u, a),
+        "wall": (a, 0.0, a + b),
+        "generic": (a, a * u, a + b),
+    }[kind]
+
+
+coordinate = st.floats(-6.0, 6.0, allow_nan=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(("zero", "p_plus", "p_minus", "plane", "f1_plus",
+                          "f1_minus", "f2", "wall", "generic")),
+    a=st.floats(0.1, 3.0),
+    b=st.floats(0.1, 3.0),
+    u=st.floats(-0.95, 0.95),
+    points=st.lists(st.tuples(coordinate, coordinate, coordinate), min_size=1,
+                    max_size=40),
+    vertex_noise=st.floats(-1e-6, 1e-6),
+)
+def test_moment_violations_agree_with_the_exact_hull(kind, a, b, u, points,
+                                                     vertex_noise):
+    lam = _chamber_point(kind, a, b, u)
+    P = moment.moment_polytope(lam)
+    vertices = np.array([[float(c) for c in v] for v in P.vertices])
+    pts = np.vstack([np.array(points), vertices, vertices + vertex_noise])
+    facet = polytopes.violations_many(P, pts)
+    closed = moment.moment_violations(lam, pts)
+    # Every facet is among the 14 planes, and every other plane supports the
+    # polytope at a vertex or an edge, whose normal cone the facets span.
+    assert np.all(closed >= facet - 1e-12)
+    assert np.all(closed <= 3.0 * np.maximum(facet, 0.0) + 1e-12)
+    clear = (facet <= TOL / 3.0) | (facet > TOL)
+    assert np.array_equal((closed <= TOL)[clear], (facet <= TOL)[clear])
+
+
+def test_moment_violations_take_one_triple_per_row():
+    lams = np.array([(1.0, 0.5, 2.0), (0.0, 0.0, 1.0), (1.0, 1.0, 1.0)])
+    pts = np.array([(2.0, 1.0, 0.5), (0.0, 0.0, 1.5), (1.0, -1.0, -1.0)])
+    rows = moment.moment_violations(lams, pts)
+    for k in range(3):
+        assert rows[k] == moment.moment_violations(lams[k], pts[k])[0]
+    assert rows[0] <= 0.0 and rows[1] == pytest.approx(0.5) and rows[2] <= 0.0
+    # The offsets are Weyl-invariant in lam: no chamber reduction is needed.
+    assert np.array_equal(moment.moment_violations((-1.0, -1.0, -1.0), pts),
+                          moment.moment_violations((1.0, -1.0, 1.0), pts))
