@@ -79,6 +79,13 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _positive_tolerance(text: str) -> float:
+    """argparse type of the classification --tol: a finite number > 0."""
+    if _tolerance(text) == 0:
+        raise ParseError(f"--tol must be positive, got {text!r}")
+    return float(text)
+
+
 def _parse_lambda(text: str):
     """Exact components: "0.1" is 1/10 and "1/3" is accepted; nan and inf
     are refused."""
@@ -464,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify a 2-form JSON file")
     p.add_argument("--form", required=True)
-    p.add_argument("--tol", type=_tolerance, default=1e-8)
+    p.add_argument("--tol", type=_positive_tolerance, default=1e-8)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("polytope", help="moment polytope of a Cartan point")
@@ -506,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="classify a form and export its moment polytope")
     p.add_argument("--form", required=True)
-    p.add_argument("--tol", type=_tolerance, default=1e-8)
+    p.add_argument("--tol", type=_positive_tolerance, default=1e-8)
     p.add_argument("--out-off", default=None)
     p.add_argument("--out-facets", default=None)
     p.set_defaults(func=cmd_export)

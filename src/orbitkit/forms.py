@@ -29,6 +29,9 @@ E12 = PAIR_INDEX[(1, 2)]
 E34 = PAIR_INDEX[(3, 4)]
 E56 = PAIR_INDEX[(5, 6)]
 
+#: Matrix positions (row, column) of each coefficient under F[j][i] = coeff(i, j).
+_LOWER = tuple(np.array(idx) for idx in zip(*((j - 1, i - 1) for i, j in PAIRS)))
+
 
 class OrbitClass(Enum):
     """Orbit types of 2-forms under the rotation group, by eigenvalue pattern."""
@@ -139,11 +142,7 @@ class TwoForm:
 
     def endomorphism(self) -> np.ndarray:
         """Skew matrix F with g(F X, Y) = w(X, Y)."""
-        F = np.zeros((6, 6))
-        for k, (i, j) in enumerate(PAIRS):
-            F[j - 1, i - 1] = self.coeffs[k]
-            F[i - 1, j - 1] = -self.coeffs[k]
-        return F
+        return endomorphisms(self.coeffs)
 
     def coefficient(self, i: int, j: int) -> float:
         if i == j:
@@ -180,6 +179,16 @@ class TwoForm:
         if not isinstance(data, dict) or "coeffs" not in data:
             raise ValueError("expected an object with a 'coeffs' key")
         return cls(tuple(data["coeffs"]))
+
+
+def endomorphisms(coeffs) -> np.ndarray:
+    """Skew matrices (..., 6, 6) of a coefficient array (..., 15), row by row
+    the `TwoForm.endomorphism` of those coefficients."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    F = np.zeros(coeffs.shape[:-1] + (6, 6))
+    F[..., _LOWER[0], _LOWER[1]] = coeffs
+    F[..., _LOWER[1], _LOWER[0]] = -coeffs
+    return F
 
 
 @dataclass(frozen=True)
@@ -340,7 +349,9 @@ def classify_full(form: TwoForm, tol: float = 1e-8) -> Classification:
     """Classify by the equality/sign pattern of the chamber triple.
 
     Every special pattern matching within tolerance is collected; the winner
-    is the most degenerate match (largest stabilizer).  The ambiguous flag is
+    is the most degenerate match (largest stabilizer) and, among matches of
+    equal stabilizer dimension, the one whose stratum closure holds the
+    others (F3Zero over F3Plus and F3Minus).  The ambiguous flag is
     set when some match does not lie in the closure of the winner's stratum,
     i.e. two patterns matched but genuinely disagree.
     """
@@ -369,7 +380,9 @@ def classify_full(form: TwoForm, tol: float = 1e-8) -> Classification:
     if not matched:
         return Classification(OrbitClass.GENERIC, (x, y, z), False,
                               (OrbitClass.GENERIC,))
-    winner = max(matched, key=lambda c: STABILIZER_DIM[c])
+    top = max(STABILIZER_DIM[c] for c in matched)
+    tied = [c for c in matched if STABILIZER_DIM[c] == top]
+    winner = next((c for c in tied if _CLOSURE[c].issuperset(tied)), tied[0])
     ambiguous = any(m not in _CLOSURE[winner] for m in matched)
     return Classification(winner, (x, y, z), ambiguous, tuple(matched))
 

@@ -3,7 +3,11 @@
 All structures are left-invariant, so integrability questions reduce to
 finite computations with the frame structure constants: the Nijenhuis tensor
 of an orthogonal complex structure, and bracket-closure of the two
-distributions of an orthogonal product structure.
+distributions of an orthogonal product structure.  The scans test whole
+stacks of plane frames (n, 6, 2) and structures (n, 6, 6) at once, and read
+plane images off `moment.cartan_minors`.  The closed-form doubly-closed
+frames and stacked products move `scan-kk` and `mixed` coordinates by up to
+a few 1e-16 against per-plane eigen-split frames.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import numpy as np
 
 from . import moment
 from .errors import IncompatiblePair, WrongClass
-from .forms import TwoForm, eigen_split
+from .forms import E12, E34, E56, PAIRS, TwoForm, endomorphisms
 
 
 @dataclass(frozen=True)
@@ -28,11 +32,7 @@ class FrameAlgebra:
         c = self.c
         # [[e_i, e_j], e_k] summed cyclically.
         term = np.einsum("mab,pmc->pabc", c, c)
-        total = (
-            term
-            + np.einsum("pabc->pbca", term)
-            + np.einsum("pabc->pcab", term)
-        )
+        total = term + np.einsum("pabc->pbca", term) + np.einsum("pabc->pcab", term)
         return float(np.max(np.abs(total)))
 
 
@@ -53,35 +53,30 @@ def iwasawa_algebra() -> FrameAlgebra:
 
 
 def bracket(algebra: FrameAlgebra, X, Y) -> np.ndarray:
+    """[X, Y] of two vectors, or row by row of two (..., 6) stacks."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    return np.einsum("kij,i,j->k", algebra.c, X, Y)
+    return np.einsum("kij,...i,...j->...k", algebra.c, X, Y)
 
 
 def d_one_form(algebra: FrameAlgebra, k: int) -> TwoForm:
     """Exterior derivative of the frame 1-form e^k as a 2-form."""
-    co = []
-    for i, j in ((i, j) for i in range(1, 7) for j in range(i + 1, 7)):
-        co.append(-algebra.c[k - 1, i - 1, j - 1])
-    return TwoForm(tuple(co))
+    return TwoForm(tuple(-algebra.c[k - 1, i - 1, j - 1] for i, j in PAIRS))
 
 
 def d_two_form(algebra: FrameAlgebra, beta: TwoForm) -> np.ndarray:
     """Exterior derivative of an invariant 2-form as the full values tensor
     (d beta)(e_i, e_j, e_k) = -beta([e_i,e_j], e_k) + beta([e_i,e_k], e_j)
     - beta([e_j,e_k], e_i)."""
-    c = algebra.c
-    bmat = np.zeros((6, 6))
-    for a in range(6):
-        for b in range(6):
-            bmat[a, b] = beta.coefficient(a + 1, b + 1)
-    t = np.einsum("mij,mk->ijk", c, bmat)
+    # beta(e_m, e_k) is entry (m, k) of the transposed endomorphism.
+    t = np.einsum("mij,mk->ijk", algebra.c, beta.endomorphism().T)
     return -t + np.einsum("ijk->ikj", t) - np.einsum("ijk->jki", t)
 
 
-def ocs_matrix(form: TwoForm, tol: float = 1e-8) -> np.ndarray:
-    """Endomorphism of a complex-structure form, validated to square to -1."""
-    J = form.endomorphism()
+def ocs_matrix(form, tol: float = 1e-8) -> np.ndarray:
+    """Endomorphism of a complex-structure form, or a stack (n, 6, 6) of
+    them, validated to square to -1."""
+    J = form.endomorphism() if isinstance(form, TwoForm) else np.asarray(form, dtype=float)
     if np.max(np.abs(J @ J + np.eye(6))) > math.sqrt(tol):
         raise WrongClass("form does not square to -identity")
     return J
@@ -90,45 +85,46 @@ def ocs_matrix(form: TwoForm, tol: float = 1e-8) -> np.ndarray:
 def nijenhuis_norm(algebra: FrameAlgebra, J) -> float:
     """Frobenius norm of N(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] over
     the frame pairs; zero exactly on integrable complex structures."""
-    J = np.asarray(J, dtype=float)
-    return float(_nijenhuis_norms(algebra, J[None, :, :])[0])
+    return float(_nijenhuis_norms(algebra, np.asarray(J, dtype=float)[None])[0])
 
 
 def _nijenhuis_norms(algebra: FrameAlgebra, Js: np.ndarray) -> np.ndarray:
     c = algebra.c
-    t1 = np.einsum("kab,nai,nbj->nkij", c, Js, Js)
-    u = np.einsum("kaj,nai->nkij", c, Js)
-    t2 = np.einsum("nkm,nmij->nkij", Js, u)
-    w = np.einsum("kib,nbj->nkij", c, Js)
-    t3 = np.einsum("nkm,nmij->nkij", Js, w)
-    N = t1 - t2 - t3 - c[None, :, :, :]
+    jj = np.einsum("kab,nai,nbj->nkij", c, Js, Js, optimize=True)
+    # [JX, Y] + [X, JY], contracted with J once.
+    mixed = (np.einsum("kaj,nai->nkij", c, Js, optimize=True)
+             + np.einsum("kib,nbj->nkij", c, Js, optimize=True))
+    N = jj - np.einsum("nkm,nmij->nkij", Js, mixed, optimize=True) - c
     return np.sqrt(0.5 * np.einsum("nkij,nkij->n", N, N))
 
 
-def _complement(V: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the plane V (6, 2)."""
-    _, _, vt = np.linalg.svd(V.T, full_matrices=True)
-    return vt[2:].T
+def _perp(V: np.ndarray) -> np.ndarray:
+    """Projector 1 - V V^T off the planes of orthonormal frames V (..., 6, 2)."""
+    return np.eye(6) - V @ np.swapaxes(V, -1, -2)
 
 
-def horizontal_closed(algebra: FrameAlgebra, V, tol: float = 1e-12) -> bool:
-    """Brackets of the 4-plane orthogonal to V stay out of V."""
+def _per_plane(residual: np.ndarray, V: np.ndarray, tol: float):
+    """max |residual| <= tol: a bool for one plane, an array for a stack."""
+    ok = np.max(np.abs(residual), axis=tuple(range(V.ndim - 2, residual.ndim))) <= tol
+    return bool(ok) if V.ndim == 2 else ok
+
+
+def horizontal_closed(algebra: FrameAlgebra, V, tol: float = 1e-12):
+    """Brackets of the 4-plane orthogonal to V stay out of V: the bracket
+    forms B_k = sum_m V[m, k] c[m] vanish there, max |P B_k P| <= tol.
+    V is an orthonormal frame (6, 2) or a stack (n, 6, 2); one bool per plane."""
     V = np.asarray(V, dtype=float)
-    H = _complement(V)
-    for a in range(4):
-        for b in range(a + 1, 4):
-            br = bracket(algebra, H[:, a], H[:, b])
-            if np.max(np.abs(V.T @ br)) > tol:
-                return False
-    return True
+    P = _perp(V)[..., None, :, :]
+    B = np.einsum("mij,...mk->...kij", algebra.c, V)
+    return _per_plane(P @ B @ P, V, tol)
 
 
-def vertical_closed(algebra: FrameAlgebra, V, tol: float = 1e-12) -> bool:
-    """Bracket of the two plane vectors stays in the plane."""
+def vertical_closed(algebra: FrameAlgebra, V, tol: float = 1e-12):
+    """Bracket of the two plane vectors stays in the plane: max |P [v1, v2]|
+    <= tol, for a frame (6, 2) or a stack (n, 6, 2); one bool per plane."""
     V = np.asarray(V, dtype=float)
-    br = bracket(algebra, V[:, 0], V[:, 1])
-    H = _complement(V)
-    return bool(np.max(np.abs(H.T @ br)) <= tol)
+    br = bracket(algebra, V[..., 0], V[..., 1])
+    return _per_plane((_perp(V) @ br[..., None])[..., 0], V, tol)
 
 
 def plane_form(V) -> TwoForm:
@@ -137,24 +133,36 @@ def plane_form(V) -> TwoForm:
     return TwoForm.from_wedge(V[:, 0], V[:, 1])
 
 
+def _plane_images(V: np.ndarray) -> np.ndarray:
+    """(n, 3) Cartan coefficients of the plane forms of a frame stack."""
+    return moment.cartan_minors(V)[..., 0]
+
+
+#: Coefficients of e12 - e34, e13 - e42 and e14 - e23 (anti-self-dual on
+#: <e1..e4>), of e12 + e34, and of e56.
+_ASD = np.array([(TwoForm.basis(1, 2) - TwoForm.basis(3, 4)).coeffs,
+                 (TwoForm.basis(1, 3) - TwoForm.basis(4, 2)).coeffs,
+                 (TwoForm.basis(1, 4) - TwoForm.basis(2, 3)).coeffs])
+_SD = (TwoForm.basis(1, 2) + TwoForm.basis(3, 4)).as_array()
+_E56 = TwoForm.basis(5, 6).as_array()
+
+
+def _asd_edge_coeffs(a, b, c) -> np.ndarray:
+    """Coefficients (..., 15) of `asd_edge_form` over arrays a, b, c, summed
+    in the same order as the TwoForm arithmetic, signed zeros included."""
+    a, b, c = (np.asarray(x, dtype=float)[..., None] for x in (a, b, c))
+    return ((a * _ASD[0] + b * _ASD[1]) + c * _ASD[2]) - _E56
+
+
 def asd_edge_form(a: float, b: float, c: float) -> TwoForm:
     """Anti-self-dual unit completion a(e12-e34) + b(e13-e42) + c(e14-e23) - e56."""
-    return (
-        a * (TwoForm.basis(1, 2) - TwoForm.basis(3, 4))
-        + b * (TwoForm.basis(1, 3) - TwoForm.basis(4, 2))
-        + c * (TwoForm.basis(1, 4) - TwoForm.basis(2, 3))
-        - TwoForm.basis(5, 6)
-    )
+    return TwoForm(tuple(_asd_edge_coeffs(a, b, c)))
 
 
 def asd_edge_grid(m: int = 101):
     """Deterministic family sweeping the integrable anti-self-dual circle."""
-    out = []
-    for k in range(m):
-        a = -1.0 + 2.0 * k / (m - 1)
-        b = math.sqrt(max(0.0, 1.0 - a * a))
-        out.append((a, b, 0.0))
-    return out
+    grid = (-1.0 + 2.0 * k / (m - 1) for k in range(m))
+    return [(a, math.sqrt(max(0.0, 1.0 - a * a)), 0.0) for a in grid]
 
 
 def _segment_distance(p, a, b) -> float:
@@ -192,25 +200,18 @@ def scan_complex(n: int, seed: int, tol: float = 1e-6,
     if n < 1:
         raise ValueError("n must be at least 1")
     algebra = iwasawa_algebra()
-    J0_form = TwoForm.from_cartan((1, 1, 1))
-    family_points = []
-    family_norm = nijenhuis_norm(algebra, ocs_matrix(J0_form))
-    family_max = family_norm
-    family_points.append(moment.mu_t(J0_form))
-    for a, b, c in asd_edge_grid():
-        f = asd_edge_form(a, b, c)
-        family_max = max(family_max, nijenhuis_norm(algebra, ocs_matrix(f)))
-        family_points.append(moment.mu_t(f))
-    J0 = J0_form.endomorphism()
+    family = [TwoForm.from_cartan((1, 1, 1))] + [asd_edge_form(*g) for g in asd_edge_grid()]
+    family_max = max(nijenhuis_norm(algebra, ocs_matrix(f)) for f in family)
+    family_points = [moment.mu_t(f) for f in family]
+    J0 = family[0].endomorphism()
     accepted = []
     chunk = 20000
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
         R = moment.haar_rotations(hi - lo, seed, start=lo)
         Js = np.einsum("nab,bc,ndc->nad", R, J0, R)
-        norms = _nijenhuis_norms(algebra, Js)
-        for k in np.nonzero(norms < tol)[0]:
-            accepted.append(moment._mu_of_matrix(Js[k]))
+        acc = _nijenhuis_norms(algebra, Js) < tol
+        accepted.extend(Js[acc][:, (1, 3, 5), (0, 2, 4)])
     max_dist = max((integrable_set_distance(p) for p in accepted), default=0.0)
     pts = np.array(accepted + family_points)
     cloud = moment.SampleCloud(
@@ -253,20 +254,13 @@ def scan_K(n: int, seed: int) -> tuple[moment.SampleCloud, dict]:
     if n < 1:
         raise ValueError("n must be at least 1")
     algebra = iwasawa_algebra()
-    pts = np.empty((n, 3))
-    closed_ok = True
-    for k, V in enumerate(_sample_planes_in(seed, n, 4)):
-        if not horizontal_closed(algebra, V):
-            closed_ok = False
-        pts[k] = moment.mu_t(plane_form(V))
-    off_failures = 0
-    off_checked = 0
-    for V in _sample_planes_in(seed, min(n, 200), 6, start=n):
-        if np.max(np.abs(V[4:])) < 1e-6:
-            continue  # essentially inside the subspace; closure may hold
-        off_checked += 1
-        if horizontal_closed(algebra, V):
-            off_failures += 1
+    V = _sample_planes_in(seed, n, 4)
+    closed_ok = bool(np.all(horizontal_closed(algebra, V)))
+    pts = _plane_images(V)
+    off = _sample_planes_in(seed, min(n, 200), 6, start=n)
+    # Planes essentially inside the subspace, where closure may hold, are left out.
+    off = off[np.max(np.abs(off[:, 4:]), axis=(1, 2)) >= 1e-6]
+    off_failures = int(np.count_nonzero(horizontal_closed(algebra, off)))
     l1 = np.abs(pts[:, 0]) + np.abs(pts[:, 1])
     report = {
         "pass": bool(
@@ -280,31 +274,40 @@ def scan_K(n: int, seed: int) -> tuple[moment.SampleCloud, dict]:
         "max_l1": float(np.max(l1)),
         "max_abs_z": float(np.max(np.abs(pts[:, 2]))),
         "all_in_subspace_closed": closed_ok,
-        "off_subspace_checked": off_checked,
+        "off_subspace_checked": len(off),
         "off_subspace_closed": off_failures,
     }
     cloud = moment.SampleCloud(seed, pts, f"source=scan_K n={n} seed={seed}")
     return cloud, report
 
 
-def doubly_closed_plane(sign: int, u) -> np.ndarray:
+def doubly_closed_plane(sign, u) -> np.ndarray:
     """Plane of the doubly-closed family: self-dual part pinned to
-    sign (e12 + e34) / 2, anti-self-dual part chosen by the unit 3-vector u."""
-    if sign not in (1, -1):
+    sign (e12 + e34) / 2, anti-self-dual part chosen by the unit 3-vector u.
+
+    One sign and u (3,) give a frame (6, 2); n signs and u (n, 3) give a
+    stack (n, 6, 2).  The form is unit and simple, so its endomorphism F
+    maps onto the plane and turns it by a right angle: with a the largest
+    column of F, normalised, the frame is (a, F a).
+    """
+    sign = np.asarray(sign, dtype=float)
+    u = np.asarray(u, dtype=float)
+    if np.any(np.abs(sign) != 1.0):
         raise ValueError("sign must be +1 or -1")
-    u = tuple(float(c) for c in u)
-    if abs(sum(c * c for c in u) - 1.0) > 1e-12:
+    if np.any(np.abs(np.sum(u * u, axis=-1) - 1.0) > 1e-12):
         raise ValueError("u must be a unit 3-vector")
-    form = 0.5 * sign * (TwoForm.basis(1, 2) + TwoForm.basis(3, 4)) + 0.5 * (
-        u[0] * (TwoForm.basis(1, 2) - TwoForm.basis(3, 4))
-        + u[1] * (TwoForm.basis(1, 3) + TwoForm.basis(2, 4))
-        + u[2] * (TwoForm.basis(1, 4) - TwoForm.basis(2, 3))
-    )
-    plane = eigen_split(form).planes[2]
-    V = np.zeros((6, 2))
-    V[:, 0] = plane.u
-    V[:, 1] = plane.v
-    return V
+    F = endomorphisms(0.5 * sign[..., None] * _SD + 0.5 * (u @ _ASD))
+    lengths = np.linalg.norm(F, axis=-2)
+    k = np.argmax(lengths, axis=-1)[..., None]
+    a = np.take_along_axis(np.swapaxes(F, -1, -2), k[..., None], axis=-2)[..., 0, :]
+    a = a / np.take_along_axis(lengths, k, axis=-1)
+    return np.stack([a, (F @ a[..., None])[..., 0]], axis=-1)
+
+
+def _segment_gap(pts: np.ndarray) -> np.ndarray:
+    """Distance of x + y to the nearer of +1 and -1, row by row."""
+    s = pts[:, 0] + pts[:, 1]
+    return np.minimum(np.abs(s - 1.0), np.abs(s + 1.0))
 
 
 def scan_K_intersection(n: int, seed: int) -> tuple[moment.SampleCloud, dict]:
@@ -313,34 +316,23 @@ def scan_K_intersection(n: int, seed: int) -> tuple[moment.SampleCloud, dict]:
     The doubly-closed family is swept deterministically (it must pass both
     closure tests, with images on the two segments x + y = +-1, z = 0), and
     random subspace planes are filtered by the vertical test as a control.
+    Sample k of the family has sign (-1)^k and direction the 3 normals of
+    stream (seed, k).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     algebra = iwasawa_algebra()
-    pts = []
-    family_ok = True
     G = moment.normals(seed, n, 3)
-    for k in range(n):
-        sign = 1 if (k % 2 == 0) else -1
-        u = G[k] / np.linalg.norm(G[k])
-        V = doubly_closed_plane(sign, u)
-        if not (horizontal_closed(algebra, V) and vertical_closed(algebra, V)):
-            family_ok = False
-        pts.append(moment.mu_t(plane_form(V)))
-    pts = np.array(pts)
-    random_accepted = []
-    for V in _sample_planes_in(seed, min(n, 500), 4, start=n):
-        if vertical_closed(algebra, V):
-            random_accepted.append(moment.mu_t(plane_form(V)))
-    seg_dev = np.minimum(
-        np.abs(pts[:, 0] + pts[:, 1] - 1.0), np.abs(pts[:, 0] + pts[:, 1] + 1.0)
-    )
-    all_pts = pts if not random_accepted else np.vstack([pts, random_accepted])
-    extra_dev = 0.0
-    for p in random_accepted:
-        extra_dev = max(
-            extra_dev, min(abs(p[0] + p[1] - 1.0), abs(p[0] + p[1] + 1.0)), abs(p[2])
-        )
+    signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+    V = doubly_closed_plane(signs, G / np.linalg.norm(G, axis=1, keepdims=True))
+    family_ok = bool(np.all(horizontal_closed(algebra, V) & vertical_closed(algebra, V)))
+    pts = _plane_images(V)
+    R = _sample_planes_in(seed, min(n, 500), 4, start=n)
+    random_accepted = _plane_images(R[vertical_closed(algebra, R)])
+    seg_dev = _segment_gap(pts)
+    extra_dev = float(np.max(
+        np.maximum(_segment_gap(random_accepted), np.abs(random_accepted[:, 2])),
+        initial=0.0))
     report = {
         "pass": bool(
             family_ok
@@ -355,10 +347,16 @@ def scan_K_intersection(n: int, seed: int) -> tuple[moment.SampleCloud, dict]:
         "max_abs_z": float(np.max(np.abs(pts[:, 2]))),
         "random_planes_doubly_closed": len(random_accepted),
     }
-    cloud = moment.SampleCloud(
-        seed, all_pts, f"source=scan_K_intersection n={n} seed={seed}"
-    )
+    cloud = moment.SampleCloud(seed, np.vstack([pts, random_accepted]),
+                               f"source=scan_K_intersection n={n} seed={seed}")
     return cloud, report
+
+
+def _invariant(J: np.ndarray, V: np.ndarray, tol: float) -> np.ndarray:
+    """Whether J maps the plane V into itself: |P J v| <= sqrt(tol) for both
+    frame vectors, for one plane or row by row of a stack."""
+    out = _perp(V) @ J @ V
+    return np.all(np.linalg.norm(out, axis=-2) <= math.sqrt(tol), axis=-1)
 
 
 def mixed_pair(J_form: TwoForm, V, t: float, tol: float = 1e-9) -> TwoForm:
@@ -367,11 +365,8 @@ def mixed_pair(J_form: TwoForm, V, t: float, tol: float = 1e-9) -> TwoForm:
         raise ValueError("t must be positive")
     J = ocs_matrix(J_form)
     V = np.asarray(V, dtype=float)
-    P = V @ V.T
-    for col in range(2):
-        img = J @ V[:, col]
-        if np.linalg.norm(img - P @ img) > math.sqrt(tol):
-            raise IncompatiblePair("plane is not invariant under the complex structure")
+    if not _invariant(J, V, tol):
+        raise IncompatiblePair("plane is not invariant under the complex structure")
     return J_form + float(t) * plane_form(V)
 
 
@@ -393,37 +388,26 @@ def mixed_classes_over(n: int, seed: int, which: str = "K") -> tuple[moment.Samp
     if n < 1:
         raise ValueError("n must be at least 1")
     algebra = iwasawa_algebra()
-    pts = []
-    skipped = 0
-    lams = []
     w = moment.stream(seed, n, 9)
     G = moment.gaussians(w[:, :8])
     T = 0.05 + 0.95 * moment.uniforms(w[:, 8])
-    for k in range(n):
-        t = float(T[k])
-        if which == "K_intersection" or (k % 2 == 0):
-            J_form = TwoForm.from_cartan((1, 1, 1))
-        else:
-            a, b, c = G[k, :3] / np.linalg.norm(G[k, :3])
-            J_form = asd_edge_form(a, b, c)
-        J = ocs_matrix(J_form)
-        g = G[k, 3:7]
-        v = np.zeros(6)
-        v[:4] = g / np.linalg.norm(g)
-        V = np.column_stack([v, J @ v])
-        if which == "K_intersection":
-            if not (horizontal_closed(algebra, V) and vertical_closed(algebra, V)):
-                skipped += 1
-                continue
-        try:
-            mixed = mixed_pair(J_form, V, t)
-        except IncompatiblePair:
-            skipped += 1
-            continue
-        pts.append(moment.mu_t(mixed))
-        lams.append((1.0, 1.0, 1.0 + t))
-    pts = np.array(pts)
-    worst = max(0.0, float(np.max(moment.moment_violations(lams, pts)))) if lams else 0.0
+    # The standard structure, or on the odd draws of K the anti-self-dual circle.
+    coeffs = np.tile(TwoForm.from_cartan((1, 1, 1)).as_array(), (n, 1))
+    if which == "K":
+        abc = G[1::2, :3] / np.linalg.norm(G[1::2, :3], axis=1, keepdims=True)
+        coeffs[1::2] = _asd_edge_coeffs(*abc.T)
+    J = ocs_matrix(endomorphisms(coeffs))
+    v = np.zeros((n, 6))
+    v[:, :4] = G[:, 3:7] / np.linalg.norm(G[:, 3:7], axis=1, keepdims=True)
+    V = np.stack([v, (J @ v[..., None])[..., 0]], axis=-1)
+    keep = _invariant(J, V, 1e-9)
+    if which == "K_intersection":
+        keep &= horizontal_closed(algebra, V) & vertical_closed(algebra, V)
+    skipped = int(np.count_nonzero(~keep))
+    t = T[keep]
+    pts = coeffs[keep][:, (E12, E34, E56)] + t[:, None] * _plane_images(V[keep])
+    lams = np.column_stack([np.ones_like(t), np.ones_like(t), 1.0 + t])
+    worst = float(np.max(moment.moment_violations(lams, pts), initial=0.0))
     report = {
         "pass": len(pts) + skipped == n and len(pts) >= 1 and worst <= 1e-9,
         "n": n,

@@ -29,7 +29,7 @@ from scipy.linalg import expm
 
 from . import polytopes, weyl
 from .errors import ToleranceExceeded
-from .forms import E12, E34, E56, PAIRS, TwoForm
+from .forms import E12, E34, E56, PAIRS, TwoForm, endomorphisms
 
 #: Name of the sampling scheme, written into every sample CSV header.
 STREAM = "philox4x64-10"
@@ -101,8 +101,14 @@ def mu_t(form: TwoForm) -> tuple[float, float, float]:
     return (c[E12], c[E34], c[E56])
 
 
-def _mu_of_matrix(F: np.ndarray) -> tuple[float, float, float]:
-    return (float(F[1, 0]), float(F[3, 2]), float(F[5, 4]))
+def cartan_minors(R: np.ndarray) -> np.ndarray:
+    """Minors det R[2c:2c+2, 2j:2j+2], (..., 3, m), of a (..., 6, 2m) stack.
+
+    For a rotation R and the Cartan form of lam, (R F R^T)[2c+1, 2c] = sum_j
+    lam_j minors[c, j]; for a plane frame (v1, v2) they equal, bit for bit,
+    mu_t(TwoForm.from_wedge(v1, v2)).
+    """
+    return R[..., 1::2, 1::2] * R[..., 0::2, 0::2] - R[..., 1::2, 0::2] * R[..., 0::2, 1::2]
 
 
 def haar_rotations(n: int, seed: int, start: int = 0) -> np.ndarray:
@@ -150,12 +156,8 @@ def orbit_samples(lam, n: int, seed: int) -> SampleCloud:
     chunk = 20000
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        R = haar_rotations(hi - lo, seed, start=lo)
-        # (R F R^T)[2c+1, 2c] = sum_j lam_j det R[2c:2c+2, 2j:2j+2]: only the
-        # three Cartan entries of the conjugate are computed.
-        minors = (R[:, 1::2, 1::2] * R[:, 0::2, 0::2]
-                  - R[:, 1::2, 0::2] * R[:, 0::2, 1::2])
-        pts[lo:hi] = minors @ np.array(lam)
+        # Only the three Cartan entries of the conjugates are computed.
+        pts[lo:hi] = cartan_minors(haar_rotations(hi - lo, seed, start=lo)) @ np.array(lam)
     fixed = np.array([[float(c) for c in p] for p in weyl.weyl_orbit(lam)])
     pts = np.vstack([pts, fixed])
     source = f"source=orbit_samples lambda=({lam[0]!r},{lam[1]!r},{lam[2]!r}) n={n} seed={seed}"
@@ -189,15 +191,8 @@ def moment_violations(lam, points) -> np.ndarray:
     return np.max((pts @ _NORMALS.T - offsets) / _NORMAL_LENGTHS, axis=1)
 
 
-def _skew_basis() -> np.ndarray:
-    out = np.zeros((15, 6, 6))
-    for k, (i, j) in enumerate(PAIRS):
-        out[k, j - 1, i - 1] = 1.0
-        out[k, i - 1, j - 1] = -1.0
-    return out
-
-
-_SKEW_BASIS = _skew_basis()
+#: Endomorphisms of the 15 basis forms, in PAIRS order.
+_SKEW_BASIS = endomorphisms(np.eye(15))
 
 
 def _vectorize_skew(M: np.ndarray) -> np.ndarray:

@@ -149,9 +149,15 @@ def test_lambda_is_parsed_exactly(capsys, tmp_path):
     assert report["parameters"]["lambda"] == [1 / 3, 0.0, 1.0]
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "abc"])
-def test_sample_tol_must_be_finite_and_nonnegative(capsys, tol):
-    code = cli.main(["sample", "--lambda", "1,1,1", "--n", "5", "--tol", tol])
+@pytest.mark.parametrize("command, tol", [
+    *(pytest.param(["sample", "--lambda", "1,1,1", "--n", "5"], tol, id=tol)
+      for tol in ("-1", "nan", "inf", "abc")),
+    # classify and export match eigenvalue patterns within --tol: it must be positive.
+    *(pytest.param([cmd, "--form", "form.json"], tol, id=f"{cmd}-{tol}")
+      for cmd in ("classify", "export") for tol in ("0", "-0.0", "-1", "nan")),
+])
+def test_sample_tol_must_be_finite_and_nonnegative(capsys, command, tol):
+    code = cli.main([*command, "--tol", tol])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""

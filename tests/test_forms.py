@@ -162,6 +162,17 @@ def test_classify_not_ambiguous_on_clean_inputs():
         assert not classify_full(TwoForm.from_cartan(triple)).ambiguous
 
 
+@pytest.mark.parametrize("y", [5e-9, -5e-9])
+def test_classify_tie_prefers_the_class_whose_closure_holds_the_others(y):
+    # F3Zero and F3Plus/F3Minus both match, with equal stabilizer dimension.
+    result = classify_full(TwoForm.from_cartan((1, y, 1)))
+    side = OrbitClass.F3_PLUS if y > 0 else OrbitClass.F3_MINUS
+    assert set(result.matches) == {OrbitClass.F3_ZERO, side}
+    assert forms.STABILIZER_DIM[OrbitClass.F3_ZERO] == forms.STABILIZER_DIM[side]
+    assert result.orbit_class is OrbitClass.F3_ZERO
+    assert not result.ambiguous
+
+
 def test_classify_rotation_invariant():
     rng = np.random.default_rng(7)
     for k in range(40):

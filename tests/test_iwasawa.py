@@ -5,7 +5,7 @@ import pytest
 
 from orbitkit import iwasawa, moment
 from orbitkit.errors import IncompatiblePair, WrongClass
-from orbitkit.forms import TwoForm
+from orbitkit.forms import TwoForm, eigen_split
 
 
 @pytest.fixture(scope="module")
@@ -232,3 +232,219 @@ def test_mixed_small_t_approaches_complex_images(algebra):
         V = np.column_stack([v, J0 @ v])
         m = iwasawa.mixed_pair(TwoForm.from_cartan((1, 1, 1)), V, 1e-9)
         assert iwasawa.integrable_set_distance(moment.mu_t(m)) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: per-plane loops the stacked kernels must match
+# ---------------------------------------------------------------------------
+
+def complement_reference(V):
+    """Orthonormal basis of the orthogonal complement of the plane V, by SVD."""
+    _, _, vt = np.linalg.svd(V.T, full_matrices=True)
+    return vt[2:].T
+
+
+def horizontal_closed_reference(algebra, V, tol=1e-12):
+    H = complement_reference(V)
+    return all(
+        np.max(np.abs(V.T @ iwasawa.bracket(algebra, H[:, a], H[:, b]))) <= tol
+        for a in range(4) for b in range(a + 1, 4)
+    )
+
+
+def vertical_closed_reference(algebra, V, tol=1e-12):
+    br = iwasawa.bracket(algebra, V[:, 0], V[:, 1])
+    return bool(np.max(np.abs(complement_reference(V).T @ br)) <= tol)
+
+
+def family_form(sign, u):
+    e = TwoForm.basis
+    return 0.5 * sign * (e(1, 2) + e(3, 4)) + 0.5 * (
+        u[0] * (e(1, 2) - e(3, 4)) + u[1] * (e(1, 3) + e(2, 4))
+        + u[2] * (e(1, 4) - e(2, 3))
+    )
+
+
+def family_directions(seed, n):
+    G = moment.normals(seed, n, 3)
+    return np.where(np.arange(n) % 2 == 0, 1.0, -1.0), G / np.linalg.norm(G, axis=1)[:, None]
+
+
+def test_stacked_closure_matches_svd_reference(algebra):
+    signs, U = family_directions(11, 40)
+    stacks = {
+        "coordinate": np.array([plane(i, j) for i in range(1, 7) for j in range(1, 7) if i != j]),
+        "in-subspace": iwasawa._sample_planes_in(12, 60, 4),
+        "off-subspace": iwasawa._sample_planes_in(13, 60, 6),
+        "doubly-closed": iwasawa.doubly_closed_plane(signs, U),
+    }
+    seen = set()
+    for name, Vs in stacks.items():
+        for test, reference in ((iwasawa.horizontal_closed, horizontal_closed_reference),
+                                (iwasawa.vertical_closed, vertical_closed_reference)):
+            stacked = test(algebra, Vs)
+            assert stacked.shape == (len(Vs),)
+            expected = [reference(algebra, V) for V in Vs]
+            assert stacked.tolist() == expected, (name, test.__name__)
+            assert [test(algebra, V) for V in Vs] == expected
+            seen.update(expected)
+    assert seen == {True, False}
+
+
+def test_doubly_closed_plane_stack_matches_rows_and_family_form():
+    signs, U = family_directions(14, 50)
+    stacked = iwasawa.doubly_closed_plane(signs, U)
+    assert stacked.shape == (50, 6, 2)
+    for k in range(50):
+        V = iwasawa.doubly_closed_plane(int(signs[k]), U[k])
+        assert np.array_equal(V, stacked[k])
+        assert np.allclose(V.T @ V, np.eye(2), rtol=0, atol=1e-15)
+        form = family_form(int(signs[k]), U[k])
+        assert np.max(np.abs(iwasawa.plane_form(V).as_array() - form.as_array())) <= 1e-15
+    with pytest.raises(ValueError):
+        iwasawa.doubly_closed_plane(0, U[0])
+    with pytest.raises(ValueError):
+        iwasawa.doubly_closed_plane(signs, 2 * U)
+
+
+def test_plane_images_are_the_plane_form_images():
+    for V in iwasawa._sample_planes_in(15, 50, 6):
+        assert tuple(moment.cartan_minors(V)[:, 0]) == moment.mu_t(iwasawa.plane_form(V))
+
+
+def test_scan_K_matches_per_plane_loop(algebra):
+    n, seed = 150, 4
+    cloud, rep = iwasawa.scan_K(n, seed)
+    planes = iwasawa._sample_planes_in(seed, n, 4)
+    pts = np.array([moment.mu_t(iwasawa.plane_form(V)) for V in planes])
+    assert np.max(np.abs(cloud.points - pts)) <= 1e-15
+    assert rep["all_in_subspace_closed"] == all(
+        horizontal_closed_reference(algebra, V) for V in planes)
+    off = [V for V in iwasawa._sample_planes_in(seed, min(n, 200), 6, start=n)
+           if np.max(np.abs(V[4:])) >= 1e-6]
+    assert rep["off_subspace_checked"] == len(off)
+    assert rep["off_subspace_closed"] == sum(
+        horizontal_closed_reference(algebra, V) for V in off)
+
+
+def test_scan_K_intersection_matches_per_plane_loop(algebra):
+    n, seed = 120, 6
+    cloud, rep = iwasawa.scan_K_intersection(n, seed)
+    signs, U = family_directions(seed, n)
+    family = []
+    for sign, u in zip(signs, U):
+        plane_ = eigen_split(family_form(sign, u)).planes[2]
+        V = np.column_stack([plane_.u, plane_.v])
+        assert horizontal_closed_reference(algebra, V)
+        assert vertical_closed_reference(algebra, V)
+        family.append(moment.mu_t(iwasawa.plane_form(V)))
+    accepted = [moment.mu_t(iwasawa.plane_form(V))
+                for V in iwasawa._sample_planes_in(seed, min(n, 500), 4, start=n)
+                if vertical_closed_reference(algebra, V)]
+    assert rep["family_all_doubly_closed"]
+    assert rep["random_planes_doubly_closed"] == len(accepted)
+    expected = np.array(family + accepted)
+    assert cloud.points.shape == expected.shape
+    assert np.max(np.abs(cloud.points - expected)) <= 1e-15
+
+
+def mixed_reference(algebra, n, seed, which):
+    """The per-draw loop of `mixed_classes_over`, on `mixed_pair`."""
+    w = moment.stream(seed, n, 9)
+    G = moment.gaussians(w[:, :8])
+    T = 0.05 + 0.95 * moment.uniforms(w[:, 8])
+    pts, skipped = [], 0
+    for k in range(n):
+        if which == "K_intersection" or k % 2 == 0:
+            J_form = TwoForm.from_cartan((1, 1, 1))
+        else:
+            J_form = iwasawa.asd_edge_form(*(G[k, :3] / np.linalg.norm(G[k, :3])))
+        v = np.zeros(6)
+        v[:4] = G[k, 3:7] / np.linalg.norm(G[k, 3:7])
+        V = np.column_stack([v, iwasawa.ocs_matrix(J_form) @ v])
+        if which == "K_intersection" and not (
+                horizontal_closed_reference(algebra, V)
+                and vertical_closed_reference(algebra, V)):
+            skipped += 1
+            continue
+        try:
+            pts.append(moment.mu_t(iwasawa.mixed_pair(J_form, V, float(T[k]))))
+        except IncompatiblePair:
+            skipped += 1
+    return np.array(pts).reshape(-1, 3), skipped
+
+
+@pytest.mark.parametrize("which", ["K", "K_intersection"])
+def test_mixed_classes_over_matches_per_draw_loop(algebra, which):
+    n, seed = 200, 8
+    cloud, rep = iwasawa.mixed_classes_over(n, seed, which)
+    pts, skipped = mixed_reference(algebra, n, seed, which)
+    assert (rep["produced"], rep["skipped"]) == (len(pts), skipped)
+    assert cloud.points.shape == pts.shape
+    assert np.max(np.abs(cloud.points - pts)) <= 1e-15
+
+
+def test_mixed_invariance_test_matches_mixed_pair_on_stacks(algebra):
+    J_form = TwoForm.from_cartan((1, 1, 1))
+    J = iwasawa.ocs_matrix(J_form)
+    Vs = np.concatenate([iwasawa._sample_planes_in(16, 30, 4),
+                         np.array([plane(1, 2), plane(3, 4), plane(1, 3), plane(5, 6)])])
+    stacked = iwasawa._invariant(np.broadcast_to(J, (len(Vs), 6, 6)), Vs, 1e-9)
+    for V, ok in zip(Vs, stacked):
+        img = J @ V
+        assert ok == all(np.linalg.norm(img - V @ V.T @ img, axis=0) <= np.sqrt(1e-9))
+        if ok:
+            iwasawa.mixed_pair(J_form, V, 0.5)
+        else:
+            with pytest.raises(IncompatiblePair):
+                iwasawa.mixed_pair(J_form, V, 0.5)
+    assert set(stacked.tolist()) == {True, False}
+
+
+@pytest.mark.parametrize("which, check", [("K", "_invariant"),
+                                           ("K_intersection", "_invariant"),
+                                           ("K_intersection", "horizontal_closed"),
+                                           ("K_intersection", "vertical_closed")])
+def test_mixed_skips_the_draws_a_check_rejects(monkeypatch, which, check):
+    # Every draw passes the real checks; a check rejecting draws 0, 3, 6, ...
+    # must turn exactly those into skips.
+    full, _ = mixed_reference(iwasawa.iwasawa_algebra(), 30, 5, which)
+    real = getattr(iwasawa, check)
+
+    def reject_every_third(*args):
+        ok = np.array(real(*args))
+        ok[::3] = False
+        return ok
+
+    monkeypatch.setattr(iwasawa, check, reject_every_third)
+    cloud, rep = iwasawa.mixed_classes_over(30, 5, which)
+    assert (rep["produced"], rep["skipped"]) == (20, 10)
+    assert np.max(np.abs(cloud.points - full[np.arange(30) % 3 != 0])) <= 1e-15
+
+
+def test_mixed_raises_on_a_structure_that_is_not_complex(monkeypatch):
+    coeffs = iwasawa._asd_edge_coeffs
+    monkeypatch.setattr(iwasawa, "_asd_edge_coeffs", lambda *abc: 2.0 * coeffs(*abc))
+    with pytest.raises(WrongClass):
+        iwasawa.mixed_classes_over(10, 5, "K")
+
+
+def test_asd_edge_form_matches_twoform_arithmetic():
+    e = TwoForm.basis
+    grid = iwasawa.asd_edge_grid(11) + [(0.0, -0.0, 1.0), (-0.0, 0.6, -0.8), (-0.6, 0.0, -0.8)]
+    for a, b, c in grid:
+        expected = (a * (e(1, 2) - e(3, 4)) + b * (e(1, 3) - e(4, 2))
+                    + c * (e(1, 4) - e(2, 3)) - e(5, 6))
+        got = iwasawa.asd_edge_form(a, b, c)
+        assert [(x, np.signbit(x)) for x in got.coeffs] == \
+            [(x, np.signbit(x)) for x in expected.coeffs]
+
+
+def test_d_two_form_matches_coefficient_loop(algebra):
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        beta = TwoForm(tuple(rng.standard_normal(15)))
+        bmat = np.array([[beta.coefficient(a, b) for b in range(1, 7)] for a in range(1, 7)])
+        t = np.einsum("mij,mk->ijk", algebra.c, bmat)
+        expected = -t + np.einsum("ijk->ikj", t) - np.einsum("ijk->jki", t)
+        assert np.array_equal(iwasawa.d_two_form(algebra, beta), expected)
