@@ -405,7 +405,7 @@ RUNS = {
     ("klein", "edge-prism"): Run(_suite_edge_prism, ("n", "seed"),
                                  lambda cloud: klein.prism_region()),
     ("klein", "square"): Run(_suite_square, ("n", "seed"),
-                             lambda cloud: polytopes.hull(cloud.points, exact=False)),
+                             lambda cloud: klein.square_region()),
     ("iwasawa", "scan-complex"): Run(lambda **kw: iwasawa.scan_complex(**kw),
                                      ("n", "seed", "tol")),
     ("iwasawa", "scan-k"): Run(lambda **kw: iwasawa.scan_K(**kw), ("n", "seed")),

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.linalg
 
 from . import weyl
 from .errors import InvalidRotation, NonConvergence, WeightNotTraceFree
@@ -226,91 +227,44 @@ class EigenSplit:
         return total
 
 
-def _cluster(values, tol):
-    groups = []
-    current = [0]
-    for k in range(1, len(values)):
-        if values[k] - values[current[-1]] <= tol:
-            current.append(k)
-        else:
-            groups.append(current)
-            current = [k]
-    groups.append(current)
-    # Rotation rates pair up, so every cluster must have even size; merge any
-    # odd cluster with its nearest neighbour (an artefact of too-tight tol).
-    k = 0
-    while k < len(groups):
-        if len(groups[k]) % 2 == 1:
-            if k + 1 < len(groups):
-                groups[k] = groups[k] + groups.pop(k + 1)
-            else:
-                groups[k - 1] = groups[k - 1] + groups.pop(k)
-                k -= 1
-        else:
-            k += 1
-    return groups
-
-
 def eigen_split(form, tol: float = 1e-9) -> EigenSplit:
     """Split R^6 into three orthogonal invariant 2-planes of the form.
 
-    Computed from the symmetric positive-semidefinite matrix -F^2.  Each
-    plane is oriented so F acts by a non-negative rotation, then the frame is
-    forced to det = +1 by flipping the last plane if needed, and finally the
+    Read off the real Schur form F = Z T Z^T: F is skew, hence normal, so T
+    is block diagonal (Golub & Van Loan, Matrix Computations, 7.4) and each
+    2x2 block k is the plane (Z[:, k], Z[:, k+1]) with value v^T F u, made
+    non-negative by the sign of v.  The 1x1 blocks and the blocks with
+    |value| <= tol * max(1, largest value) are the kernel, paired in order.
+    Kernel planes come first and the others ascend by value; the frame is
+    then forced to det = +1 by flipping the last plane if needed, and the
     planes are permuted/reflected so the signed values equal the chamber
-    triple (z >= x >= |y|) in slot order.
+    triple (z >= x >= |y|) in slot order.  Kernel values are +0.0.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     F = form.endomorphism() if isinstance(form, TwoForm) else np.asarray(form, dtype=float)
-    M = -F @ F
     try:
-        _, Q = np.linalg.eigh(M)
+        T, Z = scipy.linalg.schur(F, output="real")
     except np.linalg.LinAlgError as exc:
-        raise NonConvergence("eigensolve on -F^2 failed") from exc
-    # Rotation rate per eigenvector, measured directly on F: |F q| avoids the
-    # sqrt-amplified noise of the -F^2 eigenvalues near the kernel.
-    lam = np.linalg.norm(F @ Q, axis=0)
-    order = np.argsort(lam, kind="stable")
-    lam = lam[order]
-    Q = Q[:, order]
-    scale = max(1.0, float(lam[-1]))
-    res = tol * scale
-    planes = []
-    for group in _cluster(list(lam), res):
-        basis = [Q[:, k].copy() for k in group]
-        level = float(np.mean(lam[group]))
-        if level <= res:
-            # Kernel block: F vanishes here, pair the basis vectors as-is.
-            for a in range(0, len(basis), 2):
-                planes.append((basis[a], basis[a + 1], 0.0))
+        raise NonConvergence("real Schur decomposition of F failed") from exc
+    kernel = []
+    blocks = []
+    k = 0
+    while k < 6:
+        if k == 5 or T[k + 1, k] == 0.0:
+            kernel.append(Z[:, k])
+            k += 1
             continue
-        while basis:
-            u = basis.pop(0)
-            u = u / np.linalg.norm(u)
-            fu = F @ u
-            value = float(np.linalg.norm(fu))
-            v = fu / value
-            v = v - (v @ u) * u
-            v = v / np.linalg.norm(v)
-            planes.append((u, v, value))
-            reduced = []
-            for b in basis:
-                b = b - (b @ u) * u - (b @ v) * v
-                nb = np.linalg.norm(b)
-                if nb > 0.5:  # basis vectors stay near unit after projection
-                    reduced.append(b / nb)
-            # Re-orthonormalise what is left.
-            out = []
-            for b in reduced:
-                for c in out:
-                    b = b - (b @ c) * c
-                nb = np.linalg.norm(b)
-                if nb > 1e-6:
-                    out.append(b / nb)
-            basis = out
-    if len(planes) != 3:
-        raise NonConvergence(f"expected 3 invariant planes, found {len(planes)}")
+        u, v = Z[:, k], Z[:, k + 1]
+        value = float(v @ F @ u)
+        if value < 0:
+            v, value = -v, -value
+        blocks.append((u, v, value))
+        k += 2
+    res = tol * max([1.0] + [value for _, _, value in blocks])
+    kernel += [c for u, v, value in blocks if value <= res for c in (u, v)]
+    planes = [(kernel[a], kernel[a + 1], 0.0) for a in range(0, len(kernel), 2)]
+    planes += sorted((b for b in blocks if b[2] > res), key=lambda b: b[2])
     frame = np.column_stack([c for u, v, _ in planes for c in (u, v)])
     if np.linalg.det(frame) < 0:
         u, v, value = planes[-1]
@@ -322,8 +276,9 @@ def eigen_split(form, tol: float = 1e-9) -> EigenSplit:
         j = next(k for k in range(3) if w[i][k] != 0)
         sign = w[i][j]
         u, v, value = planes[j]
+        # + 0.0 turns the -0.0 of a reflected kernel plane into +0.0.
         ordered.append(
-            InvariantPlane(tuple(u), tuple(sign * v), sign * value)
+            InvariantPlane(tuple(u), tuple(sign * v), sign * value + 0.0)
         )
     return EigenSplit(tuple(ordered))
 

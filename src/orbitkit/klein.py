@@ -330,3 +330,14 @@ def square_fiber_form(u, v, t: float) -> TwoForm:
 def square_fiber_points(u, v, t: float) -> tuple[float, float, float]:
     """Moment image of the central-square fibre construction."""
     return moment.mu_t(square_fiber_form(u, v, t))
+
+
+def square_region() -> polytopes.Polytope:
+    """Tetrahedron conv{(2a, a w, w) : a, w = +-1}, facets (+-1, +-2, +-2) . p <= 2.
+
+    It holds every square image ((1 + t) a, t a w, t w), |a|, |w| <= 1 and
+    0 <= t <= 1: a facet functional is bilinear in (a, w), so it peaks at a
+    corner, and affine in t there, so it peaks at t = 0 (value 1) or at a
+    vertex (t = 1).
+    """
+    return polytopes.hull([(2 * a, a * w, w) for a in (1, -1) for w in (1, -1)])

@@ -583,88 +583,61 @@ def _cramer_exact(rows, rhs):
     return tuple(sols)
 
 
-def _cramer_float(rows, rhs):
-    A = np.array(rows, dtype=float)
-    det = np.linalg.det(A)
-    if abs(det) <= 1e-12 * max(1.0, np.max(np.abs(A)) ** 3):
-        return None
-    return tuple(np.linalg.solve(A, np.array(rhs, dtype=float)))
-
-
-def _feasible_vertices(facets, exact, tol):
-    solver = _cramer_exact if exact else _cramer_float
+def _feasible_vertices(facets):
     found = []
     for f, g, h in itertools.combinations(facets, 3):
-        sol = solver((f.normal, g.normal, h.normal), (f.offset, g.offset, h.offset))
-        if sol is None:
-            continue
-        if exact:
-            if all(_dot(c.normal, sol) <= c.offset for c in facets):
-                found.append(sol)
-        else:
-            ok = all(
-                float(_dot(c.normal, sol)) - float(c.offset)
-                <= tol * _float_norm(c.normal)
-                for c in facets
-            )
-            if ok:
-                found.append(sol)
-    if exact:
-        return sorted(set(found))
-    out = []
-    for p in found:
-        if not any(max(abs(p[k] - q[k]) for k in range(3)) <= 10 * tol for q in out):
-            out.append(p)
-    return out
+        sol = _cramer_exact((f.normal, g.normal, h.normal), (f.offset, g.offset, h.offset))
+        if sol is not None and all(_dot(c.normal, sol) <= c.offset for c in facets):
+            found.append(sol)
+    return sorted(set(found))
 
 
-def intersect(P: Polytope, Q: Polytope, tol: float = 1e-9) -> Polytope:
-    """Intersection of two full-dimensional polytopes.
+def _exact_halfspace(normal, offset) -> Facet:
+    if not (all(_is_exact_scalar(c) for c in normal) and _is_exact_scalar(offset)):
+        raise ValueError("normal and offset must be int or Fraction")
+    return Facet(tuple(normal), Fraction(offset))
+
+
+def intersect(P: Polytope, Q: Polytope) -> Polytope:
+    """Intersection of two exact full-dimensional polytopes.
 
     Raises EmptyIntersection when the halfspace systems share no point;
     empty-interior intersections come back with dim < 3.
     """
-    if P.dim != 3 or Q.dim != 3:
-        raise ValueError("intersect requires two 3-dimensional polytopes")
-    exact = P.exact and Q.exact
-    combined = list(P.facets) + list(Q.facets)
-    verts = _feasible_vertices(combined, exact, tol)
+    if P.dim != 3 or Q.dim != 3 or not (P.exact and Q.exact):
+        raise ValueError("intersect requires two exact 3-dimensional polytopes")
+    verts = _feasible_vertices(list(P.facets) + list(Q.facets))
     if not verts:
         raise EmptyIntersection("polytopes do not meet")
-    return hull(verts, exact=exact, tol=tol)
+    return _hull_exact(verts)
 
 
-def clip(P: Polytope, normal, offset, tol: float = 1e-9) -> Polytope:
-    """Intersection of a 3-polytope with the halfspace normal . p <= offset."""
-    if P.dim != 3:
-        raise ValueError("clip requires a 3-dimensional polytope")
-    exact = P.exact and all(_is_exact_scalar(c) for c in normal) and _is_exact_scalar(offset)
-    extra = Facet(tuple(normal), Fraction(offset) if exact else float(offset))
-    combined = list(P.facets) + [extra]
-    verts = _feasible_vertices(combined, exact, tol)
+def clip(P: Polytope, normal, offset) -> Polytope:
+    """Intersection of an exact 3-polytope with the halfspace normal . p <= offset
+    (int or Fraction coefficients)."""
+    if P.dim != 3 or not P.exact:
+        raise ValueError("clip requires an exact 3-dimensional polytope")
+    verts = _feasible_vertices(list(P.facets) + [_exact_halfspace(normal, offset)])
     if not verts:
         raise EmptyIntersection("halfspace misses the polytope")
-    return hull(verts, exact=exact, tol=tol)
+    return _hull_exact(verts)
 
 
-def section(P: Polytope, normal, offset, tol: float = 1e-9) -> Polytope:
-    """Slice of a 3-polytope by the plane normal . p = offset (dim <= 2).
+def section(P: Polytope, normal, offset) -> Polytope:
+    """Slice of an exact 3-polytope by the plane normal . p = offset (int or
+    Fraction coefficients; dim <= 2).
 
     The plane enters as the facet pair normal . p <= offset and
     -normal . p <= -offset, so every feasible vertex lies on it.
     """
-    if P.dim != 3:
-        raise ValueError("section requires a 3-dimensional polytope")
-    exact = P.exact and all(_is_exact_scalar(c) for c in normal) and _is_exact_scalar(offset)
-    if exact:
-        plane = Facet(tuple(normal), Fraction(offset))
-    else:
-        plane = Facet(tuple(float(c) for c in normal), float(offset))
+    if P.dim != 3 or not P.exact:
+        raise ValueError("section requires an exact 3-dimensional polytope")
+    plane = _exact_halfspace(normal, offset)
     flipped = Facet(_neg(plane.normal), -plane.offset)
-    cand = _feasible_vertices(list(P.facets) + [plane, flipped], exact, tol)
+    cand = _feasible_vertices(list(P.facets) + [plane, flipped])
     if not cand:
         raise EmptySection("plane misses the polytope")
-    return hull(cand, exact=exact, tol=tol)
+    return _hull_exact(cand)
 
 
 def polytopes_close(P: Polytope, Q: Polytope, tol: float = 1e-9) -> bool:

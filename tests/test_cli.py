@@ -8,7 +8,8 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from orbitkit import cli
+from orbitkit import cli, moment
+from orbitkit.forms import TwoForm, conjugate
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs",
                            "runreport.schema.json")
@@ -40,6 +41,16 @@ def test_classify_report(capsys, form_file):
     assert report["metrics"]["class"] == "PPlus"
     assert report["metrics"]["canonical"] == [1.0, 1.0, 1.0]
     assert report["metrics"]["stabilizer_dim"] == 9
+
+
+def test_classify_near_degenerate_pplus(capsys, tmp_path):
+    R = moment.haar_rotations(1, 77, start=1388)[0]
+    form = conjugate(TwoForm.from_cartan((1, 1.000000003, 1)), R)
+    path = tmp_path / "pplus.json"
+    path.write_text(json.dumps(form.to_dict()))
+    code, report = run_cli(capsys, "classify", "--form", str(path))
+    assert code == 0
+    assert report["metrics"]["class"] == "PPlus"
 
 
 def test_classify_zero_form(capsys, tmp_path):
@@ -203,8 +214,16 @@ def test_klein_commands(capsys, tmp_path):
     assert code == 0
     assert report["pass"]
     assert os.path.exists(str(out) + ".facets.json")
-    code, report = run_cli(capsys, "klein", "square", "--n", "100")
+    out = tmp_path / "square.csv"
+    code, report = run_cli(capsys, "klein", "square", "--n", "100",
+                           "--out", str(out))
     assert code == 0
+    region = json.loads((tmp_path / "square.csv.facets.json").read_text())
+    assert region["exact"] is True
+    rows = [[float(c) for c in ln.split(",")] for ln in out.read_text().splitlines()[2:]]
+    assert len(rows) == 100
+    assert max(sum(a * b for a, b in zip(f["normal"], row)) - f["offset"]
+               for f in region["facets"] for row in rows) <= 1e-9
 
 
 def test_export(capsys, form_file, tmp_path):

@@ -1,7 +1,11 @@
 """2-form algebra: endomorphisms, eigen-splitting, classification, pairings."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from orbitkit import forms, moment
 from orbitkit.errors import InvalidRotation, WeightNotTraceFree
@@ -179,6 +183,54 @@ def test_classify_rotation_invariant():
         f = TwoForm(tuple(rng.standard_normal(15)))
         c0 = classify(f)
         assert classify(conjugate(f, haar(123, k))) is c0
+
+
+def test_eigen_split_near_degenerate_conjugates():
+    # The -F^2 eigenvector clustering found 4 planes here and rebuilt the
+    # second form only to 1.5e-8, with a frame orthonormal to 6.7e-9.
+    R = haar(77, 1388)
+    f = conjugate(TwoForm.from_cartan((1, 1.000000003, 1)), R)
+    assert classify_full(f).orbit_class is OrbitClass.P_PLUS
+    g = conjugate(TwoForm.from_cartan((3, 2, 3.00000002)), R)
+    split = eigen_split(g)
+    frame = split.frame()
+    assert np.max(np.abs(split.reconstruct().as_array() - g.as_array())) <= 1e-12
+    assert np.max(np.abs(frame.T @ frame - np.eye(6))) <= 1e-12
+
+
+#: Every orbit pattern of CLASS_CASES plus near-degenerate triples.
+SPLIT_PATTERNS = [triple for triple, _ in CLASS_CASES] + [
+    (1, 5e-9, 1), (1, -5e-9, 1), (1, 1, 1 + 3e-9), (3, 2, 3 + 2e-8),
+]
+
+
+@given(st.sampled_from(SPLIT_PATTERNS), st.integers(-6, 6),
+       st.integers(0, 2**32 - 1), st.integers(0, 10**6))
+def test_eigen_split_of_haar_conjugates(triple, decade, seed, index):
+    f = TwoForm.from_cartan(tuple(10.0**decade * c for c in triple))
+    g = conjugate(f, haar(seed, index))
+    split = eigen_split(g)
+    frame = split.frame()
+    assert np.max(np.abs(frame.T @ frame - np.eye(6))) <= 1e-12
+    assert abs(np.linalg.det(frame) - 1.0) <= 1e-12
+    x, y, z = split.values
+    assert z >= x >= abs(y)
+    G = g.endomorphism()
+    scale = max(1.0, z)
+    for plane in split.planes:
+        if abs(plane.value) > 1e-9 * scale:
+            u, v = np.array(plane.u), np.array(plane.v)
+            assert np.max(np.abs(G @ u - plane.value * v)) <= 1e-12 * scale
+            assert np.max(np.abs(G @ v + plane.value * u)) <= 1e-12 * scale
+    assert classify(g) is classify(f)
+
+
+def test_kernel_values_are_positive_zeros():
+    for triple in ((0, 0, 1), (1, 0, 1), (0, 0, -1), (1, 0, 2), (0, 0, 0)):
+        for k in range(20):
+            f = conjugate(TwoForm.from_cartan(triple), haar(5, k))
+            for value in eigen_split(f).values + canonical_triple(f):
+                assert value != 0.0 or math.copysign(1.0, value) == 1.0
 
 
 def test_conjugate_identity_and_invariant_plane():

@@ -2,20 +2,21 @@
 
 The files under tests/golden/ pin the promise that identical parameters
 reproduce byte-identical CSV, OFF and facet-JSON files.  They were written
-with numpy 2.4.6, scipy 1.17.1 and OpenBLAS 0.3.31 (Python 3.11); the float
-facet JSON of `klein square` goes through qhull and the samplers through
-LAPACK QR, so another numpy/OpenBLAS build may legitimately differ in the
-last bits.  A change that alters the bytes on purpose (a new stream scheme,
-say) re-pins them with
+with numpy 2.4.6, scipy 1.17.1 and OpenBLAS 0.3.31 (Python 3.11).  The
+samplers go through LAPACK QR, and the y and z columns of `klein square`
+follow the kernel frame of the form's invariant planes, i.e. LAPACK's real
+Schur vectors, so another numpy/scipy/OpenBLAS build may legitimately differ
+in the last bits.  A change that alters the bytes on purpose (a new stream
+scheme, say) re-pins them with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says so in CHANGES.md.
+which rewrites only the fixtures whose bytes changed and prints `changed` or
+`unchanged` for each; the change says in CHANGES.md which moved and why.
 """
 
 import json
 import os
-import sys
 from contextlib import redirect_stdout
 from io import StringIO
 
@@ -91,6 +92,12 @@ if __name__ == "__main__":
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             for fixture, data in run_case(case, tmp).items():
-                with open(os.path.join(GOLDEN, fixture), "wb") as fh:
-                    fh.write(data)
-                print(fixture, len(data), file=sys.stderr)
+                path = os.path.join(GOLDEN, fixture)
+                old = None
+                if os.path.exists(path):
+                    with open(path, "rb") as fh:
+                        old = fh.read()
+                if data != old:
+                    with open(path, "wb") as fh:
+                        fh.write(data)
+                print(fixture, "unchanged" if data == old else "changed")

@@ -195,6 +195,20 @@ def test_clip():
     assert len(C.vertices) == 5
 
 
+def test_set_operations_take_only_exact_input():
+    O = hull(OCTA_POINTS)
+    float_O = hull(OCTA_POINTS, exact=False)
+    with pytest.raises(ValueError):
+        intersect(O, float_O)
+    with pytest.raises(ValueError):
+        polytopes.clip(float_O, (0, 0, 1), 0)
+    with pytest.raises(ValueError):
+        polytopes.clip(O, (0.0, 0, 1), 0)
+    with pytest.raises(ValueError):
+        section(O, (0, 0, 1), 0.5)
+    assert section(O, (0, 0, 1), Fraction(1, 2)).dim == 2
+
+
 def test_float_hull_simplex_cloud():
     rng = np.random.default_rng(0)
     # Random points inside the octahedron plus its exact vertices.
