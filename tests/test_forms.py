@@ -186,8 +186,8 @@ def test_classify_rotation_invariant():
 
 
 def test_eigen_split_near_degenerate_conjugates():
-    # The -F^2 eigenvector clustering found 4 planes here and rebuilt the
-    # second form only to 1.5e-8, with a frame orthonormal to 6.7e-9.
+    # Near-equal rates: the split must still find three planes, and its
+    # frame and reconstruction must hold to rounding.
     R = haar(77, 1388)
     f = conjugate(TwoForm.from_cartan((1, 1.000000003, 1)), R)
     assert classify_full(f).orbit_class is OrbitClass.P_PLUS
