@@ -1,5 +1,8 @@
 """Moment map, Haar sampling, moment polytopes, stabilizers, singular values."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +130,123 @@ def test_haar_column_means_small():
     R = moment.haar_rotations(10000, 2024)
     means = R.mean(axis=0)
     assert np.max(np.abs(means)) < 0.05
+
+
+#: The 12 roots +-e_i +- e_j of so(6).
+ROOTS = tuple(tuple(s if k == i else t if k == j else 0 for k in range(3))
+              for i in range(3) for j in range(i + 1, 3) for s in (1, -1) for t in (1, -1))
+#: Generic directions: distinct nonzero |xi_i|, so no root is orthogonal to xi.
+DH_DIRECTIONS = (
+    (Fraction(1, 5), Fraction(-1, 2), Fraction(1)),
+    (Fraction(2, 3), Fraction(1, 4), Fraction(-1)),
+)
+#: The chamber points of `verify ags`.
+AGS_LAMBDAS = ((1, 1, 1), (1, -1, 1), (0, 0, 1), (1, 1, 2), (1, -1, 2), (2, 1, 2),
+               (1, Fraction(1, 2), 2))
+#: Kolmogorov-Smirnov bound c(alpha) / sqrt(n) at alpha = 1e-6, n = 20000.
+KS_N = 20000
+KS_BOUND = np.sqrt(-np.log(1e-6 / 2) / 2) / np.sqrt(KS_N)
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def dh_marginal_cdf(lam, xi):
+    """Exact CDF of <mu, xi> under the Duistermaat-Heckman measure of the
+    orbit of lam (the Haar push-forward): (M, F) with
+
+        F(s) = sum_p (s - <p, xi>)_+^M / (M! prod_{beta: <beta, p> > 0} <beta, xi>)
+
+    over the distinct points p of W.lam, normalised to F = 1 above the top
+    breakpoint; M is the number of roots positive on p (half the orbit's
+    dimension).  F takes a Fraction (exact) or a float array."""
+    lam = tuple(Fraction(c) for c in lam)
+    terms = []
+    for p in weyl.weyl_orbit(lam):
+        up = [b for b in ROOTS if _dot(b, p) > 0]
+        weight = Fraction(1)
+        for b in up:
+            weight *= _dot(b, xi)
+        terms.append((_dot(p, xi), 1 / (math.factorial(len(up)) * weight), len(up)))
+    M = terms[0][2]
+    assert all(m == M for _, _, m in terms)
+    top = max(a for a, _, _ in terms)
+    total = sum(c * (top - a) ** M for a, c, _ in terms)
+
+    def F(s):
+        if isinstance(s, Fraction):
+            return sum(c / total * max(s - a, 0) ** M for a, c, _ in terms)
+        return sum(float(c / total) * np.maximum(s - float(a), 0.0) ** M
+                   for a, c, _ in terms)
+
+    return M, F
+
+
+def ks_distance(F, x):
+    """Kolmogorov-Smirnov distance between the sample x and the CDF F."""
+    x = np.sort(x)
+    f = F(x)
+    k = np.arange(1, len(x) + 1)
+    return max(float(np.max(k / len(x) - f)), float(np.max(f - (k - 1) / len(x))))
+
+
+def test_dh_cdf_of_the_tetrahedron_orbit_is_uniform():
+    # The orbit of (1, 1, 1) is CP^3; its moment image is uniform on the
+    # tetrahedron W.(1, 1, 1), whose linear marginals have the divided
+    # difference CDF sum_i (s - a_i)_+^3 / prod_{j != i} (a_j - a_i).
+    for lam in ((1, 1, 1), (1, -1, 1)):
+        for xi in DH_DIRECTIONS:
+            M, F = dh_marginal_cdf(lam, xi)
+            assert M == 3
+            a = [_dot(p, xi) for p in weyl.weyl_orbit(tuple(map(Fraction, lam)))]
+            assert len(set(a)) == 4
+            for s in (min(a) - 1, *a, Fraction(-1, 3), Fraction(2, 7), max(a) + 1):
+                want = Fraction(0)
+                for i, ai in enumerate(a):
+                    den = Fraction(1)
+                    for j, aj in enumerate(a):
+                        if j != i:
+                            den *= aj - ai
+                    want += max(s - ai, 0) ** 3 / den
+                assert F(s) == want
+            assert F(min(a)) == 0 and F(max(a)) == 1
+
+
+def test_dh_cdf_degrees_and_monotonicity():
+    # M = 6 generic, 5 on the (1, 1, 2) walls, 4 for (0, 0, 1), 3 for (1, +-1, 1).
+    degrees = dict(zip(AGS_LAMBDAS, (3, 3, 4, 5, 5, 5, 6)))
+    for lam, M in degrees.items():
+        got, F = dh_marginal_cdf(lam, DH_DIRECTIONS[0])
+        assert got == M
+        # In floats the power sum cancels to about 1e-11 above the top point.
+        s = np.linspace(-6.0, 6.0, 2001)
+        f = F(s)
+        assert np.all(np.diff(f) >= -1e-9)
+        assert f[0] == 0.0 and abs(f[-1] - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("lam", AGS_LAMBDAS, ids=str)
+def test_orbit_samples_follow_the_duistermaat_heckman_law(lam):
+    for seed in (0, 1):
+        pts = moment.orbit_samples(lam, KS_N, seed).points[:KS_N]
+        for xi in DH_DIRECTIONS:
+            _, F = dh_marginal_cdf(lam, xi)
+            d = ks_distance(F, pts @ np.array(xi, dtype=float))
+            assert d <= KS_BOUND, (seed, xi, d)
+
+
+def test_duistermaat_heckman_gate_rejects_unsigned_qr():
+    # LAPACK Q without the R-diagonal sign fix is not Haar distributed.
+    g = moment.normals(0, KS_N, 36).reshape(KS_N, 6, 6)
+    q = np.linalg.qr(g)[0]
+    q[np.linalg.det(q) < 0, :, 0] *= -1.0
+    minors = moment.cartan_minors(q)
+    for lam in AGS_LAMBDAS:
+        pts = minors @ np.array(lam, dtype=float)
+        d = max(ks_distance(dh_marginal_cdf(lam, xi)[1], pts @ np.array(xi, dtype=float))
+                for xi in DH_DIRECTIONS)
+        assert d > KS_BOUND, (lam, d)
 
 
 def test_orbit_samples_contained():
