@@ -343,7 +343,9 @@ def _suite_square(n: int, seed: int, tol: float = 1e-9):
     worst_contain = max(0.0, float(np.max(moment.moment_violations(triples, pts))))
     example = klein.square_fiber_points((1, 0, 0), (1, 0, 0), 1.0)
     example_ok = max(abs(example[0] - 2), abs(example[1] - 1), abs(example[2] - 1)) < 1e-12
-    ok = worst_z <= tol and worst_limit <= tol and worst_contain <= tol and example_ok
+    all_in_region = klein.square_region_test(pts)
+    ok = (worst_z <= tol and worst_limit <= tol and worst_contain <= tol and example_ok
+          and all_in_region)
     cloud = moment.SampleCloud(seed, np.array(pts),
                                f"source=klein_square n={n} seed={seed}")
     return cloud, {
@@ -351,6 +353,7 @@ def _suite_square(n: int, seed: int, tol: float = 1e-9):
         "max_z_identity_residual": float(worst_z),
         "max_square_limit_violation": float(worst_limit),
         "max_orbit_containment_violation": float(worst_contain),
+        "all_in_region": all_in_region,
         "n": n,
         "points": len(pts),
     }

@@ -1,16 +1,15 @@
 """Toric moment map, Haar orbit sampling, moment polytopes and singular values.
 
-Every Monte-Carlo draw comes from one batched counter-based generator,
+Every Monte-Carlo draw comes from one counter-based generator,
 Philox-4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
-3", SC'11), evaluated over numpy arrays.  Sample k of a run with seed s is
-keyed (s mod 2^64, k mod 2^64); its words are the outputs of counters 1, 2,
-3, ... in the first counter lane, four words per counter, so they equal
-`np.random.Philox(key=[s, k]).random_raw(m)`.  Each call site takes a fixed
-number of words per sample (36 for a Haar rotation), so sample k is the same
-whichever batch it is drawn in, and a batch split by `start` is
-bit-identical to the whole.  Uniforms are (w >> 11) * 2^-53; normals come
-from Box-Muller on word pairs.  Sample files carry the tag
-`stream=philox4x64-10` in their header.
+3", SC'11), run by numpy's native `np.random.Philox`.  A run with seed s is
+keyed (s mod 2^64, 0).  A call site that takes m words per sample (36 for a
+Haar rotation) gives sample k the b = ceil(m / 4) counter blocks k b + 1, ...,
+(k + 1) b, four words each, of which it keeps the first m.  So sample k's
+words depend only on (s, k): it is the same whichever batch it is drawn in,
+and a batch split by `start` is bit-identical to the whole.  Uniforms are
+(w >> 11) * 2^-53; normals come from Box-Muller on word pairs.  Sample files
+carry the tag `stream=philox4x64-10-ctr` in their header.
 
 By Kostant ("On convexity, the Weyl group and the Iwasawa decomposition",
 1973), p lies in the moment polytope conv(W.lam) iff <w.omega_i, p> <=
@@ -32,43 +31,20 @@ from .errors import ToleranceExceeded
 from .forms import E12, E34, E56, PAIRS, TwoForm, endomorphisms
 
 #: Name of the sampling scheme, written into every sample CSV header.
-STREAM = "philox4x64-10"
+STREAM = "philox4x64-10-ctr"
 
 _MASK64 = (1 << 64) - 1
-#: Philox-4x64 round multipliers and Weyl key increments.
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
-_LO32 = np.uint64(0xFFFFFFFF)
-_S32 = np.uint64(32)
-
-
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high words of the 128-bit products m * x, from 32-bit halves."""
-    m0, m1 = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    x0, x1 = x & _LO32, x >> _S32
-    p01 = m0 * x1
-    p10 = m1 * x0
-    mid = ((m0 * x0) >> _S32) + (p01 & _LO32) + (p10 & _LO32)
-    hi = m1 * x1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32)
-    return np.uint64(m) * x, hi
 
 
 def stream(seed: int, n: int, m: int, start: int = 0) -> np.ndarray:
     """(n, m) uint64 words: row k is the first m words of sample start + k,
-    Philox-4x64-10 keyed (seed, start + k) mod 2^64 over counters 1, 2, ..."""
+    i.e. of the counter blocks (start + k) b + 1, ..., (start + k + 1) b of
+    Philox-4x64-10 keyed (seed mod 2^64, 0), with b = ceil(m / 4)."""
+    if start < 0:
+        raise ValueError("start must be nonnegative")
     blocks = -(-m // 4)
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (n, blocks))
-    c1 = c2 = c3 = np.zeros((n, blocks), dtype=np.uint64)
-    k1 = (np.arange(n, dtype=np.uint64) + np.uint64(int(start) & _MASK64))[:, None]
-    k0 = int(seed) & _MASK64
-    for r in range(_PHILOX_ROUNDS):
-        key0 = np.uint64((k0 + r * _PHILOX_W[0]) & _MASK64)
-        key1 = k1 + np.uint64((r * _PHILOX_W[1]) & _MASK64)
-        lo0, hi0 = _mulhilo(_PHILOX_M[0], c0)
-        lo1, hi1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
-    return np.stack([c0, c1, c2, c3], axis=-1).reshape(n, 4 * blocks)[:, :m]
+    bits = np.random.Philox(key=int(seed) & _MASK64, counter=int(start) * blocks)
+    return bits.random_raw(n * 4 * blocks).reshape(n, 4 * blocks)[:, :m]
 
 
 def uniforms(w: np.ndarray) -> np.ndarray:
@@ -114,15 +90,19 @@ def cartan_minors(R: np.ndarray) -> np.ndarray:
 def haar_rotations(n: int, seed: int, start: int = 0) -> np.ndarray:
     """(n, 6, 6) stack of Haar-distributed special orthogonal matrices.
 
-    Gram-Schmidt of a Gaussian matrix (36 normals of sample start + k, row
-    by row) via QR with the R-diagonal sign fix, then a fixed column flip to
+    Classical Gram-Schmidt, projecting twice per column, of a Gaussian
+    matrix (36 normals of sample start + k, row by row): the Q of its QR
+    with positive R diagonal (Mezzadri 2007), then a fixed column flip to
     land in the det = +1 component.
     """
     g = normals(seed, n, 36, start).reshape(n, 6, 6)
-    q, r = np.linalg.qr(g)
-    d = np.sign(np.einsum("nii->ni", r))
-    d[d == 0] = 1.0
-    q = q * d[:, None, :]
+    q = np.empty_like(g)
+    for j in range(6):
+        v = g[:, :, j]
+        for _ in range(2 if j else 0):
+            c = np.einsum("nij,ni->nj", q[:, :, :j], v)
+            v = v - np.einsum("nij,nj->ni", q[:, :, :j], c)
+        q[:, :, j] = v / np.sqrt(np.einsum("ni,ni->n", v, v))[:, None]
     det = np.linalg.det(q)
     q[det < 0, :, 0] *= -1.0
     return q

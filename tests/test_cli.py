@@ -8,7 +8,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from orbitkit import cli, moment
+from orbitkit import cli, klein, moment
 from orbitkit.forms import TwoForm, conjugate
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs",
@@ -224,6 +224,21 @@ def test_klein_commands(capsys, tmp_path):
     assert len(rows) == 100
     assert max(sum(a * b for a, b in zip(f["normal"], row)) - f["offset"]
                for f in region["facets"] for row in rows) <= 1e-9
+
+
+def test_klein_square_fails_on_a_row_outside_its_region(capsys, monkeypatch):
+    code, report = run_cli(capsys, "klein", "square", "--n", "20", "--seed", "5")
+    assert code == 0 and report["metrics"]["all_in_region"]
+    # t = 3 lies beyond the fibre's range (0, 1]: the image (4, 3, 3) is still
+    # a moment image of its own orbit, but it is outside the exported region.
+    draws = klein.fibre_draws(20, 5, klein.SQUARE_T_LO)
+    draws[0] = ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), 3.0)
+    monkeypatch.setattr(klein, "fibre_draws", lambda n, seed, t_lo: draws)
+    code, report = run_cli(capsys, "klein", "square", "--n", "20", "--seed", "5")
+    metrics = report["metrics"]
+    assert code != 0 and not report["pass"] and not metrics["all_in_region"]
+    assert metrics["max_orbit_containment_violation"] <= 1e-9
+    assert metrics["max_z_identity_residual"] <= 1e-9
 
 
 def test_export(capsys, form_file, tmp_path):

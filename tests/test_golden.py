@@ -3,10 +3,10 @@
 The files under tests/golden/ pin the promise that identical parameters
 reproduce byte-identical CSV, OFF and facet-JSON files.  They were written
 with numpy 2.4.6, scipy 1.17.1 and OpenBLAS 0.3.31 (Python 3.11).  The
-samplers go through LAPACK QR, and the y and z columns of `klein square`
-follow the kernel frame of the form's invariant planes, i.e. LAPACK's real
-Schur vectors, so another numpy/scipy/OpenBLAS build may legitimately differ
-in the last bits.  A change that alters the bytes on purpose (a new stream
+samplers go through libm's log, cos and sin (Box-Muller) and numpy's einsum
+sums, and the y and z columns of `klein square` follow the kernel frame of
+the form's invariant planes, i.e. LAPACK's real Schur vectors, so another
+numpy/scipy/OpenBLAS build may legitimately differ in the last bits.  A change that alters the bytes on purpose (a new stream
 scheme, say) re-pins them with
 
     PYTHONPATH=src python tests/test_golden.py

@@ -71,22 +71,29 @@ MASK64 = (1 << 64) - 1
     (0, 0), (3, 17), (2 ** 64 - 1, 2 ** 63 + 5), (-1, 4), (-(2 ** 40) - 3, 9),
 ])
 def test_stream_words_match_numpy_philox(seed, index):
-    # Sample k's words are numpy's Philox(key=[seed mod 2^64, k]) raw output;
-    # a negative seed is masked to 64 bits.
-    key = np.array([seed & MASK64, index], dtype=np.uint64)
-    want = np.random.Philox(key=key).random_raw(13)
+    # Sample k of m words is numpy's Philox keyed (seed mod 2^64, 0) from
+    # counter k b, b = ceil(m / 4); a negative seed is masked to 64 bits.
+    want = np.random.Philox(key=seed & MASK64, counter=index * 4).random_raw(48)
     got = moment.stream(seed, 3, 13, start=index)
     assert got.dtype == np.uint64
-    assert np.array_equal(got[0], want)
-    assert np.array_equal(moment.stream(seed, 1, 5, start=index)[0], want[:5])
-    key[1] += 2
-    assert np.array_equal(got[2], np.random.Philox(key=key).random_raw(13))
+    assert np.array_equal(got, want.reshape(3, 16)[:, :13])
+    short = np.random.Philox(key=seed & MASK64, counter=index * 2).random_raw(8)
+    assert np.array_equal(moment.stream(seed, 1, 5, start=index)[0], short[:5])
 
 
-def test_stream_start_wraps_modulo_two_to_the_64():
-    words = moment.stream(5, 4, 8, start=MASK64 - 1)
-    assert np.array_equal(words[2], moment.stream(5, 1, 8, start=0)[0])
-    assert np.array_equal(words[3], moment.stream(5, 1, 8, start=1)[0])
+def test_stream_batches_split_by_start():
+    whole = moment.stream(11, 100, 13)
+    assert np.array_equal(whole, np.vstack([moment.stream(11, 37, 13),
+                                            moment.stream(11, 63, 13, start=37)]))
+
+
+def test_stream_start_is_unbounded_and_nonnegative():
+    with pytest.raises(ValueError):
+        moment.stream(5, 1, 8, start=-1)
+    start = 2 ** 64 + 3
+    want = np.random.Philox(key=5, counter=start * 2).random_raw(16).reshape(2, 8)
+    assert np.array_equal(moment.stream(5, 2, 8, start=start), want)
+    assert not np.array_equal(want[0], moment.stream(5, 1, 8, start=3)[0])
 
 
 def test_haar_rotations_independent_of_chunking():
@@ -124,6 +131,19 @@ def test_normals_take_their_words_in_pairs():
     assert np.array_equal(moment.normals(9, 50, 4), moment.gaussians(words))
     u = moment.uniforms(words)
     assert u.min() >= 0.0 and u.max() < 1.0
+
+
+def test_haar_rotations_are_the_sign_fixed_lapack_q():
+    # The QR with positive R diagonal is unique: Gram-Schmidt gives the same
+    # Q as LAPACK's with the Mezzadri sign fix, then the same det flip.
+    n = 100_000
+    R = moment.haar_rotations(n, 31)
+    q, r = np.linalg.qr(moment.normals(31, n, 36).reshape(n, 6, 6))
+    q = q * np.sign(np.einsum("nii->ni", r))[:, None, :]
+    q[np.linalg.det(q) < 0, :, 0] *= -1.0
+    assert np.max(np.abs(R - q)) <= 1e-12
+    assert np.max(np.abs(np.einsum("nki,nkj->nij", R, R) - np.eye(6))) <= 1e-14
+    assert np.max(np.abs(np.linalg.det(R) - 1.0)) <= 1e-14
 
 
 def test_haar_column_means_small():
