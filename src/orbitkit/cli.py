@@ -343,7 +343,7 @@ def _suite_square(n: int, seed: int, tol: float = 1e-9):
     worst_contain = max(0.0, float(np.max(moment.moment_violations(triples, pts))))
     example = klein.square_fiber_points((1, 0, 0), (1, 0, 0), 1.0)
     example_ok = max(abs(example[0] - 2), abs(example[1] - 1), abs(example[2] - 1)) < 1e-12
-    all_in_region = klein.square_region_test(pts)
+    all_in_region = bool(np.max(polytopes.violations_many(klein.square_region(), pts)) <= tol)
     ok = (worst_z <= tol and worst_limit <= tol and worst_contain <= tol and example_ok
           and all_in_region)
     cloud = moment.SampleCloud(seed, np.array(pts),

@@ -342,13 +342,3 @@ def square_region() -> polytopes.Polytope:
     """
     return polytopes.hull([(2 * a, a * w, w) for a in (1, -1) for w in (1, -1)])
 
-
-#: Facet normals of `square_region`: (s1, 2 s2, 2 s3) with s1 s2 s3 = -1, offset 2.
-_SQUARE_FACETS = np.array([(1, 2, -2), (1, -2, 2), (-1, 2, 2), (-1, -2, -2)], dtype=float)
-
-
-def square_region_test(p, tol: float = 1e-9) -> bool:
-    """Membership in `square_region` of a point, or of every row of an (n, 3)
-    array, from its closed-form facets (violations scaled by |normal| = 3)."""
-    pts = np.atleast_2d(np.asarray(p, dtype=float))
-    return bool(np.all((pts @ _SQUARE_FACETS.T - 2.0) / 3.0 <= tol))

@@ -305,16 +305,6 @@ def test_prism_region():
         assert klein.prism_region_test(klein.edge_prism_point(*abc, *abg, t))
 
 
-def test_square_region_test_uses_the_region_facets():
-    P = klein.square_region()
-    assert {(f.normal, f.offset) for f in P.facets} == {
-        (tuple(int(c) for c in n), 2) for n in klein._SQUARE_FACETS}
-    assert klein.square_region_test([[float(c) for c in v] for v in P.vertices])
-    assert klein.square_region_test((0.0, 0.0, 0.0))
-    assert not klein.square_region_test((2.0, 1.0, 1.0 + 1e-6))
-    assert klein.square_region_test((2.0, 1.0, 1.0 + 1e-9))
-
-
 def test_square_fiber_examples():
     assert klein.square_fiber_points((1, 0, 0), (1, 0, 0), 1.0) == (2.0, 1.0, 1.0)
     # t -> 0 limit lands on the central square.
