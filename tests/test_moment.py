@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orbitkit import moment, polytopes, weyl
+from orbitkit.cli import AGS_LAMBDAS
 from orbitkit.forms import (
     OrbitClass,
     STABILIZER_DIM,
@@ -160,9 +161,6 @@ DH_DIRECTIONS = (
     (Fraction(1, 5), Fraction(-1, 2), Fraction(1)),
     (Fraction(2, 3), Fraction(1, 4), Fraction(-1)),
 )
-#: The chamber points of `verify ags`.
-AGS_LAMBDAS = ((1, 1, 1), (1, -1, 1), (0, 0, 1), (1, 1, 2), (1, -1, 2), (2, 1, 2),
-               (1, Fraction(1, 2), 2))
 #: Kolmogorov-Smirnov bound c(alpha) / sqrt(n) at alpha = 1e-6, n = 20000.
 KS_N = 20000
 KS_BOUND = np.sqrt(-np.log(1e-6 / 2) / 2) / np.sqrt(KS_N)
