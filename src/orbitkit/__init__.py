@@ -50,7 +50,6 @@ from .polytopes import (
     hull,
     intersect,
     polytope_to_json,
-    polytopes_close,
     section,
     to_off,
 )

@@ -95,16 +95,23 @@ def haar_rotations(n: int, seed: int, start: int = 0) -> np.ndarray:
     with positive R diagonal (Mezzadri 2007), then a fixed column flip to
     land in the det = +1 component.
     """
-    g = normals(seed, n, 36, start).reshape(n, 6, 6)
+    q = _gram_schmidt(normals(seed, n, 36, start).reshape(n, 6, 6))
+    det = np.linalg.det(q)
+    q[det < 0, :, 0] *= -1.0
+    return q
+
+
+def _gram_schmidt(g: np.ndarray) -> np.ndarray:
+    """Orthonormal columns of each matrix of an (n, m, k) stack: classical
+    Gram-Schmidt, projecting twice per column, i.e. the Q of its QR with
+    positive R diagonal."""
     q = np.empty_like(g)
-    for j in range(6):
+    for j in range(g.shape[2]):
         v = g[:, :, j]
         for _ in range(2 if j else 0):
             c = np.einsum("nij,ni->nj", q[:, :, :j], v)
             v = v - np.einsum("nij,nj->ni", q[:, :, :j], c)
         q[:, :, j] = v / np.sqrt(np.einsum("ni,ni->n", v, v))[:, None]
-    det = np.linalg.det(q)
-    q[det < 0, :, 0] *= -1.0
     return q
 
 
@@ -127,7 +134,8 @@ def orbit_samples(lam, n: int, seed: int) -> SampleCloud:
     """Moment images of n Haar conjugates of the Cartan form of lam.
 
     The exact Weyl-orbit images (the torus-fixed points) are appended, so the
-    hull of the cloud coincides with the moment polytope deterministically.
+    hull of the cloud coincides with the moment polytope deterministically
+    (`vertex_gaps` reads 0).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -148,7 +156,7 @@ def moment_polytope(lam) -> polytopes.Polytope:
     """Convex hull of the Weyl orbit, exact rational backend."""
     exact = tuple(Fraction(c) for c in lam)
     chamber, _ = weyl.to_chamber(exact)
-    return polytopes.hull(weyl.weyl_orbit(chamber), exact=True)
+    return polytopes.hull(weyl.weyl_orbit(chamber))
 
 
 #: The 14 facet normals w.omega_i, and the 24 Weyl elements as matrices.
@@ -169,6 +177,19 @@ def moment_violations(lam, points) -> np.ndarray:
     offsets = np.max(images @ _NORMALS.T, axis=-2)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     return np.max((pts @ _NORMALS.T - offsets) / _NORMAL_LENGTHS, axis=1)
+
+
+def vertex_gaps(lam, points) -> np.ndarray:
+    """How far points fall short of each vertex of conv(W.lam): for each of
+    the 24 Weyl images v = w.lam, (|v|^2 - max_x <v, x>) / |v|, and 0 when
+    v = 0.  The images all have the norm |lam|, so v is the unique maximiser
+    of <v, .> on the polytope: a contained cloud whose gaps are all <= tol
+    reaches every vertex, and its hull is the polytope up to O(tol)."""
+    images = _WEYL @ np.asarray(lam, dtype=float)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    gaps = np.einsum("wi,wi->w", images, images) - np.max(pts @ images.T, axis=0)
+    lengths = np.linalg.norm(images, axis=1)
+    return np.divide(gaps, lengths, out=np.zeros(len(images)), where=lengths > 0)
 
 
 #: Endomorphisms of the 15 basis forms, in PAIRS order.
@@ -208,7 +229,7 @@ def singular_value_polytopes(lam) -> tuple[polytopes.Polytope, ...]:
         for w in weyl.weyl_group():
             pts = weyl.singular_vertex_set(lam, w, i)
             seen.setdefault(pts, None)
-    return tuple(polytopes.hull(pts, exact=True) for pts in seen)
+    return tuple(polytopes.hull(pts) for pts in seen)
 
 
 def _require_chamber(lam):
@@ -238,9 +259,7 @@ def verify_singular(lam, i: int, w, n: int, seed: int, tol: float = 1e-9,
     q = weyl.act(w, weyl.FUNDAMENTAL_WEIGHTS[i])
     base = weyl.act(w, lam)
     basis = stabilizer_algebra(TwoForm.from_cartan(q))
-    poly = polytopes.hull(
-        weyl.singular_vertex_set(tuple(Fraction(c) for c in lam), w, i), exact=True
-    )
+    poly = polytopes.hull(weyl.singular_vertex_set(tuple(Fraction(c) for c in lam), w, i))
     Fb = TwoForm.from_cartan(base).endomorphism()
     coords = normals(seed, n, len(basis)) * (np.pi / 2)
     R = exp_skew(np.einsum("kn,nab->kab", coords, basis))
@@ -265,7 +284,8 @@ def monte_carlo_volume_ratio(inner: polytopes.Polytope,
                              outer: polytopes.Polytope,
                              n: int, seed: int, tol: float = 1e-9) -> float:
     """Volume of inner relative to outer by shared uniform sampling of the
-    outer bounding box; sample k is the point of 3 uniforms of stream (seed, k)."""
+    outer bounding box; sample k is the point of 3 uniforms of stream (seed, k).
+    No command calls it: `verify ags` checks vertex reach (`vertex_gaps`)."""
     verts = np.array([[float(c) for c in v] for v in outer.vertices])
     lo = verts.min(axis=0)
     hi = verts.max(axis=0)

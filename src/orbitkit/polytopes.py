@@ -1,10 +1,10 @@
-"""Convex polytopes in R^3 with exact rational and floating-point backends.
+"""Convex polytopes in R^3, computed exactly.
 
-The exact backend (Fraction coordinates, primitive integer facet normals)
-serves Weyl-orbit inputs, where facet systems must come out verbatim; the
-float backend (unit normals, tolerance) serves Monte-Carlo clouds and is
-delegated to qhull.  Degenerate hulls of dimension 0, 1 and 2 are first-class
-values carrying their affine hull as a list of equality constraints.
+Every hull has Fraction vertex coordinates and primitive integer facet
+normals, and every comparison is exact, so the facet systems of Weyl-orbit
+inputs come out verbatim.  Float coordinates are taken at their binary
+values.  Degenerate hulls of dimension 0, 1 and 2 are first-class values
+carrying their affine hull as a list of equality constraints.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.spatial import ConvexHull as _QHull
 
 from .errors import EmptyIntersection, EmptySection
 
@@ -74,8 +73,6 @@ def _lex_positive(vec):
 def _json_number(x):
     """Lossless JSON value: an integer as an int, a rational equal to a float
     as that float, any other rational as the string "p/q"."""
-    if not _is_exact_scalar(x):
-        return float(x)
     p, q = Fraction(x).as_integer_ratio()
     if q == 1:
         return p
@@ -109,28 +106,16 @@ class Polytope:
     vertices: tuple
     facets: tuple
     equalities: tuple
-    exact: bool
 
-    def facet_tight_vertices(self, tol: float = 1e-9):
+    def facet_tight_vertices(self):
         """Per facet, the tuple of vertex indices where it is tight."""
-        out = []
-        for f in self.facets:
-            scale = _float_norm(f.normal)
-            tight = []
-            for k, v in enumerate(self.vertices):
-                if self.exact:
-                    if _dot(f.normal, v) == f.offset:
-                        tight.append(k)
-                else:
-                    if abs(_dot(f.normal, v) - f.offset) <= tol * scale:
-                        tight.append(k)
-            out.append(tuple(tight))
-        return out
+        return [tuple(k for k, v in enumerate(self.vertices) if _dot(f.normal, v) == f.offset)
+                for f in self.facets]
 
-    def edge_count(self, tol: float = 1e-9) -> int:
+    def edge_count(self) -> int:
         if self.dim != 3:
             raise ValueError("edge_count requires a 3-dimensional polytope")
-        total = sum(len(t) for t in self.facet_tight_vertices(tol))
+        total = sum(len(t) for t in self.facet_tight_vertices())
         if total % 2 != 0:
             raise ValueError("inconsistent facet incidence")
         return total // 2
@@ -139,10 +124,6 @@ class Polytope:
 def _float_norm(vec) -> float:
     return math.sqrt(sum(float(c) * float(c) for c in vec))
 
-
-# ---------------------------------------------------------------------------
-# Exact backend
-# ---------------------------------------------------------------------------
 
 def _affine_basis_exact(pts):
     """Indices (p0, p1, p2, p3) realising the affine dimension, greedily."""
@@ -242,7 +223,7 @@ def _hull_exact(points) -> Polytope:
             Facet(axis, Fraction(p[k]))
             for k, axis in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         )
-        return Polytope(0, (p,), (), eqs, True)
+        return Polytope(0, (p,), (), eqs)
 
     p0 = pts[basis[0]]
     if dim == 1:
@@ -261,7 +242,7 @@ def _hull_exact(points) -> Polytope:
                 key=lambda f: (f.normal, f.offset),
             )
         )
-        return Polytope(1, tuple(sorted((lo, hi))), _sort_facets(facets), eqs, True)
+        return Polytope(1, tuple(sorted((lo, hi))), _sort_facets(facets), eqs)
 
     if dim == 2:
         n = _lex_positive(_primitive(_cross(_sub(pts[basis[1]], p0), _sub(pts[basis[2]], p0))))
@@ -278,7 +259,7 @@ def _hull_exact(points) -> Polytope:
         interior = _centroid(ring)
         facets = _polygon_facets_exact(ring, n, interior)
         eqs = (Facet(n, Fraction(_dot(n, p0))),)
-        return Polytope(2, tuple(sorted(ring)), _sort_facets(facets), eqs, True)
+        return Polytope(2, tuple(sorted(ring)), _sort_facets(facets), eqs)
 
     return _hull3_exact(pts, basis)
 
@@ -340,7 +321,7 @@ def _hull3_exact(pts, basis) -> Polytope:
     for p, normals in counts.items():
         if len(normals) >= 3 and _rank3(normals) == 3:
             vertices.append(p)
-    return Polytope(3, tuple(sorted(vertices)), _sort_facets(facet_list), (), True)
+    return Polytope(3, tuple(sorted(vertices)), _sort_facets(facet_list), ())
 
 
 def _rank3(vecs) -> int:
@@ -369,154 +350,29 @@ def _sort_facets(facets):
 
 
 # ---------------------------------------------------------------------------
-# Float backend
-# ---------------------------------------------------------------------------
-
-def _hull_float(points, tol: float) -> Polytope:
-    pts = np.asarray(points, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(pts))))
-    center = pts.mean(axis=0)
-    u, s, vt = np.linalg.svd(pts - center, full_matrices=False)
-    dim = int(np.sum(s > tol * max(scale, 1.0) * 10))
-
-    if dim == 0:
-        p = tuple(center)
-        eqs = tuple(
-            Facet(axis, p[k])
-            for k, axis in enumerate(((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
-        )
-        return Polytope(0, (p,), (), eqs, False)
-
-    if dim == 1:
-        d = vt[0]
-        tvals = pts @ d
-        lo = tuple(pts[np.argmin(tvals)])
-        hi = tuple(pts[np.argmax(tvals)])
-        d = tuple(d)
-        facets = (Facet(d, _dot(d, hi)), Facet(_neg(d), -_dot(d, lo)))
-        n1 = tuple(vt[1])
-        n2 = tuple(vt[2])
-        eqs = tuple(
-            Facet(_lex_positive_float(n), _dot(_lex_positive_float(n), lo))
-            for n in (n1, n2)
-        )
-        return Polytope(1, tuple(sorted((lo, hi))), _sort_facets(facets), eqs, False)
-
-    if dim == 2:
-        normal = _lex_positive_float(tuple(vt[2]))
-        b1, b2 = vt[0], vt[1]
-        proj = np.column_stack([(pts - center) @ b1, (pts - center) @ b2])
-        hull2 = _QHull(proj)
-        ring_idx = list(hull2.vertices)
-        ring = [tuple(pts[k]) for k in ring_idx]
-        interior = _centroid(ring)
-        facets = []
-        m = len(ring)
-        for k in range(m):
-            a, b = ring[k], ring[(k + 1) % m]
-            ne = _cross(normal, _sub(b, a))
-            nn = _float_norm(ne)
-            ne = tuple(c / nn for c in ne)
-            off = _dot(ne, a)
-            if _dot(ne, interior) > off:
-                ne, off = _neg(ne), -off
-            facets.append(Facet(ne, off))
-        eqs = (Facet(normal, _dot(normal, tuple(center))),)
-        return Polytope(2, tuple(sorted(ring)), _sort_facets(facets), eqs, False)
-
-    return _hull3_float(pts, tol, scale)
-
-
-def _lex_positive_float(vec):
-    for c in vec:
-        if abs(c) > 1e-14:
-            return vec if c > 0 else _neg(vec)
-    return vec
-
-
-def _hull3_float(pts, tol, scale) -> Polytope:
-    hull = _QHull(pts)
-    eqs = hull.equations  # n . x + b <= 0, |n| = 1
-    nf = len(eqs)
-    parent = list(range(nf))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    angle_tol = 1e-7
-    for f, nbrs in enumerate(hull.neighbors):
-        for g in nbrs:
-            if g < 0:
-                continue
-            if np.dot(eqs[f, :3], eqs[g, :3]) > 1.0 - angle_tol and \
-               abs(eqs[f, 3] - eqs[g, 3]) <= 10 * tol * scale:
-                union(f, int(g))
-
-    groups = {}
-    for f in range(nf):
-        groups.setdefault(find(f), []).append(f)
-
-    hull_pts = pts[hull.vertices]
-    inner = hull_pts.mean(axis=0)
-    facets = []
-    tight_sets = []
-    for members in groups.values():
-        simplex_vertices = set()
-        for f in members:
-            simplex_vertices.update(hull.simplices[f])
-        face_pts = pts[sorted(simplex_vertices)]
-        fc = face_pts.mean(axis=0)
-        _, _, fvt = np.linalg.svd(face_pts - fc, full_matrices=False)
-        n = fvt[2]
-        if np.dot(n, fc - inner) < 0:
-            n = -n
-        off = float(np.dot(n, fc))
-        facets.append(Facet(tuple(n), off))
-        tight_sets.append(face_pts)
-
-    counts = {}
-    for f in facets:
-        for k in hull.vertices:
-            p = pts[k]
-            if abs(float(np.dot(f.normal, p)) - f.offset) <= 50 * tol * scale:
-                counts.setdefault(int(k), []).append(f.normal)
-    vertices = []
-    for k, normals in counts.items():
-        if len(normals) >= 3:
-            arr = np.array(normals)
-            if np.linalg.matrix_rank(arr, tol=1e-6) == 3:
-                vertices.append(tuple(pts[k]))
-    return Polytope(3, tuple(sorted(vertices)), _sort_facets(facets), (), False)
-
-
-# ---------------------------------------------------------------------------
 # Public operations
 # ---------------------------------------------------------------------------
 
-def hull(points, exact=None, tol: float = 1e-9) -> Polytope:
-    """Convex hull of a nonempty finite point set in R^3.
+def hull(points) -> Polytope:
+    """Exact convex hull of a nonempty finite point set in R^3.
 
-    The backend is chosen from the coordinate types (int/Fraction -> exact)
-    unless overridden; exact=True converts float coordinates to their exact
-    binary values.  Degenerate hulls report dim < 3 with the affine hull
+    Coordinates may be int, Fraction or float; a float is taken at its exact
+    binary value.  Degenerate hulls report dim < 3 with the affine hull
     attached as equality constraints.
     """
     pts = list(points)
     if not pts:
         raise ValueError("hull of an empty point set")
-    if exact is None:
-        exact = all(_is_exact_scalar(c) for p in pts for c in p)
-    if exact:
+    if all(_is_exact_scalar(c) for p in pts for c in p):
         return _hull_exact(pts)
-    return _hull_float(pts, tol)
+    return _hull_float(pts)
+
+
+def _hull_float(points) -> Polytope:
+    """`_hull_exact` of points with float coordinates; kept as its own
+    function so the benchmark tracer's span `polytopes.hull.float` counts
+    the hulls of float input."""
+    return _hull_exact(points)
 
 
 def violation(P: Polytope, point) -> float:
@@ -550,8 +406,8 @@ def violations_many(P: Polytope, points: np.ndarray) -> np.ndarray:
 
 
 def contains(P: Polytope, point, tol: float = 0.0) -> bool:
-    """Membership within tol (tol 0 on an exact polytope is exact)."""
-    if tol == 0.0 and P.exact and all(_is_exact_scalar(c) for c in point):
+    """Membership within tol (tol 0 with int/Fraction coordinates is exact)."""
+    if tol == 0.0 and all(_is_exact_scalar(c) for c in point):
         q = _fractionize(point)
         return all(_dot(f.normal, q) <= f.offset for f in P.facets) and all(
             _dot(f.normal, q) == f.offset for f in P.equalities
@@ -599,13 +455,13 @@ def _exact_halfspace(normal, offset) -> Facet:
 
 
 def intersect(P: Polytope, Q: Polytope) -> Polytope:
-    """Intersection of two exact full-dimensional polytopes.
+    """Intersection of two full-dimensional polytopes.
 
     Raises EmptyIntersection when the halfspace systems share no point;
     empty-interior intersections come back with dim < 3.
     """
-    if P.dim != 3 or Q.dim != 3 or not (P.exact and Q.exact):
-        raise ValueError("intersect requires two exact 3-dimensional polytopes")
+    if P.dim != 3 or Q.dim != 3:
+        raise ValueError("intersect requires two 3-dimensional polytopes")
     verts = _feasible_vertices(list(P.facets) + list(Q.facets))
     if not verts:
         raise EmptyIntersection("polytopes do not meet")
@@ -613,10 +469,10 @@ def intersect(P: Polytope, Q: Polytope) -> Polytope:
 
 
 def clip(P: Polytope, normal, offset) -> Polytope:
-    """Intersection of an exact 3-polytope with the halfspace normal . p <= offset
+    """Intersection of a 3-polytope with the halfspace normal . p <= offset
     (int or Fraction coefficients)."""
-    if P.dim != 3 or not P.exact:
-        raise ValueError("clip requires an exact 3-dimensional polytope")
+    if P.dim != 3:
+        raise ValueError("clip requires a 3-dimensional polytope")
     verts = _feasible_vertices(list(P.facets) + [_exact_halfspace(normal, offset)])
     if not verts:
         raise EmptyIntersection("halfspace misses the polytope")
@@ -624,14 +480,14 @@ def clip(P: Polytope, normal, offset) -> Polytope:
 
 
 def section(P: Polytope, normal, offset) -> Polytope:
-    """Slice of an exact 3-polytope by the plane normal . p = offset (int or
+    """Slice of a 3-polytope by the plane normal . p = offset (int or
     Fraction coefficients; dim <= 2).
 
     The plane enters as the facet pair normal . p <= offset and
     -normal . p <= -offset, so every feasible vertex lies on it.
     """
-    if P.dim != 3 or not P.exact:
-        raise ValueError("section requires an exact 3-dimensional polytope")
+    if P.dim != 3:
+        raise ValueError("section requires a 3-dimensional polytope")
     plane = _exact_halfspace(normal, offset)
     flipped = Facet(_neg(plane.normal), -plane.offset)
     cand = _feasible_vertices(list(P.facets) + [plane, flipped])
@@ -640,46 +496,14 @@ def section(P: Polytope, normal, offset) -> Polytope:
     return _hull_exact(cand)
 
 
-def polytopes_close(P: Polytope, Q: Polytope, tol: float = 1e-9) -> bool:
-    """Vertex sets and facet systems agree within tol (unit-normal compare)."""
-    if P.dim != Q.dim or len(P.vertices) != len(Q.vertices) or len(P.facets) != len(Q.facets):
-        return False
-
-    def match(av, bv, key):
-        used = [False] * len(bv)
-        for a in av:
-            hit = False
-            for k, b in enumerate(bv):
-                if not used[k] and key(a, b) <= tol:
-                    used[k] = True
-                    hit = True
-                    break
-            if not hit:
-                return False
-        return True
-
-    def vdist(a, b):
-        return max(abs(float(a[k]) - float(b[k])) for k in range(3))
-
-    def fdist(a, b):
-        na = _float_norm(a.normal)
-        nb = _float_norm(b.normal)
-        d = max(
-            abs(float(a.normal[k]) / na - float(b.normal[k]) / nb) for k in range(3)
-        )
-        return max(d, abs(float(a.offset) / na - float(b.offset) / nb))
-
-    return match(P.vertices, Q.vertices, vdist) and match(P.facets, Q.facets, fdist)
-
-
 # ---------------------------------------------------------------------------
 # Export
 # ---------------------------------------------------------------------------
 
-def _facet_rings(P: Polytope, tol: float = 1e-9):
+def _facet_rings(P: Polytope):
     """Vertex index rings per facet, ordered around the face, outward ccw."""
     rings = []
-    for f, tight in zip(P.facets, P.facet_tight_vertices(tol)):
+    for f, tight in zip(P.facets, P.facet_tight_vertices()):
         pts = [np.array([float(c) for c in P.vertices[k]]) for k in tight]
         center = np.mean(pts, axis=0)
         n = np.array([float(c) for c in f.normal])
@@ -696,24 +520,18 @@ def _facet_rings(P: Polytope, tol: float = 1e-9):
     return rings
 
 
-def to_off(P: Polytope, tol: float = 1e-9) -> str:
-    """ASCII OFF mesh; exact vertices are emitted as scaled integer strings."""
-    rings = _facet_rings(P, tol) if P.dim >= 2 else []
-    lines = ["OFF"]
-    if P.exact:
-        denom = 1
-        for v in P.vertices:
-            for c in v:
-                f = Fraction(c)
-                denom = denom * f.denominator // math.gcd(denom, f.denominator)
-        lines.append(f"# rational vertices scaled by common denominator {denom}")
-        lines.append(f"{len(P.vertices)} {len(rings)} 0")
-        for v in P.vertices:
-            lines.append(" ".join(str(int(Fraction(c) * denom)) for c in v))
-    else:
-        lines.append(f"{len(P.vertices)} {len(rings)} 0")
-        for v in P.vertices:
-            lines.append(" ".join(f"{float(c):.17g}" for c in v))
+def to_off(P: Polytope) -> str:
+    """ASCII OFF mesh; the rational vertices are emitted as integer strings
+    scaled by their common denominator."""
+    rings = _facet_rings(P) if P.dim >= 2 else []
+    denom = 1
+    for v in P.vertices:
+        for c in v:
+            denom = denom * c.denominator // math.gcd(denom, c.denominator)
+    lines = ["OFF", f"# rational vertices scaled by common denominator {denom}",
+             f"{len(P.vertices)} {len(rings)} 0"]
+    for v in P.vertices:
+        lines.append(" ".join(str(int(c * denom)) for c in v))
     for ring in rings:
         lines.append(str(len(ring)) + " " + " ".join(str(k) for k in ring))
     return "\n".join(lines) + "\n"
@@ -722,7 +540,7 @@ def to_off(P: Polytope, tol: float = 1e-9) -> str:
 def polytope_to_json(P: Polytope) -> dict:
     return {
         "dim": P.dim,
-        "exact": P.exact,
+        "exact": True,
         "vertices": [[_json_number(c) for c in v] for v in P.vertices],
         "facets": [f.to_json() for f in P.facets],
         "equalities": [f.to_json() for f in P.equalities],

@@ -3,6 +3,8 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import jsonschema
@@ -239,6 +241,32 @@ def test_klein_square_fails_on_a_row_outside_its_region(capsys, monkeypatch):
     assert code != 0 and not report["pass"] and not metrics["all_in_region"]
     assert metrics["max_orbit_containment_violation"] <= 1e-9
     assert metrics["max_z_identity_residual"] <= 1e-9
+
+
+def test_verify_ags_passes_on_containment_and_vertex_reach(capsys):
+    code, report = run_cli(capsys, "verify", "ags", "--n", "2000", "--seed", "7")
+    metrics, tol = report["metrics"], report["parameters"]["tol"]
+    assert code == 0 and report["pass"]
+    assert metrics["max_violation"] <= tol and metrics["max_vertex_gap"] <= tol
+    assert set(metrics["per_lambda"]) == {str(lam) for lam in cli.AGS_LAMBDAS}
+
+
+def test_verify_ags_fails_on_clouds_without_their_weyl_images(capsys, monkeypatch):
+    draw = moment.orbit_samples
+    monkeypatch.setattr(moment, "orbit_samples", lambda lam, n, seed: moment.SampleCloud(
+        seed, draw(lam, n, seed).points[:n], "Haar draws only"))
+    code, report = run_cli(capsys, "verify", "ags", "--n", "2000", "--seed", "7")
+    metrics = report["metrics"]
+    assert code == 1 and not report["pass"]
+    assert metrics["max_violation"] <= 1e-9 and metrics["max_vertex_gap"] > 1e-9
+
+
+def test_importing_the_cli_loads_no_qhull():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    check = "import sys, orbitkit.cli; assert 'scipy.spatial' not in sys.modules"
+    done = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
 
 
 def test_export(capsys, form_file, tmp_path):

@@ -289,10 +289,27 @@ def test_orbit_samples_csv_deterministic():
 
 
 def test_cloud_hull_reaches_polytope():
+    # Contained and within 1e-9 of every vertex: the cloud's hull is the octahedron.
     cloud = moment.orbit_samples((0, 0, 1), 20000, 3)
-    H = polytopes.hull(cloud.points, exact=False)
-    O = moment.moment_polytope((0, 0, 1))
-    assert polytopes.polytopes_close(H, O, tol=1e-9)
+    assert np.max(moment.moment_violations((0, 0, 1), cloud.points)) <= 1e-9
+    assert np.max(moment.vertex_gaps((0, 0, 1), cloud.points)) <= 1e-9
+    assert np.min(moment.vertex_gaps((0, 0, 1), cloud.points[:20000])) > 1e-9
+
+
+def test_vertex_gaps_measure_the_shortfall_at_each_vertex():
+    lam = (1.0, 0.5, 2.0)
+    images = np.array(weyl.weyl_orbit(lam), dtype=float)
+    assert np.all(moment.vertex_gaps(lam, images) == 0.0)
+    # A cloud shrunk by s falls short of every vertex by (1 - s) |lam|.
+    gaps = moment.vertex_gaps(lam, 0.75 * images)
+    assert np.allclose(gaps, 0.25 * np.linalg.norm(lam), rtol=0, atol=1e-15)
+    # Without one image v, the gap at v is (|v|^2 - max <v, u>) / |v| over the rest.
+    v, rest = images[0], images[1:]
+    gaps = moment.vertex_gaps(lam, rest)
+    expected = (v @ v - np.max(rest @ v)) / np.linalg.norm(v)
+    assert np.max(gaps) == pytest.approx(expected, abs=1e-15) and expected > 0
+    assert np.count_nonzero(gaps) == 1
+    assert np.all(moment.vertex_gaps((0, 0, 0), np.zeros((1, 3))) == 0.0)
 
 
 def test_moment_polytope_facets():
@@ -437,7 +454,7 @@ def test_verify_singular_matches_the_per_sample_loop():
         R = moment.exp_skew(np.einsum("n,nab->ab", coords[k], basis))
         F = R @ Fb @ R.T
         pts.append((F[1, 0], F[3, 2], F[5, 4]))
-    poly = polytopes.hull(weyl.singular_vertex_set(lam, w, i), exact=True)
+    poly = polytopes.hull(weyl.singular_vertex_set(lam, w, i))
     worst = max(0.0, float(np.max(polytopes.violations_many(poly, np.array(pts)))))
     assert rep["max_violation"] == worst
 

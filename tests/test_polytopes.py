@@ -50,7 +50,8 @@ def facet_set(P):
 
 def test_tetrahedron():
     P = hull(TETRA_POINTS)
-    assert P.dim == 3 and P.exact
+    assert P.dim == 3
+    assert all(isinstance(c, Fraction) for v in P.vertices for c in v)
     assert set(P.vertices) == set(tuple(map(Fraction, p)) for p in TETRA_POINTS)
     assert facet_set(P) == TETRA_FACETS
     assert facet_set(P) == brute_force_facets(TETRA_POINTS)
@@ -197,11 +198,6 @@ def test_clip():
 
 def test_set_operations_take_only_exact_input():
     O = hull(OCTA_POINTS)
-    float_O = hull(OCTA_POINTS, exact=False)
-    with pytest.raises(ValueError):
-        intersect(O, float_O)
-    with pytest.raises(ValueError):
-        polytopes.clip(float_O, (0, 0, 1), 0)
     with pytest.raises(ValueError):
         polytopes.clip(O, (0.0, 0, 1), 0)
     with pytest.raises(ValueError):
@@ -215,18 +211,17 @@ def test_float_hull_simplex_cloud():
     w = rng.dirichlet(np.ones(6), size=500)
     cloud = w @ np.array(OCTA_POINTS, dtype=float) * 0.9
     pts = np.vstack([cloud, np.array(OCTA_POINTS, dtype=float)])
-    P = hull(pts, exact=False)
+    P = hull(pts)
     Q = hull(OCTA_POINTS)
     assert P.dim == 3
-    assert polytopes.polytopes_close(P, Q, tol=1e-9)
+    assert P.vertices == Q.vertices and P.facets == Q.facets
 
 
 def test_float_hull_degenerate_dims():
-    seg = hull(np.array([[0.0, 0, 0], [1, 0, 0], [0.5, 0, 0]]), exact=False)
+    seg = hull(np.array([[0.0, 0, 0], [1, 0, 0], [0.5, 0, 0]]))
     assert seg.dim == 1
     flat = hull(
-        np.array([[1.0, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [0.1, 0.1, 0]]),
-        exact=False,
+        np.array([[1.0, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [0.1, 0.1, 0]])
     )
     assert flat.dim == 2
     assert len(flat.vertices) == 4
@@ -265,10 +260,3 @@ def test_facets_json_shape():
         assert set(f) == {"normal", "offset", "sense"}
         assert f["sense"] == "le"
         assert f["offset"] == 1
-
-
-def test_off_export_float_backend():
-    pts = np.array(TETRA_POINTS, dtype=float)
-    P = hull(pts, exact=False)
-    text = polytopes.to_off(P)
-    assert text.startswith("OFF\n4 4 0")
