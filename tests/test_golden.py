@@ -6,8 +6,11 @@ with numpy 2.4.6, scipy 1.17.1 and OpenBLAS 0.3.31 (Python 3.11).  The
 samplers go through libm's log, cos and sin (Box-Muller) and numpy's einsum
 sums, and the y and z columns of `klein square` follow the kernel frame of
 the form's invariant planes, i.e. LAPACK's real Schur vectors, so another
-numpy/scipy/OpenBLAS build may legitimately differ in the last bits.  A change that alters the bytes on purpose (a new stream
-scheme, say) re-pins them with
+numpy/scipy/OpenBLAS build may legitimately differ in the last bits.
+`exact_layer.json` pins the exact polytope layer with no CLI and no floats
+in between: the facet JSON of moment polytopes, singular-value faces, set
+operations, the klein regions and seeded random hulls.  A change that alters
+the bytes on purpose (a new stream scheme, say) re-pins them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -17,12 +20,15 @@ which rewrites only the fixtures whose bytes changed and prints `changed` or
 
 import json
 import os
+import random
 from contextlib import redirect_stdout
 from io import StringIO
 
 import pytest
 
-from orbitkit import cli
+from fractions import Fraction
+
+from orbitkit import cli, klein, moment, polytopes
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -60,6 +66,70 @@ CASES = {
 }
 
 
+#: One exact chamber point per orbit type.
+ORBIT_TYPE_LAMBDAS = {
+    "Zero": (0, 0, 0),
+    "Generic": (1, Fraction(1, 2), 2),
+    "PPlus": (1, 1, 1),
+    "PMinus": (1, -1, 1),
+    "Grassmannian": (0, 0, 1),
+    "F1": (1, 1, 2),
+    "F2": (1, -1, 2),
+    "F3Plus": (2, 1, 2),
+    "F3Zero": (1, 0, 1),
+    "F3Minus": (2, -1, 2),
+}
+
+#: Three planes (normal, offset) through the octahedron and the (1, 1, 2)
+#: polytope, used as clip halfspaces and as section planes.
+CUTS = (((1, 0, 0), Fraction(1, 2)), ((1, 1, 1), Fraction(1, 3)), ((1, -2, 3), 0))
+
+EXACT_LAYER = "exact_layer.json"
+
+
+def random_points(rng, dim):
+    """dim + 1 to 12 exact points p0 + sum c_k d_k over dim random
+    directions d_k, so their hull has dimension at most dim."""
+    def vec():
+        return tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(3))
+
+    p0, dirs = vec(), [vec() for _ in range(dim)]
+    pts = []
+    for _ in range(rng.randint(dim + 1, 12)):
+        cs = [rng.randint(-3, 3) for _ in dirs]
+        pts.append(tuple(p0[i] + sum(c * d[i] for c, d in zip(cs, dirs)) for i in range(3)))
+    return pts
+
+
+def exact_layer_polytopes() -> dict:
+    """name -> polytope, in the order pinned in golden/exact_layer.json."""
+    out = {}
+    for name, lam in ORBIT_TYPE_LAMBDAS.items():
+        out[f"moment {name}"] = moment.moment_polytope(lam)
+    for lam in ((1, Fraction(1, 2), 2), (1, 1, 1)):
+        for k, P in enumerate(moment.singular_value_polytopes(lam)):
+            out[f"singular {','.join(map(str, lam))} {k}"] = P
+    plus, minus = moment.moment_polytope((1, 1, 1)), moment.moment_polytope((1, -1, 1))
+    out["intersect PPlus PMinus"] = polytopes.intersect(plus, minus)
+    for name in ("Grassmannian", "F1"):
+        P = out[f"moment {name}"]
+        for normal, offset in CUTS:
+            cut = f"{','.join(map(str, normal))} {offset}"
+            out[f"clip {name} {cut}"] = polytopes.clip(P, normal, offset)
+            out[f"section {name} {cut}"] = polytopes.section(P, normal, offset)
+    out["klein prism_region"] = klein.prism_region()
+    out["klein square_region"] = klein.square_region()
+    rng = random.Random(9)
+    for k in range(50):
+        out[f"random {k}"] = polytopes.hull(random_points(rng, k % 4))
+    return out
+
+
+def exact_layer_json() -> bytes:
+    data = {name: polytopes.polytope_to_json(P) for name, P in exact_layer_polytopes().items()}
+    return (json.dumps(data, indent=1) + "\n").encode()
+
+
 def run_case(name, workdir):
     """Run one case with its outputs in workdir; return {fixture file: bytes}."""
     argv, outputs = CASES[name]
@@ -85,6 +155,23 @@ def test_golden_bytes(name, tmp_path):
             assert got == fh.read(), fixture
 
 
+def test_exact_layer_golden():
+    with open(os.path.join(GOLDEN, EXACT_LAYER), "rb") as fh:
+        assert exact_layer_json() == fh.read()
+
+
+def _repin(fixture, data):
+    path = os.path.join(GOLDEN, fixture)
+    old = None
+    if os.path.exists(path):
+        with open(path, "rb") as fh:
+            old = fh.read()
+    if data != old:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    print(fixture, "unchanged" if data == old else "changed")
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -92,12 +179,5 @@ if __name__ == "__main__":
     for case in sorted(CASES):
         with tempfile.TemporaryDirectory() as tmp:
             for fixture, data in run_case(case, tmp).items():
-                path = os.path.join(GOLDEN, fixture)
-                old = None
-                if os.path.exists(path):
-                    with open(path, "rb") as fh:
-                        old = fh.read()
-                if data != old:
-                    with open(path, "wb") as fh:
-                        fh.write(data)
-                print(fixture, "unchanged" if data == old else "changed")
+                _repin(fixture, data)
+    _repin(EXACT_LAYER, exact_layer_json())
