@@ -18,7 +18,6 @@ from .errors import (
     NormViolation,
     OrbitkitError,
     ParseError,
-    ToleranceExceeded,
     UnknownSuite,
     WeightNotTraceFree,
     WrongClass,

@@ -440,10 +440,32 @@ def cmd_run(args) -> int:
                            metrics=metrics, artifacts=artifacts))
 
 
+def _class_triple(orbit_class: OrbitClass, triple):
+    """The chamber triple (x, y, z) projected onto the eigenvalue pattern of
+    its class, m the mean of the entries the pattern ties: PPlus (m, m, m),
+    PMinus (m, -m, m), Grassmannian (0, 0, z), F1 (m, m, z), F2 (m, -m, z),
+    F3Zero (m, 0, m), F3Plus and F3Minus (m, y, m), Zero (0, 0, 0); Generic
+    unchanged.  So a form classified within tol exports the polytope of its
+    class, not that of a generic orbit next to it."""
+    x, y, z = triple
+    plus, minus, f3 = (x + y + z) / 3, (x - y + z) / 3, (x + z) / 2
+    return {
+        OrbitClass.ZERO: (0.0, 0.0, 0.0),
+        OrbitClass.P_PLUS: (plus, plus, plus),
+        OrbitClass.P_MINUS: (minus, -minus, minus),
+        OrbitClass.GRASSMANNIAN: (0.0, 0.0, z),
+        OrbitClass.F1: ((x + y) / 2, (x + y) / 2, z),
+        OrbitClass.F2: ((x - y) / 2, (y - x) / 2, z),
+        OrbitClass.F3_ZERO: (f3, 0.0, f3),
+        OrbitClass.F3_PLUS: (f3, y, f3),
+        OrbitClass.F3_MINUS: (f3, y, f3),
+    }.get(orbit_class, triple)
+
+
 def cmd_export(args) -> int:
     form = _load_form(args.form)
     result = classify_full(form, tol=args.tol)
-    P = moment.moment_polytope(result.triple)
+    P = moment.moment_polytope(_class_triple(result.orbit_class, result.triple))
     report = RunReport(
         "export",
         {"form": args.form, "tol": args.tol},

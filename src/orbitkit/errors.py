@@ -53,10 +53,6 @@ class IncompatiblePair(OrbitkitError):
     """The product-structure plane is not invariant under the chosen complex structure."""
 
 
-class ToleranceExceeded(OrbitkitError):
-    """A verification run exceeded its stated tolerance."""
-
-
 class ParseError(OrbitkitError):
     """Malformed input file or value."""
 

@@ -27,7 +27,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import polytopes, weyl
-from .errors import ToleranceExceeded
 from .forms import E12, E34, E56, PAIRS, TwoForm, endomorphisms
 
 #: Name of the sampling scheme, written into every sample CSV header.
@@ -244,8 +243,7 @@ def exp_skew(X: np.ndarray) -> np.ndarray:
     return expm(np.asarray(X, dtype=float))
 
 
-def verify_singular(lam, i: int, w, n: int, seed: int, tol: float = 1e-9,
-                    strict: bool = False) -> dict:
+def verify_singular(lam, i: int, w, n: int, seed: int, tol: float = 1e-9) -> dict:
     """Sample the stabilizer flow at w.lam and test the singular-value hull.
 
     Exponentials of the isotropy algebra of the circle direction w.(weight i)
@@ -266,7 +264,7 @@ def verify_singular(lam, i: int, w, n: int, seed: int, tol: float = 1e-9,
     conj = R @ Fb @ np.swapaxes(R, 1, 2)
     pts = conj[:, (1, 3, 5), (0, 2, 4)]
     worst = max(0.0, float(np.max(polytopes.violations_many(poly, pts))))
-    report = {
+    return {
         "pass": bool(worst <= tol),
         "max_violation": float(worst),
         "n": n,
@@ -275,9 +273,6 @@ def verify_singular(lam, i: int, w, n: int, seed: int, tol: float = 1e-9,
         "w": weyl.element_to_json(w),
         "polytope_vertices": len(poly.vertices),
     }
-    if strict and not report["pass"]:
-        raise ToleranceExceeded(f"max violation {worst} exceeds {tol}")
-    return report
 
 
 def monte_carlo_volume_ratio(inner: polytopes.Polytope,

@@ -5,6 +5,11 @@ normals, and every comparison is exact, so the facet systems of Weyl-orbit
 inputs come out verbatim.  Float coordinates are taken at their binary
 values.  Degenerate hulls of dimension 0, 1 and 2 are first-class values
 carrying their affine hull as a list of equality constraints.
+
+Two exact primitives carry the geometry: `_independent` is the one rank
+test (the affine basis of a point set, and which hull points are vertices)
+and `_meet` the one three-plane solve (the candidate vertices of
+`intersect`, `clip` and `section`).  No step has a tolerance.
 """
 
 from __future__ import annotations
@@ -125,31 +130,27 @@ def _float_norm(vec) -> float:
     return math.sqrt(sum(float(c) * float(c) for c in vec))
 
 
+def _independent(vecs) -> bool:
+    """Whether one, two or three exact vectors are linearly independent:
+    nonzero, nonzero cross product, nonzero triple product."""
+    if len(vecs) == 1:
+        return vecs[0] != (0, 0, 0)
+    if len(vecs) == 2:
+        return _cross(*vecs) != (0, 0, 0)
+    return _dot(_cross(vecs[0], vecs[1]), vecs[2]) != 0
+
+
 def _affine_basis_exact(pts):
-    """Indices (p0, p1, p2, p3) realising the affine dimension, greedily."""
-    idx = [0]
+    """Indices (p0, p1, p2, p3) realising the affine dimension, greedily: each
+    point whose difference from p0 is independent of those kept is kept."""
+    idx, dirs = [0], []
     for k in range(1, len(pts)):
-        if pts[k] != pts[0]:
+        d = _sub(pts[k], pts[0])
+        if _independent(dirs + [d]):
             idx.append(k)
-            break
-    if len(idx) == 1:
-        return idx
-    d1 = _sub(pts[idx[1]], pts[idx[0]])
-    for k in range(1, len(pts)):
-        if k in idx:
-            continue
-        if _cross(d1, _sub(pts[k], pts[idx[0]])) != (0, 0, 0):
-            idx.append(k)
-            break
-    if len(idx) == 2:
-        return idx
-    n = _cross(d1, _sub(pts[idx[2]], pts[idx[0]]))
-    for k in range(1, len(pts)):
-        if k in idx:
-            continue
-        if _dot(n, _sub(pts[k], pts[idx[0]])) != 0:
-            idx.append(k)
-            break
+            dirs.append(d)
+            if len(dirs) == 3:
+                break
     return idx
 
 
@@ -186,10 +187,6 @@ def _hull2d_exact(projected):
             upper.pop()
         upper.append(p)
     return lower[:-1] + upper[:-1]
-
-
-def _drop_axis(normal):
-    return max(range(3), key=lambda i: abs(normal[i]))
 
 
 def _polygon_facets_exact(ring, plane_normal, interior):
@@ -246,16 +243,11 @@ def _hull_exact(points) -> Polytope:
 
     if dim == 2:
         n = _lex_positive(_primitive(_cross(_sub(pts[basis[1]], p0), _sub(pts[basis[2]], p0))))
-        drop = _drop_axis(n)
+        # Drop the axis of n's largest component: the projection is 1-1.
+        drop = max(range(3), key=lambda i: abs(n[i]))
         keep = [i for i in range(3) if i != drop]
-        back = {}
-        proj = []
-        for p in pts:
-            q = (p[keep[0]], p[keep[1]])
-            back[q] = p
-            proj.append(q)
-        ring2 = _hull2d_exact(proj)
-        ring = [back[q] for q in ring2]
+        back = {(p[keep[0]], p[keep[1]]): p for p in pts}
+        ring = [back[q] for q in _hull2d_exact(list(back))]
         interior = _centroid(ring)
         facets = _polygon_facets_exact(ring, n, interior)
         eqs = (Facet(n, Fraction(_dot(n, p0))),)
@@ -277,13 +269,7 @@ def _hull3_exact(pts, basis) -> Polytope:
             ia, ib = ib, ia
         return (ia, ib, ic, n, d)
 
-    i0, i1, i2, i3 = order[:4]
-    faces = [
-        make_face(i0, i1, i2),
-        make_face(i0, i1, i3),
-        make_face(i0, i2, i3),
-        make_face(i1, i2, i3),
-    ]
+    faces = [make_face(*tri) for tri in itertools.combinations(order[:4], 3)]
     for ip in order[4:]:
         p = pts[ip]
         visible = [f for f in faces if _dot(f[3], p) > f[4]]
@@ -299,49 +285,20 @@ def _hull3_exact(pts, basis) -> Polytope:
                     edges[(a, b)] = True
         faces = hidden + [make_face(a, b, ip) for a, b in edges]
 
-    planes = {}
+    # An ordered set: huge normals can round to equal float sort keys, and
+    # _sort_facets then keeps the order in which the facets were found.
+    facets = {}
     for f in faces:
         n = _primitive(f[3])
         k = next(i for i in range(3) if n[i] != 0)
-        scale = Fraction(f[3][k]) / n[k]
-        planes[(n, Fraction(f[4]) / scale)] = True
+        facets[Facet(n, Fraction(f[4]) * n[k] / f[3][k])] = None
 
-    facet_list = []
-    tight_map = []
-    for (n, d) in planes:
-        tight = [p for p in pts if _dot(n, p) == d]
-        facet_list.append(Facet(n, d))
-        tight_map.append(tight)
+    def is_vertex(p):
+        tight = [f.normal for f in facets if _dot(f.normal, p) == f.offset]
+        return any(_independent(c) for c in itertools.combinations(tight, 3))
 
-    counts = {p: [] for p in pts}
-    for (n, d), tight in zip(planes, tight_map):
-        for p in tight:
-            counts[p].append(n)
-    vertices = []
-    for p, normals in counts.items():
-        if len(normals) >= 3 and _rank3(normals) == 3:
-            vertices.append(p)
-    return Polytope(3, tuple(sorted(vertices)), _sort_facets(facet_list), ())
-
-
-def _rank3(vecs) -> int:
-    rank = 0
-    basis = []
-    for v in vecs:
-        w = v
-        if rank == 1:
-            if _cross(basis[0], w) == (0, 0, 0):
-                continue
-        if rank == 2:
-            if _dot(_cross(basis[0], basis[1]), w) == 0:
-                continue
-        if rank == 0 and w == (0, 0, 0):
-            continue
-        basis.append(w)
-        rank += 1
-        if rank == 3:
-            break
-    return rank
+    vertices = [p for p in pts if is_vertex(p)]
+    return Polytope(3, tuple(sorted(vertices)), _sort_facets(facets), ())
 
 
 def _sort_facets(facets):
@@ -376,31 +333,18 @@ def _hull_float(points) -> Polytope:
 
 
 def violation(P: Polytope, point) -> float:
-    """Largest scaled constraint violation of a point (<= 0 means inside)."""
-    worst = -math.inf
-    for f in P.facets:
-        v = (float(_dot(f.normal, point)) - float(f.offset)) / _float_norm(f.normal)
-        worst = max(worst, v)
-    for f in P.equalities:
-        v = abs(float(_dot(f.normal, point)) - float(f.offset)) / _float_norm(f.normal)
-        worst = max(worst, v)
-    if worst == -math.inf:
-        worst = 0.0
-    return worst
+    """Largest scaled constraint violation of a point (<= 0 means inside):
+    one row of `violations_many`."""
+    return float(violations_many(P, [point])[0])
 
 
 def violations_many(P: Polytope, points: np.ndarray) -> np.ndarray:
     """Scaled violation of each row of an (n, 3) array (<= 0 means inside)."""
     pts = np.asarray(points, dtype=float)
     worst = np.full(len(pts), -np.inf)
-    for f in P.facets:
-        n = np.array([float(c) for c in f.normal])
-        worst = np.maximum(worst, (pts @ n - float(f.offset)) / _float_norm(f.normal))
-    for f in P.equalities:
-        n = np.array([float(c) for c in f.normal])
-        worst = np.maximum(
-            worst, np.abs(pts @ n - float(f.offset)) / _float_norm(f.normal)
-        )
+    for k, f in enumerate(P.facets + P.equalities):
+        v = (pts @ np.array(f.normal, dtype=float) - float(f.offset)) / _float_norm(f.normal)
+        worst = np.maximum(worst, v if k < len(P.facets) else np.abs(v))
     worst[worst == -np.inf] = 0.0
     return worst
 
@@ -415,37 +359,27 @@ def contains(P: Polytope, point, tol: float = 0.0) -> bool:
     return violation(P, point) <= tol
 
 
-def _cramer_exact(rows, rhs):
-    m = [[Fraction(rows[i][j]) for j in range(3)] for i in range(3)]
-    r = [Fraction(x) for x in rhs]
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
+def _meet(f, g, h):
+    """The point where the planes of three facets meet, (d_f (n_g x n_h) +
+    d_g (n_h x n_f) + d_h (n_f x n_g)) / (n_f . (n_g x n_h)), or None when
+    that determinant is 0."""
+    gh = _cross(g.normal, h.normal)
+    hf = _cross(h.normal, f.normal)
+    fg = _cross(f.normal, g.normal)
+    det = Fraction(_dot(f.normal, gh))
     if det == 0:
         return None
-    sols = []
-    for k in range(3):
-        mm = [row[:] for row in m]
-        for i in range(3):
-            mm[i][k] = r[i]
-        dk = (
-            mm[0][0] * (mm[1][1] * mm[2][2] - mm[1][2] * mm[2][1])
-            - mm[0][1] * (mm[1][0] * mm[2][2] - mm[1][2] * mm[2][0])
-            + mm[0][2] * (mm[1][0] * mm[2][1] - mm[1][1] * mm[2][0])
-        )
-        sols.append(dk / det)
-    return tuple(sols)
+    return tuple((f.offset * a + g.offset * b + h.offset * c) / det
+                 for a, b, c in zip(gh, hf, fg))
 
 
 def _feasible_vertices(facets):
-    found = []
+    found = set()
     for f, g, h in itertools.combinations(facets, 3):
-        sol = _cramer_exact((f.normal, g.normal, h.normal), (f.offset, g.offset, h.offset))
-        if sol is not None and all(_dot(c.normal, sol) <= c.offset for c in facets):
-            found.append(sol)
-    return sorted(set(found))
+        p = _meet(f, g, h)
+        if p is not None and all(_dot(c.normal, p) <= c.offset for c in facets):
+            found.add(p)
+    return sorted(found)
 
 
 def _exact_halfspace(normal, offset) -> Facet:

@@ -4,7 +4,9 @@ The group is realised concretely as 3x3 signed permutation matrices with an
 even number of sign flips (order 24, isomorphic to S4).  It is generated by
 the reflections in the 12 roots {(0,±1,±1), (±1,0,±1), (±1,±1,0)} and every
 element is stored as a nested tuple of integers, so that the action on
-rational or floating-point points is exact.
+rational or floating-point points is exact: a signed permutation only moves
+and negates coordinates.  Orbits are therefore deduplicated by equality, with
+no tolerance, and a point near a wall keeps all of its distinct images.
 """
 
 from __future__ import annotations
@@ -98,19 +100,9 @@ def parabolic(i: int) -> tuple[Element, ...]:
     return _closure([reflection(a) for a in orth])
 
 
-def _dedup(points, tol):
-    out = []
-    for p in points:
-        if not any(
-            max(abs(p[k] - q[k]) for k in range(3)) <= tol for q in out
-        ):
-            out.append(p)
-    return out
-
-
-def weyl_orbit(p, tol=1e-12) -> tuple:
-    """Orbit of a point under the full group, deduplicated within tol."""
-    return tuple(sorted(_dedup([act(w, p) for w in weyl_group()], tol)))
+def weyl_orbit(p) -> tuple:
+    """Distinct points of the orbit of a point under the full group, sorted."""
+    return tuple(sorted({act(w, p) for w in weyl_group()}))
 
 
 def to_chamber(p):
@@ -131,11 +123,10 @@ def to_chamber(p):
     return (best[1], best[2], best[0]), best_w
 
 
-def singular_vertex_set(lam, w: Element, i: int, tol=1e-12) -> tuple:
-    """Vertices w·(W_i·lam): the orbit points on the plane through w·lam
-    orthogonal to w·(weight i)."""
-    pts = [act(w, act(u, lam)) for u in parabolic(i)]
-    return tuple(sorted(_dedup(pts, tol)))
+def singular_vertex_set(lam, w: Element, i: int) -> tuple:
+    """Vertices w·(W_i·lam), distinct and sorted: the orbit points on the
+    plane through w·lam orthogonal to w·(weight i)."""
+    return tuple(sorted({act(w, act(u, lam)) for u in parabolic(i)}))
 
 
 def element_to_json(w: Element) -> list[int]:

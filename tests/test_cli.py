@@ -278,6 +278,51 @@ def test_export(capsys, form_file, tmp_path):
     assert report["metrics"]["facets"] == 4
 
 
+def test_polytope_near_a_wall_has_the_whole_orbit(capsys):
+    # lam is 1e-13 off the F1 wall, so |W.lam| = 24: no two images merge.
+    code, report = run_cli(capsys, "polytope", "--lambda", "1,1.0000000000001,2")
+    assert code == 0
+    assert (report["metrics"]["vertices"], report["metrics"]["facets"]) == (24, 14)
+
+
+def test_sample_near_a_wall_appends_the_whole_orbit(capsys):
+    code, report = run_cli(capsys, "sample", "--lambda", "1,1.0000000000001,2", "--n", "10")
+    assert code == 0
+    assert report["metrics"]["points"] == 10 + 24
+
+
+#: class -> (chamber point, vertices and facets of its moment polytope).
+CLASS_POLYTOPES = {
+    "Zero": ((0, 0, 0), 1, 0),
+    "Generic": ((1, 0.5, 2), 24, 14),
+    "PPlus": ((1, 1, 1), 4, 4),
+    "PMinus": ((1, -1, 1), 4, 4),
+    "Grassmannian": ((0, 0, 1), 6, 8),
+    "F1": ((1, 1, 2), 12, 8),
+    "F2": ((1, -1, 2), 12, 8),
+    "F3Plus": ((2, 1, 2), 12, 14),
+    "F3Zero": ((1, 0, 1), 12, 14),
+    "F3Minus": ((2, -1, 2), 12, 14),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_POLYTOPES))
+def test_export_of_a_conjugate_writes_its_class_polytope(capsys, tmp_path, name):
+    """A Haar conjugate's triple is off its class pattern by rounding; the
+    export is still the polytope of the class, with the class's facet normals."""
+    lam, vertices, facets = CLASS_POLYTOPES[name]
+    form = conjugate(TwoForm.from_cartan(lam), moment.haar_rotations(1, 3)[0])
+    path, out = tmp_path / "form.json", tmp_path / "facets.json"
+    path.write_text(json.dumps(form.to_dict()))
+    code, report = run_cli(capsys, "export", "--form", str(path), "--out-facets", str(out))
+    assert code == 0
+    m = report["metrics"]
+    assert (m["class"], m["vertices"], m["facets"]) == (name, vertices, facets)
+    exact = moment.moment_polytope(lam)
+    assert [f["normal"] for f in json.loads(out.read_text())["facets"]] == [
+        list(f.normal) for f in exact.facets]
+
+
 @pytest.mark.parametrize("argv", [
     ("sample", "--lambda", "1,0.5,2"),
     ("verify", "singular"),

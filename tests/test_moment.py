@@ -408,15 +408,6 @@ def test_verify_singular_moved_class():
     assert rep["pass"]
 
 
-def test_verify_singular_strict_raises():
-    from orbitkit.errors import ToleranceExceeded
-
-    with pytest.raises(ToleranceExceeded):
-        # An impossible tolerance forces the strict path.
-        moment.verify_singular((1, 0.5, 2), 1, weyl.IDENTITY, 50, 11,
-                               tol=1e-18, strict=True)
-
-
 def test_fixed_points_project_to_weyl_orbit():
     lam = (1, 0.5, 2)
     for p in weyl.weyl_orbit(lam):

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbitkit import polytopes, weyl
 from orbitkit.errors import EmptyIntersection, EmptySection
-from orbitkit.polytopes import contains, hull, intersect, section
+from orbitkit.polytopes import clip, contains, hull, intersect, section
 
 
 def brute_force_facets(points):
@@ -260,3 +262,71 @@ def test_facets_json_shape():
         assert set(f) == {"normal", "offset", "sense"}
         assert f["sense"] == "le"
         assert f["offset"] == 1
+
+
+# ---------------------------------------------------------------------------
+# Properties of the exact hull and the set operations
+# ---------------------------------------------------------------------------
+
+# Small integers put many points on shared edges and planes.
+COORD = st.integers(-2, 2) | st.fractions(min_value=-3, max_value=3, max_denominator=3)
+POINT = st.tuples(COORD, COORD, COORD)
+NORMAL = st.tuples(*[st.integers(-2, 2)] * 3).filter(lambda n: n != (0, 0, 0))
+OFFSET = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+def solid(points):
+    """The hull of points, or None when it is not 3-dimensional."""
+    P = hull(points)
+    return P if P.dim == 3 else None
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(POINT, min_size=1, max_size=10), st.data())
+def test_hull_ignores_order_and_duplicates(points, data):
+    P = hull(points)
+    shuffled = data.draw(st.permutations(points))
+    assert hull(shuffled + points[::2]) == P
+    assert hull(P.vertices) == P
+    # Midpoints of vertex pairs, often on an edge, add nothing.
+    mids = [tuple((a + b) / 2 for a, b in zip(u, v))
+            for u, v in zip(P.vertices, P.vertices[1:])]
+    assert hull(list(P.vertices) + mids) == P
+    assert all(contains(P, p) for p in points)
+    # Every vertex is extreme: the other vertices' hull misses it.
+    if len(P.vertices) > 1:
+        assert not any(contains(hull([w for w in P.vertices if w != v]), v)
+                       for v in P.vertices)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(POINT, min_size=4, max_size=8).map(solid).filter(bool), NORMAL, OFFSET)
+def test_clip_and_section_agree_with_contains(P, normal, offset):
+    side = [polytopes._dot(normal, v) - offset for v in P.vertices]
+    try:
+        C = clip(P, normal, offset)
+    except EmptyIntersection:
+        assert min(side) > 0
+    else:
+        assert all(contains(P, v) and polytopes._dot(normal, v) <= offset for v in C.vertices)
+        assert all(contains(C, v) for v, s in zip(P.vertices, side) if s <= 0)
+    try:
+        S = section(P, normal, offset)
+    except EmptySection:
+        assert min(side) > 0 or max(side) < 0
+    else:
+        assert all(contains(P, v) and polytopes._dot(normal, v) == offset for v in S.vertices)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.lists(POINT, min_size=4, max_size=6).map(solid).filter(bool),
+       st.lists(POINT, min_size=4, max_size=6).map(solid).filter(bool))
+def test_intersect_is_commutative_and_inside_both(P, Q):
+    try:
+        both = intersect(P, Q)
+    except EmptyIntersection:
+        with pytest.raises(EmptyIntersection):
+            intersect(Q, P)
+        return
+    assert intersect(Q, P) == both
+    assert all(contains(P, v) and contains(Q, v) for v in both.vertices)

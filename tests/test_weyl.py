@@ -1,5 +1,7 @@
 """Weyl group realisation: closure, orbits, chamber reduction, parabolics."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,14 @@ def test_parabolic_fixes_weight():
 def test_parabolic_bad_index():
     with pytest.raises(BadIndex):
         weyl.parabolic(4)
+
+
+def test_orbit_near_a_wall_keeps_every_image():
+    # 1e-13 off the F1 wall in float and in Fraction: 24 distinct images,
+    # and the 6 vertices of a hexagon face, none merged.
+    for lam in ((1.0, 1.0 + 1e-13, 2.0), (1, Fraction(10**13 + 1, 10**13), 2)):
+        assert len(weyl.weyl_orbit(lam)) == 24
+        assert len(weyl.singular_vertex_set(lam, weyl.IDENTITY, 1)) == 6
 
 
 def test_singular_vertex_set_examples():
