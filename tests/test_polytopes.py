@@ -234,7 +234,12 @@ def test_violations_many_matches_scalar():
     pts = np.array([[0.0, 0, 0], [1, 1, 1], [2, 2, 2], [-1, -1, -1]])
     v = polytopes.violations_many(P, pts)
     for k, p in enumerate(pts):
-        assert abs(v[k] - polytopes.violation(P, tuple(p))) <= 1e-12
+        # Reference: the exact slack of each facet, scaled by |normal|.
+        q = tuple(Fraction(c) for c in p)
+        exact = max(float(polytopes._dot(f.normal, q) - f.offset) / np.linalg.norm(f.normal)
+                    for f in P.facets)
+        assert abs(v[k] - exact) <= 1e-12
+        assert polytopes.violation(P, tuple(p)) == v[k]
     assert v[0] < 0 and abs(v[1]) <= 1e-15 and v[2] > 0
 
 
