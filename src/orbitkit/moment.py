@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import polytopes, weyl
-from .forms import E12, E34, E56, PAIRS, TwoForm, endomorphisms
+from .forms import _LOWER, E12, E34, E56, TwoForm, endomorphisms
 
 #: Name of the sampling scheme, written into every sample CSV header.
 STREAM = "philox4x64-10-ctr"
@@ -159,9 +159,8 @@ def moment_polytope(lam) -> polytopes.Polytope:
 
 
 #: The 14 facet normals w.omega_i, and the 24 Weyl elements as matrices.
-_NORMALS = np.array(sorted({weyl.act(w, weyl.FUNDAMENTAL_WEIGHTS[i])
-                            for i in (1, 2, 3) for w in weyl.weyl_group()}),
-                    dtype=float)
+_NORMALS = np.array(sorted(weyl.act(w, weyl.FUNDAMENTAL_WEIGHTS[i])
+                           for i, w in weyl.singular_classes()), dtype=float)
 _NORMAL_LENGTHS = np.linalg.norm(_NORMALS, axis=1)
 _WEYL = np.array(weyl.weyl_group(), dtype=float)
 
@@ -195,10 +194,6 @@ def vertex_gaps(lam, points) -> np.ndarray:
 _SKEW_BASIS = endomorphisms(np.eye(15))
 
 
-def _vectorize_skew(M: np.ndarray) -> np.ndarray:
-    return np.array([M[j - 1, i - 1] for i, j in PAIRS])
-
-
 def stabilizer_algebra(ref_form: TwoForm, tol: float = 1e-10) -> np.ndarray:
     """Orthonormal basis (k, 6, 6) of {X skew : [X, F_ref] = 0}.
 
@@ -208,10 +203,7 @@ def stabilizer_algebra(ref_form: TwoForm, tol: float = 1e-10) -> np.ndarray:
     if ref_form.norm() == 0.0:
         raise ValueError("reference form must be nonzero")
     F = ref_form.endomorphism()
-    L = np.empty((15, 15))
-    for k in range(15):
-        B = _SKEW_BASIS[k]
-        L[:, k] = _vectorize_skew(B @ F - F @ B)
+    L = (_SKEW_BASIS @ F - F @ _SKEW_BASIS)[:, _LOWER[0], _LOWER[1]].T
     u, s, vt = np.linalg.svd(L)
     null_mask = s <= tol * max(1.0, s[0])
     coords = vt[len(s) - int(np.sum(null_mask)):]
@@ -220,15 +212,12 @@ def stabilizer_algebra(ref_form: TwoForm, tol: float = 1e-10) -> np.ndarray:
 
 
 def singular_value_polytopes(lam) -> tuple[polytopes.Polytope, ...]:
-    """Deduplicated family hull(w . (W_i . lam)) over weights i and all w."""
+    """Deduplicated family hull(w . (W_i . lam)) over the singular classes."""
     lam = tuple(Fraction(c) for c in lam)
     _require_chamber(lam)
-    seen = {}
-    for i in (1, 2, 3):
-        for w in weyl.weyl_group():
-            pts = weyl.singular_vertex_set(lam, w, i)
-            seen.setdefault(pts, None)
-    return tuple(polytopes.hull(pts) for pts in seen)
+    vertex_sets = dict.fromkeys(weyl.singular_vertex_set(lam, w, i)
+                                for i, w in weyl.singular_classes())
+    return tuple(polytopes.hull(pts) for pts in vertex_sets)
 
 
 def _require_chamber(lam):
@@ -248,16 +237,19 @@ def verify_singular(lam, i: int, w, n: int, seed: int, tol: float = 1e-9) -> dic
 
     Exponentials of the isotropy algebra of the circle direction w.(weight i)
     act on the Cartan form of w.lam; every moment image must land in the
-    convex hull of w.(W_i.lam).
+    convex hull of w.(W_i.lam).  Raises BadIndex unless i is 1, 2 or 3, and
+    ValueError unless w is in `weyl.weyl_group()`.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if w not in weyl.weyl_group():
+        raise ValueError("w is not a Weyl group element")
     lam = tuple(float(c) for c in lam)
     _require_chamber(lam)
+    poly = polytopes.hull(weyl.singular_vertex_set(tuple(Fraction(c) for c in lam), w, i))
     q = weyl.act(w, weyl.FUNDAMENTAL_WEIGHTS[i])
     base = weyl.act(w, lam)
     basis = stabilizer_algebra(TwoForm.from_cartan(q))
-    poly = polytopes.hull(weyl.singular_vertex_set(tuple(Fraction(c) for c in lam), w, i))
     Fb = TwoForm.from_cartan(base).endomorphism()
     coords = normals(seed, n, len(basis)) * (np.pi / 2)
     R = exp_skew(np.einsum("kn,nab->kab", coords, basis))

@@ -435,10 +435,14 @@ def section(P: Polytope, normal, offset) -> Polytope:
 # ---------------------------------------------------------------------------
 
 def _facet_rings(P: Polytope):
-    """Vertex index rings per facet, ordered around the face, outward ccw."""
+    """Vertex index rings per facet, ordered around the face, outward ccw, on
+    the vertices scaled by a power of two near 1/max|coordinate| (no overflow)."""
+    top = max(abs(c) for v in P.vertices for c in v)
+    scale = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length())
+    verts = np.array([[float(c * scale) for c in v] for v in P.vertices])
     rings = []
     for f, tight in zip(P.facets, P.facet_tight_vertices()):
-        pts = [np.array([float(c) for c in P.vertices[k]]) for k in tight]
+        pts = verts[list(tight)]
         center = np.mean(pts, axis=0)
         n = np.array([float(c) for c in f.normal])
         n = n / np.linalg.norm(n)

@@ -90,6 +90,17 @@ def weyl_group() -> tuple[Element, ...]:
     return _closure([reflection(a) for a in ROOTS])
 
 
+@lru_cache(maxsize=1)
+def singular_classes() -> tuple[tuple[int, Element], ...]:
+    """The 14 pairs (i, w), one per distinct w.(weight i): i = 1, 2, 3 in
+    turn, each w the first element of `weyl_group()` reaching its image."""
+    firsts = {}
+    for i in (1, 2, 3):
+        for w in weyl_group():
+            firsts.setdefault((i, act(w, FUNDAMENTAL_WEIGHTS[i])), w)
+    return tuple((i, w) for (i, _), w in firsts.items())
+
+
 @lru_cache(maxsize=None)
 def parabolic(i: int) -> tuple[Element, ...]:
     """Subgroup generated by reflections in the roots orthogonal to weight i."""

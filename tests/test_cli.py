@@ -10,7 +10,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from orbitkit import cli, klein, moment
+from orbitkit import cli, klein, moment, polytopes, weyl
 from orbitkit.forms import TwoForm, conjugate
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs",
@@ -93,6 +93,29 @@ def test_verify_edge_prism_small(capsys):
     assert code == 0
 
 
+def test_verify_singular_builds_each_face_once(capsys, monkeypatch):
+    # One hull for the moment polytope and one per singular class; each
+    # class's vertex set is made once for the facet check and once by
+    # verify_singular.
+    calls = {"hull": 0, "vertex_set": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(polytopes, "_hull_exact", counted("hull", polytopes._hull_exact))
+    monkeypatch.setattr(weyl, "singular_vertex_set",
+                        counted("vertex_set", weyl.singular_vertex_set))
+    code, report = run_cli(capsys, "verify", "singular", "--n", "10")
+    assert code == 0
+    assert report["metrics"]["distinct_classes"] == 14
+    assert report["metrics"]["polytopes"] == 14
+    assert report["metrics"]["all_facets_covered"]
+    assert calls == {"hull": 15, "vertex_set": 28}
+
+
 def test_polytope_writes_artifacts(capsys, tmp_path):
     off = tmp_path / "p.off"
     facets = tmp_path / "p.json"
@@ -140,7 +163,11 @@ def test_bad_lambda_exits_2(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("lam", ["nan,1,2", "inf,1,2", "1,-inf,2", "1/0,1,2"])
+@pytest.mark.parametrize("lam", [
+    "nan,1,2", "inf,1,2", "1,-inf,2", "1/0,1,2",
+    # Finite but past 2**1020: floats of the coordinates or of their sums overflow.
+    "1e400,1,2", "1e308,1e308,1.5e308", pytest.param(f"1,1,{2 ** 1020 + 1}", id="2**1020+1"),
+])
 @pytest.mark.parametrize("command", ["polytope", "sample"])
 def test_non_finite_lambda_exits_2(capsys, command, lam):
     code = cli.main([command, "--lambda", lam])
@@ -148,6 +175,18 @@ def test_non_finite_lambda_exits_2(capsys, command, lam):
     assert code == 2
     assert captured.out == ""
     assert "bad lambda" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+def test_lambda_at_the_bound_runs_without_overflow(capsys, tmp_path):
+    top = 2 ** 1020
+    code, report = run_cli(capsys, "sample", "--lambda", f"{top},{top},{top}", "--n", "5")
+    assert code == 0
+    assert report["metrics"]["max_violation"] == 0.0
+    code, report = run_cli(capsys, "polytope", "--lambda", f"{top},0,{top}",
+                           "--out-off", str(tmp_path / "p.off"))
+    assert code == 0
+    assert report["metrics"]["facets"] == 14
 
 
 def test_lambda_is_parsed_exactly(capsys, tmp_path):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from orbitkit import moment, polytopes, weyl
 from orbitkit.cli import AGS_LAMBDAS
+from orbitkit.errors import BadIndex
 from orbitkit.forms import (
     OrbitClass,
     STABILIZER_DIM,
@@ -406,6 +407,18 @@ def test_verify_singular_moved_class():
     w = weyl.weyl_group()[5]
     rep = moment.verify_singular((1, 0.5, 2), 2, w, 300, 4)
     assert rep["pass"]
+
+
+@pytest.mark.parametrize("i", [0, 4, -1])
+def test_verify_singular_rejects_a_bad_weight_index(i):
+    with pytest.raises(BadIndex):
+        moment.verify_singular((1, 0.5, 2), i, weyl.IDENTITY, 10, 1)
+
+
+def test_verify_singular_rejects_a_matrix_outside_the_group():
+    not_in_group = ((1, 0, 0), (0, 1, 0), (0, 0, -1))
+    with pytest.raises(ValueError, match="Weyl group"):
+        moment.verify_singular((1, 0.5, 2), 1, not_in_group, 10, 1)
 
 
 def test_fixed_points_project_to_weyl_orbit():

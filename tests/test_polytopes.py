@@ -258,6 +258,16 @@ def test_off_export():
         assert all(0 <= k < 4 for k in parts[1:])
 
 
+def test_off_rings_of_a_huge_polytope_match_its_unit_copy():
+    # Float coordinates near 2**600 square past the float maximum; the rings
+    # are computed on a copy scaled by a power of two.
+    lam = (1, Fraction(1, 2), 2)
+    unit = polytopes.to_off(hull(weyl.weyl_orbit(lam)))
+    big = polytopes.to_off(hull(weyl.weyl_orbit(tuple(2 ** 600 * c for c in lam))))
+    rings = len(weyl.weyl_orbit(lam)) + 3
+    assert big.splitlines()[rings:] == unit.splitlines()[rings:]
+
+
 def test_facets_json_shape():
     P = hull(OCTA_POINTS)
     data = polytopes.polytope_to_json(P)

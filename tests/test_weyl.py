@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orbitkit import weyl
+from orbitkit import moment, weyl
 from orbitkit.errors import BadIndex
 
 
@@ -167,6 +167,28 @@ def test_parabolic_fixes_weight():
 def test_parabolic_bad_index():
     with pytest.raises(BadIndex):
         weyl.parabolic(4)
+
+
+def test_singular_classes_pick_the_first_element_of_each_class():
+    expected = []
+    seen = set()
+    for i in (1, 2, 3):
+        for w in weyl.weyl_group():
+            key = (i, weyl.act(w, weyl.FUNDAMENTAL_WEIGHTS[i]))
+            if key not in seen:
+                seen.add(key)
+                expected.append((i, w))
+    classes = weyl.singular_classes()
+    assert classes == tuple(expected)
+    assert len(classes) == 14
+    assert [i for i, _ in classes] == sorted(i for i, _ in classes)
+    images = [weyl.act(w, weyl.FUNDAMENTAL_WEIGHTS[i]) for i, w in classes]
+    assert len(set(images)) == 14
+    group = weyl.weyl_group()
+    for (i, w), image in zip(classes, images):
+        earlier = group[:group.index(w)]
+        assert all(weyl.act(u, weyl.FUNDAMENTAL_WEIGHTS[i]) != image for u in earlier)
+    assert np.array_equal(np.array(sorted(images), dtype=float), moment._NORMALS)
 
 
 def test_orbit_near_a_wall_keeps_every_image():
