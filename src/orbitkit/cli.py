@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Commands: classify, polytope, sample, verify <suite>, klein <sub>,
-iwasawa <sub>, export.  Every run prints a JSON report to stdout; exit code 0
-means all asserted tolerances were met, 1 is an assertion failure, 2 a
-usage or parse error.  The default seed comes from ORBITKIT_SEED (fallback 0;
-a non-integer value is a usage error) and an explicit --seed wins.
+iwasawa <sub>, export.  Every command is one entry of RUNS, started by
+cmd_run, which writes the run's artifacts and prints a JSON report to stdout;
+every report's metrics carry the run's `elapsed_seconds`.  Exit code 0 means
+all asserted tolerances were met, 1 is an assertion failure, 2 a usage or
+parse error.  The default seed comes from ORBITKIT_SEED (fallback 0; a
+non-integer value is a usage error) and an explicit --seed wins.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -30,23 +32,6 @@ from .forms import (
     classify,
     classify_full,
 )
-
-@dataclass
-class RunReport:
-    command: str
-    parameters: dict
-    passed: bool
-    metrics: dict = field(default_factory=dict)
-    artifacts: list = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "pass": self.passed,
-            "metrics": self.metrics,
-            "artifacts": self.artifacts,
-        }
 
 
 def _default_seed() -> int:
@@ -87,8 +72,9 @@ def _positive_tolerance(text: str) -> float:
 
 
 def _parse_lambda(text: str):
-    """Exact components: "0.1" is 1/10 and "1/3" is accepted; nan, inf and
-    |c| > 2**1020 are refused, so a sum of three stays below the float max."""
+    """argparse type of --lambda, with exact components: "0.1" is 1/10 and
+    "1/3" is accepted; nan, inf and |c| > 2**1020 are refused, so a sum of
+    three stays below the float max."""
     try:
         parts = [Fraction(p) for p in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
@@ -126,67 +112,63 @@ def _write_polytope(P, off_path, facets_path) -> list:
     return artifacts
 
 
-def _emit(report: RunReport) -> int:
-    print(json.dumps(report.to_json(), indent=2, sort_keys=True))
-    return 0 if report.passed else 1
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
-def cmd_classify(args) -> int:
-    form = _load_form(args.form)
-    result = classify_full(form, tol=args.tol)
-    payload = {
+def _class_metrics(result) -> dict:
+    return {
         "class": result.orbit_class.value,
         "canonical": [float(c) for c in result.triple],
         "stabilizer_dim": STABILIZER_DIM[result.orbit_class],
-        "ambiguous": result.ambiguous,
     }
-    report = RunReport(
-        "classify",
-        {"form": args.form, "tol": args.tol},
-        True,
-        metrics=payload,
-    )
-    return _emit(report)
 
 
-def cmd_polytope(args) -> int:
-    lam = _parse_lambda(args.lam)
+def _run_classify(form: str, tol: float) -> dict:
+    result = classify_full(_load_form(form), tol=tol)
+    return {"pass": True, **_class_metrics(result), "ambiguous": result.ambiguous}
+
+
+def _run_polytope(lam):
     P = moment.moment_polytope(lam)
-    report = RunReport(
-        "polytope",
-        {"lambda": [float(c) for c in lam]},
-        True,
-        metrics={
-            "dim": P.dim,
-            "vertices": len(P.vertices),
-            "facets": len(P.facets),
-        },
-        artifacts=_write_polytope(P, args.out_off, args.out_facets),
-    )
-    return _emit(report)
+    return P, {"pass": True, "dim": P.dim, "vertices": len(P.vertices),
+               "facets": len(P.facets)}
 
 
-def cmd_sample(args) -> int:
-    lam = _parse_lambda(args.lam)
-    cloud = moment.orbit_samples(lam, args.n, args.seed)
+def _run_sample(lam, n: int, seed: int, tol: float):
+    cloud = moment.orbit_samples(lam, n, seed)
     worst = float(np.max(moment.moment_violations(lam, cloud.points)))
-    artifacts = []
-    if args.out:
-        _write(args.out, cloud.to_csv())
-        artifacts.append(args.out)
-    report = RunReport(
-        "sample",
-        {"lambda": [float(c) for c in lam], "n": args.n, "seed": args.seed,
-         "tol": args.tol},
-        worst <= args.tol,
-        metrics={"max_violation": worst, "points": int(len(cloud.points))},
-        artifacts=artifacts,
-    )
-    return _emit(report)
+    return cloud, {"pass": worst <= tol, "max_violation": worst,
+                   "points": int(len(cloud.points))}
+
+
+def _class_triple(orbit_class: OrbitClass, triple):
+    """The chamber triple (x, y, z) projected onto the eigenvalue pattern of
+    its class, m the mean of the entries the pattern ties: PPlus (m, m, m),
+    PMinus (m, -m, m), Grassmannian (0, 0, z), F1 (m, m, z), F2 (m, -m, z),
+    F3Zero (m, 0, m), F3Plus and F3Minus (m, y, m), Zero (0, 0, 0); Generic
+    unchanged.  So a form classified within tol exports the polytope of its
+    class, not that of a generic orbit next to it."""
+    x, y, z = triple
+    plus, minus, f3 = (x + y + z) / 3, (x - y + z) / 3, (x + z) / 2
+    return {
+        OrbitClass.ZERO: (0.0, 0.0, 0.0),
+        OrbitClass.P_PLUS: (plus, plus, plus),
+        OrbitClass.P_MINUS: (minus, -minus, minus),
+        OrbitClass.GRASSMANNIAN: (0.0, 0.0, z),
+        OrbitClass.F1: ((x + y) / 2, (x + y) / 2, z),
+        OrbitClass.F2: ((x - y) / 2, (y - x) / 2, z),
+        OrbitClass.F3_ZERO: (f3, 0.0, f3),
+        OrbitClass.F3_PLUS: (f3, y, f3),
+        OrbitClass.F3_MINUS: (f3, y, f3),
+    }.get(orbit_class, triple)
+
+
+def _run_export(form: str, tol: float):
+    result = classify_full(_load_form(form), tol=tol)
+    P = moment.moment_polytope(_class_triple(result.orbit_class, result.triple))
+    return P, {"pass": True, **_class_metrics(result), "facets": len(P.facets),
+               "vertices": len(P.vertices)}
 
 
 def _suite_prop16() -> dict:
@@ -370,19 +352,23 @@ def _suite_f3_segments() -> dict:
 
 @dataclass(frozen=True)
 class Run:
-    """A `verify`, `klein` or `iwasawa` run: fn(**{a: args.a for a in used})
-    returns the metrics with a "pass" key, or (cloud, metrics); --out writes
-    the cloud as CSV and region(), if given, as facet JSON next to it."""
+    """One command: fn(**{a: args.a for a in used}) returns the metrics with a
+    "pass" key, or (artifact, metrics).  A SampleCloud artifact goes to --out
+    as CSV, with region(), if given, as facet JSON next to it; a Polytope goes
+    to --out-off and --out-facets."""
 
     fn: object
     used: tuple = ()
     region: object = None
 
 
-#: (command, sub) -> the run it starts.  iwasawa functions and klein regions
-#: are looked up when they run, so a wrapper set on the module later is the
-#: one called.
+#: (command, sub) -> the run it starts; sub is None for a command without
+#: one.  iwasawa functions and klein regions are looked up when they run, so
+#: a wrapper set on the module later is the one called.
 RUNS = {
+    ("classify", None): Run(_run_classify, ("form", "tol")),
+    ("polytope", None): Run(_run_polytope, ("lam",)),
+    ("sample", None): Run(_run_sample, ("lam", "n", "seed", "tol")),
     ("verify", "ags"): Run(_suite_ags, ("n", "seed", "tol")),
     ("verify", "prop16"): Run(_suite_prop16),
     ("verify", "octahedron"): Run(_suite_octahedron),
@@ -402,6 +388,7 @@ RUNS = {
                                 ("n", "seed")),
     ("iwasawa", "mixed"): Run(lambda **kw: iwasawa.mixed_classes_over(**kw),
                               ("n", "seed", "which")),
+    ("export", None): Run(_run_export, ("form", "tol")),
 }
 
 
@@ -410,66 +397,32 @@ def _subs(command: str) -> tuple:
 
 
 def cmd_run(args) -> int:
-    run = RUNS.get((args.command, args.sub))
+    sub = getattr(args, "sub", None)
+    run = RUNS.get((args.command, sub))
     if run is None:
-        raise UnknownSuite(f"unknown suite {args.sub!r}")
+        raise UnknownSuite(f"unknown suite {sub!r}")
     parameters = {k: getattr(args, k) for k in run.used}
-    t0 = time.time()
+    t0 = time.perf_counter()
     out = run.fn(**parameters)
-    cloud, metrics = out if isinstance(out, tuple) else (None, out)
-    metrics["elapsed_seconds"] = time.time() - t0
+    artifact, metrics = out if isinstance(out, tuple) else (None, out)
+    metrics["elapsed_seconds"] = time.perf_counter() - t0
     passed = bool(metrics.pop("pass"))
     artifacts = []
     path = getattr(args, "out", None)
-    if path and cloud is not None:
-        _write(path, cloud.to_csv())
+    if isinstance(artifact, polytopes.Polytope):
+        artifacts = _write_polytope(artifact, args.out_off, args.out_facets)
+    elif artifact is not None and path:
+        _write(path, artifact.to_csv())
         artifacts.append(path)
         if run.region is not None:
             artifacts += _write_polytope(run.region(), None, path + ".facets.json")
-    return _emit(RunReport(f"{args.command} {args.sub}", parameters, passed,
-                           metrics=metrics, artifacts=artifacts))
-
-
-def _class_triple(orbit_class: OrbitClass, triple):
-    """The chamber triple (x, y, z) projected onto the eigenvalue pattern of
-    its class, m the mean of the entries the pattern ties: PPlus (m, m, m),
-    PMinus (m, -m, m), Grassmannian (0, 0, z), F1 (m, m, z), F2 (m, -m, z),
-    F3Zero (m, 0, m), F3Plus and F3Minus (m, y, m), Zero (0, 0, 0); Generic
-    unchanged.  So a form classified within tol exports the polytope of its
-    class, not that of a generic orbit next to it."""
-    x, y, z = triple
-    plus, minus, f3 = (x + y + z) / 3, (x - y + z) / 3, (x + z) / 2
-    return {
-        OrbitClass.ZERO: (0.0, 0.0, 0.0),
-        OrbitClass.P_PLUS: (plus, plus, plus),
-        OrbitClass.P_MINUS: (minus, -minus, minus),
-        OrbitClass.GRASSMANNIAN: (0.0, 0.0, z),
-        OrbitClass.F1: ((x + y) / 2, (x + y) / 2, z),
-        OrbitClass.F2: ((x - y) / 2, (y - x) / 2, z),
-        OrbitClass.F3_ZERO: (f3, 0.0, f3),
-        OrbitClass.F3_PLUS: (f3, y, f3),
-        OrbitClass.F3_MINUS: (f3, y, f3),
-    }.get(orbit_class, triple)
-
-
-def cmd_export(args) -> int:
-    form = _load_form(args.form)
-    result = classify_full(form, tol=args.tol)
-    P = moment.moment_polytope(_class_triple(result.orbit_class, result.triple))
-    report = RunReport(
-        "export",
-        {"form": args.form, "tol": args.tol},
-        True,
-        metrics={
-            "class": result.orbit_class.value,
-            "canonical": [float(c) for c in result.triple],
-            "stabilizer_dim": STABILIZER_DIM[result.orbit_class],
-            "facets": len(P.facets),
-            "vertices": len(P.vertices),
-        },
-        artifacts=_write_polytope(P, args.out_off, args.out_facets),
-    )
-    return _emit(report)
+    if "lam" in parameters:  # echoed under its flag name, as floats
+        parameters["lambda"] = [float(c) for c in parameters.pop("lam")]
+    report = {"command": args.command if sub is None else f"{args.command} {sub}",
+              "parameters": parameters, "pass": passed, "metrics": metrics,
+              "artifacts": artifacts}
+    print(json.dumps(report, indent=2, sort_keys=True))
+    return 0 if passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -483,35 +436,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify a 2-form JSON file")
     p.add_argument("--form", required=True)
     p.add_argument("--tol", type=_positive_tolerance, default=1e-8)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("polytope", help="moment polytope of a Cartan point")
-    p.add_argument("--lambda", dest="lam", required=True, help='e.g. "1,0.5,2"')
+    p.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True,
+                   help='e.g. "1,0.5,2"')
     p.add_argument("--out-off", default=None)
     p.add_argument("--out-facets", default=None)
-    p.set_defaults(func=cmd_polytope)
 
     p = sub.add_parser("sample", help="Haar-sample an orbit and project")
-    p.add_argument("--lambda", dest="lam", required=True)
+    p.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True)
     p.add_argument("--n", type=_sample_count, default=1000)
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("verify", help="run a named verification suite")
     p.add_argument("sub", metavar="suite", help=", ".join(_subs("verify")))
     p.add_argument("--n", type=_sample_count, default=10000)
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--tol", type=_tolerance, default=1e-9)
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("klein", help="emit inverse-image clouds")
     p.add_argument("sub", choices=_subs("klein"))
     p.add_argument("--n", type=_sample_count, default=1000)
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("iwasawa", help="integrability scans on the nilmanifold")
     p.add_argument("sub", choices=_subs("iwasawa"))
@@ -520,15 +469,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_tolerance, default=1e-6)
     p.add_argument("--which", choices=("K", "K_intersection"), default="K")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("export", help="classify a form and export its moment polytope")
     p.add_argument("--form", required=True)
     p.add_argument("--tol", type=_positive_tolerance, default=1e-8)
     p.add_argument("--out-off", default=None)
     p.add_argument("--out-facets", default=None)
-    p.set_defaults(func=cmd_export)
 
+    for p in sub.choices.values():
+        p.set_defaults(func=cmd_run)
     return parser
 
 

@@ -152,22 +152,19 @@ def fibration_project(form: TwoForm, target, tol: float = 1e-8) -> TwoForm:
 
 
 def pi1(form: TwoForm, tol: float = 1e-8) -> TwoForm:
-    """Complex-structure part of a mixed form: the factor F (-F^2)^(-1/2)."""
+    """Complex-structure part of a mixed form: its projection onto the
+    PPlus orbit of (1, 1, 1)."""
     if classify(form, tol) is not OrbitClass.F1:
         raise WrongClass("pi1 expects an F1-class form")
-    F = form.endomorphism()
-    M = -F @ F
-    s, Q = np.linalg.eigh(M)
-    inv_sqrt = Q @ np.diag(1.0 / np.sqrt(s)) @ Q.T
-    return TwoForm.from_matrix(F @ inv_sqrt, tol=1e-6)
+    return fibration_project(form, (1, 1, 1), tol)
 
 
 def pi2(form: TwoForm, tol: float = 1e-8) -> SimplePlaneForm:
-    """Plane part of a mixed form: the eigenplane carrying the distinct value."""
+    """Plane part of a mixed form: its projection onto the Grassmannian orbit
+    of (0, 0, 1), the eigenplane carrying the distinct value."""
     if classify(form, tol) is not OrbitClass.F1:
         raise WrongClass("pi2 expects an F1-class form")
-    plane = eigen_split(form, tol=min(tol, 1e-9)).planes[2]
-    return SimplePlaneForm(TwoForm.from_wedge(plane.u, plane.v))
+    return SimplePlaneForm(fibration_project(form, (0, 0, 1), tol))
 
 
 def _hodge_basis(plane_form: SimplePlaneForm):

@@ -435,16 +435,22 @@ def section(P: Polytope, normal, offset) -> Polytope:
 # ---------------------------------------------------------------------------
 
 def _facet_rings(P: Polytope):
-    """Vertex index rings per facet, ordered around the face, outward ccw, on
-    the vertices scaled by a power of two near 1/max|coordinate| (no overflow)."""
+    """Vertex index rings ordered ccw about their normal: one per facet of a
+    3-polytope, or the polygon itself about its plane's normal.  The angles
+    are taken on the vertices scaled by a power of two near 1/max|coordinate|
+    (no overflow)."""
     top = max(abs(c) for v in P.vertices for c in v)
     scale = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length())
     verts = np.array([[float(c * scale) for c in v] for v in P.vertices])
+    if P.dim == 2:
+        faces = [(P.equalities[0].normal, range(len(P.vertices)))]
+    else:
+        faces = zip((f.normal for f in P.facets), P.facet_tight_vertices())
     rings = []
-    for f, tight in zip(P.facets, P.facet_tight_vertices()):
+    for normal, tight in faces:
         pts = verts[list(tight)]
         center = np.mean(pts, axis=0)
-        n = np.array([float(c) for c in f.normal])
+        n = np.array([float(c) for c in normal])
         n = n / np.linalg.norm(n)
         ref = pts[0] - center
         ref = ref - np.dot(ref, n) * n

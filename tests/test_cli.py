@@ -124,6 +124,7 @@ def test_polytope_writes_artifacts(capsys, tmp_path):
         "--out-off", str(off), "--out-facets", str(facets),
     )
     assert code == 0
+    assert report["metrics"].pop("elapsed_seconds") >= 0.0
     assert report["metrics"] == {"dim": 3, "vertices": 12, "facets": 8}
     assert off.read_text().startswith("OFF")
     data = json.loads(facets.read_text())
@@ -390,6 +391,21 @@ def test_non_integer_seed_env_exits_2(capsys, monkeypatch):
     assert "ORBITKIT_SEED" in captured.err
 
 
+def test_single_run_commands_echo_their_parameters(capsys, form_file):
+    cases = [
+        (["classify", "--form", form_file, "--tol", "1e-7"], {"form": form_file, "tol": 1e-7}),
+        (["export", "--form", form_file], {"form": form_file, "tol": 1e-8}),
+        (["polytope", "--lambda", "1,1/2,2"], {"lambda": [1.0, 0.5, 2.0]}),
+        (["sample", "--lambda", "1,0.5,2", "--n", "5", "--seed", "3", "--tol", "1e-6"],
+         {"lambda": [1.0, 0.5, 2.0], "n": 5, "seed": 3, "tol": 1e-6}),
+    ]
+    for argv, parameters in cases:
+        code, report = run_cli(capsys, *argv)
+        assert code == 0
+        assert report["command"] == argv[0]
+        assert report["parameters"] == parameters
+
+
 def test_verify_echoes_only_used_parameters(capsys):
     code, report = run_cli(capsys, "verify", "prop16", "--n", "5")
     assert code == 0
@@ -468,15 +484,17 @@ def test_every_run_choice_has_one_registry_entry():
     parser = cli.build_parser()
     commands = next(a for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
-    for command in ("verify", "klein", "iwasawa"):
-        sub = commands[command]
-        positional = next(a for a in sub._actions if a.dest == "sub")
+    assert set(commands) == {c for c, _ in cli.RUNS}
+    for command, sub in commands.items():
+        assert sub.get_default("func") is cli.cmd_run, command
+        positional = next((a for a in sub._actions if a.dest == "sub"), None)
         subs = [s for c, s in cli.RUNS if c == command]
-        if command == "verify":
+        if positional is None:
+            assert subs == [None], command
+        elif command == "verify":
             assert positional.help.split(", ") == subs
         else:
             assert list(positional.choices) == subs
         dests = {a.dest for a in sub._actions}
         for s in subs:
             assert set(cli.RUNS[command, s].used) <= dests, (command, s)
-    assert {c for c, _ in cli.RUNS} == {"verify", "klein", "iwasawa"}

@@ -71,11 +71,17 @@ def test_pi1_examples():
 
 
 def test_pi1_matches_fibration_project():
+    # pi1 is fibration_project onto (1, 1, 1); the polar factor F (-F^2)^(-1/2)
+    # of the form's endomorphism is an independent reference for it.
     for k in range(5):
         f = conjugate(F1_FORM, haar(77, k))
         a = klein.pi1(f).as_array()
         b = klein.fibration_project(f, (1, 1, 1)).as_array()
         assert np.max(np.abs(a - b)) <= 1e-9
+        F = f.endomorphism()
+        s, Q = np.linalg.eigh(-F @ F)
+        polar = TwoForm.from_matrix(F @ Q @ np.diag(s ** -0.5) @ Q.T, tol=1e-6)
+        assert np.max(np.abs(a - polar.as_array())) <= 1e-9
 
 
 def test_pi2_examples():

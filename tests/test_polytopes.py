@@ -258,6 +258,25 @@ def test_off_export():
         assert all(0 <= k < 4 for k in parts[1:])
 
 
+def test_off_of_a_polygon_is_one_cyclic_face():
+    square = section(hull(weyl.weyl_orbit((1, 1, 2))), (0, 0, 1), 0)
+    hexagon = section(hull(weyl.weyl_orbit((1, Fraction(1, 2), 2))), (1, 1, 1), 0)
+    for P, nv in ((square, 4), (hexagon, 6)):
+        assert P.dim == 2
+        lines = polytopes.to_off(P).splitlines()
+        assert lines[2] == f"{nv} 1 0"
+        ring = [int(k) for k in lines[3 + nv].split()]
+        assert ring[0] == nv and sorted(ring[1:]) == list(range(nv))
+        # Consecutive ring vertices span an edge, and the ring turns ccw about
+        # the plane's normal.
+        edges = {frozenset(t) for t in P.facet_tight_vertices()}
+        cyc = ring[1:] + ring[1:2]
+        assert {frozenset(e) for e in zip(cyc, cyc[1:])} == edges
+        a, b, c = (P.vertices[k] for k in ring[1:4])
+        turn = polytopes._cross(polytopes._sub(b, a), polytopes._sub(c, b))
+        assert polytopes._dot(turn, P.equalities[0].normal) > 0
+
+
 def test_off_rings_of_a_huge_polytope_match_its_unit_copy():
     # Float coordinates near 2**600 square past the float maximum; the rings
     # are computed on a copy scaled by a power of two.
