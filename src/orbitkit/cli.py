@@ -264,7 +264,7 @@ def _suite_singular(n: int, seed: int, tol: float) -> dict:
 
 
 def _suite_spin_cover(n: int) -> dict:
-    thetas = np.linspace(0.0, 4 * np.pi, max(n, 2))
+    thetas = np.linspace(0.0, 4 * np.pi, n)
     worst = max(spin.spin_cover_check(float(t)).discrepancy for t in thetas)
     r = spin.spin_cover_check(2 * np.pi)
     at_2pi = float(np.max(np.abs(r.su4_element + np.eye(4))))
@@ -275,18 +275,17 @@ def _suite_spin_cover(n: int) -> dict:
         "max_discrepancy": float(worst),
         "su4_at_2pi_vs_minus_identity": at_2pi,
         "so6_at_2pi_vs_identity": so6_identity,
-        "thetas": int(max(n, 2)),
+        "thetas": n,
     }
 
 
 def _suite_edge_prism(n: int, seed: int):
-    draws = klein.fibre_draws(n, seed, klein.EDGE_PRISM_T_LO)
-    pts = [klein.edge_prism_point(*abc, *abg, t) for abc, abg, t in draws]
-    worst = max(abs(x - y - abc[0] * z - abc[0] * (3.0 + t))
-                for (x, y, z), (abc, _, t) in zip(pts, draws))
+    abc, abg, t = klein.fibre_draws(n, seed, klein.EDGE_PRISM_T_LO)
+    pts = klein.edge_prism_points(abc, abg, t)
+    a = abc[:, 0]
+    worst = np.max(np.abs(pts[:, 0] - pts[:, 1] - a * pts[:, 2] - a * (3.0 + t)))
     all_in_region = klein.prism_region_test(pts)
-    cloud = moment.SampleCloud(seed, np.array(pts),
-                               f"source=klein_edge_prism n={n} seed={seed}")
+    cloud = moment.SampleCloud(seed, pts, f"source=klein_edge_prism n={n} seed={seed}")
     return cloud, {"pass": worst <= 1e-12 and all_in_region,
                    "max_identity_residual": float(worst),
                    "all_in_region": all_in_region, "n": n, "points": len(pts)}
@@ -297,7 +296,8 @@ def _suite_square(n: int, seed: int, tol: float = 1e-9):
     worst_limit = 0.0
     pts = []
     triples = []
-    for u, v, t in klein.fibre_draws(n, seed, klein.SQUARE_T_LO):
+    U, V, T = klein.fibre_draws(n, seed, klein.SQUARE_T_LO)
+    for u, v, t in zip(U, V, T.tolist()):
         plane = klein.plane_in_span4(v)
         J = klein.ocs_over_plane(plane, u)
         form = plane.form + float(t) * J

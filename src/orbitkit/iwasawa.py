@@ -19,7 +19,7 @@ import numpy as np
 
 from . import moment
 from .errors import IncompatiblePair, WrongClass
-from .forms import E12, E34, E56, PAIRS, TwoForm, endomorphisms
+from .forms import E12, E34, E56, TwoForm, endomorphisms
 
 
 @dataclass(frozen=True)
@@ -57,20 +57,6 @@ def bracket(algebra: FrameAlgebra, X, Y) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     return np.einsum("kij,...i,...j->...k", algebra.c, X, Y)
-
-
-def d_one_form(algebra: FrameAlgebra, k: int) -> TwoForm:
-    """Exterior derivative of the frame 1-form e^k as a 2-form."""
-    return TwoForm(tuple(-algebra.c[k - 1, i - 1, j - 1] for i, j in PAIRS))
-
-
-def d_two_form(algebra: FrameAlgebra, beta: TwoForm) -> np.ndarray:
-    """Exterior derivative of an invariant 2-form as the full values tensor
-    (d beta)(e_i, e_j, e_k) = -beta([e_i,e_j], e_k) + beta([e_i,e_k], e_j)
-    - beta([e_j,e_k], e_i)."""
-    # beta(e_m, e_k) is entry (m, k) of the transposed endomorphism.
-    t = np.einsum("mij,mk->ijk", algebra.c, beta.endomorphism().T)
-    return -t + np.einsum("ijk->ikj", t) - np.einsum("ijk->jki", t)
 
 
 def ocs_matrix(form, tol: float = 1e-8) -> np.ndarray:
@@ -200,10 +186,11 @@ def scan_complex(n: int, seed: int, tol: float = 1e-6,
     if n < 1:
         raise ValueError("n must be at least 1")
     algebra = iwasawa_algebra()
-    family = [TwoForm.from_cartan((1, 1, 1))] + [asd_edge_form(*g) for g in asd_edge_grid()]
-    family_max = max(nijenhuis_norm(algebra, ocs_matrix(f)) for f in family)
-    family_points = [moment.mu_t(f) for f in family]
-    J0 = family[0].endomorphism()
+    family = np.vstack([TwoForm.from_cartan((1, 1, 1)).as_array(),
+                        _asd_edge_coeffs(*np.array(asd_edge_grid()).T)])
+    family_J = ocs_matrix(endomorphisms(family))
+    family_max = float(np.max(_nijenhuis_norms(algebra, family_J)))
+    J0 = family_J[0]
     accepted = []
     chunk = 20000
     for lo in range(0, n, chunk):
@@ -213,7 +200,7 @@ def scan_complex(n: int, seed: int, tol: float = 1e-6,
         acc = _nijenhuis_norms(algebra, Js) < tol
         accepted.extend(Js[acc][:, (1, 3, 5), (0, 2, 4)])
     max_dist = max((integrable_set_distance(p) for p in accepted), default=0.0)
-    pts = np.array(accepted + family_points)
+    pts = np.vstack(accepted + [family[:, (E12, E34, E56)]])
     cloud = moment.SampleCloud(
         seed, pts, f"source=scan_complex n={n} seed={seed} tol={tol!r}"
     )
@@ -369,6 +356,19 @@ def mixed_pair(J_form: TwoForm, V, t: float, tol: float = 1e-9) -> TwoForm:
     return J_form + float(t) * plane_form(V)
 
 
+def mixed_images(coeffs: np.ndarray, v: np.ndarray, t: np.ndarray):
+    """Lift complex structures to mixed forms J + t (v ^ Jv), row by row.
+
+    coeffs (n, 15) are complex-structure forms J, v (n, 6) unit vectors and
+    t (n,) the fibre parameters.  Returns the frames (v, Jv) (n, 6, 2) and the
+    Cartan images (n, 3) of the mixed forms, row by row `mu_t` of the TwoForm
+    sum J + t * from_wedge(v, Jv).
+    """
+    J = ocs_matrix(endomorphisms(coeffs))
+    V = np.stack([v, (J @ v[..., None])[..., 0]], axis=-1)
+    return V, coeffs[:, (E12, E34, E56)] + t[:, None] * _plane_images(V)
+
+
 def mixed_classes_over(n: int, seed: int, which: str = "K") -> tuple[moment.SampleCloud, dict]:
     """Images of mixed forms built from integrable structures over a scan class.
 
@@ -395,16 +395,15 @@ def mixed_classes_over(n: int, seed: int, which: str = "K") -> tuple[moment.Samp
     if which == "K":
         abc = G[1::2, :3] / np.linalg.norm(G[1::2, :3], axis=1, keepdims=True)
         coeffs[1::2] = _asd_edge_coeffs(*abc.T)
-    J = ocs_matrix(endomorphisms(coeffs))
     v = np.zeros((n, 6))
     v[:, :4] = G[:, 3:7] / np.linalg.norm(G[:, 3:7], axis=1, keepdims=True)
-    V = np.stack([v, (J @ v[..., None])[..., 0]], axis=-1)
-    keep = _invariant(J, V, 1e-9)
+    V, images = mixed_images(coeffs, v, T)
+    keep = _invariant(endomorphisms(coeffs), V, 1e-9)
     if which == "K_intersection":
         keep &= horizontal_closed(algebra, V) & vertical_closed(algebra, V)
     skipped = int(np.count_nonzero(~keep))
     t = T[keep]
-    pts = coeffs[keep][:, (E12, E34, E56)] + t[:, None] * _plane_images(V[keep])
+    pts = images[keep]
     lams = np.column_stack([np.ones_like(t), np.ones_like(t), 1.0 + t])
     worst = float(np.max(moment.moment_violations(lams, pts), initial=0.0))
     report = {

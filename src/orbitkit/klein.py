@@ -1,17 +1,17 @@
 """Fibration projections between orbit types and explicit inverse-image data.
 
-A mixed structure (orthogonal complex structure J plus a J-invariant oriented
-2-plane) projects to its complex-structure part and to its plane part; those
-projections are realised here on 2-forms, together with the closed-form
-inverse-image families: the prism over the distinguished tetrahedron edge and
-the central-square fibres.
+`fibration_project` maps a form onto the orbit of a coarser Cartan point:
+onto (1, 1, 1) it gives the complex-structure part of a mixed form, onto
+(0, 0, 1) its plane part.  The fibres over a complex structure J are lifts,
+the mixed forms J + t (v ^ Jv) of `iwasawa.mixed_images`; here they give
+the closed-form inverse-image families: the prism over the distinguished
+tetrahedron edge and the central-square fibres.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -49,61 +49,6 @@ class SimplePlaneForm:
 
 def as_simple_plane(p) -> SimplePlaneForm:
     return p if isinstance(p, SimplePlaneForm) else SimplePlaneForm(p)
-
-
-@dataclass(frozen=True)
-class MixedStructure:
-    """Commuting pair: complex structure J and product structure P.
-
-    P is the reflection with +1 eigenspace the distinguished 2-plane (so
-    P^2 = I, trace -2), J squares to -1, JP = PJ, and the weights (a, b)
-    recover the defining form as a * (form of J) + b * (plane form).
-    """
-
-    J: np.ndarray
-    P: np.ndarray
-    weights: tuple[float, float]
-
-    def __post_init__(self):
-        if np.max(np.abs(self.J @ self.J + np.eye(6))) > 1e-9:
-            raise ValueError("J does not square to -identity")
-        if np.max(np.abs(self.P @ self.P - np.eye(6))) > 1e-9:
-            raise ValueError("P is not an involution")
-        if abs(np.trace(self.P) + 2.0) > 1e-9:
-            raise ValueError("P must have a 2-dimensional +1 eigenspace")
-        if np.max(np.abs(self.J @ self.P - self.P @ self.J)) > 1e-10:
-            raise ValueError("J and P do not commute")
-        a, b = self.weights
-        if not (a > 0 and b != 0):
-            raise ValueError("weights must satisfy a > 0, b != 0")
-
-    def plane_basis(self) -> np.ndarray:
-        """Orthonormal basis (6, 2) of the +1 eigenspace of P, J-oriented."""
-        s, Q = np.linalg.eigh(self.P)
-        v = Q[:, -1]
-        w = self.J @ v
-        return np.column_stack([v, w])
-
-    def form(self) -> TwoForm:
-        """The defining 2-form a * (form of J) + b * (oriented plane form)."""
-        a, b = self.weights
-        V = self.plane_basis()
-        return a * TwoForm.from_matrix(self.J) + b * TwoForm.from_wedge(
-            V[:, 0], V[:, 1]
-        )
-
-
-def mixed_structure(form: TwoForm, tol: float = 1e-8) -> MixedStructure:
-    """Decompose a mixed-class form into its commuting (J, P, weights) data."""
-    split = eigen_split(form, tol=min(tol, 1e-9))
-    x, y, z = split.values
-    if not (_eq(x, y, tol) and z > x > 0):
-        raise WrongClass("mixed decomposition expects an F1-class form")
-    J = pi1(form, tol).endomorphism()
-    plane = split.planes[2]
-    V = np.column_stack([plane.u, plane.v])
-    P = 2.0 * V @ V.T - np.eye(6)
-    return MixedStructure(J, P, ((x + y) / 2.0, z - (x + y) / 2.0))
 
 
 def _pattern_refines(source, target, tol: float) -> bool:
@@ -149,22 +94,6 @@ def fibration_project(form: TwoForm, target, tol: float = 1e-8) -> TwoForm:
     for value, plane in zip(target_chamber, split.planes):
         out = out + float(value) * TwoForm.from_wedge(plane.u, plane.v)
     return out
-
-
-def pi1(form: TwoForm, tol: float = 1e-8) -> TwoForm:
-    """Complex-structure part of a mixed form: its projection onto the
-    PPlus orbit of (1, 1, 1)."""
-    if classify(form, tol) is not OrbitClass.F1:
-        raise WrongClass("pi1 expects an F1-class form")
-    return fibration_project(form, (1, 1, 1), tol)
-
-
-def pi2(form: TwoForm, tol: float = 1e-8) -> SimplePlaneForm:
-    """Plane part of a mixed form: its projection onto the Grassmannian orbit
-    of (0, 0, 1), the eigenplane carrying the distinct value."""
-    if classify(form, tol) is not OrbitClass.F1:
-        raise WrongClass("pi2 expects an F1-class form")
-    return SimplePlaneForm(fibration_project(form, (0, 0, 1), tol))
 
 
 def _hodge_basis(plane_form: SimplePlaneForm):
@@ -249,53 +178,62 @@ EDGE_PRISM_T_LO = 0.0
 SQUARE_T_LO = 0.05
 
 
-def fibre_draws(n: int, seed: int, t_lo: float) -> list:
-    """Per-sample fibre parameters (u, v, t) for samples 0..n-1.
+def fibre_draws(n: int, seed: int, t_lo: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fibre parameters of samples 0..n-1: unit 3-vectors u (n, 3) and
+    v (n, 3) and t (n,).
 
-    Sample k takes 7 words of stream (seed, k): the unit 3-vectors u and v
-    from the 6 normals of words 0-5 and t ~ U(t_lo, 1) from word 6.
+    Sample k takes 7 words of stream (seed, k): u and v from the 6 normals of
+    words 0-5 and t ~ U(t_lo, 1) from word 6.
     """
     w = moment.stream(seed, n, 7)
     g = moment.gaussians(w[:, :6])
     u = g[:, :3] / np.linalg.norm(g[:, :3], axis=1, keepdims=True)
     v = g[:, 3:] / np.linalg.norm(g[:, 3:], axis=1, keepdims=True)
     t = t_lo + (1.0 - t_lo) * moment.uniforms(w[:, 6])
-    return list(zip(u, v, t.tolist()))
+    return u, v, t
 
 
 # ---------------------------------------------------------------------------
 # Edge prism
 # ---------------------------------------------------------------------------
 
-def edge_prism_point(a, b, c, alpha, beta, gamma, t,
-                     tol: float = 1e-12) -> tuple[float, float, float]:
-    """Moment image of w + t e^(Je) for w on the edge family and
-    e = alpha e1 + beta e3 + gamma e5."""
-    if abs(a * a + b * b + c * c - 1.0) > tol:
+def edge_prism_points(abc, abg, t) -> np.ndarray:
+    """Moment images (n, 3) of w + t e^(Je), row by row: w the edge-family
+    form `iwasawa.asd_edge_form` of a row (a, b, c) of abc (n, 3) and
+    e = alpha e1 + beta e3 + gamma e5 of a row of abg (n, 3)."""
+    abc, abg, t = (np.asarray(x, dtype=float) for x in (abc, abg, t))
+    e = np.zeros((len(t), 6))
+    e[:, 0::2] = abg
+    return iwasawa.mixed_images(iwasawa._asd_edge_coeffs(*abc.T), e, t)[1]
+
+
+def edge_prism_point(a, b, c, alpha, beta, gamma, t) -> tuple[float, float, float]:
+    """One row of `edge_prism_points`, for unit (a, b, c) and
+    (alpha, beta, gamma) and t >= 0."""
+    if abs(a * a + b * b + c * c - 1.0) > 1e-12:
         raise NormViolation("(a, b, c) must be a unit vector")
-    if abs(alpha * alpha + beta * beta + gamma * gamma - 1.0) > tol:
+    if abs(alpha * alpha + beta * beta + gamma * gamma - 1.0) > 1e-12:
         raise NormViolation("(alpha, beta, gamma) must be a unit vector")
     if t < 0:
         raise ValueError("t must be nonnegative")
-    w = iwasawa.asd_edge_form(a, b, c)
-    e = np.zeros(6)
-    e[0], e[2], e[4] = alpha, beta, gamma
-    je = w.endomorphism() @ e
-    return moment.mu_t(w + float(t) * TwoForm.from_wedge(e, je))
+    return tuple(edge_prism_points([(a, b, c)], [(alpha, beta, gamma)], [t])[0].tolist())
 
 
-def prism_region(t0=1) -> polytopes.Polytope:
-    """Moment polytope of (1, 1, 1 + t0) cut down to z <= -1."""
-    P = moment.moment_polytope((1, 1, Fraction(1) + Fraction(t0)))
-    return polytopes.clip(P, (0, 0, 1), -1)
+#: Chamber triple (1, 1, 1 + t) of the edge-prism forms at the top t = 1.
+PRISM_LAMBDA = (1, 1, 2)
 
 
-def prism_region_test(p, tol: float = 1e-9, t0=1) -> bool:
-    """Membership in the edge-prism region (z <= -1 inside the polytope) of
-    a point, or of every row of an (n, 3) array."""
+def prism_region() -> polytopes.Polytope:
+    """Moment polytope of (1, 1, 2) cut down to z <= -1."""
+    return polytopes.clip(moment.moment_polytope(PRISM_LAMBDA), (0, 0, 1), -1)
+
+
+def prism_region_test(p) -> bool:
+    """Membership within 1e-9 in the edge-prism region (z <= -1 inside the
+    polytope) of a point, or of every row of an (n, 3) array."""
     pts = np.atleast_2d(np.asarray(p, dtype=float))
-    return bool(np.all(pts[:, 2] <= -1.0 + tol)
-                and np.all(moment.moment_violations((1, 1, 1 + t0), pts) <= tol))
+    return bool(np.all(pts[:, 2] <= -1.0 + 1e-9)
+                and np.all(moment.moment_violations(PRISM_LAMBDA, pts) <= 1e-9))
 
 
 # ---------------------------------------------------------------------------

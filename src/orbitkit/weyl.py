@@ -144,11 +144,3 @@ def element_to_json(w: Element) -> list[int]:
     """Row-major 9-entry integer array."""
     return [w[i][j] for i in range(3) for j in range(3)]
 
-
-def element_from_json(data) -> Element:
-    if len(data) != 9:
-        raise ValueError("expected 9 integers")
-    w = tuple(tuple(int(data[3 * i + j]) for j in range(3)) for i in range(3))
-    if w not in weyl_group():
-        raise ValueError("matrix is not a Weyl group element")
-    return w

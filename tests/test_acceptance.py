@@ -146,12 +146,12 @@ def test_c06_edge_prism_identity():
     n = 10_000
     seed = 17
     with Timer(5.0) as t:
-        worst = 0.0
-        for abc, abg, tt in klein.fibre_draws(n, seed, 0.0):
-            x, y, z = klein.edge_prism_point(*abc, *abg, tt)
-            worst = max(worst, abs(x - y - abc[0] * z - abc[0] * (3.0 + tt)))
-            assert klein.prism_region_test((x, y, z)), (abc, abg, tt)
+        abc, abg, tt = klein.fibre_draws(n, seed, 0.0)
+        x, y, z = klein.edge_prism_points(abc, abg, tt).T
+        a = abc[:, 0]
+        worst = float(np.max(np.abs(x - y - a * z - a * (3.0 + tt))))
         assert worst <= 1e-12
+        assert klein.prism_region_test(np.column_stack([x, y, z]))
     t.check(f"criterion 6: edge-prism identity over {n} draws (residual {worst:.2e})")
 
 

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from fractions import Fraction
 import jsonschema
 import pytest
 
-from orbitkit import cli, klein, moment, polytopes, weyl
+from orbitkit import cli, klein, moment, polytopes, spin, weyl
 from orbitkit.forms import TwoForm, conjugate
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs",
@@ -86,6 +87,18 @@ def test_verify_spin_cover(capsys):
     code, report = run_cli(capsys, "verify", "spin-cover", "--n", "100")
     assert code == 0
     assert report["metrics"]["max_discrepancy"] < 1e-12
+
+
+def test_verify_spin_cover_samples_the_n_it_echoes(capsys, monkeypatch):
+    thetas = []
+    check = spin.spin_cover_check
+    monkeypatch.setattr(spin, "spin_cover_check",
+                        lambda theta: thetas.append(theta) or check(theta))
+    code, report = run_cli(capsys, "verify", "spin-cover", "--n", "1")
+    assert code == 0 and report["pass"]
+    assert report["parameters"] == {"n": 1} and report["metrics"]["thetas"] == 1
+    # One sampled angle, then the check at 2 pi.
+    assert thetas == [0.0, 2 * math.pi]
 
 
 def test_verify_edge_prism_small(capsys):
@@ -273,9 +286,9 @@ def test_klein_square_fails_on_a_row_outside_its_region(capsys, monkeypatch):
     assert code == 0 and report["metrics"]["all_in_region"]
     # t = 3 lies beyond the fibre's range (0, 1]: the image (4, 3, 3) is still
     # a moment image of its own orbit, but it is outside the exported region.
-    draws = klein.fibre_draws(20, 5, klein.SQUARE_T_LO)
-    draws[0] = ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0), 3.0)
-    monkeypatch.setattr(klein, "fibre_draws", lambda n, seed, t_lo: draws)
+    u, v, t = klein.fibre_draws(20, 5, klein.SQUARE_T_LO)
+    u[0], v[0], t[0] = (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), 3.0
+    monkeypatch.setattr(klein, "fibre_draws", lambda n, seed, t_lo: (u, v, t))
     code, report = run_cli(capsys, "klein", "square", "--n", "20", "--seed", "5")
     metrics = report["metrics"]
     assert code != 0 and not report["pass"] and not metrics["all_in_region"]

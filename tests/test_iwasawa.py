@@ -17,21 +17,6 @@ def test_jacobi_identity(algebra):
     assert algebra.jacobi_residual() <= 1e-14
 
 
-def test_structure_constants_from_derivative_expansion(algebra):
-    # de5 = e13 - e24, de6 = e14 + e23 pin the brackets via
-    # d(alpha)(X, Y) = -alpha([X, Y]).
-    d5 = iwasawa.d_one_form(algebra, 5)
-    assert d5.coefficient(1, 3) == 1.0
-    assert d5.coefficient(2, 4) == -1.0
-    assert sum(abs(c) for c in d5.coeffs) == 2.0
-    d6 = iwasawa.d_one_form(algebra, 6)
-    assert d6.coefficient(1, 4) == 1.0
-    assert d6.coefficient(2, 3) == 1.0
-    assert sum(abs(c) for c in d6.coeffs) == 2.0
-    for k in (1, 2, 3, 4):
-        assert iwasawa.d_one_form(algebra, k).norm() == 0.0
-
-
 def test_bracket_values(algebra):
     e = np.eye(6)
     assert np.array_equal(iwasawa.bracket(algebra, e[0], e[2]), -e[4])
@@ -40,6 +25,8 @@ def test_bracket_values(algebra):
     assert np.array_equal(iwasawa.bracket(algebra, e[1], e[2]), -e[5])
     assert np.all(iwasawa.bracket(algebra, e[0], e[1]) == 0)
     assert np.all(iwasawa.bracket(algebra, e[2], e[3]) == 0)
+    # The four brackets above, each stored antisymmetrically, are all of c.
+    assert np.count_nonzero(algebra.c) == 8
 
 
 def test_center(algebra):
@@ -61,12 +48,6 @@ def test_bracket_bilinear_antisymmetric(algebra):
         iwasawa.bracket(algebra, X + 2 * Z, Y),
         iwasawa.bracket(algebra, X, Y) + 2 * iwasawa.bracket(algebra, Z, Y),
     )
-
-
-def test_d_squared_vanishes(algebra):
-    for k in range(1, 7):
-        dd = iwasawa.d_two_form(algebra, iwasawa.d_one_form(algebra, k))
-        assert np.max(np.abs(dd)) == 0.0
 
 
 def test_nijenhuis_standard_structure(algebra):
@@ -141,6 +122,16 @@ def test_scan_complex(algebra):
     end2 = np.array([-1.0, 1.0, -1.0])
     assert any(np.allclose(p, end1) for p in pts)
     assert any(np.allclose(p, end2) for p in pts)
+
+
+def test_scan_complex_family_matches_the_per_form_loop(algebra):
+    family = ([TwoForm.from_cartan((1, 1, 1))]
+              + [iwasawa.asd_edge_form(*g) for g in iwasawa.asd_edge_grid()])
+    family_max = max(iwasawa.nijenhuis_norm(algebra, iwasawa.ocs_matrix(f)) for f in family)
+    cloud, rep = iwasawa.scan_complex(50, 3)
+    assert rep["family_max_nijenhuis"] == family_max
+    assert rep["accepted_haar"] == 0
+    assert np.array_equal(cloud.points, np.array([moment.mu_t(f) for f in family]))
 
 
 def test_integrable_set_distance():
@@ -438,13 +429,3 @@ def test_asd_edge_form_matches_twoform_arithmetic():
         got = iwasawa.asd_edge_form(a, b, c)
         assert [(x, np.signbit(x)) for x in got.coeffs] == \
             [(x, np.signbit(x)) for x in expected.coeffs]
-
-
-def test_d_two_form_matches_coefficient_loop(algebra):
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        beta = TwoForm(tuple(rng.standard_normal(15)))
-        bmat = np.array([[beta.coefficient(a, b) for b in range(1, 7)] for a in range(1, 7)])
-        t = np.einsum("mij,mk->ijk", algebra.c, bmat)
-        expected = -t + np.einsum("ijk->ikj", t) - np.einsum("ijk->jki", t)
-        assert np.array_equal(iwasawa.d_two_form(algebra, beta), expected)

