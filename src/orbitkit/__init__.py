@@ -7,8 +7,6 @@ scans on the complex Heisenberg nilmanifold.
 
 from .errors import (
     BadIndex,
-    DegenerateOrientation,
-    DegenerateVector,
     EmptyIntersection,
     EmptySection,
     IncompatiblePair,

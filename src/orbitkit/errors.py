@@ -37,14 +37,6 @@ class WrongClass(OrbitkitError):
     """Input form does not belong to the orbit class the operation expects."""
 
 
-class DegenerateVector(OrbitkitError):
-    """A vector wedges to (numerically) zero with its image."""
-
-
-class DegenerateOrientation(OrbitkitError):
-    """A form with kernel cannot orient its distinguished 2-plane."""
-
-
 class NormViolation(OrbitkitError):
     """Parameters violate a required unit-norm constraint."""
 

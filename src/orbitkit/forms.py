@@ -116,11 +116,8 @@ class TwoForm:
 
     @classmethod
     def from_wedge(cls, u, v) -> "TwoForm":
-        """The simple form u ^ v for 6-vectors u, v."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        co = [u[i - 1] * v[j - 1] - u[j - 1] * v[i - 1] for i, j in PAIRS]
-        return cls(tuple(co))
+        """The simple form u ^ v for 6-vectors u, v: one row of `wedges`."""
+        return cls(wedges(u, v))
 
     @classmethod
     def from_cartan(cls, point) -> "TwoForm":
@@ -190,6 +187,15 @@ def endomorphisms(coeffs) -> np.ndarray:
     F[..., _LOWER[0], _LOWER[1]] = coeffs
     F[..., _LOWER[1], _LOWER[0]] = -coeffs
     return F
+
+
+def wedges(u, v) -> np.ndarray:
+    """Coefficients (..., 15) of the simple forms u ^ v of two stacks (..., 6)
+    of vectors: u_i v_j - u_j v_i for each (i, j) of PAIRS."""
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    j, i = _LOWER
+    return u[..., i] * v[..., j] - u[..., j] * v[..., i]
 
 
 @dataclass(frozen=True)

@@ -5,32 +5,20 @@ onto (1, 1, 1) it gives the complex-structure part of a mixed form, onto
 (0, 0, 1) its plane part.  The fibres over a complex structure J are lifts,
 the mixed forms J + t (v ^ Jv) of `iwasawa.mixed_images`; here they give
 the closed-form inverse-image families: the prism over the distinguished
-tetrahedron edge and the central-square fibres.
+tetrahedron edge and the central-square fibres p + t J, J a completion of
+the plane form p by a self-dual part on its kernel (`_complete`), stacked
+over all draws by `square_forms`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import iwasawa, moment, polytopes, weyl
-from .errors import (
-    DegenerateOrientation,
-    DegenerateVector,
-    IncompatiblePattern,
-    NormViolation,
-    WrongClass,
-)
-from .forms import (
-    OrbitClass,
-    TwoForm,
-    canonical_triple,
-    classify,
-    eigen_split,
-    _eq,
-)
+from .errors import IncompatiblePattern, NormViolation
+from .forms import TwoForm, canonical_triple, eigen_split, wedges, _eq
 
 
 @dataclass(frozen=True)
@@ -96,12 +84,26 @@ def fibration_project(form: TwoForm, target, tol: float = 1e-8) -> TwoForm:
     return out
 
 
-def _hodge_basis(plane_form: SimplePlaneForm):
-    """Orthonormal frame (v-pair, 4 kernel vectors) oriented positively."""
-    split = eigen_split(plane_form.form)
-    k1, k2, pl = split.planes
-    h = (k1.u, k1.v, k2.u, k2.v)
-    return (pl.u, pl.v), h
+def _unit(x, what: str) -> tuple[float, float, float]:
+    x = tuple(float(c) for c in x)
+    if abs(sum(c * c for c in x) - 1.0) > 1e-12:
+        raise NormViolation(f"{what} must be a unit 3-vector")
+    return x
+
+
+def _complete(p, h, u) -> np.ndarray:
+    """Complete plane forms p (..., 15) to complex-structure forms, row by row
+    p + u1 (h1^h2 + h3^h4) + u2 (h1^h3 - h2^h4) + u3 (h1^h4 + h2^h3).
+
+    h (..., 4, 6) is an orthonormal frame of the kernel of p which, followed by
+    an oriented frame of p's plane, is positively oriented; u (..., 3) are unit
+    coordinates of the self-dual part against it.
+    """
+    h1, h2, h3, h4 = np.moveaxis(h, -2, 0)
+    u1, u2, u3 = np.moveaxis(u[..., None], -2, 0)
+    return (p + u1 * (wedges(h1, h2) + wedges(h3, h4))
+            + u2 * (wedges(h1, h3) - wedges(h2, h4))
+            + u3 * (wedges(h1, h4) + wedges(h2, h3)))
 
 
 def ocs_over_plane(p, u) -> TwoForm:
@@ -109,64 +111,14 @@ def ocs_over_plane(p, u) -> TwoForm:
 
     The coordinates u = (u1, u2, u3) select a unit self-dual form on the
     kernel 4-plane against the orthonormal triple built from the kernel frame
-    (h1^h2 + h3^h4, h1^h3 - h2^h4, h1^h4 + h2^h3); the result squares to -1
-    and classifies PPlus, with the plane of p invariant.
+    (h1^h2 + h3^h4, h1^h3 - h2^h4, h1^h4 + h2^h3) of `eigen_split`; the result
+    squares to -1 and classifies PPlus, with the plane of p invariant.
     """
     p = as_simple_plane(p)
-    u = tuple(float(c) for c in u)
-    if abs(sum(c * c for c in u) - 1.0) > 1e-12:
-        raise NormViolation("self-dual coordinates must be a unit 3-vector")
-    (_, _), h = _hodge_basis(p)
-    h1, h2, h3, h4 = h
-    sd1 = TwoForm.from_wedge(h1, h2) + TwoForm.from_wedge(h3, h4)
-    sd2 = TwoForm.from_wedge(h1, h3) - TwoForm.from_wedge(h2, h4)
-    sd3 = TwoForm.from_wedge(h1, h4) + TwoForm.from_wedge(h2, h3)
-    return p.form + u[0] * sd1 + u[1] * sd2 + u[2] * sd3
-
-
-def invariant_plane(J_form: TwoForm, v, orientation: int = 1,
-                    tol: float = 1e-8) -> SimplePlaneForm:
-    """The oriented plane spanned by {v, Jv} (+1) or {v, -Jv} (-1)."""
-    J = J_form.endomorphism()
-    if np.max(np.abs(J @ J + np.eye(6))) > math.sqrt(tol):
-        raise WrongClass("form does not define a complex structure")
-    v = np.asarray(v, dtype=float)
-    w = J @ v
-    wedge = TwoForm.from_wedge(v, w)
-    n = wedge.norm()
-    if n < tol:
-        raise DegenerateVector("v wedges to zero with Jv")
-    if orientation not in (1, -1):
-        raise ValueError("orientation must be +1 or -1")
-    return SimplePlaneForm((orientation / n) * wedge)
-
-
-def mixed_over(J_form: TwoForm, f, t: float, tol: float = 1e-8) -> TwoForm:
-    """The mixed form J + t (f ^ Jf) over a complex-structure form."""
-    if classify(J_form, tol) is not OrbitClass.P_PLUS:
-        raise WrongClass("mixed_over expects a PPlus-class form")
-    if t <= 0:
-        raise ValueError("t must be positive")
-    plane = invariant_plane(J_form, f, +1, tol)
-    return J_form + float(t) * plane.form
-
-
-def f3_plane(form: TwoForm, tol: float = 1e-8) -> SimplePlaneForm:
-    """Distinguished oriented 2-plane of an F3-type form.
-
-    For the wall case with kernel the form cannot orient the plane and the
-    extraction is refused.
-    """
-    cls = classify(form, tol)
-    if cls is OrbitClass.F3_ZERO:
-        raise DegenerateOrientation(
-            "form has a kernel; no compatible orientation on it"
-        )
-    if cls not in (OrbitClass.F3_PLUS, OrbitClass.F3_MINUS):
-        raise WrongClass("f3_plane expects an F3-type form")
-    plane = eigen_split(form, tol=min(tol, 1e-9)).planes[1]
-    sign = 1.0 if plane.value > 0 else -1.0
-    return SimplePlaneForm(sign * TwoForm.from_wedge(plane.u, plane.v))
+    u = _unit(u, "self-dual coordinates")
+    k1, k2, _ = eigen_split(p.form).planes
+    h = np.array([k1.u, k1.v, k2.u, k2.v])
+    return TwoForm(_complete(p.form.as_array(), h, np.array(u)))
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +194,7 @@ def prism_region_test(p) -> bool:
 
 def plane_in_span4(v) -> SimplePlaneForm:
     """Simple unit form v1 e12 + v2 e13 + v3 e14: the plane <e1, v.(e2,e3,e4)>."""
-    v = tuple(float(c) for c in v)
-    if abs(sum(c * c for c in v) - 1.0) > 1e-12:
-        raise NormViolation("plane coordinates must be a unit 3-vector")
+    v = _unit(v, "plane coordinates")
     form = (
         v[0] * TwoForm.basis(1, 2)
         + v[1] * TwoForm.basis(1, 3)
@@ -253,13 +203,37 @@ def plane_in_span4(v) -> SimplePlaneForm:
     return SimplePlaneForm(form)
 
 
+def square_forms(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient rows (n, 15) of the plane forms p = v1 e12 + v2 e13 + v3 e14
+    and of their completions J, for rows of unit 3-vectors u and v (n, 3);
+    the central-square fibre form is p + t J.
+
+    J is `_complete` of p against the kernel frame (a, v x a, e5, e6), with v
+    and a in <e2, e3, e4> and a the unit v x e_k for the axis k of v's
+    smallest |entry|.  As det(v, a, v x a) = 1, the frame followed by (e1, v)
+    is positive, the orientation `eigen_split` gives, so J classifies PPlus,
+    p + t J has chamber triple (t, t, 1 + t) and Cartan image
+    ((1 + t) v1, t u1 v1, t u1).
+    """
+    u, v = (np.asarray(x, dtype=float) for x in (u, v))
+    p = np.zeros((len(v), 15))
+    p[:, :3] = v  # the slots of e12, e13, e14
+    a = np.cross(v, np.eye(3)[np.argmin(np.abs(v), axis=1)])
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    h = np.zeros((len(v), 4, 6))
+    h[:, 0, 1:4], h[:, 1, 1:4] = a, np.cross(v, a)
+    h[:, 2, 4] = h[:, 3, 5] = 1.0
+    return p, _complete(p, h, u)
+
+
 def square_fiber_form(u, v, t: float) -> TwoForm:
-    """Plane form of v plus t times a compatible complex-structure completion."""
+    """The fibre form p + t J: one row of `square_forms`, for unit u and v
+    and t > 0."""
     if t <= 0:
         raise ValueError("t must be positive")
-    p = plane_in_span4(v)
-    J = ocs_over_plane(p, u)
-    return p.form + float(t) * J
+    v = _unit(v, "plane coordinates")
+    p, J = square_forms([_unit(u, "self-dual coordinates")], [v])
+    return TwoForm(p[0] + float(t) * J[0])
 
 
 def square_fiber_points(u, v, t: float) -> tuple[float, float, float]:

@@ -396,6 +396,22 @@ def test_sample_count_below_one_exits_2(capsys, argv, n):
     assert "--n must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ("polytope", "--lambda", "1,0.5,2", "--out-off", "{missing}"),
+    ("polytope", "--lambda", "1,0.5,2", "--out-facets", "{missing}"),
+    ("sample", "--lambda", "1,0.5,2", "--n", "5", "--out", "{missing}"),
+    ("klein", "square", "--n", "5", "--out", "{missing}"),
+    ("iwasawa", "scan-k", "--n", "5", "--out", "{directory}"),
+])
+def test_unwritable_artifact_path_exits_2(capsys, tmp_path, argv):
+    paths = {"missing": str(tmp_path / "missing" / "x"), "directory": str(tmp_path)}
+    code = cli.main([a.format(**paths) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: cannot write" in captured.err
+
+
 def test_non_integer_seed_env_exits_2(capsys, monkeypatch):
     monkeypatch.setenv("ORBITKIT_SEED", "abc")
     code = cli.main(["verify", "prop16"])
@@ -460,10 +476,14 @@ def test_klein_square_fails_when_an_image_leaves_its_polytope(capsys, monkeypatc
     code, report = run_cli(capsys, "klein", "square", "--n", "20", "--seed", "3")
     assert code == 0 and report["pass"]
     assert report["metrics"]["max_orbit_containment_violation"] <= 1e-9
-    # Shrinking each sample's triple shifts its image out of the polytope.
-    triple = cli.canonical_triple
-    monkeypatch.setattr(cli, "canonical_triple",
-                        lambda form: tuple(0.9 * c for c in triple(form)))
+    # Stretching J moves each image p + t J out of conv(W.(t, t, 1 + t)).
+    square_forms = klein.square_forms
+
+    def stretched(u, v):
+        p, J = square_forms(u, v)
+        return p, 1.2 * J
+
+    monkeypatch.setattr(klein, "square_forms", stretched)
     code, report = run_cli(capsys, "klein", "square", "--n", "20", "--seed", "3")
     assert code == 1
     assert report["pass"] is False

@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 
 from orbitkit import iwasawa, klein, moment
-from orbitkit.errors import (
-    DegenerateOrientation,
-    IncompatiblePattern,
-    NormViolation,
-    WrongClass,
-)
+from orbitkit.errors import IncompatiblePattern, NormViolation
 from orbitkit.forms import (
+    PAIRS,
     OrbitClass,
     TwoForm,
     canonical_triple,
     classify,
     conjugate,
+    eigen_split,
+    endomorphisms,
+    wedges,
 )
+from orbitkit.polytopes import violation
 
 W0 = TwoForm.from_cartan((1, 1, 1))
 F1_FORM = TwoForm.from_cartan((1, 1, 2))
@@ -25,6 +25,29 @@ E56 = TwoForm.basis(5, 6)
 
 def haar(seed, index=0):
     return moment.haar_rotations(1, seed, start=index)[0]
+
+
+def bits(row):
+    return [(float(c), bool(np.signbit(c))) for c in row]
+
+
+def mixed_forms(J, v, t):
+    """Coefficients and Cartan images of the lifts J + t (v ^ Jv) of
+    `iwasawa.mixed_images`, for stacks J (n, 15), v (n, 6) and t (n,)."""
+    V, images = iwasawa.mixed_images(J, v, t)
+    return J + t[:, None] * wedges(V[..., 0], V[..., 1]), images
+
+
+def test_wedges_are_the_rows_of_from_wedge():
+    rng = np.random.default_rng(20)
+    u, v = rng.standard_normal((2, 40, 6))
+    u[::4, :3] = -0.0
+    v[1::4, 2] = 0.0
+    got = wedges(u.reshape(5, 8, 6), v.reshape(5, 8, 6)).reshape(40, 15)
+    for k in range(40):
+        expected = [u[k, i - 1] * v[k, j - 1] - u[k, j - 1] * v[k, i - 1] for i, j in PAIRS]
+        assert bits(got[k]) == bits(expected)
+        assert bits(TwoForm.from_wedge(u[k], v[k]).coeffs) == bits(expected)
 
 
 def test_fibration_project_flattens_values():
@@ -115,85 +138,62 @@ def test_ocs_over_plane_round_trip():
         assert np.max(np.abs(back.as_array() - p.form.as_array())) <= 1e-9
 
 
+def test_ocs_over_plane_matches_the_twoform_sum():
+    # Bit for bit the TwoForm sum over the kernel frame of eigen_split.
+    rng = np.random.default_rng(23)
+    for k in range(50):
+        u = rng.standard_normal(3)
+        u1, u2, u3 = (float(c) for c in u / np.linalg.norm(u))
+        p = klein.SimplePlaneForm(conjugate(E56, haar(56, k)))
+        k1, k2, _ = eigen_split(p.form).planes
+        h1, h2, h3, h4 = k1.u, k1.v, k2.u, k2.v
+        w = TwoForm.from_wedge
+        expected = (p.form + u1 * (w(h1, h2) + w(h3, h4)) + u2 * (w(h1, h3) - w(h2, h4))
+                    + u3 * (w(h1, h4) + w(h2, h3)))
+        assert bits(klein.ocs_over_plane(p, (u1, u2, u3)).coeffs) == bits(expected.coeffs)
+
+
 def test_ocs_over_plane_norm_violation():
     with pytest.raises(NormViolation):
         klein.ocs_over_plane(E56, (1, 1, 0))
 
 
-def test_invariant_plane_examples():
+def test_mixed_images_examples():
     e = np.eye(6)
-    out = klein.invariant_plane(W0, e[0], +1)
-    assert np.allclose(out.form.as_array(), TwoForm.basis(1, 2).as_array())
-    out = klein.invariant_plane(W0, e[4], -1)
-    assert np.allclose(out.form.as_array(), (-1 * E56).as_array())
-    v = (e[0] + e[2]) / np.sqrt(2)
-    out = klein.invariant_plane(W0, v, +1)
-    oracle = TwoForm.from_wedge(v, W0.endomorphism() @ v)
-    assert np.allclose(out.form.as_array(), oracle.as_array())
-    assert abs(out.form.norm() - 1.0) <= 1e-12
+    forms, images = mixed_forms(np.tile(W0.as_array(), (2, 1)), e[[4, 0]], np.array([1.0, 0.25]))
+    expected = [TwoForm.from_cartan((1, 1, 2)), TwoForm.from_cartan((1.25, 1, 1))]
+    assert np.allclose(forms, [f.as_array() for f in expected])
+    assert np.allclose(images, [moment.mu_t(f) for f in expected])
+    assert classify(TwoForm(forms[1])) is OrbitClass.F1
 
 
-def test_invariant_plane_wrong_class():
-    with pytest.raises(WrongClass):
-        klein.invariant_plane(E56, np.eye(6)[0], +1)
-
-
-def test_mixed_over_examples():
-    e = np.eye(6)
-    m = klein.mixed_over(W0, e[4], 1.0)
-    assert np.allclose(m.as_array(), TwoForm.from_cartan((1, 1, 2)).as_array())
-    m = klein.mixed_over(W0, e[0], 0.25)
-    assert np.allclose(m.as_array(), TwoForm.from_cartan((1.25, 1, 1)).as_array())
-    assert classify(m) is OrbitClass.F1
-
-
-def test_mixed_over_image_in_matching_polytope():
+def test_mixed_image_in_matching_polytope():
     rng = np.random.default_rng(31)
-    for k in range(10):
-        J = conjugate(W0, haar(91, k))
-        f = rng.standard_normal(6)
-        f = f / np.linalg.norm(f)
-        t = float(rng.uniform(0.05, 0.5))
-        m = klein.mixed_over(J, f, t)
-        P = moment.moment_polytope(canonical_triple(m))
-        from orbitkit.polytopes import violation
-
-        assert violation(P, moment.mu_t(m)) <= 1e-9
+    J = np.array([conjugate(W0, haar(91, k)).as_array() for k in range(10)])
+    f = rng.standard_normal((10, 6))
+    f = f / np.linalg.norm(f, axis=1, keepdims=True)
+    forms, images = mixed_forms(J, f, rng.uniform(0.05, 0.5, 10))
+    for m, image in zip(forms, images):
+        P = moment.moment_polytope(canonical_triple(TwoForm(m)))
+        assert violation(P, image) <= 1e-9
 
 
 def test_pi1_pi2_recover_mixed_components():
-    # The paper's pi1 and pi2: fibration_project onto (1, 1, 1) and (0, 0, 1).
+    # The paper's pi1 and pi2, fibration_project onto (1, 1, 1) and (0, 0, 1),
+    # give back J and the plane v ^ Jv of the lift J + t (v ^ Jv).
     rng = np.random.default_rng(41)
+    J = np.array([conjugate(W0, haar(14, k)).as_array() for k in range(12)])
+    f = rng.standard_normal((12, 6))
+    f = f / np.linalg.norm(f, axis=1, keepdims=True)
+    t = rng.uniform(0.05, 2.0, 12)
+    V, _ = iwasawa.mixed_images(J, f, t)
+    planes = wedges(V[..., 0], V[..., 1])
+    forms = J + t[:, None] * planes
     for k in range(12):
-        J = conjugate(W0, haar(14, k))
-        f = rng.standard_normal(6)
-        f = f / np.linalg.norm(f)
-        t = float(rng.uniform(0.05, 2.0))
-        m = klein.mixed_over(J, f, t)
-        back = klein.fibration_project(m, (1, 1, 1))
-        assert np.max(np.abs(back.as_array() - J.as_array())) <= 1e-9
-        plane = klein.invariant_plane(J, f, +1)
-        back2 = klein.fibration_project(m, (0, 0, 1))
-        assert np.max(np.abs(back2.as_array() - plane.form.as_array())) <= 1e-9
-
-
-def test_f3_plane_extraction():
-    e12, e34, e56 = TwoForm.basis(1, 2), TwoForm.basis(3, 4), TwoForm.basis(5, 6)
-    b = 0.5
-    plus_cases = [-1 * e12 + e56 - b * e34, e12 - 1 * e56 - b * e34]
-    minus_cases = [e12 + e56 - b * e34, -1 * e12 - 1 * e56 - b * e34]
-    for f in plus_cases:
-        assert classify(f) is OrbitClass.F3_PLUS
-        out = klein.f3_plane(f)
-        assert np.allclose(np.abs(out.form.as_array()), np.abs(e34.as_array()))
-    for f in minus_cases:
-        assert classify(f) is OrbitClass.F3_MINUS
-        out = klein.f3_plane(f)
-        assert np.allclose(np.abs(out.form.as_array()), np.abs(e34.as_array()))
-    with pytest.raises(DegenerateOrientation):
-        klein.f3_plane(TwoForm.basis(1, 4) + TwoForm.basis(2, 3))
-    with pytest.raises(WrongClass):
-        klein.f3_plane(W0)
+        back = klein.fibration_project(TwoForm(forms[k]), (1, 1, 1))
+        assert np.max(np.abs(back.as_array() - J[k])) <= 1e-9
+        back2 = klein.fibration_project(TwoForm(forms[k]), (0, 0, 1))
+        assert np.max(np.abs(back2.as_array() - planes[k])) <= 1e-9
 
 
 def test_degenerate_structure_images():
@@ -301,5 +301,65 @@ def test_square_fiber_examples():
         u = u / np.linalg.norm(u)
         t = float(rng.uniform(0.05, 1.0))
         X, Y, Z = klein.square_fiber_points(u, v, t)
-        J = klein.ocs_over_plane(p, u)
-        assert abs(Z - t * J.coeffs[14]) <= 1e-13
+        # The image ((1 + t) a, t a w, t w) of the square region, a = v1, w = u1.
+        assert abs(X - (1 + t) * v[0]) <= 1e-15
+        assert abs(Y - t * u[0] * v[0]) <= 1e-15
+        assert abs(Z - t * u[0]) <= 1e-15
+
+
+def test_square_fiber_argument_checks():
+    with pytest.raises(NormViolation):
+        klein.square_fiber_form((1, 0, 0), (1, 1, 0), 0.5)
+    with pytest.raises(NormViolation):
+        klein.square_fiber_form((1, 1, 0), (1, 0, 0), 0.5)
+    with pytest.raises(ValueError):
+        klein.square_fiber_form((1, 0, 0), (1, 0, 0), 0.0)
+
+
+def square_draws():
+    """3000 square draws of seed 7, then every pair of signed axes."""
+    u, v, t = klein.fibre_draws(3000, 7, klein.SQUARE_T_LO)
+    axes = np.vstack([np.eye(3), -np.eye(3), [(0.0, -0.0, 1.0), (-0.0, 1.0, 0.0)]])
+    au, av = (a.reshape(-1, 3) for a in np.broadcast_arrays(axes[:, None], axes[None]))
+    at = np.linspace(klein.SQUARE_T_LO, 1.0, len(au))
+    return np.vstack([u, au]), np.vstack([v, av]), np.concatenate([t, at])
+
+
+def test_square_forms_are_rows_of_square_fiber_points():
+    u, v, t = square_draws()
+    p, J = klein.square_forms(u, v)
+    assert p.shape == J.shape == (len(t), 15)
+    images = p[:, [0, 9, 14]] + t[:, None] * J[:, [0, 9, 14]]
+    for k in range(len(t)):
+        assert bits(images[k]) == bits(klein.square_fiber_points(u[k], v[k], t[k])), k
+
+
+def test_square_forms_are_compatible_complex_structures():
+    u, v, t = square_draws()
+    p, J = klein.square_forms(u, v)
+    M = endomorphisms(J)
+    assert np.max(np.abs(M @ M + np.eye(6))) <= 1e-12
+    # The plane of p is J-invariant, with J equal to p on it.
+    assert np.max(np.abs(J[:, :3] - v)) == 0.0
+    for k in list(range(100)) + list(range(3000, len(t))):
+        assert classify(TwoForm(J[k])) is OrbitClass.P_PLUS, k
+
+
+def test_square_fibre_forms_have_chamber_triple_t_t_1_plus_t():
+    # The triple the square suite checks containment against.
+    u, v, t = square_draws()
+    p, J = klein.square_forms(u, v)
+    for k in list(range(200)) + list(range(3000, len(t))):
+        triple = canonical_triple(TwoForm(p[k] + t[k] * J[k]))
+        assert np.max(np.abs(np.subtract(triple, (t[k], t[k], 1 + t[k])))) <= 1e-12, k
+
+
+def test_fibration_project_splits_square_fibre_forms():
+    u, v, t = square_draws()
+    p, J = klein.square_forms(u, v)
+    for k in list(range(200)) + list(range(3000, len(t))):
+        form = TwoForm(p[k] + t[k] * J[k])
+        back = klein.fibration_project(form, (1, 1, 1)).as_array()
+        assert np.max(np.abs(back - J[k])) <= 1e-12, k
+        back = klein.fibration_project(form, (0, 0, 1)).as_array()
+        assert np.max(np.abs(back - p[k])) <= 1e-12, k
