@@ -339,8 +339,8 @@ def test_square_forms_are_compatible_complex_structures():
     p, J = klein.square_forms(u, v)
     M = endomorphisms(J)
     assert np.max(np.abs(M @ M + np.eye(6))) <= 1e-12
-    # The plane of p is J-invariant, with J equal to p on it.
-    assert np.max(np.abs(J[:, :3] - v)) == 0.0
+    # J e1 = p e1 = v, so the plane of p is J-invariant, with J equal to p on it.
+    assert np.max(np.abs(J[:, :5] - p[:, :5])) == 0.0
     for k in list(range(100)) + list(range(3000, len(t))):
         assert classify(TwoForm(J[k])) is OrbitClass.P_PLUS, k
 
