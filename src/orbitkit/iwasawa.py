@@ -68,13 +68,10 @@ def ocs_matrix(form, tol: float = 1e-8) -> np.ndarray:
     return J
 
 
-def nijenhuis_norm(algebra: FrameAlgebra, J) -> float:
-    """Frobenius norm of N(X,Y) = [JX,JY] - J[JX,Y] - J[X,JY] - [X,Y] over
-    the frame pairs; zero exactly on integrable complex structures."""
-    return float(_nijenhuis_norms(algebra, np.asarray(J, dtype=float)[None])[0])
-
-
 def _nijenhuis_norms(algebra: FrameAlgebra, Js: np.ndarray) -> np.ndarray:
+    """Per J of a stack (n, 6, 6), the Frobenius norm of N(X,Y) = [JX,JY] -
+    J[JX,Y] - J[X,JY] - [X,Y] over the frame pairs; zero exactly on
+    integrable complex structures."""
     c = algebra.c
     jj = np.einsum("kab,nai,nbj->nkij", c, Js, Js, optimize=True)
     # [JX, Y] + [X, JY], contracted with J once.

@@ -153,9 +153,7 @@ def orbit_samples(lam, n: int, seed: int) -> SampleCloud:
 
 def moment_polytope(lam) -> polytopes.Polytope:
     """Convex hull of the Weyl orbit, exact rational backend."""
-    exact = tuple(Fraction(c) for c in lam)
-    chamber, _ = weyl.to_chamber(exact)
-    return polytopes.hull(weyl.weyl_orbit(chamber))
+    return polytopes.hull(weyl.weyl_orbit(tuple(Fraction(c) for c in lam)))
 
 
 #: The 14 facet normals w.omega_i, and the 24 Weyl elements as matrices.

@@ -6,10 +6,13 @@ inputs come out verbatim.  Float coordinates are taken at their binary
 values.  Degenerate hulls of dimension 0, 1 and 2 are first-class values
 carrying their affine hull as a list of equality constraints.
 
-Two exact primitives carry the geometry: `_independent` is the one rank
-test (the affine basis of a point set, and which hull points are vertices)
-and `_meet` the one three-plane solve (the candidate vertices of
-`intersect`, `clip` and `section`).  No step has a tolerance.
+The geometry runs on Python ints: each input is scaled once by the common
+denominator D of its coordinates (or offsets), every sign test is taken on
+the integer numerators, and Fractions are built only for the output.  Two
+exact primitives carry it: `_independent` is the one rank test (the affine
+basis of a point set, and which hull points are vertices) and `_meet` the
+one three-plane solve (the candidate vertices of `intersect`, `clip` and
+`section`).  No step has a tolerance.
 """
 
 from __future__ import annotations
@@ -26,10 +29,6 @@ from .errors import EmptyIntersection, EmptySection
 
 def _is_exact_scalar(x) -> bool:
     return isinstance(x, (int, Fraction, np.integer)) and not isinstance(x, bool)
-
-
-def _fractionize(p):
-    return tuple(Fraction(c) for c in p)
 
 
 def _dot(a, b):
@@ -52,16 +51,28 @@ def _neg(a):
     return (-a[0], -a[1], -a[2])
 
 
+_AXES = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _ratio(c):
+    """(numerator, denominator > 0) of an int, a rational or a binary float;
+    numpy floats of every width are taken at their exact value."""
+    if isinstance(c, np.integer):
+        c = int(c)
+    return (c if hasattr(c, "as_integer_ratio") else Fraction(c)).as_integer_ratio()
+
+
+def _scaled(values):
+    """The integers D * v for exact values v, and their common denominator D."""
+    ratios = [_ratio(c) for c in values]
+    d = math.lcm(*(q for _, q in ratios))
+    return [p * (d // q) for p, q in ratios], d
+
+
 def _primitive(vec):
     """Scale a nonzero rational vector to coprime integers, keeping direction."""
-    fr = [Fraction(c) for c in vec]
-    lcm = 1
-    for f in fr:
-        lcm = lcm * f.denominator // math.gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fr]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
+    ints, _ = _scaled(vec)
+    g = math.gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive form")
     return tuple(v // g for v in ints)
@@ -156,13 +167,7 @@ def _affine_basis_exact(pts):
 
 def _orthogonal_pair(direction):
     """Two primitive integer normals spanning the plane orthogonal to direction."""
-    axes = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    n1 = None
-    for a in axes:
-        c = _cross(direction, a)
-        if c != (0, 0, 0):
-            n1 = _primitive(c)
-            break
+    n1 = _primitive(next(c for c in (_cross(direction, a) for a in _AXES) if c != (0, 0, 0)))
     n2 = _primitive(_cross(direction, n1))
     return _lex_positive(n1), _lex_positive(n2)
 
@@ -189,57 +194,34 @@ def _hull2d_exact(projected):
     return lower[:-1] + upper[:-1]
 
 
-def _polygon_facets_exact(ring, plane_normal, interior):
-    """Outward in-plane edge inequalities for a polygon given in ring order."""
-    facets = []
-    m = len(ring)
-    for k in range(m):
-        a, b = ring[k], ring[(k + 1) % m]
-        ne = _cross(plane_normal, _sub(b, a))
-        ne = _primitive(ne)
-        off = _dot(ne, a)
-        if _dot(ne, interior) > off:
-            ne, off = _neg(ne), -off
-        facets.append(Facet(ne, Fraction(off)))
-    return facets
-
-
-def _centroid(pts):
-    n = len(pts)
-    return tuple(sum(p[i] for p in pts) / n for i in range(3))
+def _rational(p, d):
+    return tuple(Fraction(c, d) for c in p)
 
 
 def _hull_exact(points) -> Polytope:
-    pts = sorted(set(_fractionize(p) for p in points))
+    """Hull of the points, scaled to integer triples over their common
+    denominator d > 0: sign tests and the sort order are those of the
+    rational points, and offsets n . p come out as (n . (d p)) / d."""
+    ints, d = _scaled(c for p in points for c in p)
+    pts = sorted(set(zip(ints[0::3], ints[1::3], ints[2::3])))
     basis = _affine_basis_exact(pts)
     dim = len(basis) - 1
 
     if dim == 0:
-        p = pts[0]
-        eqs = tuple(
-            Facet(axis, Fraction(p[k]))
-            for k, axis in enumerate(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-        )
-        return Polytope(0, (p,), (), eqs)
+        eqs = tuple(Facet(axis, Fraction(c, d)) for axis, c in zip(_AXES, pts[0]))
+        return Polytope(0, (_rational(pts[0], d),), (), eqs)
 
     p0 = pts[basis[0]]
     if dim == 1:
+        # u is lex-positive, so the sorted points run along it end to end.
         u = _primitive(_sub(pts[basis[1]], p0))
-        tvals = [(_dot(u, p), p) for p in pts]
-        lo = min(tvals)[1]
-        hi = max(tvals)[1]
+        lo, hi = pts[0], pts[-1]
         facets = (
-            Facet(u, Fraction(_dot(u, hi))),
-            Facet(_neg(u), Fraction(-_dot(u, lo))),
+            Facet(u, Fraction(_dot(u, hi), d)),
+            Facet(_neg(u), Fraction(-_dot(u, lo), d)),
         )
-        n1, n2 = _orthogonal_pair(u)
-        eqs = tuple(
-            sorted(
-                (Facet(n1, Fraction(_dot(n1, p0))), Facet(n2, Fraction(_dot(n2, p0)))),
-                key=lambda f: (f.normal, f.offset),
-            )
-        )
-        return Polytope(1, tuple(sorted((lo, hi))), _sort_facets(facets), eqs)
+        eqs = tuple(Facet(n, Fraction(_dot(n, p0), d)) for n in sorted(_orthogonal_pair(u)))
+        return Polytope(1, (_rational(lo, d), _rational(hi, d)), _sort_facets(facets), eqs)
 
     if dim == 2:
         n = _lex_positive(_primitive(_cross(_sub(pts[basis[1]], p0), _sub(pts[basis[2]], p0))))
@@ -248,26 +230,35 @@ def _hull_exact(points) -> Polytope:
         keep = [i for i in range(3) if i != drop]
         back = {(p[keep[0]], p[keep[1]]): p for p in pts}
         ring = [back[q] for q in _hull2d_exact(list(back))]
-        interior = _centroid(ring)
-        facets = _polygon_facets_exact(ring, n, interior)
-        eqs = (Facet(n, Fraction(_dot(n, p0))),)
-        return Polytope(2, tuple(sorted(ring)), _sort_facets(facets), eqs)
+        # The ring's vertex sum is len(ring) times an interior point.
+        inside = tuple(sum(p[i] for p in ring) for i in range(3))
+        facets = []
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            ne = _primitive(_cross(n, _sub(b, a)))
+            off = _dot(ne, a)
+            if _dot(ne, inside) > len(ring) * off:
+                ne, off = _neg(ne), -off
+            facets.append(Facet(ne, Fraction(off, d)))
+        eqs = (Facet(n, Fraction(_dot(n, p0), d)),)
+        return Polytope(2, tuple(_rational(p, d) for p in sorted(ring)),
+                        _sort_facets(facets), eqs)
 
-    return _hull3_exact(pts, basis)
+    return _hull3_exact(pts, basis, d)
 
 
-def _hull3_exact(pts, basis) -> Polytope:
+def _hull3_exact(pts, basis, d) -> Polytope:
     order = basis + [k for k in range(len(pts)) if k not in basis]
-    interior = _centroid([pts[k] for k in basis])
+    # 4 times the centroid of the basis simplex, an interior point.
+    inside = tuple(sum(pts[k][i] for k in basis) for i in range(3))
 
     def make_face(ia, ib, ic):
         a, b, c = pts[ia], pts[ib], pts[ic]
         n = _cross(_sub(b, a), _sub(c, a))
-        d = _dot(n, a)
-        if _dot(n, interior) > d:
-            n, d = _neg(n), -d
+        off = _dot(n, a)
+        if _dot(n, inside) > 4 * off:
+            n, off = _neg(n), -off
             ia, ib = ib, ia
-        return (ia, ib, ic, n, d)
+        return (ia, ib, ic, n, off)
 
     faces = [make_face(*tri) for tri in itertools.combinations(order[:4], 3)]
     for ip in order[4:]:
@@ -287,18 +278,18 @@ def _hull3_exact(pts, basis) -> Polytope:
 
     # An ordered set: huge normals can round to equal float sort keys, and
     # _sort_facets then keeps the order in which the facets were found.
-    facets = {}
+    planes = {}
     for f in faces:
         n = _primitive(f[3])
-        k = next(i for i in range(3) if n[i] != 0)
-        facets[Facet(n, Fraction(f[4]) * n[k] / f[3][k])] = None
+        planes[(n, _dot(n, pts[f[0]]))] = None
 
     def is_vertex(p):
-        tight = [f.normal for f in facets if _dot(f.normal, p) == f.offset]
+        tight = [n for n, off in planes if _dot(n, p) == off]
         return any(_independent(c) for c in itertools.combinations(tight, 3))
 
-    vertices = [p for p in pts if is_vertex(p)]
-    return Polytope(3, tuple(sorted(vertices)), _sort_facets(facets), ())
+    vertices = [_rational(p, d) for p in pts if is_vertex(p)]
+    facets = [Facet(n, Fraction(off, d)) for n, off in planes]
+    return Polytope(3, tuple(vertices), _sort_facets(facets), ())
 
 
 def _sort_facets(facets):
@@ -313,9 +304,9 @@ def _sort_facets(facets):
 def hull(points) -> Polytope:
     """Exact convex hull of a nonempty finite point set in R^3.
 
-    Coordinates may be int, Fraction or float; a float is taken at its exact
-    binary value.  Degenerate hulls report dim < 3 with the affine hull
-    attached as equality constraints.
+    Coordinates may be int, Fraction or float (numpy floats of any width
+    included); a float is taken at its exact binary value.  Degenerate hulls
+    report dim < 3 with the affine hull attached as equality constraints.
     """
     pts = list(points)
     if not pts:
@@ -352,7 +343,7 @@ def violations_many(P: Polytope, points: np.ndarray) -> np.ndarray:
 def contains(P: Polytope, point, tol: float = 0.0) -> bool:
     """Membership within tol (tol 0 with int/Fraction coordinates is exact)."""
     if tol == 0.0 and all(_is_exact_scalar(c) for c in point):
-        q = _fractionize(point)
+        q = tuple(Fraction(*_ratio(c)) for c in point)
         return all(_dot(f.normal, q) <= f.offset for f in P.facets) and all(
             _dot(f.normal, q) == f.offset for f in P.equalities
         )
@@ -360,26 +351,34 @@ def contains(P: Polytope, point, tol: float = 0.0) -> bool:
 
 
 def _meet(f, g, h):
-    """The point where the planes of three facets meet, (d_f (n_g x n_h) +
-    d_g (n_h x n_f) + d_h (n_f x n_g)) / (n_f . (n_g x n_h)), or None when
-    that determinant is 0."""
-    gh = _cross(g.normal, h.normal)
-    hf = _cross(h.normal, f.normal)
-    fg = _cross(f.normal, g.normal)
-    det = Fraction(_dot(f.normal, gh))
+    """Where the planes n . p = d of three (normal, integer offset) pairs
+    meet: the integer triple x = d_f (n_g x n_h) + d_g (n_h x n_f) +
+    d_h (n_f x n_g) and det = |n_f . (n_g x n_h)| > 0, with the point at
+    x / det; None when that determinant is 0."""
+    (nf, df), (ng, dg), (nh, dh) = f, g, h
+    gh, hf, fg = _cross(ng, nh), _cross(nh, nf), _cross(nf, ng)
+    det = _dot(nf, gh)
     if det == 0:
         return None
-    return tuple((f.offset * a + g.offset * b + h.offset * c) / det
-                 for a, b, c in zip(gh, hf, fg))
+    x = tuple(df * a + dg * b + dh * c for a, b, c in zip(gh, hf, fg))
+    return (x, det) if det > 0 else (_neg(x), -det)
 
 
 def _feasible_vertices(facets):
+    """The set of points where three facet planes meet and no facet is
+    violated; the offsets are scaled once to integers over their common
+    denominator e, so a meet x / det lies at x / (det e)."""
+    offsets, e = _scaled(f.offset for f in facets)
+    planes = list(zip((f.normal for f in facets), offsets))
     found = set()
-    for f, g, h in itertools.combinations(facets, 3):
-        p = _meet(f, g, h)
-        if p is not None and all(_dot(c.normal, p) <= c.offset for c in facets):
-            found.add(p)
-    return sorted(found)
+    for f, g, h in itertools.combinations(planes, 3):
+        m = _meet(f, g, h)
+        if m is None:
+            continue
+        x, det = m
+        if all(_dot(n, x) <= off * det for n, off in planes):
+            found.add(_rational(x, det * e))
+    return found
 
 
 def _exact_halfspace(normal, offset) -> Facet:
@@ -468,14 +467,11 @@ def to_off(P: Polytope) -> str:
     """ASCII OFF mesh; the rational vertices are emitted as integer strings
     scaled by their common denominator."""
     rings = _facet_rings(P) if P.dim >= 2 else []
-    denom = 1
-    for v in P.vertices:
-        for c in v:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
+    ints, denom = _scaled(c for v in P.vertices for c in v)
     lines = ["OFF", f"# rational vertices scaled by common denominator {denom}",
              f"{len(P.vertices)} {len(rings)} 0"]
-    for v in P.vertices:
-        lines.append(" ".join(str(int(c * denom)) for c in v))
+    for k in range(0, len(ints), 3):
+        lines.append(" ".join(str(c) for c in ints[k:k + 3]))
     for ring in rings:
         lines.append(str(len(ring)) + " " + " ".join(str(k) for k in ring))
     return "\n".join(lines) + "\n"

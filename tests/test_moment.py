@@ -297,6 +297,14 @@ def test_cloud_hull_reaches_polytope():
     assert np.min(moment.vertex_gaps((0, 0, 1), cloud.points[:20000])) > 1e-9
 
 
+def test_cloud_hull_is_the_exact_moment_polytope():
+    # The cloud carries the exact Weyl images, so its exact hull is conv(W.lam).
+    P = polytopes.hull(moment.orbit_samples((1, 0.5, 2), 2000, 1).points)
+    Q = moment.moment_polytope((1, 0.5, 2))
+    assert (P.vertices, P.facets) == (Q.vertices, Q.facets)
+    assert (len(P.vertices), len(P.facets)) == (24, 14)
+
+
 def test_vertex_gaps_measure_the_shortfall_at_each_vertex():
     lam = (1.0, 0.5, 2.0)
     images = np.array(weyl.weyl_orbit(lam), dtype=float)

@@ -229,6 +229,36 @@ def test_float_hull_degenerate_dims():
     assert len(flat.vertices) == 4
 
 
+def test_hull_scales_mixed_denominators_exactly():
+    # Coprime denominators 3, 7, 11, a subnormal on the facet z = 0, a
+    # 2**1000 spike and a 2**-30 interior point share one denominator.
+    pts = [(0, 0, 0), (Fraction(1, 3), 0, 0), (0, Fraction(1, 7), 0), (0, 0, Fraction(1, 11)),
+           (5e-324, 5e-324, 0), (-2.0 ** 1000, 0, 0), (Fraction(1, 3), Fraction(1, 7), Fraction(1, 11)),
+           (Fraction(1, 21), Fraction(1, 33), 2.0 ** -30)]
+    P = hull(pts)
+    exact = [tuple(map(Fraction, p)) for p in pts]
+    assert facet_set(P) == brute_force_facets(pts)
+    assert P.vertices == tuple(sorted(exact[k] for k in (1, 2, 3, 5, 6)))
+
+
+def test_numpy_integers_are_taken_as_python_ints():
+    # np.int64 arithmetic would wrap at 2**63.
+    big = np.array([(2**62, 0, 0), (0, 2**62, 0), (0, 0, 2**62), (0, 0, 0)], dtype=np.int64)
+    assert hull(big) == hull(big.tolist())
+    assert not contains(hull(TETRA_POINTS), (np.int64(2**62), np.int64(2**62), np.int64(0)))
+
+
+def test_hull_takes_numpy_floats_of_every_width_exactly():
+    corners = np.array([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], dtype=float)
+    assert hull(corners.astype(np.float32)) == hull(corners)
+    pts = np.random.default_rng(1).standard_normal((40, 3)).astype(np.float32)
+    assert hull(pts) == hull(pts.astype(np.float64))
+    assert hull(pts.astype(np.float16)) == hull(pts.astype(np.float16).astype(np.float64))
+    assert hull([(np.float32(0.5), 0, 0), (0, 1, 0)]) == hull([(0.5, 0, 0), (0, 1, 0)])
+    third = np.longdouble(1) / 3
+    assert hull([(third, 0, 0)]).vertices == ((Fraction(*third.as_integer_ratio()), 0, 0),)
+
+
 def test_violations_many_matches_scalar():
     P = hull(TETRA_POINTS)
     pts = np.array([[0.0, 0, 0], [1, 1, 1], [2, 2, 2], [-1, -1, -1]])
