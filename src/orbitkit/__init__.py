@@ -21,7 +21,6 @@ from .errors import (
     WrongClass,
 )
 from .forms import (
-    ORBIT_DIM,
     STABILIZER_DIM,
     Classification,
     EigenSplit,

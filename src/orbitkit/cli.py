@@ -32,6 +32,7 @@ from .forms import (
     OrbitClass,
     TwoForm,
     canonical_triple,  # unused here; perfbench's alias test traces cli.canonical_triple
+    class_point,
     classify,
     classify_full,
 )
@@ -148,31 +149,9 @@ def _run_sample(lam, n: int, seed: int, tol: float):
                    "points": int(len(cloud.points))}
 
 
-def _class_triple(orbit_class: OrbitClass, triple):
-    """The chamber triple (x, y, z) projected onto the eigenvalue pattern of
-    its class, m the mean of the entries the pattern ties: PPlus (m, m, m),
-    PMinus (m, -m, m), Grassmannian (0, 0, z), F1 (m, m, z), F2 (m, -m, z),
-    F3Zero (m, 0, m), F3Plus and F3Minus (m, y, m), Zero (0, 0, 0); Generic
-    unchanged.  So a form classified within tol exports the polytope of its
-    class, not that of a generic orbit next to it."""
-    x, y, z = triple
-    plus, minus, f3 = (x + y + z) / 3, (x - y + z) / 3, (x + z) / 2
-    return {
-        OrbitClass.ZERO: (0.0, 0.0, 0.0),
-        OrbitClass.P_PLUS: (plus, plus, plus),
-        OrbitClass.P_MINUS: (minus, -minus, minus),
-        OrbitClass.GRASSMANNIAN: (0.0, 0.0, z),
-        OrbitClass.F1: ((x + y) / 2, (x + y) / 2, z),
-        OrbitClass.F2: ((x - y) / 2, (y - x) / 2, z),
-        OrbitClass.F3_ZERO: (f3, 0.0, f3),
-        OrbitClass.F3_PLUS: (f3, y, f3),
-        OrbitClass.F3_MINUS: (f3, y, f3),
-    }.get(orbit_class, triple)
-
-
 def _run_export(form: str, tol: float):
     result = classify_full(_load_form(form), tol=tol)
-    P = moment.moment_polytope(_class_triple(result.orbit_class, result.triple))
+    P = moment.moment_polytope(class_point(result.orbit_class, result.triple))
     return P, {"pass": True, **_class_metrics(result), "facets": len(P.facets),
                "vertices": len(P.vertices)}
 

@@ -8,6 +8,7 @@ metric, which fixes the matrix convention F[j][i] = coeff(i, j) for i < j.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -48,23 +49,6 @@ class OrbitClass(Enum):
     F3_ZERO = "F3Zero"
     F3_MINUS = "F3Minus"
 
-
-#: Dimension of the isotropy algebra of a representative form inside so(6).
-STABILIZER_DIM = {
-    OrbitClass.ZERO: 15,
-    OrbitClass.P_PLUS: 9,
-    OrbitClass.P_MINUS: 9,
-    OrbitClass.GRASSMANNIAN: 7,
-    OrbitClass.F1: 5,
-    OrbitClass.F2: 5,
-    OrbitClass.F3_PLUS: 5,
-    OrbitClass.F3_ZERO: 5,
-    OrbitClass.F3_MINUS: 5,
-    OrbitClass.GENERIC: 3,
-}
-
-#: Dimension of the orbit itself: 15 - stabilizer dimension.
-ORBIT_DIM = {cls: 15 - d for cls, d in STABILIZER_DIM.items()}
 
 # Specialisation (degeneration) order between orbit classes: CLOSURE[c] is the
 # set of classes whose stratum closure contains the stratum of c.
@@ -298,6 +282,68 @@ def _eq(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
+#: The special orbit classes as patterns of the chamber triple (x, y, z), in
+#: the order `classify_full` tries them: the slot signs s of the tied group
+#: (the s_k t_k with s_k != 0 all agree), the slots that vanish and the sign
+#: y must have (0: any).  The mirror y -> -y swaps PPlus, F1, F3Plus with
+#: PMinus, F2, F3Minus and fixes the rest.  Generic matches none.
+_PATTERNS = {
+    OrbitClass.ZERO: ((0, 0, 0), (0, 1, 2), 0),
+    OrbitClass.P_PLUS: ((1, 1, 1), (), 0),
+    OrbitClass.P_MINUS: ((1, -1, 1), (), 0),
+    OrbitClass.GRASSMANNIAN: ((0, 0, 0), (0, 1), 0),
+    OrbitClass.F3_ZERO: ((1, 0, 1), (1,), 0),
+    OrbitClass.F1: ((1, 1, 0), (), 0),
+    OrbitClass.F2: ((1, -1, 0), (), 0),
+    OrbitClass.F3_PLUS: ((1, 0, 1), (), 1),
+    OrbitClass.F3_MINUS: ((1, 0, 1), (), -1),
+}
+
+
+def _matches(signs, vanish, y_sign, triple, tol: float) -> bool:
+    tied = [s * t for s, t in zip(signs, triple) if s]
+    return (all(_eq(a, b, tol) for a, b in itertools.combinations(tied, 2))
+            and all(_eq(triple[k], 0.0, tol) for k in vanish)
+            and (y_sign == 0 or y_sign * triple[1] > 0))
+
+
+def class_point(orbit_class: OrbitClass, triple) -> tuple:
+    """The chamber triple projected onto the pattern of its class: a tied slot
+    k becomes s_k m, m the mean of the tied s_k t_k, a vanishing slot 0, and
+    other slots are kept; a Generic triple is unchanged.  So a form classified
+    within tol exports the polytope of its class, not that of a generic orbit
+    next to it."""
+    if orbit_class not in _PATTERNS:
+        return tuple(triple)
+    signs, vanish, _ = _PATTERNS[orbit_class]
+    tied = [s * t for s, t in zip(signs, triple) if s]
+    m = sum(tied) / len(tied) if tied else 0.0
+    return tuple(0.0 if k in vanish else s * m if s else t
+                 for k, (s, t) in enumerate(zip(signs, triple)))
+
+
+def _orthogonal_roots(point, tol: float) -> frozenset:
+    """The roots of `weyl.ROOTS` orthogonal to point within tol: the two terms
+    s, t of the product agree as s and -t under `_eq`."""
+    terms = {a: [c * p for c, p in zip(a, point) if c] for a in weyl.ROOTS}
+    return frozenset(a for a, (s, t) in terms.items() if _eq(s, -t, tol))
+
+
+def refines(source, target, tol: float = 1e-8) -> bool:
+    """Whether the isotropy of the chamber triple source lies inside that of
+    the chamber triple target, slot by slot: every root orthogonal to source
+    within tol is orthogonal to target within tol."""
+    return _orthogonal_roots(source, tol) <= _orthogonal_roots(target, tol)
+
+
+#: Dimension of the isotropy algebra of a representative form inside so(6):
+#: the Cartan algebra (3) plus one root space per root orthogonal to the
+#: class point of the generic (1, 1/2, 2).
+STABILIZER_DIM = {
+    c: 3 + len(_orthogonal_roots(class_point(c, (1, 0.5, 2)), 0.0)) for c in OrbitClass
+}
+
+
 @dataclass(frozen=True)
 class Classification:
     orbit_class: OrbitClass
@@ -309,43 +355,26 @@ class Classification:
 def classify_full(form: TwoForm, tol: float = 1e-8) -> Classification:
     """Classify by the equality/sign pattern of the chamber triple.
 
-    Every special pattern matching within tolerance is collected; the winner
-    is the most degenerate match (largest stabilizer) and, among matches of
-    equal stabilizer dimension, the one whose stratum closure holds the
-    others (F3Zero over F3Plus and F3Minus).  The ambiguous flag is
-    set when some match does not lie in the closure of the winner's stratum,
-    i.e. two patterns matched but genuinely disagree.
+    Every pattern of `_PATTERNS` matching within tolerance is collected; the
+    winner is the most degenerate match (largest stabilizer) and, among
+    matches of equal stabilizer dimension, the one whose stratum closure
+    holds the others (F3Zero over F3Plus and F3Minus), else the first tried.
+    The ambiguous flag is set when some match does not lie in the closure of
+    the winner's stratum, i.e. two patterns matched but genuinely disagree.
+    The patterns are mirror images, so classification commutes with y -> -y.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    x, y, z = canonical_triple(form, tol=min(tol, 1e-9))
-    matched = []
-    if _eq(x, 0, tol) and _eq(y, 0, tol) and _eq(z, 0, tol):
-        matched.append(OrbitClass.ZERO)
-    if _eq(x, y, tol) and _eq(y, z, tol) and _eq(x, z, tol):
-        matched.append(OrbitClass.P_PLUS)
-    if _eq(x, z, tol) and _eq(x, -y, tol):
-        matched.append(OrbitClass.P_MINUS)
-    if _eq(x, 0, tol) and _eq(y, 0, tol):
-        matched.append(OrbitClass.GRASSMANNIAN)
-    if _eq(x, z, tol) and _eq(y, 0, tol):
-        matched.append(OrbitClass.F3_ZERO)
-    if _eq(x, y, tol):
-        matched.append(OrbitClass.F1)
-    if _eq(x, -y, tol):
-        matched.append(OrbitClass.F2)
-    if _eq(x, z, tol) and y > 0:
-        matched.append(OrbitClass.F3_PLUS)
-    if _eq(x, z, tol) and y < 0:
-        matched.append(OrbitClass.F3_MINUS)
+    triple = canonical_triple(form, tol=min(tol, 1e-9))
+    matched = [c for c, p in _PATTERNS.items() if _matches(*p, triple, tol)]
     if not matched:
-        return Classification(OrbitClass.GENERIC, (x, y, z), False,
+        return Classification(OrbitClass.GENERIC, triple, False,
                               (OrbitClass.GENERIC,))
     top = max(STABILIZER_DIM[c] for c in matched)
     tied = [c for c in matched if STABILIZER_DIM[c] == top]
     winner = next((c for c in tied if _CLOSURE[c].issuperset(tied)), tied[0])
     ambiguous = any(m not in _CLOSURE[winner] for m in matched)
-    return Classification(winner, (x, y, z), ambiguous, tuple(matched))
+    return Classification(winner, triple, ambiguous, tuple(matched))
 
 
 def classify(form: TwoForm, tol: float = 1e-8) -> OrbitClass:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import iwasawa, moment, polytopes, weyl
 from .errors import IncompatiblePattern, NormViolation
-from .forms import TwoForm, canonical_triple, eigen_split, wedges, _eq
+from .forms import TwoForm, canonical_triple, eigen_split, refines, wedges
 
 
 @dataclass(frozen=True)
@@ -39,32 +39,6 @@ def as_simple_plane(p) -> SimplePlaneForm:
     return p if isinstance(p, SimplePlaneForm) else SimplePlaneForm(p)
 
 
-def _pattern_refines(source, target, tol: float) -> bool:
-    """Can the eigenvalue pattern of source be coarsened to target?
-
-    Slot-aligned rule on chamber triples: an equal (resp. opposite) nonzero
-    pair of source values needs the target pair equal (resp. opposite) or
-    both zero; a doubly-zero source pair needs a doubly-zero target pair.
-    """
-    for a in range(3):
-        for b in range(a + 1, 3):
-            va, vb = source[a], source[b]
-            ta, tb = target[a], target[b]
-            za = _eq(va, 0.0, tol)
-            zb = _eq(vb, 0.0, tol)
-            if za and zb:
-                if not (_eq(ta, 0.0, tol) and _eq(tb, 0.0, tol)):
-                    return False
-            elif not za and not zb:
-                if _eq(va, vb, tol):
-                    if not (_eq(ta, tb, tol)):
-                        return False
-                elif _eq(va, -vb, tol):
-                    if not (_eq(ta, -tb, tol)):
-                        return False
-    return True
-
-
 def fibration_project(form: TwoForm, target, tol: float = 1e-8) -> TwoForm:
     """Project a form onto the orbit of a coarser Cartan point.
 
@@ -74,7 +48,7 @@ def fibration_project(form: TwoForm, target, tol: float = 1e-8) -> TwoForm:
     """
     split = eigen_split(form, tol=min(tol, 1e-9))
     target_chamber, _ = weyl.to_chamber(tuple(float(c) for c in target))
-    if not _pattern_refines(split.values, target_chamber, tol):
+    if not refines(split.values, target_chamber, tol):
         raise IncompatiblePattern(
             f"pattern {split.values} does not refine to {target_chamber}"
         )

@@ -88,11 +88,14 @@ def _lex_positive(vec):
 
 def _json_number(x):
     """Lossless JSON value: an integer as an int, a rational equal to a float
-    as that float, any other rational as the string "p/q"."""
+    as that float, any other rational as the string "p/q".  A float's reduced
+    numerator has at most 53 bits, so p / q is taken only where it cannot
+    overflow."""
     p, q = Fraction(x).as_integer_ratio()
     if q == 1:
         return p
-    return p / q if (p / q).as_integer_ratio() == (p, q) else f"{p}/{q}"
+    exact = p.bit_length() <= 53 and (p / q).as_integer_ratio() == (p, q)
+    return p / q if exact else f"{p}/{q}"
 
 
 @dataclass(frozen=True)
@@ -137,8 +140,12 @@ class Polytope:
         return total // 2
 
 
-def _float_norm(vec) -> float:
-    return math.sqrt(sum(float(c) * float(c) for c in vec))
+def _float_normal(normal) -> tuple[np.ndarray, int]:
+    """An integer normal as floats divided by 2**k, which brings its largest
+    |entry| into [1, 2), and k: no overflow, and float arithmetic on it is
+    (away from subnormals) that on the normal, scaled by 2**-k bit for bit."""
+    k = max(abs(c) for c in normal).bit_length() - 1
+    return np.array([c / (1 << k) for c in normal]), k
 
 
 def _independent(vecs) -> bool:
@@ -276,12 +283,10 @@ def _hull3_exact(pts, basis, d) -> Polytope:
                     edges[(a, b)] = True
         faces = hidden + [make_face(a, b, ip) for a, b in edges]
 
-    # An ordered set: huge normals can round to equal float sort keys, and
-    # _sort_facets then keeps the order in which the facets were found.
-    planes = {}
+    planes = set()
     for f in faces:
         n = _primitive(f[3])
-        planes[(n, _dot(n, pts[f[0]]))] = None
+        planes.add((n, _dot(n, pts[f[0]])))
 
     def is_vertex(p):
         tight = [n for n, off in planes if _dot(n, p) == off]
@@ -293,8 +298,7 @@ def _hull3_exact(pts, basis, d) -> Polytope:
 
 
 def _sort_facets(facets):
-    return tuple(sorted(facets, key=lambda f: (tuple(map(float, f.normal)),
-                                               float(f.offset))))
+    return tuple(sorted(facets, key=lambda f: (f.normal, f.offset)))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +338,10 @@ def violations_many(P: Polytope, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     worst = np.full(len(pts), -np.inf)
     for k, f in enumerate(P.facets + P.equalities):
-        v = (pts @ np.array(f.normal, dtype=float) - float(f.offset)) / _float_norm(f.normal)
+        # Normal and offset are scaled alike, so the quotient is unchanged.
+        n, shift = _float_normal(f.normal)
+        offset = f.offset.numerator / (f.offset.denominator << shift)
+        v = (pts @ n - offset) / math.sqrt(sum(c * c for c in n.tolist()))
         worst = np.maximum(worst, v if k < len(P.facets) else np.abs(v))
     worst[worst == -np.inf] = 0.0
     return worst
@@ -437,7 +444,7 @@ def _facet_rings(P: Polytope):
     """Vertex index rings ordered ccw about their normal: one per facet of a
     3-polytope, or the polygon itself about its plane's normal.  The angles
     are taken on the vertices scaled by a power of two near 1/max|coordinate|
-    (no overflow)."""
+    and on normals scaled by `_float_normal` (no overflow)."""
     top = max(abs(c) for v in P.vertices for c in v)
     scale = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length())
     verts = np.array([[float(c * scale) for c in v] for v in P.vertices])
@@ -449,7 +456,7 @@ def _facet_rings(P: Polytope):
     for normal, tight in faces:
         pts = verts[list(tight)]
         center = np.mean(pts, axis=0)
-        n = np.array([float(c) for c in normal])
+        n, _ = _float_normal(normal)
         n = n / np.linalg.norm(n)
         ref = pts[0] - center
         ref = ref - np.dot(ref, n) * n

@@ -12,7 +12,7 @@ import jsonschema
 import pytest
 
 from orbitkit import cli, klein, moment, polytopes, spin, weyl
-from orbitkit.forms import TwoForm, conjugate
+from orbitkit.forms import OrbitClass, TwoForm, canonical_triple, class_point, conjugate
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs",
                            "runreport.schema.json")
@@ -357,6 +357,40 @@ CLASS_POLYTOPES = {
     "F3Zero": ((1, 0, 1), 12, 14),
     "F3Minus": ((2, -1, 2), 12, 14),
 }
+
+
+def closed_form_class_point(orbit_class, triple):
+    """Reference projection onto the class pattern, one closed form per
+    class: m the mean of the entries the pattern ties."""
+    x, y, z = triple
+    plus, minus, f3 = (x + y + z) / 3, (x - y + z) / 3, (x + z) / 2
+    return {
+        OrbitClass.ZERO: (0.0, 0.0, 0.0),
+        OrbitClass.P_PLUS: (plus, plus, plus),
+        OrbitClass.P_MINUS: (minus, -minus, minus),
+        OrbitClass.GRASSMANNIAN: (0.0, 0.0, z),
+        OrbitClass.F1: ((x + y) / 2, (x + y) / 2, z),
+        OrbitClass.F2: ((x - y) / 2, (y - x) / 2, z),
+        OrbitClass.F3_ZERO: (f3, 0.0, f3),
+        OrbitClass.F3_PLUS: (f3, y, f3),
+        OrbitClass.F3_MINUS: (f3, y, f3),
+    }.get(orbit_class, triple)
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_POLYTOPES))
+def test_class_point_matches_the_closed_forms(name):
+    """On the chamber triples of Haar conjugates, class_point of every class
+    equals the closed form exactly, on floats and on their Fractions."""
+    lam = CLASS_POLYTOPES[name][0]
+    for R in moment.haar_rotations(4, 11):
+        triple = canonical_triple(conjugate(TwoForm.from_cartan(lam), R))
+        exact = tuple(Fraction(c) for c in triple)
+        for c in OrbitClass:
+            got = class_point(c, triple)
+            assert tuple(map(Fraction, got)) == tuple(
+                map(Fraction, closed_form_class_point(c, triple)))
+            assert tuple(map(Fraction, class_point(c, exact))) == tuple(
+                map(Fraction, closed_form_class_point(c, exact)))
 
 
 @pytest.mark.parametrize("name", sorted(CLASS_POLYTOPES))

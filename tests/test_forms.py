@@ -177,6 +177,42 @@ def test_classify_tie_prefers_the_class_whose_closure_holds_the_others(y):
     assert not result.ambiguous
 
 
+#: The mirror y -> -y on classes; classes it does not name map to themselves.
+MIRROR = {
+    OrbitClass.P_PLUS: OrbitClass.P_MINUS, OrbitClass.P_MINUS: OrbitClass.P_PLUS,
+    OrbitClass.F1: OrbitClass.F2, OrbitClass.F2: OrbitClass.F1,
+    OrbitClass.F3_PLUS: OrbitClass.F3_MINUS, OrbitClass.F3_MINUS: OrbitClass.F3_PLUS,
+}
+
+
+def mirrored(result):
+    return MIRROR.get(result.orbit_class, result.orbit_class), result.ambiguous
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-6, 1e-3])
+def test_classify_commutes_with_the_mirror(tol):
+    # Each slot of a class case is kept or moved by +-U(0, 2) tol max(1, |c|),
+    # so patterns match, miss and overlap near the edge of the tolerance.
+    rng = np.random.default_rng(41)
+    for triple, _ in CLASS_CASES:
+        for _ in range(30):
+            shift = rng.integers(-1, 2, 3) * rng.uniform(0, 2, 3) * tol
+            x, y, z = (c + d * max(1, abs(c)) for c, d in zip(triple, shift))
+            a = classify_full(TwoForm.from_cartan((x, y, z)), tol)
+            b = classify_full(TwoForm.from_cartan((x, -y, z)), tol)
+            assert mirrored(a) == (b.orbit_class, b.ambiguous), ((x, y, z), tol)
+
+
+def test_mirror_of_a_near_pplus_triple_is_near_pminus():
+    # y ~ x but y !~ z: F1 beside F3Plus; the mirror lacks -y ~ z, so it is
+    # F2 beside F3Minus, not PMinus.
+    a = classify_full(TwoForm.from_cartan((1, 1 - 0.9e-8, 1 + 0.9e-8)))
+    b = classify_full(TwoForm.from_cartan((1, -(1 - 0.9e-8), 1 + 0.9e-8)))
+    assert (a.orbit_class, a.ambiguous) == (OrbitClass.F1, True)
+    assert (b.orbit_class, b.ambiguous) == (OrbitClass.F2, True)
+    assert OrbitClass.P_MINUS not in b.matches
+
+
 def test_classify_rotation_invariant():
     rng = np.random.default_rng(7)
     for k in range(40):

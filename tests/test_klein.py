@@ -87,6 +87,45 @@ def test_fibration_project_allows_valid_targets():
     assert classify(klein.fibration_project(g, (0, 0, 1))) is OrbitClass.GRASSMANNIAN
 
 
+#: Exact chamber points: the triples of test_forms.CLASS_CASES, then (3, 1, 3)
+#: and (1/2, 1/2, 1/2).
+CHAMBER_POINTS = [
+    (0, 0, 0), (1, 1, 1), (1, -1, 1), (0, 0, 1), (1, 1, 2), (1, -1, 2), (2, 1, 2),
+    (2, 0, 2), (2, -1, 2), (1, 0.5, 2), (1, 0, 2), (3, 1, 3), (0.5, 0.5, 0.5),
+]
+#: Row s, column t: 1 when `fibration_project` maps the Cartan form of
+#: CHAMBER_POINTS[s] onto the orbit of CHAMBER_POINTS[t]; 78 of 169 pairs.
+ACCEPTED = (
+    "1000000000000",
+    "1100000000001",
+    "1010000000000",
+    "1001000000000",
+    "1101100000001",
+    "1011010000000",
+    "1110001110011",
+    "1110001110011",
+    "1110001110011",
+    "1111111111111",
+    "1111111111111",
+    "1110001110011",
+    "1100000000001",
+)
+
+
+def test_fibration_project_accepts_the_pinned_pairs():
+    got = []
+    for source in CHAMBER_POINTS:
+        row = ""
+        for target in CHAMBER_POINTS:
+            try:
+                klein.fibration_project(TwoForm.from_cartan(source), target)
+                row += "1"
+            except IncompatiblePattern:
+                row += "0"
+        got.append(row)
+    assert tuple(got) == ACCEPTED
+
+
 def test_pi1_matches_fibration_project():
     # The paper's pi1, the complex-structure part of a mixed form, is
     # fibration_project onto (1, 1, 1); the polar factor F (-F^2)^(-1/2) of

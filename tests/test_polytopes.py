@@ -241,6 +241,24 @@ def test_hull_scales_mixed_denominators_exactly():
     assert P.vertices == tuple(sorted(exact[k] for k in (1, 2, 3, 5, 6)))
 
 
+def test_facet_normals_beyond_the_float_range_sort_and_export():
+    # A subnormal next to 2**1000 gives primitive normals of about 2**2083:
+    # the facets sort on exact keys and the float exports scale the normals
+    # by a power of two before converting them.
+    pts = [(0, 0, 0), (Fraction(1, 3), 0, 0), (0, Fraction(1, 7), 0), (0, 0, Fraction(1, 11)),
+           (5e-324, 5e-324, 5e-324), (2.0 ** 1000, Fraction(1, 3), Fraction(-1, 7)),
+           (-1, Fraction(2, 11), 5e-324), (Fraction(1, 21), Fraction(1, 33), Fraction(1, 77)),
+           (0.5, -2.0 ** 1000, 1)]
+    P = hull(pts)
+    assert facet_set(P) == brute_force_facets(pts)
+    assert max(abs(c) for f in P.facets for c in f.normal) > 2 ** 1024
+    assert [f.normal for f in P.facets] == sorted(f.normal for f in P.facets)
+    assert len(polytopes.polytope_to_json(P)["facets"]) == len(P.facets)
+    assert polytopes.to_off(P).splitlines()[2] == f"{len(P.vertices)} {len(P.facets)} 0"
+    v = polytopes.violations_many(P, np.array(pts, dtype=float))
+    assert np.all(np.isfinite(v)) and np.all(v <= 1e-9)
+
+
 def test_numpy_integers_are_taken_as_python_ints():
     # np.int64 arithmetic would wrap at 2**63.
     big = np.array([(2**62, 0, 0), (0, 2**62, 0), (0, 0, 2**62), (0, 0, 0)], dtype=np.int64)
