@@ -300,9 +300,14 @@ _PATTERNS = {
 }
 
 
+def _tied(signs, triple) -> list:
+    """The signed slots s_k t_k of triple with s_k != 0."""
+    return [s * t for s, t in zip(signs, triple) if s]
+
+
 def _matches(signs, vanish, y_sign, triple, tol: float) -> bool:
-    tied = [s * t for s, t in zip(signs, triple) if s]
-    return (all(_eq(a, b, tol) for a, b in itertools.combinations(tied, 2))
+    pairs = itertools.combinations(_tied(signs, triple), 2)
+    return (all(_eq(a, b, tol) for a, b in pairs)
             and all(_eq(triple[k], 0.0, tol) for k in vanish)
             and (y_sign == 0 or y_sign * triple[1] > 0))
 
@@ -316,7 +321,7 @@ def class_point(orbit_class: OrbitClass, triple) -> tuple:
     if orbit_class not in _PATTERNS:
         return tuple(triple)
     signs, vanish, _ = _PATTERNS[orbit_class]
-    tied = [s * t for s, t in zip(signs, triple) if s]
+    tied = _tied(signs, triple)
     m = sum(tied) / len(tied) if tied else 0.0
     return tuple(0.0 if k in vanish else s * m if s else t
                  for k, (s, t) in enumerate(zip(signs, triple)))
@@ -325,8 +330,8 @@ def class_point(orbit_class: OrbitClass, triple) -> tuple:
 def _orthogonal_roots(point, tol: float) -> frozenset:
     """The roots of `weyl.ROOTS` orthogonal to point within tol: the two terms
     s, t of the product agree as s and -t under `_eq`."""
-    terms = {a: [c * p for c, p in zip(a, point) if c] for a in weyl.ROOTS}
-    return frozenset(a for a, (s, t) in terms.items() if _eq(s, -t, tol))
+    return frozenset(a for a in weyl.ROOTS
+                     for s, t in [_tied(a, point)] if _eq(s, -t, tol))
 
 
 def refines(source, target, tol: float = 1e-8) -> bool:
