@@ -144,8 +144,9 @@ def _float_normal(normal) -> tuple[np.ndarray, int]:
     """An integer normal as floats divided by 2**k, which brings its largest
     |entry| into [1, 2), and k: no overflow, and float arithmetic on it is
     (away from subnormals) that on the normal, scaled by 2**-k bit for bit."""
-    k = max(abs(c) for c in normal).bit_length() - 1
-    return np.array([c / (1 << k) for c in normal]), k
+    k = max(map(abs, normal)).bit_length() - 1
+    scale = 1 << k
+    return np.array([c / scale for c in normal]), k
 
 
 def _independent(vecs) -> bool:
