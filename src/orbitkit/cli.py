@@ -91,12 +91,16 @@ def _parse_lambda(text: str):
 
 
 def _load_form(path: str) -> TwoForm:
+    """The 2-form of a JSON file; |c| > 2**1020 is refused as for --lambda, so
+    a sum of three chamber values (each at most sqrt(15) 2**1020) is finite."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
-        return TwoForm.from_dict(data)
+            form = TwoForm.from_dict(json.load(fh))
     except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
         raise ParseError(f"cannot read 2-form from {path}: {exc}") from exc
+    if any(abs(c) > 2 ** 1020 for c in form.coeffs):
+        raise ParseError(f"cannot read 2-form from {path}: coefficients must not exceed 2**1020")
+    return form
 
 
 def _write(path: str, text: str):

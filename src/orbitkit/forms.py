@@ -50,26 +50,6 @@ class OrbitClass(Enum):
     F3_MINUS = "F3Minus"
 
 
-# Specialisation (degeneration) order between orbit classes: CLOSURE[c] is the
-# set of classes whose stratum closure contains the stratum of c.
-_CLOSURE = {
-    OrbitClass.ZERO: set(OrbitClass),
-    OrbitClass.P_PLUS: {OrbitClass.P_PLUS, OrbitClass.F1, OrbitClass.F3_PLUS,
-                        OrbitClass.GENERIC},
-    OrbitClass.P_MINUS: {OrbitClass.P_MINUS, OrbitClass.F2, OrbitClass.F3_MINUS,
-                         OrbitClass.GENERIC},
-    OrbitClass.GRASSMANNIAN: {OrbitClass.GRASSMANNIAN, OrbitClass.F1,
-                              OrbitClass.F2, OrbitClass.GENERIC},
-    OrbitClass.F3_ZERO: {OrbitClass.F3_ZERO, OrbitClass.F3_PLUS,
-                         OrbitClass.F3_MINUS, OrbitClass.GENERIC},
-    OrbitClass.F1: {OrbitClass.F1, OrbitClass.GENERIC},
-    OrbitClass.F2: {OrbitClass.F2, OrbitClass.GENERIC},
-    OrbitClass.F3_PLUS: {OrbitClass.F3_PLUS, OrbitClass.GENERIC},
-    OrbitClass.F3_MINUS: {OrbitClass.F3_MINUS, OrbitClass.GENERIC},
-    OrbitClass.GENERIC: {OrbitClass.GENERIC},
-}
-
-
 @dataclass(frozen=True)
 class TwoForm:
     """A 2-form sum_{i<j} c_ij e^i ^ e^j with coefficients in PAIRS order."""
@@ -282,8 +262,9 @@ def _eq(a: float, b: float, tol: float) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
-#: The special orbit classes as patterns of the chamber triple (x, y, z), in
-#: the order `classify_full` tries them: the slot signs s of the tied group
+#: The special orbit classes as patterns of the chamber triple (x, y, z), from
+#: the most degenerate down, the order in which the first match wins in
+#: `classify_full`: the slot signs s of the tied group
 #: (the s_k t_k with s_k != 0 all agree), the slots that vanish and the sign
 #: y must have (0: any).  The mirror y -> -y swaps PPlus, F1, F3Plus with
 #: PMinus, F2, F3Minus and fixes the rest.  Generic matches none.
@@ -341,12 +322,23 @@ def refines(source, target, tol: float = 1e-8) -> bool:
     return _orthogonal_roots(source, tol) <= _orthogonal_roots(target, tol)
 
 
+#: One generic point of each class: the class point of (1, 1/2, 2), or of
+#: (1, -1/2, 2) where the pattern needs y < 0.
+_POINTS = {c: class_point(c, (1, -0.5 if _PATTERNS.get(c, (0, 0, 0))[2] < 0 else 0.5, 2))
+           for c in OrbitClass}
+
+#: Specialisation (degeneration) order between orbit classes: _CLOSURE[c] is
+#: the set of classes whose stratum closure contains the stratum of c, i.e.
+#: Generic and the classes whose patterns hold exactly at the point p of c,
+#: their y sign relaxed to y_sign * y >= 0.
+_CLOSURE = {c: frozenset([OrbitClass.GENERIC]).union(
+    d for d, (s, v, y) in _PATTERNS.items() if _matches(s, v, 0, p, 0.0) and y * p[1] >= 0)
+    for c, p in _POINTS.items()}
+
 #: Dimension of the isotropy algebra of a representative form inside so(6):
 #: the Cartan algebra (3) plus one root space per root orthogonal to the
-#: class point of the generic (1, 1/2, 2).
-STABILIZER_DIM = {
-    c: 3 + len(_orthogonal_roots(class_point(c, (1, 0.5, 2)), 0.0)) for c in OrbitClass
-}
+#: generic point of the class.
+STABILIZER_DIM = {c: 3 + len(_orthogonal_roots(p, 0.0)) for c, p in _POINTS.items()}
 
 
 @dataclass(frozen=True)
@@ -360,26 +352,21 @@ class Classification:
 def classify_full(form: TwoForm, tol: float = 1e-8) -> Classification:
     """Classify by the equality/sign pattern of the chamber triple.
 
-    Every pattern of `_PATTERNS` matching within tolerance is collected; the
-    winner is the most degenerate match (largest stabilizer) and, among
-    matches of equal stabilizer dimension, the one whose stratum closure
-    holds the others (F3Zero over F3Plus and F3Minus), else the first tried.
-    The ambiguous flag is set when some match does not lie in the closure of
-    the winner's stratum, i.e. two patterns matched but genuinely disagree.
-    The patterns are mirror images, so classification commutes with y -> -y.
+    The first pattern of `_PATTERNS` matching within tolerance wins (none:
+    Generic).  The table runs from the most degenerate class down, each class
+    before the rest of its stratum closure, so the winner has the largest
+    stabilizer and, among equal ones, the closure holding the others (F3Zero
+    over F3Plus and F3Minus).  The ambiguous flag is set when some match lies
+    outside the winner's closure, i.e. two patterns genuinely disagree.  The
+    patterns are mirror images, so classification commutes with y -> -y.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     triple = canonical_triple(form, tol=min(tol, 1e-9))
     matched = [c for c, p in _PATTERNS.items() if _matches(*p, triple, tol)]
-    if not matched:
-        return Classification(OrbitClass.GENERIC, triple, False,
-                              (OrbitClass.GENERIC,))
-    top = max(STABILIZER_DIM[c] for c in matched)
-    tied = [c for c in matched if STABILIZER_DIM[c] == top]
-    winner = next((c for c in tied if _CLOSURE[c].issuperset(tied)), tied[0])
-    ambiguous = any(m not in _CLOSURE[winner] for m in matched)
-    return Classification(winner, triple, ambiguous, tuple(matched))
+    matched = matched or [OrbitClass.GENERIC]
+    ambiguous = not _CLOSURE[matched[0]].issuperset(matched)
+    return Classification(matched[0], triple, ambiguous, tuple(matched))
 
 
 def classify(form: TwoForm, tol: float = 1e-8) -> OrbitClass:

@@ -123,10 +123,8 @@ class SampleCloud:
     source: str
 
     def to_csv(self) -> str:
-        lines = [f"# {self.source} stream={STREAM}", "x,y,z"]
-        for p in self.points:
-            lines.append(f"{float(p[0])!r},{float(p[1])!r},{float(p[2])!r}")
-        return "\n".join(lines) + "\n"
+        rows = [f"{x!r},{y!r},{z!r}" for x, y, z in self.points.tolist()]
+        return "\n".join([f"# {self.source} stream={STREAM}", "x,y,z", *rows]) + "\n"
 
 
 def orbit_samples(lam, n: int, seed: int) -> SampleCloud:

@@ -127,9 +127,12 @@ class Polytope:
     equalities: tuple
 
     def facet_tight_vertices(self):
-        """Per facet, the tuple of vertex indices where it is tight."""
-        return [tuple(k for k, v in enumerate(self.vertices) if _dot(f.normal, v) == f.offset)
-                for f in self.facets]
+        """Per facet, the tuple of vertex indices where it is tight, tested on
+        the vertices scaled to integers over their common denominator d."""
+        ints, d = _scaled(c for v in self.vertices for c in v)
+        pts = list(zip(ints[0::3], ints[1::3], ints[2::3]))
+        return [tuple(k for k, p in enumerate(pts) if _dot(f.normal, p) == off)
+                for f in self.facets for off in [f.offset * d]]
 
     def edge_count(self) -> int:
         if self.dim != 3:
@@ -349,9 +352,13 @@ def violations_many(P: Polytope, points: np.ndarray) -> np.ndarray:
 
 
 def contains(P: Polytope, point, tol: float = 0.0) -> bool:
-    """Membership within tol (tol 0 with int/Fraction coordinates is exact)."""
-    if tol == 0.0 and all(_is_exact_scalar(c) for c in point):
-        q = tuple(Fraction(*_ratio(c)) for c in point)
+    """Membership within tol; at tol 0 exact, with floats taken at their
+    binary values as in `hull` (a non-finite coordinate raises ValueError)."""
+    if tol == 0.0:
+        try:
+            q = tuple(Fraction(*_ratio(c)) for c in point)
+        except (OverflowError, ValueError) as exc:
+            raise ValueError(f"point coordinates must be finite, got {point!r}") from exc
         return all(_dot(f.normal, q) <= f.offset for f in P.facets) and all(
             _dot(f.normal, q) == f.offset for f in P.equalities
         )

@@ -71,6 +71,34 @@ def test_classify_malformed_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["classify", "export"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_form_coefficient_above_the_bound_exits_2(capsys, tmp_path, command, sign):
+    # PPlus (sign 1) or PMinus (-1) at 1e308: the class point sums three tied
+    # slots, which would overflow the float max.
+    path = tmp_path / "huge.json"
+    coeffs = [0.0] * 15
+    coeffs[0], coeffs[9], coeffs[14] = 1e308, sign * 1e308, 1e308
+    path.write_text(json.dumps({"coeffs": coeffs}))
+    code = cli.main([command, "--form", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "coefficients must not exceed 2**1020" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cartan,name,vertices", [
+    ((1, 1, 1), "PPlus", 4), ((1, -1, 1), "PMinus", 4), ((1, 0.5, 0.75), "Generic", 24),
+])
+def test_form_coefficients_at_the_bound_export(capsys, tmp_path, cartan, name, vertices):
+    path = tmp_path / "top.json"
+    path.write_text(json.dumps(TwoForm.from_cartan([c * 2 ** 1020 for c in cartan]).to_dict()))
+    code, report = run_cli(capsys, "export", "--form", str(path))
+    assert code == 0
+    assert (report["metrics"]["class"], report["metrics"]["vertices"]) == (name, vertices)
+
+
 def test_unknown_suite_exits_2(capsys):
     code, _ = run_cli(capsys, "verify", "no-such-suite")
     assert code == 2

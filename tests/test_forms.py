@@ -1,5 +1,6 @@
 """2-form algebra: endomorphisms, eigen-splitting, classification, pairings."""
 
+import itertools
 import math
 
 import numpy as np
@@ -175,6 +176,67 @@ def test_classify_tie_prefers_the_class_whose_closure_holds_the_others(y):
     assert forms.STABILIZER_DIM[OrbitClass.F3_ZERO] == forms.STABILIZER_DIM[side]
     assert result.orbit_class is OrbitClass.F3_ZERO
     assert not result.ambiguous
+
+
+#: The class tables typed by hand, the reference for those `forms` derives
+#: from `_PATTERNS`: the classes whose stratum closure holds each class's
+#: stratum, and the isotropy dimension of each class.
+_O = OrbitClass
+REFERENCE_CLOSURE = {
+    _O.ZERO: set(_O),
+    _O.P_PLUS: {_O.P_PLUS, _O.F1, _O.F3_PLUS, _O.GENERIC},
+    _O.P_MINUS: {_O.P_MINUS, _O.F2, _O.F3_MINUS, _O.GENERIC},
+    _O.GRASSMANNIAN: {_O.GRASSMANNIAN, _O.F1, _O.F2, _O.GENERIC},
+    _O.F3_ZERO: {_O.F3_ZERO, _O.F3_PLUS, _O.F3_MINUS, _O.GENERIC},
+    _O.F1: {_O.F1, _O.GENERIC},
+    _O.F2: {_O.F2, _O.GENERIC},
+    _O.F3_PLUS: {_O.F3_PLUS, _O.GENERIC},
+    _O.F3_MINUS: {_O.F3_MINUS, _O.GENERIC},
+    _O.GENERIC: {_O.GENERIC},
+}
+REFERENCE_STABILIZER_DIM = {
+    _O.ZERO: 15, _O.P_PLUS: 9, _O.P_MINUS: 9, _O.GRASSMANNIAN: 7,
+    _O.F3_ZERO: 5, _O.F1: 5, _O.F2: 5, _O.F3_PLUS: 5, _O.F3_MINUS: 5, _O.GENERIC: 3,
+}
+
+
+def test_class_tables_derived_from_the_patterns_equal_the_reference():
+    assert forms._CLOSURE == REFERENCE_CLOSURE
+    assert forms.STABILIZER_DIM == REFERENCE_STABILIZER_DIM
+
+
+def test_pattern_order_runs_from_the_most_degenerate_class_down():
+    # First match wins only because each class precedes the rest of its
+    # closure and the stabilizer dimension never grows along the table.
+    order = list(forms._PATTERNS) + [OrbitClass.GENERIC]
+    for k, c in enumerate(order):
+        assert all(order.index(d) > k for d in forms._CLOSURE[c] - {c}), c
+    dims = [forms.STABILIZER_DIM[c] for c in order]
+    assert dims == sorted(dims, reverse=True)
+
+
+def reference_winner(matched):
+    """The earlier rule: largest stabilizer, then the class whose closure
+    holds the other tied matches, else the first tried; ambiguous when some
+    match lies outside the winner's closure."""
+    top = max(REFERENCE_STABILIZER_DIM[c] for c in matched)
+    tied = [c for c in matched if REFERENCE_STABILIZER_DIM[c] == top]
+    winner = next((c for c in tied if REFERENCE_CLOSURE[c].issuperset(tied)), tied[0])
+    return winner, any(m not in REFERENCE_CLOSURE[winner] for m in matched)
+
+
+def test_first_match_equals_the_largest_stabilizer_rule_on_every_subset(monkeypatch):
+    # Feed classify_full every nonempty subset of the patterns as its matches.
+    patterns = list(forms._PATTERNS)
+    subsets = [s for r in range(1, len(patterns) + 1)
+               for s in itertools.combinations(patterns, r)]
+    assert len(subsets) == 511
+    for subset in subsets:
+        chosen = [forms._PATTERNS[c] for c in subset]
+        monkeypatch.setattr(forms, "_matches", lambda *args, chosen=chosen: args[:3] in chosen)
+        result = classify_full(W0)
+        assert result.matches == subset
+        assert (result.orbit_class, result.ambiguous) == reference_winner(subset), subset
 
 
 #: The mirror y -> -y on classes; classes it does not name map to themselves.

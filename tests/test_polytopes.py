@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitkit import polytopes, weyl
+from orbitkit import moment, polytopes, weyl
 from orbitkit.errors import EmptyIntersection, EmptySection
 from orbitkit.polytopes import clip, contains, hull, intersect, section
 
@@ -275,6 +275,19 @@ def test_hull_takes_numpy_floats_of_every_width_exactly():
     assert hull([(np.float32(0.5), 0, 0), (0, 1, 0)]) == hull([(0.5, 0, 0), (0, 1, 0)])
     third = np.longdouble(1) / 3
     assert hull([(third, 0, 0)]).vertices == ((Fraction(*third.as_integer_ratio()), 0, 0),)
+
+
+def test_contains_at_tol_zero_takes_floats_at_their_binary_values():
+    # The binary point of (0.1, 1.1, -1.3) lies outside the generic moment
+    # polytope by a hair that a float violation does not see.
+    P = moment.moment_polytope((1, 0.5, 2))
+    point = (0.1, 1.1, -1.3)
+    assert not contains(P, tuple(Fraction(c) for c in point))
+    assert not contains(P, point)
+    assert not contains(P, np.array(point))
+    for bad in [(float("nan"), 0, 0), (0, float("inf"), 0), (0, 0, -np.inf)]:
+        with pytest.raises(ValueError, match="finite"):
+            contains(P, bad)
 
 
 def test_violations_many_matches_scalar():
