@@ -3,10 +3,11 @@
 Commands: classify, polytope, sample, verify <suite>, klein <sub>,
 iwasawa <sub>, export.  Every command is one entry of RUNS, started by
 cmd_run, which writes the run's artifacts and prints a JSON report to stdout;
-every report's metrics carry the run's `elapsed_seconds`.  Exit code 0 means
-all asserted tolerances were met, 1 is an assertion failure, 2 a usage or
-parse error.  The default seed comes from ORBITKIT_SEED (fallback 0; a
-non-integer value is a usage error) and an explicit --seed wins.
+every report's metrics carry the run's `elapsed_seconds`, and a non-finite
+metric is written as null.  Exit code 0 means all asserted tolerances were
+met, 1 is an assertion failure, 2 a usage or parse error.  The default seed
+comes from ORBITKIT_SEED (fallback 0; a non-integer value is a usage error)
+and an explicit --seed wins.
 """
 
 from __future__ import annotations
@@ -212,16 +213,16 @@ AGS_LAMBDAS = (
 
 
 def _suite_ags(n: int, seed: int, tol: float) -> dict:
-    """Each cloud lies in its moment polytope and reaches every vertex."""
-    worst_overall = 0.0
-    gap_overall = 0.0
+    """Each cloud lies in its moment polytope and reaches every vertex; the
+    maxima are np.max, so a NaN image reads NaN and fails."""
     per_lambda = {}
+    gaps = []
     for lam in AGS_LAMBDAS:
         cloud = moment.orbit_samples(lam, n, seed)
-        worst = float(np.max(moment.moment_violations(lam, cloud.points)))
-        per_lambda[str(lam)] = worst
-        worst_overall = max(worst_overall, worst)
-        gap_overall = max(gap_overall, float(np.max(moment.vertex_gaps(lam, cloud.points))))
+        per_lambda[str(lam)] = float(np.max(moment.moment_violations(lam, cloud.points)))
+        gaps.append(float(np.max(moment.vertex_gaps(lam, cloud.points))))
+    worst_overall = float(np.max(list(per_lambda.values()), initial=0.0))
+    gap_overall = float(np.max(gaps, initial=0.0))
     return {
         "pass": worst_overall <= tol and gap_overall <= tol,
         "max_violation": worst_overall,
@@ -237,10 +238,11 @@ def _suite_singular(n: int, seed: int, tol: float) -> dict:
     exact = tuple(Fraction(c) for c in lam)
     P = moment.moment_polytope(lam)
     faces = set()
-    worst = 0.0
+    worsts = []
     for i, w in weyl.singular_classes():
         faces.add(weyl.singular_vertex_set(exact, w, i))
-        worst = max(worst, moment.verify_singular(lam, i, w, n, seed, tol)["max_violation"])
+        worsts.append(moment.verify_singular(lam, i, w, n, seed, tol)["max_violation"])
+    worst = float(np.max(worsts))
     all_facets_covered = all(tuple(sorted(P.vertices[k] for k in t)) in faces
                              for t in P.facet_tight_vertices())
     return {
@@ -254,7 +256,7 @@ def _suite_singular(n: int, seed: int, tol: float) -> dict:
 
 def _suite_spin_cover(n: int) -> dict:
     thetas = np.linspace(0.0, 4 * np.pi, n)
-    worst = max(spin.spin_cover_check(float(t)).discrepancy for t in thetas)
+    worst = float(np.max([spin.spin_cover_check(float(t)).discrepancy for t in thetas]))
     r = spin.spin_cover_check(2 * np.pi)
     at_2pi = float(np.max(np.abs(r.su4_element + np.eye(4))))
     so6_identity = float(np.max(np.abs(r.so6_action - np.eye(6))))
@@ -292,7 +294,7 @@ def _suite_square(n: int, seed: int, tol: float = 1e-9):
     worst_limit = np.max(np.maximum(np.abs(limit[:, 0]) + np.abs(limit[:, 1]) - 1.0,
                                     np.abs(limit[:, 2])), initial=0.0)
     triples = np.column_stack([t, t, 1.0 + t])
-    worst_contain = max(0.0, float(np.max(moment.moment_violations(triples, pts))))
+    worst_contain = float(np.max(moment.moment_violations(triples, pts), initial=0.0))
     example = klein.square_fiber_points((1, 0, 0), (1, 0, 0), 1.0)
     example_ok = max(abs(example[0] - 2), abs(example[1] - 1), abs(example[2] - 1)) < 1e-12
     all_in_region = bool(np.max(polytopes.violations_many(klein.square_region(), pts)) <= tol)
@@ -375,6 +377,18 @@ RUNS = {
 }
 
 
+def _strict_json(value):
+    """value with each non-finite float, at any depth, written as None, so
+    the report is strict JSON (no NaN or Infinity tokens)."""
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _subs(command: str) -> tuple:
     return tuple(sub for cmd, sub in RUNS if cmd == command)
 
@@ -404,7 +418,7 @@ def cmd_run(args) -> int:
     report = {"command": args.command if sub is None else f"{args.command} {sub}",
               "parameters": parameters, "pass": passed, "metrics": metrics,
               "artifacts": artifacts}
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(json.dumps(_strict_json(report), indent=2, sort_keys=True, allow_nan=False))
     return 0 if passed else 1
 
 

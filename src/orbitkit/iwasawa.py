@@ -71,13 +71,21 @@ def ocs_matrix(form, tol: float = 1e-8) -> np.ndarray:
 def _nijenhuis_norms(algebra: FrameAlgebra, Js: np.ndarray) -> np.ndarray:
     """Per J of a stack (n, 6, 6), the Frobenius norm of N(X,Y) = [JX,JY] -
     J[JX,Y] - J[X,JY] - [X,Y] over the frame pairs; zero exactly on
-    integrable complex structures."""
+    integrable complex structures.
+
+    Slice k of N is J^T c[k] J - sum_m J[k, m] (J^T c[m] + c[m] J) - c[k], and
+    only the nonzero bracket slices c[m] (2 of 6 for the Iwasawa algebra)
+    enter the matrix products.
+    """
     c = algebra.c
-    jj = np.einsum("kab,nai,nbj->nkij", c, Js, Js, optimize=True)
+    nz = np.flatnonzero(np.any(c != 0, axis=(1, 2)))
+    C = c[nz]
+    J = Js[:, None]
+    Jt = np.swapaxes(J, -1, -2)
     # [JX, Y] + [X, JY], contracted with J once.
-    mixed = (np.einsum("kaj,nai->nkij", c, Js, optimize=True)
-             + np.einsum("kib,nbj->nkij", c, Js, optimize=True))
-    N = jj - np.einsum("nkm,nmij->nkij", Js, mixed, optimize=True) - c
+    mixed = (Jt @ C + C @ J).reshape(len(Js), len(nz), -1)
+    N = -(Js[:, :, nz] @ mixed).reshape((len(Js),) + c.shape) - c
+    N[:, nz] += Jt @ C @ J
     return np.sqrt(0.5 * np.einsum("nkij,nkij->n", N, N))
 
 
@@ -193,7 +201,7 @@ def scan_complex(n: int, seed: int, tol: float = 1e-6,
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
         R = moment.haar_rotations(hi - lo, seed, start=lo)
-        Js = np.einsum("nab,bc,ndc->nad", R, J0, R)
+        Js = R @ J0 @ np.swapaxes(R, 1, 2)
         acc = _nijenhuis_norms(algebra, Js) < tol
         accepted.extend(Js[acc][:, (1, 3, 5), (0, 2, 4)])
     max_dist = max((integrable_set_distance(p) for p in accepted), default=0.0)

@@ -309,18 +309,27 @@ def _sort_facets(facets):
 # Public operations
 # ---------------------------------------------------------------------------
 
+def _require_finite(point):
+    """Raise ValueError unless every float coordinate of a point is finite."""
+    if not all(_is_exact_scalar(c) or np.isfinite(c) for c in point):
+        raise ValueError(f"point coordinates must be finite, got {point!r}")
+
+
 def hull(points) -> Polytope:
     """Exact convex hull of a nonempty finite point set in R^3.
 
     Coordinates may be int, Fraction or float (numpy floats of any width
-    included); a float is taken at its exact binary value.  Degenerate hulls
-    report dim < 3 with the affine hull attached as equality constraints.
+    included); a float is taken at its exact binary value, and a non-finite
+    one raises ValueError.  Degenerate hulls report dim < 3 with the affine
+    hull attached as equality constraints.
     """
     pts = list(points)
     if not pts:
         raise ValueError("hull of an empty point set")
     if all(_is_exact_scalar(c) for p in pts for c in p):
         return _hull_exact(pts)
+    for p in pts:
+        _require_finite(p)
     return _hull_float(pts)
 
 
@@ -333,12 +342,18 @@ def _hull_float(points) -> Polytope:
 
 def violation(P: Polytope, point) -> float:
     """Largest scaled constraint violation of a point (<= 0 means inside):
-    one row of `violations_many`."""
+    one row of `violations_many`; a non-finite coordinate raises ValueError."""
+    _require_finite(point)
     return float(violations_many(P, [point])[0])
 
 
 def violations_many(P: Polytope, points: np.ndarray) -> np.ndarray:
-    """Scaled violation of each row of an (n, 3) array (<= 0 means inside)."""
+    """Scaled violation of each row of an (n, 3) array (<= 0 means inside).
+
+    An array kernel with no finiteness check: a row with a NaN or infinite
+    coordinate reads NaN or +inf, never <= tol, and np.max propagates the
+    NaN, so callers that gate on the maximum fail such a row.
+    """
     pts = np.asarray(points, dtype=float)
     worst = np.full(len(pts), -np.inf)
     for k, f in enumerate(P.facets + P.equalities):
@@ -353,16 +368,14 @@ def violations_many(P: Polytope, points: np.ndarray) -> np.ndarray:
 
 def contains(P: Polytope, point, tol: float = 0.0) -> bool:
     """Membership within tol; at tol 0 exact, with floats taken at their
-    binary values as in `hull` (a non-finite coordinate raises ValueError)."""
-    if tol == 0.0:
-        try:
-            q = tuple(Fraction(*_ratio(c)) for c in point)
-        except (OverflowError, ValueError) as exc:
-            raise ValueError(f"point coordinates must be finite, got {point!r}") from exc
-        return all(_dot(f.normal, q) <= f.offset for f in P.facets) and all(
-            _dot(f.normal, q) == f.offset for f in P.equalities
-        )
-    return violation(P, point) <= tol
+    binary values as in `hull`.  A non-finite coordinate raises ValueError."""
+    if tol != 0.0:
+        return violation(P, point) <= tol
+    _require_finite(point)
+    q = tuple(Fraction(*_ratio(c)) for c in point)
+    return all(_dot(f.normal, q) <= f.offset for f in P.facets) and all(
+        _dot(f.normal, q) == f.offset for f in P.equalities
+    )
 
 
 def _meet(f, g, h):

@@ -62,7 +62,25 @@ def inverse(w: Element) -> Element:
 
 
 def act(w: Element, p):
-    """Apply a group element to a point; exact for int/Fraction coordinates."""
+    """Apply a group element to a point; exact for int/Fraction coordinates.
+
+    Row i of a signed permutation has one entry +-1, at column j, so
+    coordinate i is p[j] or -p[j], moved rather than summed.  The result is
+    the matrix product w p bit for bit: a point of mixed number types (whose
+    product promotes every coordinate), a zero image (whose float sign the
+    product's sum decides) and a w outside the group are summed as w p.
+    """
+    moves = _MOVES.get(w)
+    if moves is None or not type(p[0]) is type(p[1]) is type(p[2]):
+        return _product(w, p)
+    (i, s), (j, t), (k, u) = moves
+    x = p[i] if s > 0 else -p[i]
+    y = p[j] if t > 0 else -p[j]
+    z = p[k] if u > 0 else -p[k]
+    return (x, y, z) if x and y and z else _product(w, p)
+
+
+def _product(w: Element, p):
     return tuple(
         w[i][0] * p[0] + w[i][1] * p[1] + w[i][2] * p[2] for i in range(3)
     )
@@ -88,6 +106,11 @@ def _closure(generators) -> tuple[Element, ...]:
 def weyl_group() -> tuple[Element, ...]:
     """All 24 group elements, identity first, the rest sorted."""
     return _closure([reflection(a) for a in ROOTS])
+
+
+#: Per group element, the (column, sign) of the nonzero entry of each row.
+_MOVES = {w: tuple(next((j, c) for j, c in enumerate(row) if c) for row in w)
+          for w in weyl_group()}
 
 
 @lru_cache(maxsize=1)

@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 
 import jsonschema
+import numpy as np
 import pytest
 
 from orbitkit import cli, klein, moment, polytopes, spin, weyl
@@ -593,3 +594,51 @@ def test_every_run_choice_has_one_registry_entry():
         dests = {a.dest for a in sub._actions}
         for s in subs:
             assert set(cli.RUNS[command, s].used) <= dests, (command, s)
+
+
+def run_cli_strict(capsys, *argv):
+    """run_cli, but the report must be strict JSON: no NaN or Infinity tokens."""
+    code = cli.main(list(argv))
+    out = capsys.readouterr().out
+
+    def refuse(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    report = json.loads(out, parse_constant=refuse)
+    jsonschema.validate(report, SCHEMA)
+    return code, report
+
+
+def test_verify_singular_fails_on_nan_rotations(capsys, monkeypatch):
+    monkeypatch.setattr(moment, "exp_skew", lambda X: np.full(np.shape(X), np.nan))
+    with np.errstate(invalid="ignore"):
+        code, report = run_cli_strict(capsys, "verify", "singular", "--n", "10")
+    assert code == 1 and not report["pass"]
+    assert report["metrics"]["max_violation"] is None
+
+
+def test_verify_ags_fails_on_nan_rotations(capsys, monkeypatch):
+    monkeypatch.setattr(moment, "haar_rotations",
+                        lambda n, seed, start=0: np.full((n, 6, 6), np.nan))
+    with np.errstate(invalid="ignore"):
+        code, report = run_cli_strict(capsys, "verify", "ags", "--n", "50")
+    metrics = report["metrics"]
+    assert code == 1 and not report["pass"]
+    assert metrics["max_violation"] is None and metrics["max_vertex_gap"] is None
+    assert all(v is None for v in metrics["per_lambda"].values())
+
+
+def test_verify_square_reports_nan_images_as_uncontained(capsys, monkeypatch):
+    fibre_draws = klein.fibre_draws
+
+    def poisoned(n, seed, t_lo):
+        u, v, t = fibre_draws(n, seed, t_lo)
+        t = t.copy()
+        t[0] = np.nan
+        return u, v, t
+
+    monkeypatch.setattr(klein, "fibre_draws", poisoned)
+    with np.errstate(invalid="ignore"):
+        code, report = run_cli_strict(capsys, "verify", "square", "--n", "30")
+    assert code == 1 and not report["pass"]
+    assert report["metrics"]["max_orbit_containment_violation"] is None

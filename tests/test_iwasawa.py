@@ -431,3 +431,28 @@ def test_asd_edge_form_matches_twoform_arithmetic():
         got = iwasawa.asd_edge_form(a, b, c)
         assert [(x, np.signbit(x)) for x in got.coeffs] == \
             [(x, np.signbit(x)) for x in expected.coeffs]
+
+
+def _einsum_nijenhuis_norms(algebra, Js):
+    """Reference: the dense three-einsum Nijenhuis kernel."""
+    c = algebra.c
+    jj = np.einsum("kab,nai,nbj->nkij", c, Js, Js, optimize=True)
+    mixed = (np.einsum("kaj,nai->nkij", c, Js, optimize=True)
+             + np.einsum("kib,nbj->nkij", c, Js, optimize=True))
+    N = jj - np.einsum("nkm,nmij->nkij", Js, mixed, optimize=True) - c
+    return np.sqrt(0.5 * np.einsum("nkij,nkij->n", N, N))
+
+
+def test_nijenhuis_kernel_matches_the_dense_einsums(algebra):
+    J0 = TwoForm.from_cartan((1, 1, 1)).endomorphism()
+    R = moment.haar_rotations(2000, 7)
+    Js = R @ J0 @ np.swapaxes(R, 1, 2)
+    # The conjugation of scan_complex, against its former einsum.
+    assert np.max(np.abs(Js - np.einsum("nab,bc,ndc->nad", R, J0, R))) <= 1e-14
+    assert np.max(np.abs(iwasawa._nijenhuis_norms(algebra, Js)
+                         - _einsum_nijenhuis_norms(algebra, Js))) <= 1e-14
+    family = np.array([iwasawa.ocs_matrix(iwasawa.asd_edge_form(*abc))
+                       for abc in iwasawa.asd_edge_grid()] + [J0])
+    assert np.max(np.abs(iwasawa._nijenhuis_norms(algebra, family)
+                         - _einsum_nijenhuis_norms(algebra, family))) <= 1e-14
+    assert iwasawa._nijenhuis_norms(algebra, J0[None])[0] == 0.0

@@ -529,3 +529,44 @@ def test_moment_violations_take_one_triple_per_row():
     # The offsets are Weyl-invariant in lam: no chamber reduction is needed.
     assert np.array_equal(moment.moment_violations((-1.0, -1.0, -1.0), pts),
                           moment.moment_violations((1.0, -1.0, 1.0), pts))
+
+
+def _skew_with_norm(rng, norm, shape=()):
+    """Random skew matrices scaled to the given 1-norm."""
+    A = rng.standard_normal(shape + (6, 6))
+    X = A - np.swapaxes(A, -1, -2)
+    ones = np.max(np.sum(np.abs(X), axis=-2), axis=-1)[..., None, None]
+    return X * (norm / ones)
+
+
+@pytest.mark.parametrize("norm", [0.0, 1e-8, 1e-3, 0.5, 1.0, 5.0, 10.5, 50.0, 200.0, 1e3])
+def test_exp_skew_matches_scipy_expm(norm):
+    from scipy.linalg import expm
+
+    rng = np.random.default_rng(int(norm * 7) + 1)
+    tol = 1e-12 if norm <= 50 else 1e-14 * norm
+    stack = _skew_with_norm(rng, norm, (20,))
+    R = moment.exp_skew(stack)
+    assert np.max(np.abs(R - expm(stack))) <= tol
+    for k in range(3):
+        single = moment.exp_skew(stack[k])
+        assert np.max(np.abs(single - expm(stack[k]))) <= tol
+        assert np.array_equal(single, R[k])
+    assert np.max(np.abs(np.swapaxes(R, 1, 2) @ R - np.eye(6))) <= 1e-13
+    assert np.max(np.abs(np.linalg.det(R) - 1.0)) <= 1e-13
+
+
+def test_exp_skew_scales_each_matrix_of_a_stack_by_its_own_norm():
+    rng = np.random.default_rng(3)
+    # One stack spanning no squaring to eight squarings.
+    stack = np.concatenate([_skew_with_norm(rng, c, (1,)) for c in (0.1, 4.0, 9.0, 700.0)])
+    R = moment.exp_skew(stack)
+    for k in range(len(stack)):
+        assert np.array_equal(R[k], moment.exp_skew(stack[k]))
+        assert np.array_equal(R[k], moment.exp_skew(stack[::-1])[len(stack) - 1 - k])
+    assert np.array_equal(moment.exp_skew(np.zeros((6, 6))), np.eye(6))
+    assert moment.exp_skew(np.zeros((0, 6, 6))).shape == (0, 6, 6)
+
+
+def test_moment_does_not_use_scipy_expm():
+    assert "expm" not in vars(moment)

@@ -425,3 +425,26 @@ def test_intersect_is_commutative_and_inside_both(P, Q):
         return
     assert intersect(Q, P) == both
     assert all(contains(P, v) and contains(Q, v) for v in both.vertices)
+
+
+@pytest.mark.parametrize("bad", [(float("nan"), 0, 0), (float("inf"), 0, 0),
+                                 (0, -np.inf, 0), (0, 0, np.float32("nan"))])
+def test_non_finite_coordinates_raise_value_error(bad, recwarn):
+    P = moment.moment_polytope((1, 0.5, 2))
+    with pytest.raises(ValueError, match="finite"):
+        hull([bad, (0, 1, 0)])
+    for tol in (0.0, 1e-9):
+        with pytest.raises(ValueError, match="finite"):
+            contains(P, bad, tol)
+    with pytest.raises(ValueError, match="finite"):
+        polytopes.violation(P, bad)
+    assert not recwarn.list
+
+
+def test_violations_many_reads_non_finite_rows_as_outside():
+    P = moment.moment_polytope((1, 0.5, 2))
+    with np.errstate(invalid="ignore"):
+        v = polytopes.violations_many(P, [(0, 0, 0), (np.nan, 0, 0), (np.inf, 0, 0), (0, -np.inf, 0)])
+    assert v[0] <= 0
+    assert not np.any(v[1:] <= 1e-9)
+    assert np.isnan(np.max(v)) or np.max(v) == np.inf

@@ -245,3 +245,31 @@ def test_element_json_round_trip():
         data = weyl.element_to_json(w)
         assert len(data) == 9
         assert tuple(tuple(data[3 * i:3 * i + 3]) for i in range(3)) == w
+
+
+def _formula_act(w, p):
+    """Reference: the matrix product w p, summed entry by entry."""
+    return tuple(w[i][0] * p[0] + w[i][1] * p[1] + w[i][2] * p[2] for i in range(3))
+
+
+def _bits(p):
+    """Each coordinate with its type and, for a float, its sign bit."""
+    return [(type(c), c, bool(np.signbit(c)) if isinstance(c, float) else None) for c in p]
+
+
+@pytest.mark.parametrize("p", [
+    (1, 2, 3), (0, 0, 1), (1, -1, 1), (-4, 0, 7),
+    (Fraction(1, 3), Fraction(-2), Fraction(0)), (Fraction(5, 7), Fraction(1, 2), Fraction(-9, 4)),
+    (1.0, 0.5, 2.0), (0.0, -0.0, 1.5), (-0.0, -0.0, -0.0), (0.0, 0.0, 0.0), (-1e-300, 3.25, -0.0),
+    (np.float64(-0.0), np.float64(2.0), np.float64(0.1)),
+    (1, Fraction(1, 2), 2), (1, 0.5, 2), (Fraction(1, 3), 0.25, -0.0),
+])
+def test_act_is_the_matrix_product_bit_for_bit(p):
+    for w in weyl.weyl_group():
+        assert _bits(weyl.act(w, p)) == _bits(_formula_act(w, p))
+
+
+def test_act_outside_the_group_is_the_matrix_product():
+    for w in (((1, 0, 0), (0, 1, 0), (0, 0, -1)), ((2, 1, 0), (0, 1, 0), (0, 0, 1))):
+        for p in ((1, 2, 3), (0.5, -0.0, 2.0), (Fraction(1, 3), Fraction(2), Fraction(-1))):
+            assert _bits(weyl.act(w, p)) == _bits(_formula_act(w, p))
