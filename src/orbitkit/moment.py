@@ -33,6 +33,9 @@ STREAM = "philox4x64-10-ctr"
 
 _MASK64 = (1 << 64) - 1
 
+#: Haar rotations drawn per batch by the samplers, to bound peak memory.
+HAAR_BATCH = 20000
+
 
 def stream(seed: int, n: int, m: int, start: int = 0) -> np.ndarray:
     """(n, m) uint64 words: row k is the first m words of sample start + k,
@@ -137,9 +140,8 @@ def orbit_samples(lam, n: int, seed: int) -> SampleCloud:
         raise ValueError("n must be at least 1")
     lam = tuple(float(c) for c in lam)
     pts = np.empty((n, 3))
-    chunk = 20000
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
+    for lo in range(0, n, HAAR_BATCH):
+        hi = min(n, lo + HAAR_BATCH)
         # Only the three Cartan entries of the conjugates are computed.
         pts[lo:hi] = cartan_minors(haar_rotations(hi - lo, seed, start=lo)) @ np.array(lam)
     fixed = np.array([[float(c) for c in p] for p in weyl.weyl_orbit(lam)])

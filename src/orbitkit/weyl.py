@@ -1,17 +1,19 @@
 """Weyl group of so(6) acting on the Cartan 3-space.
 
 The group is realised concretely as 3x3 signed permutation matrices with an
-even number of sign flips (order 24, isomorphic to S4).  It is generated by
-the reflections in the 12 roots {(0,±1,±1), (±1,0,±1), (±1,±1,0)} and every
-element is stored as a nested tuple of integers, so that the action on
-rational or floating-point points is exact: a signed permutation only moves
-and negates coordinates.  Orbits are therefore deduplicated by equality, with
-no tolerance, and a point near a wall keeps all of its distinct images.
+even number of sign flips (order 24, isomorphic to S4), enumerated directly;
+it is the group generated by the reflections in the 12 roots
+{(0,±1,±1), (±1,0,±1), (±1,±1,0)}.  Every element is stored as a nested
+tuple of integers, so that the action on rational or floating-point points
+is exact: a signed permutation only moves and negates coordinates.  Orbits
+are therefore deduplicated by equality, with no tolerance, and a point near
+a wall keeps all of its distinct images.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import permutations, product
 
 from .errors import BadIndex
 
@@ -86,31 +88,20 @@ def _product(w: Element, p):
     )
 
 
-def _closure(generators) -> tuple[Element, ...]:
-    seen = {IDENTITY}
-    frontier = [IDENTITY]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in generators:
-                h = compose(g, w)
-                if h not in seen:
-                    seen.add(h)
-                    nxt.append(h)
-        frontier = nxt
-    rest = sorted(seen - {IDENTITY})
-    return (IDENTITY,) + tuple(rest)
+#: Per group element, the (column, sign) of the nonzero entry of each row:
+#: every permutation of the columns with every even choice of signs.
+_MOVES = {
+    tuple(tuple(s if j == col else 0 for j in range(3)) for col, s in moves): moves
+    for perm in permutations(range(3))
+    for signs in product((1, -1), repeat=3) if signs.count(-1) % 2 == 0
+    for moves in [tuple(zip(perm, signs))]
+}
 
 
 @lru_cache(maxsize=1)
 def weyl_group() -> tuple[Element, ...]:
     """All 24 group elements, identity first, the rest sorted."""
-    return _closure([reflection(a) for a in ROOTS])
-
-
-#: Per group element, the (column, sign) of the nonzero entry of each row.
-_MOVES = {w: tuple(next((j, c) for j, c in enumerate(row) if c) for row in w)
-          for w in weyl_group()}
+    return tuple(sorted(_MOVES, key=lambda w: (w != IDENTITY, w)))
 
 
 @lru_cache(maxsize=1)
@@ -126,12 +117,12 @@ def singular_classes() -> tuple[tuple[int, Element], ...]:
 
 @lru_cache(maxsize=None)
 def parabolic(i: int) -> tuple[Element, ...]:
-    """Subgroup generated by reflections in the roots orthogonal to weight i."""
+    """Stabilizer of weight i, in `weyl_group()` order: the subgroup
+    generated by the reflections in the roots orthogonal to it."""
     if i not in (1, 2, 3):
         raise BadIndex(f"weight index must be 1, 2 or 3, got {i}")
     nu = FUNDAMENTAL_WEIGHTS[i]
-    orth = [a for a in ROOTS if a[0] * nu[0] + a[1] * nu[1] + a[2] * nu[2] == 0]
-    return _closure([reflection(a) for a in orth])
+    return tuple(w for w in weyl_group() if act(w, nu) == nu)
 
 
 def weyl_orbit(p) -> tuple:

@@ -178,10 +178,10 @@ def test_c08_integrable_complex_structures():
         worst_nijenhuis = float(np.max(iwasawa._nijenhuis_norms(algebra, Js)))
         assert worst_nijenhuis < 1e-10
         images = [moment.mu_t(f) for f in forms]
-        # Images sit on the edge to 1e-9 ...
+        # Images sit on the edge z = -1, x + y = 0, |x| <= 1 to 1e-9 ...
         end1, end2 = np.array([1.0, -1.0, -1.0]), np.array([-1.0, 1.0, -1.0])
-        for p in images:
-            assert iwasawa._segment_distance(p, end1, end2) <= 1e-9
+        for x, y, z in images:
+            assert abs(z + 1.0) <= 1e-9 and abs(x + y) <= 1e-9 and abs(x) <= 1.0 + 1e-9
         # ... and fill it at grid resolution (Hausdorff both ways).
         spacing = 2.0 * np.sqrt(2.0) / (len(grid) - 1)
         images_arr = np.array(images)
@@ -193,14 +193,16 @@ def test_c08_integrable_complex_structures():
         J0 = TwoForm.from_cartan((1, 1, 1)).endomorphism()
         assert iwasawa._nijenhuis_norms(algebra, J0[None])[0] < 1e-10
         vertex = moment.mu_t(TwoForm.from_cartan((1, 1, 1)))
-        assert iwasawa._segment_distance(vertex, end1, end2) > 1.0
-        # Haar scan: every filter survivor lies near the integrable image set.
-        cloud, rep = iwasawa.scan_complex(n, seed, tol=1e-6, eps=1e-2)
+        assert np.max(np.abs(np.subtract(vertex, (1.0, 1.0, 1.0)))) <= 1e-12
+        # Haar scan: every draw has ||N||^2 = P(mu), which vanishes only
+        # on the vertex and the edge.
+        cloud, rep = iwasawa.scan_complex(n, seed, tol=1e-6)
         assert rep["pass"], rep
-        assert rep["max_accepted_distance"] <= 1e-2
+        assert rep["max_identity_residual"] <= 1e-10
     t.check(
         f"criterion 8: integrable family (max Nijenhuis {worst_nijenhuis:.2e}), "
-        f"{n} Haar samples, {rep['accepted_haar']} filter survivors"
+        f"{n} Haar samples with ||N||^2 = P(mu) to {rep['max_identity_residual']:.1e}, "
+        f"{rep['accepted_haar']} filter survivors"
     )
 
 

@@ -628,6 +628,15 @@ def test_verify_ags_fails_on_nan_rotations(capsys, monkeypatch):
     assert all(v is None for v in metrics["per_lambda"].values())
 
 
+def test_scan_complex_fails_on_nan_rotations(capsys, monkeypatch):
+    monkeypatch.setattr(moment, "haar_rotations",
+                        lambda n, seed, start=0: np.full((n, 6, 6), np.nan))
+    with np.errstate(invalid="ignore"):
+        code, report = run_cli_strict(capsys, "iwasawa", "scan-complex", "--n", "50")
+    assert code == 1 and not report["pass"]
+    assert report["metrics"]["max_identity_residual"] is None
+
+
 def test_verify_square_reports_nan_images_as_uncontained(capsys, monkeypatch):
     fibre_draws = klein.fibre_draws
 

@@ -1,5 +1,7 @@
 """Frame algebra of the complex Heisenberg group and integrability scans."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -115,7 +117,7 @@ def test_scan_complex(algebra):
     cloud, rep = iwasawa.scan_complex(5000, 17)
     assert rep["pass"]
     assert rep["family_max_nijenhuis"] < 1e-10
-    assert rep["max_accepted_distance"] <= 1e-2
+    assert rep["max_identity_residual"] <= 1e-10
     # Family images cover the vertex and the opposite edge.
     pts = cloud.points
     assert any(np.allclose(p, (1, 1, 1)) for p in pts)
@@ -136,11 +138,58 @@ def test_scan_complex_family_matches_the_per_form_loop(algebra):
     assert np.array_equal(cloud.points, np.array([moment.mu_t(f) for f in family]))
 
 
-def test_integrable_set_distance():
-    assert iwasawa.integrable_set_distance((1, 1, 1)) == 0.0
-    assert iwasawa.integrable_set_distance((0, 0, -1)) == 0.0
-    assert iwasawa.integrable_set_distance((0.3, -0.3, -1)) <= 1e-15
-    assert iwasawa.integrable_set_distance((0, 0, 0)) == 1.0
+def test_nijenhuis_identity_on_haar_conjugates_and_the_family(algebra):
+    J0 = TwoForm.from_cartan((1, 1, 1)).endomorphism()
+    for seed in (0, 1):
+        R = moment.haar_rotations(2000, seed)
+        norms = iwasawa._nijenhuis_norms(algebra, R @ J0 @ np.swapaxes(R, 1, 2))
+        # The images as orbit_samples reads them, not as scan_complex does.
+        images = moment.cartan_minors(R) @ np.ones(3)
+        assert np.max(np.abs(norms ** 2 - iwasawa.nijenhuis_polynomial(*images.T))) <= 1e-12
+        assert iwasawa.scan_complex(2000, seed)[1]["max_identity_residual"] <= 1e-12
+    family = ([TwoForm.from_cartan((1, 1, 1))]
+              + [iwasawa.asd_edge_form(*g) for g in iwasawa.asd_edge_grid()])
+    for f in family:
+        norm = iwasawa._nijenhuis_norms(algebra, iwasawa.ocs_matrix(f)[None])[0]
+        assert abs(norm ** 2 - iwasawa.nijenhuis_polynomial(*moment.mu_t(f))) <= 1e-12
+
+
+def test_scan_complex_fails_on_a_flipped_structure_constant(monkeypatch):
+    algebra = iwasawa.iwasawa_algebra()
+
+    def flipped():
+        c = algebra.c.copy()
+        c[4, 0, 2], c[4, 2, 0] = -c[4, 0, 2], -c[4, 2, 0]
+        return iwasawa.FrameAlgebra(c)
+
+    monkeypatch.setattr(iwasawa, "iwasawa_algebra", flipped)
+    cloud, rep = iwasawa.scan_complex(200, 3)
+    assert not rep["pass"]
+    assert rep["max_identity_residual"] > 1.0
+
+
+def test_scan_complex_fails_on_transposed_structures(monkeypatch):
+    # J^T = -J has the same Nijenhuis tensor but reads the image -mu.
+    ocs_matrix = iwasawa.ocs_matrix
+    monkeypatch.setattr(iwasawa, "ocs_matrix",
+                        lambda form: np.swapaxes(ocs_matrix(form), -1, -2))
+    cloud, rep = iwasawa.scan_complex(200, 3)
+    assert not rep["pass"]
+    assert rep["max_identity_residual"] > 1.0
+
+
+def test_nijenhuis_polynomial_vanishes_exactly_on_the_integrable_set():
+    # Every point of the tetrahedron conv(W.(1, 1, 1)) with denominator 24.
+    d = 24
+    r = range(-d, d + 1)
+    coord = {k: Fraction(k, d) for k in r}
+    grid = [(a, b, c) for a in r for b in r for c in r
+            if max(a + b - c, -a - b - c, -a + b + c, a - b + c) <= d]
+    assert len(grid) == 39249
+    values = {p: iwasawa.nijenhuis_polynomial(*(coord[k] for k in p)) for p in grid}
+    assert min(values.values()) == 0
+    zeros = {p for p, v in values.items() if v == 0}
+    assert zeros == {(d, d, d)} | {(k, -k, -d) for k in r}
 
 
 def test_scan_K(algebra):
@@ -224,7 +273,7 @@ def test_mixed_small_t_approaches_complex_images(algebra):
         J0 = TwoForm.from_cartan((1, 1, 1)).endomorphism()
         V = np.column_stack([v, J0 @ v])
         m = iwasawa.mixed_pair(TwoForm.from_cartan((1, 1, 1)), V, 1e-9)
-        assert iwasawa.integrable_set_distance(moment.mu_t(m)) <= 1e-8
+        assert np.linalg.norm(np.subtract(moment.mu_t(m), (1, 1, 1))) <= 1e-8
 
 
 # ---------------------------------------------------------------------------
