@@ -97,7 +97,7 @@ def _load_form(path: str) -> TwoForm:
     try:
         with open(path) as fh:
             form = TwoForm.from_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, OverflowError) as exc:
         raise ParseError(f"cannot read 2-form from {path}: {exc}") from exc
     if any(abs(c) > 2 ** 1020 for c in form.coeffs):
         raise ParseError(f"cannot read 2-form from {path}: coefficients must not exceed 2**1020")

@@ -67,25 +67,19 @@ def act(w: Element, p):
     """Apply a group element to a point; exact for int/Fraction coordinates.
 
     Row i of a signed permutation has one entry +-1, at column j, so
-    coordinate i is p[j] or -p[j], moved rather than summed.  The result is
-    the matrix product w p bit for bit: a point of mixed number types (whose
-    product promotes every coordinate), a zero image (whose float sign the
-    product's sum decides) and a w outside the group are summed as w p.
+    coordinate i is p[j] or -p[j], moved rather than summed: it keeps the
+    type of p[j] and equals row i of the matrix product w p.  A zero image
+    is written as +0 of its type, so -0.0 never appears in an orbit.  A w
+    outside the group raises ValueError.
     """
     moves = _MOVES.get(w)
-    if moves is None or not type(p[0]) is type(p[1]) is type(p[2]):
-        return _product(w, p)
+    if moves is None:
+        raise ValueError(f"{w} is not an element of the Weyl group")
     (i, s), (j, t), (k, u) = moves
     x = p[i] if s > 0 else -p[i]
     y = p[j] if t > 0 else -p[j]
     z = p[k] if u > 0 else -p[k]
-    return (x, y, z) if x and y and z else _product(w, p)
-
-
-def _product(w: Element, p):
-    return tuple(
-        w[i][0] * p[0] + w[i][1] * p[1] + w[i][2] * p[2] for i in range(3)
-    )
+    return (x or abs(x), y or abs(y), z or abs(z))
 
 
 #: Per group element, the (column, sign) of the nonzero entry of each row:

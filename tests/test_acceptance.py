@@ -217,10 +217,12 @@ def test_c09_product_structure_scans():
         cloud2, rep2 = iwasawa.scan_K_intersection(n, seed)
         assert rep2["pass"], rep2
         assert rep2["max_segment_deviation"] <= 1e-9
+        assert rep2["max_identity_residual"] <= 1e-12
     t.check(
         f"criterion 9: {n} product structures (square excess "
         f"{rep['max_l1'] - 1.0:.2e}, segment deviation "
-        f"{rep2['max_segment_deviation']:.2e})"
+        f"{rep2['max_segment_deviation']:.2e}, ||[v1, v2]||^2 = 1 - (x + y)^2 to "
+        f"{rep2['max_identity_residual']:.1e})"
     )
 
 

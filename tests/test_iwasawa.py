@@ -362,8 +362,7 @@ def test_scan_K_matches_per_plane_loop(algebra):
     assert np.max(np.abs(cloud.points - pts)) <= 1e-15
     assert rep["all_in_subspace_closed"] == all(
         horizontal_closed_reference(algebra, V) for V in planes)
-    off = [V for V in iwasawa._sample_planes_in(seed, min(n, 200), 6, start=n)
-           if np.max(np.abs(V[4:])) >= 1e-6]
+    off = iwasawa._sample_planes_in(seed, min(n, 200), 6, start=n)
     assert rep["off_subspace_checked"] == len(off)
     assert rep["off_subspace_closed"] == sum(
         horizontal_closed_reference(algebra, V) for V in off)
@@ -380,14 +379,39 @@ def test_scan_K_intersection_matches_per_plane_loop(algebra):
         assert horizontal_closed_reference(algebra, V)
         assert vertical_closed_reference(algebra, V)
         family.append(moment.mu_t(iwasawa.plane_form(V)))
-    accepted = [moment.mu_t(iwasawa.plane_form(V))
-                for V in iwasawa._sample_planes_in(seed, min(n, 500), 4, start=n)
-                if vertical_closed_reference(algebra, V)]
     assert rep["family_all_doubly_closed"]
-    assert rep["random_planes_doubly_closed"] == len(accepted)
-    expected = np.array(family + accepted)
+    assert rep["max_identity_residual"] <= 1e-12
+    expected = np.array(family)
     assert cloud.points.shape == expected.shape
     assert np.max(np.abs(cloud.points - expected)) <= 1e-15
+
+
+def test_bracket_norm_identity_on_random_planes_of_the_subspace(algebra):
+    # ||[v1, v2]||^2 = 1 - (x + y)^2 for a unit plane of <e1..e4>, plane by plane.
+    for V in iwasawa._sample_planes_in(17, 200, 4):
+        br = iwasawa.bracket(algebra, V[:, 0], V[:, 1])
+        x, y, z = moment.mu_t(iwasawa.plane_form(V))
+        assert z == 0.0
+        assert abs(br @ br - (1.0 - (x + y) ** 2)) <= 1e-14
+
+
+def doubled_bracket_algebra(c=iwasawa.iwasawa_algebra().c):
+    return iwasawa.FrameAlgebra(2.0 * c)
+
+
+def flipped_sign_algebra(c=iwasawa.iwasawa_algebra().c):
+    """The Iwasawa algebra with [e2, e4] = -e5: de5 = e13 - e42."""
+    c = c.copy()
+    c[4, 1, 3], c[4, 3, 1] = -c[4, 1, 3], -c[4, 3, 1]
+    return iwasawa.FrameAlgebra(c)
+
+
+@pytest.mark.parametrize("mutant", [doubled_bracket_algebra, flipped_sign_algebra])
+def test_scan_K_intersection_fails_on_a_wrong_bracket(monkeypatch, mutant):
+    monkeypatch.setattr(iwasawa, "iwasawa_algebra", mutant)
+    _, rep = iwasawa.scan_K_intersection(150, 1)
+    assert not rep["pass"]
+    assert rep["max_identity_residual"] > 0.1
 
 
 def mixed_reference(algebra, n, seed, which):
@@ -461,6 +485,7 @@ def test_mixed_skips_the_draws_a_check_rejects(monkeypatch, which, check):
     monkeypatch.setattr(iwasawa, check, reject_every_third)
     cloud, rep = iwasawa.mixed_classes_over(30, 5, which)
     assert (rep["produced"], rep["skipped"]) == (20, 10)
+    assert rep["pass"] is False
     assert np.max(np.abs(cloud.points - full[np.arange(30) % 3 != 0])) <= 1e-15
 
 

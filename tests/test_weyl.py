@@ -1,5 +1,6 @@
 """Weyl group realisation: closure, orbits, chamber reduction, parabolics."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -248,13 +249,10 @@ def test_element_json_round_trip():
 
 
 def _formula_act(w, p):
-    """Reference: the matrix product w p, summed entry by entry."""
+    """Reference: the matrix product w p, summed entry by entry in exact
+    arithmetic (a float becomes the Fraction of its value)."""
+    p = tuple(Fraction(c) for c in p)
     return tuple(w[i][0] * p[0] + w[i][1] * p[1] + w[i][2] * p[2] for i in range(3))
-
-
-def _bits(p):
-    """Each coordinate with its type and, for a float, its sign bit."""
-    return [(type(c), c, bool(np.signbit(c)) if isinstance(c, float) else None) for c in p]
 
 
 @pytest.mark.parametrize("p", [
@@ -262,14 +260,24 @@ def _bits(p):
     (Fraction(1, 3), Fraction(-2), Fraction(0)), (Fraction(5, 7), Fraction(1, 2), Fraction(-9, 4)),
     (1.0, 0.5, 2.0), (0.0, -0.0, 1.5), (-0.0, -0.0, -0.0), (0.0, 0.0, 0.0), (-1e-300, 3.25, -0.0),
     (np.float64(-0.0), np.float64(2.0), np.float64(0.1)),
-    (1, Fraction(1, 2), 2), (1, 0.5, 2), (Fraction(1, 3), 0.25, -0.0),
+    (1, Fraction(1, 2), 2), (1, 0.5, 2), (Fraction(1, 3), 0.25, -0.0), (0.0, -1.0, -2.0),
 ])
 def test_act_is_the_matrix_product_bit_for_bit(p):
+    # Equal to w p; row i moves the one coordinate p[j] it reads, keeping its
+    # type, and writes a zero image as +0 whatever sign w p's sum would give.
     for w in weyl.weyl_group():
-        assert _bits(weyl.act(w, p)) == _bits(_formula_act(w, p))
+        image = weyl.act(w, p)
+        assert image == _formula_act(w, p)
+        for i, c in enumerate(image):
+            j = next(j for j in range(3) if w[i][j])
+            assert type(c) is type(p[j])
+            if c == 0:
+                assert math.copysign(1.0, c) == 1.0
 
 
-def test_act_outside_the_group_is_the_matrix_product():
-    for w in (((1, 0, 0), (0, 1, 0), (0, 0, -1)), ((2, 1, 0), (0, 1, 0), (0, 0, 1))):
+def test_act_outside_the_group_raises():
+    for w in (((1, 0, 0), (0, 1, 0), (0, 0, -1)), ((2, 1, 0), (0, 1, 0), (0, 0, 1)),
+              ((1, 0, 0), (0, 1, 0))):
         for p in ((1, 2, 3), (0.5, -0.0, 2.0), (Fraction(1, 3), Fraction(2), Fraction(-1))):
-            assert _bits(weyl.act(w, p)) == _bits(_formula_act(w, p))
+            with pytest.raises(ValueError):
+                weyl.act(w, p)
