@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moment
-from .errors import IncompatiblePair, WrongClass
+from .errors import WrongClass
 from .forms import E12, E34, E56, TwoForm, endomorphisms
 
 
@@ -351,17 +351,6 @@ def _invariant(J: np.ndarray, V: np.ndarray, tol: float) -> np.ndarray:
     frame vectors, for one plane or row by row of a stack."""
     out = _perp(V) @ J @ V
     return np.all(np.linalg.norm(out, axis=-2) <= math.sqrt(tol), axis=-1)
-
-
-def mixed_pair(J_form: TwoForm, V, t: float, tol: float = 1e-9) -> TwoForm:
-    """Mixed form J + t (plane form of V); the plane must be J-invariant."""
-    if t <= 0:
-        raise ValueError("t must be positive")
-    J = ocs_matrix(J_form)
-    V = np.asarray(V, dtype=float)
-    if not _invariant(J, V, tol):
-        raise IncompatiblePair("plane is not invariant under the complex structure")
-    return J_form + float(t) * plane_form(V)
 
 
 def mixed_images(coeffs: np.ndarray, v: np.ndarray, t: np.ndarray):

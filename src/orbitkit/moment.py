@@ -3,13 +3,20 @@
 Every Monte-Carlo draw comes from one counter-based generator,
 Philox-4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
 3", SC'11), run by numpy's native `np.random.Philox`.  A run with seed s is
-keyed (s mod 2^64, 0).  A call site that takes m words per sample (36 for a
-Haar rotation) gives sample k the b = ceil(m / 4) counter blocks k b + 1, ...,
-(k + 1) b, four words each, of which it keeps the first m.  So sample k's
+keyed (s mod 2^64, 0).  A call site that takes m words per sample (24 for
+the three unitary columns of a Haar moment image, 36 for a Haar rotation)
+gives sample k the b = ceil(m / 4) counter blocks k b + 1, ..., (k + 1) b,
+four words each, of which it keeps the first m.  So sample k's
 words depend only on (s, k): it is the same whichever batch it is drawn in,
 and a batch split by `start` is bit-identical to the whole.  Uniforms are
 (w >> 11) * 2^-53; normals come from Box-Muller on word pairs.  Sample files
 carry the tag `stream=philox4x64-10-ctr` in their header.
+
+Haar moment images come from SU(4), not SO(6): the spin cover carries the
+orbit of the Cartan form of lam onto the unitary orbit of D = diag(d),
+d = cartan_to_spin_weight(lam), whose torus moment map is diag(U D U*)
+(Schur-Horn; Atiyah 1982, Guillemin-Sternberg 1982).  So an image needs only
+the moduli |U_ij|^2 of a Haar unitary (Mezzadri 2007), never a 6x6 rotation.
 
 By Kostant ("On convexity, the Weyl group and the Iwasawa decomposition",
 1973), p lies in the moment polytope conv(W.lam) iff <w.omega_i, p> <=
@@ -26,7 +33,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import polytopes, weyl
-from .forms import _LOWER, E12, E34, E56, TwoForm, endomorphisms
+from .forms import (_LOWER, CARTAN_QUADRUPLES, E12, E34, E56, TwoForm, cartan_to_spin_weight,
+                    endomorphisms)
 
 #: Name of the sampling scheme, written into every sample CSV header.
 STREAM = "philox4x64-10-ctr"
@@ -102,17 +110,32 @@ def haar_rotations(n: int, seed: int, start: int = 0) -> np.ndarray:
     return q
 
 
+def haar_unitary_columns(n: int, seed: int, start: int = 0) -> np.ndarray:
+    """(n, 4, 3) stack: the first three columns of Haar-distributed 4x4
+    unitary matrices.
+
+    Gram-Schmidt of a complex Gaussian 4x3 matrix whose entry (i, j) is the
+    complex normal of Box-Muller pair 3 i + j (real part first) of sample
+    start + k, 24 words in all: the first three columns of the Q, positive R
+    diagonal, of a complex Gaussian 4x4 matrix, which is Haar on U(4)
+    (Mezzadri 2007).
+    """
+    return _gram_schmidt(normals(seed, n, 24, start).view(np.complex128).reshape(n, 4, 3))
+
+
 def _gram_schmidt(g: np.ndarray) -> np.ndarray:
-    """Orthonormal columns of each matrix of an (n, m, k) stack: classical
-    Gram-Schmidt, projecting twice per column, i.e. the Q of its QR with
-    positive R diagonal."""
+    """Orthonormal columns of each matrix of a real or complex (n, m, k)
+    stack: classical Gram-Schmidt, projecting twice per column with
+    conjugated inner products, i.e. the Q of its QR with positive real R
+    diagonal.  On a real stack `conj` and `real` return the array itself,
+    so real results do not depend on the complex case."""
     q = np.empty_like(g)
     for j in range(g.shape[2]):
         v = g[:, :, j]
         for _ in range(2 if j else 0):
-            c = np.einsum("nij,ni->nj", q[:, :, :j], v)
+            c = np.einsum("nij,ni->nj", q[:, :, :j].conj(), v)
             v = v - np.einsum("nij,nj->ni", q[:, :, :j], c)
-        q[:, :, j] = v / np.sqrt(np.einsum("ni,ni->n", v, v))[:, None]
+        q[:, :, j] = v / np.sqrt(np.einsum("ni,ni->n", v.conj(), v).real)[:, None]
     return q
 
 
@@ -132,21 +155,33 @@ class SampleCloud:
 def orbit_samples(lam, n: int, seed: int) -> SampleCloud:
     """Moment images of n Haar conjugates of the Cartan form of lam.
 
-    The exact Weyl-orbit images (the torus-fixed points) are appended, so the
-    hull of the cloud coincides with the moment polytope deterministically
-    (`vertex_gaps` reads 0).
+    Image k is spin_weight_to_cartan(diag(U D U*)), U the Haar unitary of
+    `haar_unitary_columns` sample k and D = diag(cartan_to_spin_weight(lam)).
+    The header tag `haar=u4` marks these clouds; files without it hold images
+    of SO(6) rotations (36 words per sample) and do not match files written
+    now.  The exact Weyl-orbit images (the torus-fixed points) are appended,
+    so the hull of the cloud coincides with the moment polytope
+    deterministically (`vertex_gaps` reads 0).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     lam = tuple(float(c) for c in lam)
+    # The image is B theta / 4, B the rows of CARTAN_QUADRUPLES and theta =
+    # diag(U D U*) = P d with P_ij = |U_ij|^2.  Rows of U are unit, so P_i3 =
+    # 1 - sum_{j<3} P_ij, and rows of B sum to 0: the image is B P (d[:3] -
+    # d[3]) / 4 on the three drawn columns, one (12, 3) weight per lam.
+    d = np.array(cartan_to_spin_weight(lam))
+    weights = np.einsum("ci,j->ijc", np.array(CARTAN_QUADRUPLES) / 4.0, d[:3] - d[3]).reshape(12, 3)
     pts = np.empty((n, 3))
     for lo in range(0, n, HAAR_BATCH):
         hi = min(n, lo + HAAR_BATCH)
-        # Only the three Cartan entries of the conjugates are computed.
-        pts[lo:hi] = cartan_minors(haar_rotations(hi - lo, seed, start=lo)) @ np.array(lam)
+        U = haar_unitary_columns(hi - lo, seed, start=lo)
+        # einsum, not a BLAS product, so that a row does not depend on its batch.
+        pts[lo:hi] = np.einsum("nk,kc->nc", (U.real ** 2 + U.imag ** 2).reshape(-1, 12), weights)
     fixed = np.array([[float(c) for c in p] for p in weyl.weyl_orbit(lam)])
     pts = np.vstack([pts, fixed])
-    source = f"source=orbit_samples lambda=({lam[0]!r},{lam[1]!r},{lam[2]!r}) n={n} seed={seed}"
+    source = (f"source=orbit_samples lambda=({lam[0]!r},{lam[1]!r},{lam[2]!r}) n={n} "
+              f"seed={seed} haar=u4")
     return SampleCloud(seed, pts, source)
 
 

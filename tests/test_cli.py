@@ -643,15 +643,26 @@ def test_verify_singular_fails_on_nan_rotations(capsys, monkeypatch):
     assert report["metrics"]["max_violation"] is None
 
 
+def nan_unitary_columns(n, seed, start=0):
+    return np.full((n, 4, 3), np.nan, dtype=complex)
+
+
 def test_verify_ags_fails_on_nan_rotations(capsys, monkeypatch):
-    monkeypatch.setattr(moment, "haar_rotations",
-                        lambda n, seed, start=0: np.full((n, 6, 6), np.nan))
+    monkeypatch.setattr(moment, "haar_unitary_columns", nan_unitary_columns)
     with np.errstate(invalid="ignore"):
         code, report = run_cli_strict(capsys, "verify", "ags", "--n", "50")
     metrics = report["metrics"]
     assert code == 1 and not report["pass"]
     assert metrics["max_violation"] is None and metrics["max_vertex_gap"] is None
     assert all(v is None for v in metrics["per_lambda"].values())
+
+
+def test_sample_fails_on_nan_rotations(capsys, monkeypatch):
+    monkeypatch.setattr(moment, "haar_unitary_columns", nan_unitary_columns)
+    with np.errstate(invalid="ignore"):
+        code, report = run_cli_strict(capsys, "sample", "--lambda", "1,0.5,2", "--n", "50")
+    assert code == 1 and not report["pass"]
+    assert report["metrics"]["max_violation"] is None
 
 
 def test_scan_complex_fails_on_nan_rotations(capsys, monkeypatch):

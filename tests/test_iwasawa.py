@@ -143,7 +143,8 @@ def test_nijenhuis_identity_on_haar_conjugates_and_the_family(algebra):
     for seed in (0, 1):
         R = moment.haar_rotations(2000, seed)
         norms = iwasawa._nijenhuis_norms(algebra, R @ J0 @ np.swapaxes(R, 1, 2))
-        # The images as orbit_samples reads them, not as scan_complex does.
+        # The images as the Cartan minors of R, not as scan_complex reads them
+        # from the entries of the conjugates.
         images = moment.cartan_minors(R) @ np.ones(3)
         assert np.max(np.abs(norms ** 2 - iwasawa.nijenhuis_polynomial(*images.T))) <= 1e-12
         assert iwasawa.scan_complex(2000, seed)[1]["max_identity_residual"] <= 1e-12
@@ -247,12 +248,21 @@ def test_doubly_closed_family(algebra):
             assert abs(z) <= 1e-14
 
 
+def mixed_pair(J_form, V, t, tol=1e-9):
+    """Per-draw reference of `iwasawa.mixed_images`: the mixed form J + t
+    (plane form of V) of one plane, which must be J-invariant."""
+    V = np.asarray(V, dtype=float)
+    if not iwasawa._invariant(iwasawa.ocs_matrix(J_form), V, tol):
+        raise IncompatiblePair("plane is not invariant under the complex structure")
+    return J_form + float(t) * iwasawa.plane_form(V)
+
+
 def test_mixed_pair_examples(algebra):
-    m = iwasawa.mixed_pair(TwoForm.from_cartan((1, 1, 1)), plane(1, 2), 1.0)
+    m = mixed_pair(TwoForm.from_cartan((1, 1, 1)), plane(1, 2), 1.0)
     assert np.allclose(m.as_array(), TwoForm.from_cartan((2, 1, 1)).as_array())
     assert moment.mu_t(m) == (2.0, 1.0, 1.0)
     with pytest.raises(IncompatiblePair):
-        iwasawa.mixed_pair(TwoForm.from_cartan((1, 1, 1)), plane(1, 3), 1.0)
+        mixed_pair(TwoForm.from_cartan((1, 1, 1)), plane(1, 3), 1.0)
 
 
 def test_mixed_classes_over(algebra):
@@ -272,7 +282,7 @@ def test_mixed_small_t_approaches_complex_images(algebra):
         v[:4] = g / np.linalg.norm(g)
         J0 = TwoForm.from_cartan((1, 1, 1)).endomorphism()
         V = np.column_stack([v, J0 @ v])
-        m = iwasawa.mixed_pair(TwoForm.from_cartan((1, 1, 1)), V, 1e-9)
+        m = mixed_pair(TwoForm.from_cartan((1, 1, 1)), V, 1e-9)
         assert np.linalg.norm(np.subtract(moment.mu_t(m), (1, 1, 1))) <= 1e-8
 
 
@@ -434,7 +444,7 @@ def mixed_reference(algebra, n, seed, which):
             skipped += 1
             continue
         try:
-            pts.append(moment.mu_t(iwasawa.mixed_pair(J_form, V, float(T[k]))))
+            pts.append(moment.mu_t(mixed_pair(J_form, V, float(T[k]))))
         except IncompatiblePair:
             skipped += 1
     return np.array(pts).reshape(-1, 3), skipped
@@ -460,10 +470,10 @@ def test_mixed_invariance_test_matches_mixed_pair_on_stacks(algebra):
         img = J @ V
         assert ok == all(np.linalg.norm(img - V @ V.T @ img, axis=0) <= np.sqrt(1e-9))
         if ok:
-            iwasawa.mixed_pair(J_form, V, 0.5)
+            mixed_pair(J_form, V, 0.5)
         else:
             with pytest.raises(IncompatiblePair):
-                iwasawa.mixed_pair(J_form, V, 0.5)
+                mixed_pair(J_form, V, 0.5)
     assert set(stacked.tolist()) == {True, False}
 
 

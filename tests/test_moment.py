@@ -148,6 +148,42 @@ def test_haar_rotations_are_the_sign_fixed_lapack_q():
     assert np.max(np.abs(np.linalg.det(R) - 1.0)) <= 1e-14
 
 
+def test_haar_unitary_columns_are_the_phase_fixed_lapack_q():
+    # The complex QR with positive real R diagonal is unique: Gram-Schmidt
+    # gives LAPACK's Q with each column times the phase of its R diagonal.
+    n = 20000
+    U = moment.haar_unitary_columns(n, 31)
+    g = moment.normals(31, n, 24)
+    q, r = np.linalg.qr((g[:, 0::2] + 1j * g[:, 1::2]).reshape(n, 4, 3))
+    d = np.einsum("nii->ni", r)
+    q = q * (d / np.abs(d))[:, None, :]
+    assert U.shape == (n, 4, 3) and U.dtype == np.complex128
+    assert np.max(np.abs(U - q)) <= 1e-13
+    assert np.max(np.abs(np.einsum("nki,nkj->nij", U.conj(), U) - np.eye(3))) <= 1e-14
+    assert np.array_equal(U[17], moment.haar_unitary_columns(1, 31, start=17)[0])
+
+
+def test_orbit_samples_split_by_start_at_the_batch_bound(monkeypatch):
+    # The HAAR_BATCH + 7 draws are two batches; each equals the cloud of its
+    # own size, the second one with its draws started at HAAR_BATCH, and
+    # each of its rows equals the cloud of that draw alone.
+    lam, seed, N = (1.0, 0.5, 2.0), 4, moment.HAAR_BATCH
+    whole = moment.orbit_samples(lam, N + 7, seed).points
+    head = moment.orbit_samples(lam, N, seed).points
+    columns = moment.haar_unitary_columns
+    shift = [N]
+    monkeypatch.setattr(moment, "haar_unitary_columns",
+                        lambda n, seed, start=0: columns(n, seed, start + shift[0]))
+    tail = moment.orbit_samples(lam, 7, seed).points
+    alone = []
+    for k in range(7):
+        shift[0] = N + k
+        alone.append(moment.orbit_samples(lam, 1, seed).points[0])
+    assert np.array_equal(whole[:N], head[:N])
+    assert np.array_equal(whole[N:], tail)
+    assert np.array_equal(whole[N:N + 7], np.array(alone))
+
+
 def test_haar_column_means_small():
     R = moment.haar_rotations(10000, 2024)
     means = R.mean(axis=0)
@@ -263,6 +299,18 @@ def test_duistermaat_heckman_gate_rejects_unsigned_qr():
     minors = moment.cartan_minors(q)
     for lam in AGS_LAMBDAS:
         pts = minors @ np.array(lam, dtype=float)
+        d = max(ks_distance(dh_marginal_cdf(lam, xi)[1], pts @ np.array(xi, dtype=float))
+                for xi in DH_DIRECTIONS)
+        assert d > KS_BOUND, (lam, d)
+
+
+def test_duistermaat_heckman_gate_rejects_orthogonal_columns(monkeypatch):
+    # The same construction on a real Gaussian, O(4) columns instead of U(4),
+    # is not the Haar push-forward.
+    monkeypatch.setattr(moment, "haar_unitary_columns", lambda n, seed, start=0: (
+        moment._gram_schmidt(moment.normals(seed, n, 12, start).reshape(n, 4, 3))))
+    for lam in AGS_LAMBDAS:
+        pts = moment.orbit_samples(lam, KS_N, 0).points[:KS_N]
         d = max(ks_distance(dh_marginal_cdf(lam, xi)[1], pts @ np.array(xi, dtype=float))
                 for xi in DH_DIRECTIONS)
         assert d > KS_BOUND, (lam, d)
