@@ -9,7 +9,6 @@ from .errors import (
     BadIndex,
     EmptyIntersection,
     EmptySection,
-    IncompatiblePair,
     IncompatiblePattern,
     InvalidRotation,
     NonConvergence,

@@ -276,7 +276,7 @@ def _suite_edge_prism(n: int, seed: int):
     a = abc[:, 0]
     worst = np.max(np.abs(pts[:, 0] - pts[:, 1] - a * pts[:, 2] - a * (3.0 + t)))
     all_in_region = klein.prism_region_test(pts)
-    cloud = moment.SampleCloud(seed, pts, f"source=klein_edge_prism n={n} seed={seed}")
+    cloud = moment.SampleCloud(pts, f"source=klein_edge_prism n={n} seed={seed}")
     return cloud, {"pass": worst <= 1e-12 and all_in_region,
                    "max_identity_residual": float(worst),
                    "all_in_region": all_in_region, "n": n, "points": len(pts)}
@@ -300,7 +300,7 @@ def _suite_square(n: int, seed: int, tol: float = 1e-9):
     all_in_region = bool(np.max(polytopes.violations_many(klein.square_region(), pts)) <= tol)
     ok = (worst_z <= tol and worst_limit <= tol and worst_contain <= tol and example_ok
           and all_in_region)
-    cloud = moment.SampleCloud(seed, pts, f"source=klein_square n={n} seed={seed}")
+    cloud = moment.SampleCloud(pts, f"source=klein_square n={n} seed={seed}")
     return cloud, {
         "pass": ok,
         "max_z_identity_residual": float(worst_z),

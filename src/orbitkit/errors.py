@@ -41,10 +41,6 @@ class NormViolation(OrbitkitError):
     """Parameters violate a required unit-norm constraint."""
 
 
-class IncompatiblePair(OrbitkitError):
-    """The product-structure plane is not invariant under the chosen complex structure."""
-
-
 class ParseError(OrbitkitError):
     """Malformed input file or value."""
 

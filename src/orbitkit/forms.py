@@ -138,9 +138,15 @@ class TwoForm:
 
     @classmethod
     def from_dict(cls, data) -> "TwoForm":
+        """The form of a JSON object {"coeffs": [15 numbers]}; a string or a
+        boolean coefficient is refused, not converted."""
         if not isinstance(data, dict) or "coeffs" not in data:
             raise ValueError("expected an object with a 'coeffs' key")
-        return cls(tuple(data["coeffs"]))
+        coeffs = data["coeffs"]
+        if not isinstance(coeffs, list) or not all(
+                isinstance(c, (int, float)) and not isinstance(c, bool) for c in coeffs):
+            raise ValueError("'coeffs' must be a list of JSON numbers")
+        return cls(tuple(coeffs))
 
 
 def endomorphisms(coeffs) -> np.ndarray:
@@ -181,23 +187,8 @@ class EigenSplit:
     def values(self) -> tuple[float, float, float]:
         return tuple(p.value for p in self.planes)
 
-    def frame(self) -> np.ndarray:
-        """6x6 matrix whose columns are u1, v1, u2, v2, u3, v3."""
-        cols = []
-        for p in self.planes:
-            cols.append(p.u)
-            cols.append(p.v)
-        return np.array(cols).T
 
-    def reconstruct(self) -> TwoForm:
-        """Sum of value_i * (u_i ^ v_i); reproduces the split form."""
-        total = TwoForm.zero()
-        for p in self.planes:
-            total = total + p.value * TwoForm.from_wedge(p.u, p.v)
-        return total
-
-
-def eigen_split(form, tol: float = 1e-9) -> EigenSplit:
+def eigen_split(form: TwoForm, tol: float = 1e-9) -> EigenSplit:
     """Split R^6 into three orthogonal invariant 2-planes of the form.
 
     Read off the real Schur form F = Z T Z^T: F is skew, hence normal, so T
@@ -212,7 +203,7 @@ def eigen_split(form, tol: float = 1e-9) -> EigenSplit:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    F = form.endomorphism() if isinstance(form, TwoForm) else np.asarray(form, dtype=float)
+    F = form.endomorphism()
     try:
         T, Z = scipy.linalg.schur(F, output="real")
     except np.linalg.LinAlgError as exc:

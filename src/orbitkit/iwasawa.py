@@ -49,13 +49,6 @@ class FrameAlgebra:
 
     c: np.ndarray
 
-    def jacobi_residual(self) -> float:
-        c = self.c
-        # [[e_i, e_j], e_k] summed cyclically.
-        term = np.einsum("mab,pmc->pabc", c, c)
-        total = term + np.einsum("pabc->pbca", term) + np.einsum("pabc->pcab", term)
-        return float(np.max(np.abs(total)))
-
 
 def iwasawa_algebra() -> FrameAlgebra:
     """Frame algebra with de5 = e13 + e42, de6 = e14 + e23, other de = 0."""
@@ -139,12 +132,6 @@ def vertical_closed(algebra: FrameAlgebra, V, tol: float = 1e-12):
     return _per_plane((_perp(V) @ br[..., None])[..., 0], V, tol)
 
 
-def plane_form(V) -> TwoForm:
-    """Oriented-plane 2-form v1 ^ v2 of an orthonormal basis pair."""
-    V = np.asarray(V, dtype=float)
-    return TwoForm.from_wedge(V[:, 0], V[:, 1])
-
-
 def _plane_images(V: np.ndarray) -> np.ndarray:
     """(n, 3) Cartan coefficients of the plane forms of a frame stack."""
     return moment.cartan_minors(V)[..., 0]
@@ -222,9 +209,7 @@ def scan_complex(n: int, seed: int, tol: float = 1e-6) -> tuple[moment.SampleClo
         residual = np.maximum(residual, _identity_residual(norms, images))
         accepted.extend(images[norms < tol])
     pts = np.vstack(accepted + [family_images])
-    cloud = moment.SampleCloud(
-        seed, pts, f"source=scan_complex n={n} seed={seed} tol={tol!r}"
-    )
+    cloud = moment.SampleCloud(pts, f"source=scan_complex n={n} seed={seed} tol={tol!r}")
     report = {
         "pass": bool(family_max < 1e-10 and residual <= 1e-10),
         "n": n,
@@ -279,7 +264,7 @@ def scan_K(n: int, seed: int) -> tuple[moment.SampleCloud, dict]:
         "off_subspace_checked": len(off),
         "off_subspace_closed": off_failures,
     }
-    cloud = moment.SampleCloud(seed, pts, f"source=scan_K n={n} seed={seed}")
+    cloud = moment.SampleCloud(pts, f"source=scan_K n={n} seed={seed}")
     return cloud, report
 
 
@@ -342,7 +327,7 @@ def scan_K_intersection(n: int, seed: int) -> tuple[moment.SampleCloud, dict]:
         "max_abs_z": max_z,
         "max_identity_residual": residual,
     }
-    cloud = moment.SampleCloud(seed, pts, f"source=scan_K_intersection n={n} seed={seed}")
+    cloud = moment.SampleCloud(pts, f"source=scan_K_intersection n={n} seed={seed}")
     return cloud, report
 
 
@@ -414,7 +399,5 @@ def mixed_classes_over(n: int, seed: int, which: str = "K") -> tuple[moment.Samp
         "skipped": skipped,
         "max_orbit_containment_violation": worst,
     }
-    cloud = moment.SampleCloud(
-        seed, pts, f"source=mixed_classes_over which={which} n={n} seed={seed}"
-    )
+    cloud = moment.SampleCloud(pts, f"source=mixed_classes_over which={which} n={n} seed={seed}")
     return cloud, report

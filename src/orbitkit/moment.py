@@ -141,9 +141,8 @@ def _gram_schmidt(g: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SampleCloud:
-    """Reproducible cloud of Cartan points: same seed, same sequence."""
+    """Cloud of Cartan points; `source` says how it was drawn, seed included."""
 
-    seed: int
     points: np.ndarray
     source: str
 
@@ -182,7 +181,7 @@ def orbit_samples(lam, n: int, seed: int) -> SampleCloud:
     pts = np.vstack([pts, fixed])
     source = (f"source=orbit_samples lambda=({lam[0]!r},{lam[1]!r},{lam[2]!r}) n={n} "
               f"seed={seed} haar=u4")
-    return SampleCloud(seed, pts, source)
+    return SampleCloud(pts, source)
 
 
 def moment_polytope(lam) -> polytopes.Polytope:

@@ -134,14 +134,6 @@ class Polytope:
         return [tuple(k for k, p in enumerate(pts) if _dot(f.normal, p) == off)
                 for f in self.facets for off in [f.offset * d]]
 
-    def edge_count(self) -> int:
-        if self.dim != 3:
-            raise ValueError("edge_count requires a 3-dimensional polytope")
-        total = sum(len(t) for t in self.facet_tight_vertices())
-        if total % 2 != 0:
-            raise ValueError("inconsistent facet incidence")
-        return total // 2
-
 
 def _float_normal(normal) -> tuple[np.ndarray, int]:
     """An integer normal as floats divided by 2**k, which brings its largest

@@ -36,33 +36,6 @@ IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 Element = tuple[tuple[int, int, int], ...]
 
 
-def reflection(alpha: tuple[int, int, int]) -> Element:
-    """Reflection matrix in the plane orthogonal to a root alpha."""
-    aa = sum(a * a for a in alpha)
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            num = 2 * alpha[i] * alpha[j]
-            if num % aa != 0:
-                raise ValueError(f"non-integral reflection for root {alpha}")
-            row.append((1 if i == j else 0) - num // aa)
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def compose(w1: Element, w2: Element) -> Element:
-    return tuple(
-        tuple(sum(w1[i][k] * w2[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )
-
-
-def inverse(w: Element) -> Element:
-    # Elements are orthogonal with integer entries, so the inverse is the transpose.
-    return tuple(tuple(w[j][i] for j in range(3)) for i in range(3))
-
-
 def act(w: Element, p):
     """Apply a group element to a point; exact for int/Fraction coordinates.
 

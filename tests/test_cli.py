@@ -100,6 +100,18 @@ def test_form_integer_beyond_the_float_range_exits_2(capsys, tmp_path, command):
     assert f"error: cannot read 2-form from {path}" in captured.err
 
 
+@pytest.mark.parametrize("command", ["classify", "export"])
+@pytest.mark.parametrize("slot", ['"2"', "true"])
+def test_form_coefficient_that_is_not_a_json_number_exits_2(capsys, tmp_path, command, slot):
+    path = tmp_path / "typed.json"
+    path.write_text('{"coeffs": [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, ' + slot + "]}")
+    code = cli.main([command, "--form", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "'coeffs' must be a list of JSON numbers" in captured.err
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("cartan,name,vertices", [
     ((1, 1, 1), "PPlus", 4), ((1, -1, 1), "PMinus", 4), ((1, 0.5, 0.75), "Generic", 24),
@@ -348,7 +360,7 @@ def test_verify_ags_passes_on_containment_and_vertex_reach(capsys):
 def test_verify_ags_fails_on_clouds_without_their_weyl_images(capsys, monkeypatch):
     draw = moment.orbit_samples
     monkeypatch.setattr(moment, "orbit_samples", lambda lam, n, seed: moment.SampleCloud(
-        seed, draw(lam, n, seed).points[:n], "Haar draws only"))
+        draw(lam, n, seed).points[:n], "Haar draws only"))
     code, report = run_cli(capsys, "verify", "ags", "--n", "2000", "--seed", "7")
     metrics = report["metrics"]
     assert code == 1 and not report["pass"]

@@ -31,6 +31,19 @@ def haar(seed, index=0):
     return moment.haar_rotations(1, seed, start=index)[0]
 
 
+def split_frame(split):
+    """6x6 matrix whose columns are u1, v1, u2, v2, u3, v3 of an eigen-split."""
+    return np.array([c for p in split.planes for c in (p.u, p.v)]).T
+
+
+def reconstruct(split):
+    """Sum of value_i * (u_i ^ v_i), which must reproduce the split form."""
+    total = TwoForm.zero()
+    for p in split.planes:
+        total = total + p.value * TwoForm.from_wedge(p.u, p.v)
+    return total
+
+
 def test_basis_form_endomorphism_entries():
     F = TwoForm.basis(1, 2).endomorphism()
     assert F[1, 0] == 1.0
@@ -86,7 +99,7 @@ def test_eigen_split_of_random_conjugate():
         f = conjugate(W0, R)
         split = eigen_split(f)
         assert np.allclose(split.values, (1, 1, 1), atol=1e-12)
-        recon = split.reconstruct()
+        recon = reconstruct(split)
         assert np.max(np.abs(recon.as_array() - f.as_array())) <= 1e-9
 
 
@@ -95,7 +108,7 @@ def test_eigen_split_frame_and_action():
     for k in range(15):
         f = TwoForm(tuple(rng.standard_normal(15)))
         split = eigen_split(f)
-        frame = split.frame()
+        frame = split_frame(split)
         assert np.max(np.abs(frame.T @ frame - np.eye(6))) <= 1e-10
         assert np.linalg.det(frame) > 0
         F = f.endomorphism()
@@ -104,7 +117,7 @@ def test_eigen_split_frame_and_action():
             v = np.array(plane.v)
             assert np.linalg.norm(F @ u - plane.value * v) <= 1e-7
             assert np.linalg.norm(F @ v + plane.value * u) <= 1e-7
-        recon = split.reconstruct()
+        recon = reconstruct(split)
         assert np.max(np.abs(recon.as_array() - f.as_array())) <= 1e-9
 
 
@@ -291,8 +304,8 @@ def test_eigen_split_near_degenerate_conjugates():
     assert classify_full(f).orbit_class is OrbitClass.P_PLUS
     g = conjugate(TwoForm.from_cartan((3, 2, 3.00000002)), R)
     split = eigen_split(g)
-    frame = split.frame()
-    assert np.max(np.abs(split.reconstruct().as_array() - g.as_array())) <= 1e-12
+    frame = split_frame(split)
+    assert np.max(np.abs(reconstruct(split).as_array() - g.as_array())) <= 1e-12
     assert np.max(np.abs(frame.T @ frame - np.eye(6))) <= 1e-12
 
 
@@ -308,7 +321,7 @@ def test_eigen_split_of_haar_conjugates(triple, decade, seed, index):
     f = TwoForm.from_cartan(tuple(10.0**decade * c for c in triple))
     g = conjugate(f, haar(seed, index))
     split = eigen_split(g)
-    frame = split.frame()
+    frame = split_frame(split)
     assert np.max(np.abs(frame.T @ frame - np.eye(6))) <= 1e-12
     assert abs(np.linalg.det(frame) - 1.0) <= 1e-12
     x, y, z = split.values

@@ -54,6 +54,18 @@ CASES = {
         ["iwasawa", "scan-k", "--n", "40", "--seed", "3", "--out", "{csv}"],
         {"csv": "iwasawa_scan_k_n40_s3.csv"},
     ),
+    "iwasawa-scan-kk": (
+        ["iwasawa", "scan-kk", "--n", "40", "--seed", "3", "--out", "{csv}"],
+        {"csv": "iwasawa_scan_kk_n40_s3.csv"},
+    ),
+    "iwasawa-scan-complex": (
+        ["iwasawa", "scan-complex", "--n", "40", "--seed", "3", "--out", "{csv}"],
+        {"csv": "iwasawa_scan_complex_n40_s3.csv"},
+    ),
+    "iwasawa-mixed-k": (
+        ["iwasawa", "mixed", "--which", "K", "--n", "40", "--seed", "3", "--out", "{csv}"],
+        {"csv": "iwasawa_mixed_k_n40_s3.csv"},
+    ),
     "polytope": (
         ["polytope", "--lambda", "1,0.5,2", "--out-off", "{off}", "--out-facets", "{json}"],
         {"off": "polytope_generic.off", "json": "polytope_generic.json"},

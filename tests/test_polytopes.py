@@ -96,6 +96,14 @@ def test_polygon_hull():
     assert not contains(P, (0, 0, Fraction(1, 100)))
 
 
+def edge_count(P):
+    """Edges of a 3-dimensional polytope: each lies on exactly two facets."""
+    assert P.dim == 3
+    total = sum(len(t) for t in P.facet_tight_vertices())
+    assert total % 2 == 0, "inconsistent facet incidence"
+    return total // 2
+
+
 def test_generic_orbit_hull_face_counts():
     pts = weyl.weyl_orbit(tuple(Fraction(c) for c in (1, Fraction(1, 2), 2)))
     P = hull(pts)
@@ -104,7 +112,7 @@ def test_generic_orbit_hull_face_counts():
     assert facet_set(P) == brute_force_facets(pts)
     sizes = sorted(len(t) for t in P.facet_tight_vertices())
     assert sizes == [4] * 6 + [6] * 8
-    assert len(P.vertices) - P.edge_count() + len(P.facets) == 2
+    assert len(P.vertices) - edge_count(P) + len(P.facets) == 2
 
 
 def test_truncated_tetrahedron_counts():
