@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -177,16 +178,39 @@ def _identity_residual(norms: np.ndarray, images: np.ndarray) -> np.ndarray:
     return np.max(np.abs(norms * norms - nijenhuis_polynomial(*images.T)))
 
 
+#: |mu|^2 of a Haar draw: mu = -B p, B the rows of CARTAN_QUADRUPLES and p =
+#: |u|^2 uniform on the 3-simplex (Dirichlet(1, 1, 1, 1)), so mu is uniform on
+#: the tetrahedron conv(W.(1, 1, 1)) and, as B^T B = 4 - 1 1^T, |mu|^2 =
+#: 4|p|^2 - 1 lies in [0, 3].  From E p_i^2 = 1/10, E p_i^4 = 1/35 and
+#: E p_i^2 p_j^2 = 1/210: E|mu|^2 = 3/5 and Var |mu|^2 = 32/175.
+_MOMENT_NORM2_MEAN = Fraction(3, 5)
+_MOMENT_NORM2_VAR = Fraction(32, 175)
+_MOMENT_NORM2_SPREAD = Fraction(12, 5)
+
+
+def _moment_norm2_bound(n: int) -> float:
+    """Half-width t with P(|mean - 3/5| >= t) <= 1e-6 for the mean of n Haar
+    draws of |mu|^2, by Bernstein's inequality with the exact variance and
+    |X - 3/5| <= b = 12/5: 2 exp(-n t^2 / (2 var + 2 b t / 3)) = 1e-6."""
+    # The root of n t^2 - c t - 2 var log(2e6) = 0, c = 2 b log(2e6) / 3.
+    log = math.log(2e6)
+    c = 2.0 * float(_MOMENT_NORM2_SPREAD) * log / 3.0
+    return (c + math.sqrt(c * c + 8.0 * n * float(_MOMENT_NORM2_VAR) * log)) / (2.0 * n)
+
+
 def scan_complex(n: int, seed: int, tol: float = 1e-6) -> tuple[moment.SampleCloud, dict]:
     """Haar-scan complex structures for integrability.
 
-    Every structure checked, the n Haar conjugates R J0 R^T and the
-    integrable families (J0 itself, image the vertex (1, 1, 1), and the
-    anti-self-dual circle, images filling the opposite edge), must satisfy
-    ||N||^2 = P(mu) within 1e-10; the largest deviation is reported as
-    `max_identity_residual`.  The families must also have ||N|| < 1e-10.
-    Draws with ||N|| < tol are counted as `accepted_haar` and join the
-    family images in the cloud.
+    Every structure checked, the n Haar draws of `moment.twistor_structures`
+    on the orbit of J0 and the integrable families (J0 itself, image the
+    vertex (1, 1, 1), and the anti-self-dual circle, images filling the
+    opposite edge), must satisfy ||N||^2 = P(mu) within 1e-10; the largest
+    deviation is reported as `max_identity_residual`.  The families must also
+    have ||N|| < 1e-10.  The identity holds on the whole orbit, so it says
+    nothing of the law of the draws: the mean of |mu|^2 over the Haar draws,
+    reported as `mean_moment_norm2`, must lie within `_moment_norm2_bound(n)`
+    of its exact value 3/5.  Draws with ||N|| < tol are counted as
+    `accepted_haar` and join the family images in the cloud.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -198,26 +222,29 @@ def scan_complex(n: int, seed: int, tol: float = 1e-6) -> tuple[moment.SampleClo
     family_max = float(np.max(family_norms))
     family_images = family[:, (E12, E34, E56)]
     residual = _identity_residual(family_norms, family_images)
-    J0 = family_J[0]
+    norm2_sum = 0.0
     accepted = []
     for lo in range(0, n, moment.HAAR_BATCH):
         hi = min(n, lo + moment.HAAR_BATCH)
-        R = moment.haar_rotations(hi - lo, seed, start=lo)
-        Js = R @ J0 @ np.swapaxes(R, 1, 2)
+        Js = moment.twistor_structures(hi - lo, seed, start=lo)
         norms = _nijenhuis_norms(algebra, Js)
         images = Js[:, (1, 3, 5), (0, 2, 4)]
         residual = np.maximum(residual, _identity_residual(norms, images))
+        norm2_sum += float(np.sum(images * images))
         accepted.extend(images[norms < tol])
+    mean_norm2 = norm2_sum / n
     pts = np.vstack(accepted + [family_images])
     cloud = moment.SampleCloud(pts, f"source=scan_complex n={n} seed={seed} tol={tol!r}")
     report = {
-        "pass": bool(family_max < 1e-10 and residual <= 1e-10),
+        "pass": bool(family_max < 1e-10 and residual <= 1e-10
+                     and abs(mean_norm2 - float(_MOMENT_NORM2_MEAN)) <= _moment_norm2_bound(n)),
         "n": n,
         "seed": seed,
         "filter_tol": tol,
         "family_max_nijenhuis": family_max,
         "accepted_haar": len(accepted),
         "max_identity_residual": float(residual),
+        "mean_moment_norm2": mean_norm2,
     }
     return cloud, report
 

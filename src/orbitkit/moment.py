@@ -4,9 +4,10 @@ Every Monte-Carlo draw comes from one counter-based generator,
 Philox-4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
 3", SC'11), run by numpy's native `np.random.Philox`.  A run with seed s is
 keyed (s mod 2^64, 0).  A call site that takes m words per sample (24 for
-the three unitary columns of a Haar moment image, 36 for a Haar rotation)
-gives sample k the b = ceil(m / 4) counter blocks k b + 1, ..., (k + 1) b,
-four words each, of which it keeps the first m.  So sample k's
+the three unitary columns of a Haar moment image, 8 for the unit vector of
+C^4 of a twistor structure, 36 for a Haar rotation) gives sample k the
+b = ceil(m / 4) counter blocks k b + 1, ..., (k + 1) b, four words each, of
+which it keeps the first m.  So sample k's
 words depend only on (s, k): it is the same whichever batch it is drawn in,
 and a batch split by `start` is bit-identical to the whole.  Uniforms are
 (w >> 11) * 2^-53; normals come from Box-Muller on word pairs.  Sample files
@@ -17,6 +18,8 @@ orbit of the Cartan form of lam onto the unitary orbit of D = diag(d),
 d = cartan_to_spin_weight(lam), whose torus moment map is diag(U D U*)
 (Schur-Horn; Atiyah 1982, Guillemin-Sternberg 1982).  So an image needs only
 the moduli |U_ij|^2 of a Haar unitary (Mezzadri 2007), never a 6x6 rotation.
+Likewise the orbit of J0 = from_cartan((1, 1, 1)) is the twistor space
+CP^3 = SU(4)/U(3), and a Haar point on it needs one unit vector of C^4.
 
 By Kostant ("On convexity, the Weyl group and the Iwasawa decomposition",
 1973), p lies in the moment polytope conv(W.lam) iff <w.omega_i, p> <=
@@ -32,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import polytopes, weyl
+from . import polytopes, spin, weyl
 from .forms import (_LOWER, CARTAN_QUADRUPLES, E12, E34, E56, TwoForm, cartan_to_spin_weight,
                     endomorphisms)
 
@@ -41,7 +44,8 @@ STREAM = "philox4x64-10-ctr"
 
 _MASK64 = (1 << 64) - 1
 
-#: Haar rotations drawn per batch by the samplers, to bound peak memory.
+#: Samples drawn per batch by `orbit_samples` (three unitary columns each)
+#: and `iwasawa.scan_complex` (one 6x6 structure each), to bound peak memory.
 HAAR_BATCH = 20000
 
 
@@ -121,6 +125,22 @@ def haar_unitary_columns(n: int, seed: int, start: int = 0) -> np.ndarray:
     (Mezzadri 2007).
     """
     return _gram_schmidt(normals(seed, n, 24, start).view(np.complex128).reshape(n, 4, 3))
+
+
+def twistor_structures(n: int, seed: int, start: int = 0) -> np.ndarray:
+    """(n, 6, 6) stack of Haar-distributed complex structures on the orbit of
+    J0 = from_cartan((1, 1, 1)), the twistor space CP^3 = SU(4)/U(3).
+
+    Under the spin cover J0 = Phi(D), D = diag(-3, 1, 1, 1) (Phi is
+    `spin.wedge_generator`), and a Haar conjugate U D U* = I - 4 u u* needs
+    only the first column u of U, which is uniform on the unit sphere of C^4:
+    u = g / |g|, g the 4 complex normals of sample start + k (8 words, real
+    part first).  J = Phi(I - 4 u u*) is one table product, so sample k is
+    the same whichever batch it is drawn in.
+    """
+    g = normals(seed, n, 8, start).view(np.complex128)
+    u = g / np.linalg.norm(g, axis=1, keepdims=True)
+    return spin.wedge_generator(np.eye(4) - 4.0 * u[:, :, None] * u.conj()[:, None, :])
 
 
 def _gram_schmidt(g: np.ndarray) -> np.ndarray:

@@ -12,6 +12,12 @@ with v_ab = v_a ^ v_b.  The diagonal circle with weight quadruple
 the basis above it equals the simultaneous rotation by t in the three
 coordinate planes of W.  At t = 2 pi the unitary element is -1 while the
 rotation is the identity: one loop downstairs lifts to half a loop upstairs.
+
+The derivative Phi of the cover (`wedge_generator`) sends a traceless
+Hermitian H to the real 6x6 matrix of (i/2)(H ^ 1 + 1 ^ H).  Phi(diag(-3, 1,
+1, 1)) is J0, the endomorphism of e12 + e34 + e56, and Phi(I - 4 u u*) over
+the unit vectors u of C^4 sweeps its orbit, the twistor space CP^3
+(`moment.twistor_structures`).
 """
 
 from __future__ import annotations
@@ -44,6 +50,27 @@ _BASIS_MAP = np.array(
 _BASIS_MAP_INV = np.linalg.inv(_BASIS_MAP)
 
 
+def _phi_table() -> np.ndarray:
+    """Phi (`wedge_generator`) as one real (16, 36) table acting on the
+    flattened S = Re H + Im H, from which a Hermitian H is ((1 + i) S +
+    (1 - i) S^T) / 2.  Every entry is 0 or +-1/4.
+
+    With e1..e6 as antisymmetric 4x4 matrices A_k (v_a ^ v_b as E_ab - E_ba;
+    orthogonal, each of squared Frobenius norm 4), H ^ 1 + 1 ^ H sends A to
+    H A + A H^T, whose two terms have the same e-coordinates: on the matrix
+    unit E_rs the complex-linear extension of Phi has entries
+    (i/4) sum_q conj(A_j)[r, q] A_k[s, q].
+    """
+    A = np.zeros((6, 4, 4), dtype=complex)
+    A[:, [a for a, _ in WEDGE_PAIRS], [b for _, b in WEDGE_PAIRS]] = _BASIS_MAP.T
+    A -= np.swapaxes(A, 1, 2)
+    units = 0.25j * np.einsum("jrq,ksq->rsjk", A.conj(), A)
+    return (((1 + 1j) * units + (1 - 1j) * np.swapaxes(units, 0, 1)).real / 2).reshape(16, 36)
+
+
+_PHI = _phi_table()
+
+
 @dataclass(frozen=True)
 class SpinCoverResult:
     so6_action: np.ndarray
@@ -63,6 +90,23 @@ def wedge_action(theta: float) -> np.ndarray:
     w = NU1_QUADRUPLE
     D = np.diag([np.exp(0.5j * theta * (w[a] + w[b])) for a, b in WEDGE_PAIRS])
     return _BASIS_MAP_INV @ D @ _BASIS_MAP
+
+
+def wedge_generator(H) -> np.ndarray:
+    """Phi(H): the real 6x6 matrix of (i/2)(H ^ 1 + 1 ^ H) on the wedge
+    square, in e-basis coordinates, for a traceless Hermitian H or a stack
+    (..., 4, 4) of them.
+
+    Phi is real-linear and is the derivative of the spin cover: the circle
+    exp(i theta H/2) of unitaries acts on the wedge square as exp(theta
+    Phi(H)), so Phi(diag(NU1_QUADRUPLE)) is the endomorphism of e12 + e34 +
+    e56.  The trace part of H, which acts by an imaginary scalar, is dropped.
+    One table product per matrix (einsum, so a matrix gives the same bits
+    alone or in any stack).
+    """
+    H = np.asarray(H, dtype=complex)
+    S = (H.real + H.imag).reshape(H.shape[:-2] + (16,))
+    return np.einsum("...k,kc->...c", S, _PHI).reshape(H.shape[:-2] + (6, 6))
 
 
 def spin_cover_check(theta: float) -> SpinCoverResult:

@@ -1,5 +1,6 @@
 """Frame algebra of the complex Heisenberg group and integrability scans."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from orbitkit import iwasawa, moment
 from orbitkit.errors import WrongClass
-from orbitkit.forms import TwoForm, eigen_split
+from orbitkit.forms import CARTAN_QUADRUPLES, TwoForm, eigen_split
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +127,7 @@ def test_scan_complex(algebra):
     assert rep["pass"]
     assert rep["family_max_nijenhuis"] < 1e-10
     assert rep["max_identity_residual"] <= 1e-10
+    assert abs(rep["mean_moment_norm2"] - 0.6) <= iwasawa._moment_norm2_bound(5000)
     # Family images cover the vertex and the opposite edge.
     pts = cloud.points
     assert any(np.allclose(p, (1, 1, 1)) for p in pts)
@@ -151,9 +153,15 @@ def test_nijenhuis_identity_on_haar_conjugates_and_the_family(algebra):
     for seed in (0, 1):
         R = moment.haar_rotations(2000, seed)
         norms = iwasawa._nijenhuis_norms(algebra, R @ J0 @ np.swapaxes(R, 1, 2))
-        # The images as the Cartan minors of R, not as scan_complex reads them
-        # from the entries of the conjugates.
+        # The images as the Cartan minors of R, not read from the entries of
+        # the structures as scan_complex reads them.
         images = moment.cartan_minors(R) @ np.ones(3)
+        assert np.max(np.abs(norms ** 2 - iwasawa.nijenhuis_polynomial(*images.T))) <= 1e-12
+        # The twistor draws of scan_complex, with the images -B |u|^2.
+        norms = iwasawa._nijenhuis_norms(algebra, moment.twistor_structures(2000, seed))
+        g = moment.normals(seed, 2000, 8)
+        p = g[:, 0::2] ** 2 + g[:, 1::2] ** 2
+        images = -(p / p.sum(axis=1, keepdims=True)) @ np.array(CARTAN_QUADRUPLES).T
         assert np.max(np.abs(norms ** 2 - iwasawa.nijenhuis_polynomial(*images.T))) <= 1e-12
         assert iwasawa.scan_complex(2000, seed)[1]["max_identity_residual"] <= 1e-12
     family = ([TwoForm.from_cartan((1, 1, 1))]
@@ -179,12 +187,69 @@ def test_scan_complex_fails_on_a_flipped_structure_constant(monkeypatch):
 
 def test_scan_complex_fails_on_transposed_structures(monkeypatch):
     # J^T = -J has the same Nijenhuis tensor but reads the image -mu.
-    ocs_matrix = iwasawa.ocs_matrix
-    monkeypatch.setattr(iwasawa, "ocs_matrix",
-                        lambda form: np.swapaxes(ocs_matrix(form), -1, -2))
+    draw = moment.twistor_structures
+    monkeypatch.setattr(moment, "twistor_structures",
+                        lambda n, seed, start=0: np.swapaxes(draw(n, seed, start), -1, -2))
     cloud, rep = iwasawa.scan_complex(200, 3)
     assert not rep["pass"]
     assert rep["max_identity_residual"] > 1.0
+
+
+def dirichlet_moment(ks):
+    """E prod p_i^k_i for p uniform on the 3-simplex, Dirichlet(1, 1, 1, 1):
+    3! prod k_i! / (3 + sum k_i)!."""
+    num = 6
+    for k in ks:
+        num *= math.factorial(k)
+    return Fraction(num, math.factorial(3 + sum(ks)))
+
+
+def test_moment_norm2_constants_are_the_dirichlet_moments():
+    # |mu|^2 = 4|p|^2 - 1 as B^T B = 4 - 1 1^T, so it lies in [0, 3].
+    B = np.array(CARTAN_QUADRUPLES)
+    assert np.array_equal(B.T @ B, 4 * np.eye(4) - 1)
+    units = [tuple(int(i == j) for i in range(4)) for j in range(4)]
+    p2 = sum(dirichlet_moment([2 * e for e in u]) for u in units)
+    p4 = sum(dirichlet_moment([2 * a + 2 * b for a, b in zip(u, v)])
+             for u in units for v in units)
+    mean = 4 * p2 - 1
+    assert mean == iwasawa._MOMENT_NORM2_MEAN == Fraction(3, 5)
+    assert 16 * p4 - 8 * p2 + 1 - mean ** 2 == iwasawa._MOMENT_NORM2_VAR == Fraction(32, 175)
+    assert iwasawa._MOMENT_NORM2_SPREAD == max(3 - mean, mean)
+    J = moment.twistor_structures(100_000, 2)
+    x = np.sum(J[:, (1, 3, 5), (0, 2, 4)] ** 2, axis=1)
+    assert x.min() >= 0.0 and x.max() <= 3.0
+    # Five standard errors: 0.0068 on the mean, 0.006 on the variance.
+    assert abs(x.mean() - 0.6) <= 0.0068
+    assert abs(x.var() - 32 / 175) <= 0.006
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 2000, 10 ** 6])
+def test_moment_norm2_bound_solves_bernstein_at_one_in_a_million(n):
+    t = iwasawa._moment_norm2_bound(n)
+    var, b = float(iwasawa._MOMENT_NORM2_VAR), float(iwasawa._MOMENT_NORM2_SPREAD)
+    assert math.isclose(2 * math.exp(-n * t * t / (2 * var + 2 * b * t / 3)), 1e-6,
+                        rel_tol=1e-9)
+    # At n = 1 no draw in [0, 3] can fail the gate.
+    assert iwasawa._moment_norm2_bound(1) > 3
+
+
+def test_scan_complex_fails_on_real_unit_vectors(monkeypatch):
+    # u with real entries stays on the orbit, so ||N||^2 = P(mu) still holds,
+    # but its |u_i|^2 are Dirichlet(1/2, 1/2, 1/2, 1/2) and E|mu|^2 = 1.
+    normals = moment.normals
+
+    def real_parts(seed, n, m, start=0):
+        g = normals(seed, n, m, start).copy()
+        g[:, 1::2] = 0.0
+        return g
+
+    monkeypatch.setattr(moment, "normals", real_parts)
+    for seed in range(6):
+        rep = iwasawa.scan_complex(2000, seed)[1]
+        assert not rep["pass"]
+        assert rep["max_identity_residual"] <= 1e-10
+        assert abs(rep["mean_moment_norm2"] - 1.0) <= iwasawa._moment_norm2_bound(2000)
 
 
 def test_nijenhuis_polynomial_vanishes_exactly_on_the_integrable_set():
@@ -543,10 +608,11 @@ def test_nijenhuis_kernel_matches_the_dense_einsums(algebra):
     J0 = TwoForm.from_cartan((1, 1, 1)).endomorphism()
     R = moment.haar_rotations(2000, 7)
     Js = R @ J0 @ np.swapaxes(R, 1, 2)
-    # The conjugation of scan_complex, against its former einsum.
+    # Haar conjugates R J0 R^T, as a matrix product against an einsum.
     assert np.max(np.abs(Js - np.einsum("nab,bc,ndc->nad", R, J0, R))) <= 1e-14
-    assert np.max(np.abs(iwasawa._nijenhuis_norms(algebra, Js)
-                         - _einsum_nijenhuis_norms(algebra, Js))) <= 1e-14
+    for stack in (Js, moment.twistor_structures(2000, 7)):
+        assert np.max(np.abs(iwasawa._nijenhuis_norms(algebra, stack)
+                             - _einsum_nijenhuis_norms(algebra, stack))) <= 1e-14
     family = np.array([iwasawa.ocs_matrix(iwasawa.asd_edge_form(*abc))
                        for abc in iwasawa.asd_edge_grid()] + [J0])
     assert np.max(np.abs(iwasawa._nijenhuis_norms(algebra, family)

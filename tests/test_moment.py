@@ -12,6 +12,7 @@ from orbitkit import moment, polytopes, weyl
 from orbitkit.cli import AGS_LAMBDAS
 from orbitkit.errors import BadIndex
 from orbitkit.forms import (
+    CARTAN_QUADRUPLES,
     OrbitClass,
     STABILIZER_DIM,
     TwoForm,
@@ -163,6 +164,32 @@ def test_haar_unitary_columns_are_the_phase_fixed_lapack_q():
     assert np.array_equal(U[17], moment.haar_unitary_columns(1, 31, start=17)[0])
 
 
+def test_twistor_structures_are_read_off_one_unit_vector_of_c4():
+    # J = Phi(I - 4 u u*) is an orthogonal complex structure whose image is
+    # -B |u|^2, B the rows of CARTAN_QUADRUPLES, u the normalised 4 complex
+    # normals of the sample.
+    n = 20000
+    J = moment.twistor_structures(n, 8)
+    g = moment.normals(8, n, 8)
+    u = g[:, 0::2] + 1j * g[:, 1::2]
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    assert J.shape == (n, 6, 6) and J.dtype == np.float64
+    assert np.max(np.abs(J @ J + np.eye(6))) <= 1e-14
+    assert np.max(np.abs(np.swapaxes(J, 1, 2) + J)) <= 1e-14
+    images = J[:, (1, 3, 5), (0, 2, 4)]
+    want = -(np.abs(u) ** 2) @ np.array(CARTAN_QUADRUPLES).T
+    assert np.max(np.abs(images - want)) <= 1e-14
+
+
+def test_twistor_structures_split_by_start_at_the_batch_bound():
+    N, seed = moment.HAAR_BATCH, 4
+    whole = moment.twistor_structures(N + 7, seed)
+    halves = [moment.twistor_structures(N, seed), moment.twistor_structures(7, seed, start=N)]
+    assert np.array_equal(whole, np.concatenate(halves))
+    alone = [moment.twistor_structures(1, seed, start=N + k)[0] for k in range(7)]
+    assert np.array_equal(whole[N:], np.array(alone))
+
+
 def test_orbit_samples_split_by_start_at_the_batch_bound(monkeypatch):
     # The HAAR_BATCH + 7 draws are two batches; each equals the cloud of its
     # own size, the second one with its draws started at HAAR_BATCH, and
@@ -287,6 +314,15 @@ def test_orbit_samples_follow_the_duistermaat_heckman_law(lam):
         pts = moment.orbit_samples(lam, KS_N, seed).points[:KS_N]
         for xi in DH_DIRECTIONS:
             _, F = dh_marginal_cdf(lam, xi)
+            d = ks_distance(F, pts @ np.array(xi, dtype=float))
+            assert d <= KS_BOUND, (seed, xi, d)
+
+
+def test_twistor_images_follow_the_duistermaat_heckman_law():
+    for seed in (0, 1):
+        pts = moment.twistor_structures(KS_N, seed)[:, (1, 3, 5), (0, 2, 4)]
+        for xi in DH_DIRECTIONS:
+            _, F = dh_marginal_cdf((1, 1, 1), xi)
             d = ks_distance(F, pts @ np.array(xi, dtype=float))
             assert d <= KS_BOUND, (seed, xi, d)
 
