@@ -210,11 +210,6 @@ def square_fiber_form(u, v, t: float) -> TwoForm:
     return TwoForm(p[0] + float(t) * J[0])
 
 
-def square_fiber_points(u, v, t: float) -> tuple[float, float, float]:
-    """Moment image of the central-square fibre construction."""
-    return moment.mu_t(square_fiber_form(u, v, t))
-
-
 def square_region() -> polytopes.Polytope:
     """Tetrahedron conv{(2a, a w, w) : a, w = +-1}, facets (+-1, +-2, +-2) . p <= 2.
 

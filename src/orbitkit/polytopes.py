@@ -8,11 +8,13 @@ carrying their affine hull as a list of equality constraints.
 
 The geometry runs on Python ints: each input is scaled once by the common
 denominator D of its coordinates (or offsets), every sign test is taken on
-the integer numerators, and Fractions are built only for the output.  Two
+the integer numerators, and Fractions are built only for the output.  Three
 exact primitives carry it: `_independent` is the one rank test (the affine
-basis of a point set, and which hull points are vertices) and `_meet` the
-one three-plane solve (the candidate vertices of `intersect`, `clip` and
-`section`).  No step has a tolerance.
+basis of a point set, and which hull points are vertices), `_meet` the one
+three-plane solve (the candidate vertices of `intersect`, `clip` and
+`section`) and `_polygon` the one polygon ordering (the edges of a dim-2
+hull and the face rings of `to_off`), a monotone chain on a coordinate
+projection.  No step has a tolerance.
 """
 
 from __future__ import annotations
@@ -197,6 +199,18 @@ def _hull2d_exact(projected):
     return lower[:-1] + upper[:-1]
 
 
+def _polygon(pts, n):
+    """The extreme points of integer points on a plane with normal n, ccw
+    about n: `_hull2d_exact` of the projection that drops the axis of n's
+    largest |component| (a 1-1 map), reversed where that projection flips
+    the orientation."""
+    drop = max(range(3), key=lambda i: abs(n[i]))
+    keep = [i for i in range(3) if i != drop]
+    back = {(p[keep[0]], p[keep[1]]): p for p in pts}
+    ring = [back[q] for q in _hull2d_exact(list(back))]
+    return ring[::-1] if (n[drop] > 0) == (drop == 1) else ring
+
+
 def _rational(p, d):
     return tuple(Fraction(c, d) for c in p)
 
@@ -228,20 +242,10 @@ def _hull_exact(points) -> Polytope:
 
     if dim == 2:
         n = _lex_positive(_primitive(_cross(_sub(pts[basis[1]], p0), _sub(pts[basis[2]], p0))))
-        # Drop the axis of n's largest component: the projection is 1-1.
-        drop = max(range(3), key=lambda i: abs(n[i]))
-        keep = [i for i in range(3) if i != drop]
-        back = {(p[keep[0]], p[keep[1]]): p for p in pts}
-        ring = [back[q] for q in _hull2d_exact(list(back))]
-        # The ring's vertex sum is len(ring) times an interior point.
-        inside = tuple(sum(p[i] for p in ring) for i in range(3))
-        facets = []
-        for a, b in zip(ring, ring[1:] + ring[:1]):
-            ne = _primitive(_cross(n, _sub(b, a)))
-            off = _dot(ne, a)
-            if _dot(ne, inside) > len(ring) * off:
-                ne, off = _neg(ne), -off
-            facets.append(Facet(ne, Fraction(off, d)))
+        ring = _polygon(pts, n)
+        # The ring runs ccw about n, so each edge's outward normal is (b - a) x n.
+        facets = [Facet(ne, Fraction(_dot(ne, a), d)) for a, b in zip(ring, ring[1:] + ring[:1])
+                  for ne in [_primitive(_cross(_sub(b, a), n))]]
         eqs = (Facet(n, Fraction(_dot(n, p0), d)),)
         return Polytope(2, tuple(_rational(p, d) for p in sorted(ring)),
                         _sort_facets(facets), eqs)
@@ -453,47 +457,33 @@ def section(P: Polytope, normal, offset) -> Polytope:
 # Export
 # ---------------------------------------------------------------------------
 
-def _facet_rings(P: Polytope):
-    """Vertex index rings ordered ccw about their normal: one per facet of a
-    3-polytope, or the polygon itself about its plane's normal.  The angles
-    are taken on the vertices scaled by a power of two near 1/max|coordinate|
-    and on normals scaled by `_float_normal` (no overflow)."""
-    top = max(abs(c) for v in P.vertices for c in v)
-    scale = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length())
-    verts = np.array([[float(c * scale) for c in v] for v in P.vertices])
+def _facet_rings(P: Polytope, pts):
+    """Vertex index rings ccw about their normal, each starting at its lowest
+    index: one per facet of a 3-polytope, or the polygon itself about its
+    plane's normal.  pts are the vertices scaled to integers."""
     if P.dim == 2:
-        faces = [(P.equalities[0].normal, range(len(P.vertices)))]
+        faces = [(P.equalities[0].normal, range(len(pts)))]
     else:
         faces = zip((f.normal for f in P.facets), P.facet_tight_vertices())
+    index = {p: k for k, p in enumerate(pts)}
     rings = []
     for normal, tight in faces:
-        pts = verts[list(tight)]
-        center = np.mean(pts, axis=0)
-        n, _ = _float_normal(normal)
-        n = n / np.linalg.norm(n)
-        ref = pts[0] - center
-        ref = ref - np.dot(ref, n) * n
-        ref = ref / np.linalg.norm(ref)
-        perp = np.cross(n, ref)
-        angles = []
-        for k, p in zip(tight, pts):
-            d = p - center
-            angles.append((math.atan2(float(np.dot(d, perp)), float(np.dot(d, ref))), k))
-        rings.append(tuple(k for _, k in sorted(angles)))
+        ring = [index[p] for p in _polygon([pts[k] for k in tight], normal)]
+        low = ring.index(min(ring))
+        rings.append(tuple(ring[low:] + ring[:low]))
     return rings
 
 
 def to_off(P: Polytope) -> str:
     """ASCII OFF mesh; the rational vertices are emitted as integer strings
     scaled by their common denominator."""
-    rings = _facet_rings(P) if P.dim >= 2 else []
     ints, denom = _scaled(c for v in P.vertices for c in v)
+    pts = list(zip(ints[0::3], ints[1::3], ints[2::3]))
+    rings = _facet_rings(P, pts) if P.dim >= 2 else []
     lines = ["OFF", f"# rational vertices scaled by common denominator {denom}",
              f"{len(P.vertices)} {len(rings)} 0"]
-    for k in range(0, len(ints), 3):
-        lines.append(" ".join(str(c) for c in ints[k:k + 3]))
-    for ring in rings:
-        lines.append(str(len(ring)) + " " + " ".join(str(k) for k in ring))
+    lines += [" ".join(map(str, p)) for p in pts]
+    lines += [" ".join(map(str, (len(ring),) + ring)) for ring in rings]
     return "\n".join(lines) + "\n"
 
 

@@ -344,7 +344,7 @@ def test_klein_square_fails_on_a_row_outside_its_region(capsys, monkeypatch):
     metrics = report["metrics"]
     assert code != 0 and not report["pass"] and not metrics["all_in_region"]
     assert metrics["max_orbit_containment_violation"] <= 1e-9
-    assert metrics["max_z_identity_residual"] <= 1e-9
+    assert metrics["max_identity_residual"] <= 1e-12
 
 
 def test_verify_ags_passes_on_containment_and_vertex_reach(capsys):
@@ -505,6 +505,30 @@ def test_non_integer_seed_env_exits_2(capsys, monkeypatch):
     assert "ORBITKIT_SEED" in captured.err
 
 
+@pytest.mark.parametrize("seed", [str(2 ** 64), "-1", str(2 ** 64 + 1)])
+def test_seed_outside_the_philox_key_range_exits_2(capsys, monkeypatch, seed):
+    # Philox takes the seed mod 2**64: 2**64 + 1 drew the rows of seed 1.
+    code = cli.main(["sample", "--lambda", "1,0.5,2", "--n", "2", "--seed", seed])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--seed must lie in [0, 2**64)" in captured.err
+    monkeypatch.setenv("ORBITKIT_SEED", seed)
+    code = cli.main(["verify", "prop16"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "ORBITKIT_SEED must lie in [0, 2**64)" in captured.err
+
+
+def test_largest_seed_is_accepted(capsys, monkeypatch):
+    top = 2 ** 64 - 1
+    code, report = run_cli(capsys, "sample", "--lambda", "1,0.5,2", "--n", "2",
+                           "--seed", str(top))
+    assert code == 0 and report["parameters"]["seed"] == top
+    monkeypatch.setenv("ORBITKIT_SEED", str(top))
+    code, report = run_cli(capsys, "verify", "square", "--n", "2")
+    assert code == 0 and report["parameters"]["seed"] == top
+
+
 def test_single_run_commands_echo_their_parameters(capsys, form_file):
     cases = [
         (["classify", "--form", form_file, "--tol", "1e-7"], {"form": form_file, "tol": 1e-7}),
@@ -573,7 +597,29 @@ def test_klein_square_fails_when_an_image_leaves_its_polytope(capsys, monkeypatc
     assert code == 1
     assert report["pass"] is False
     assert report["metrics"]["max_orbit_containment_violation"] > 1e-9
-    assert report["metrics"]["max_z_identity_residual"] <= 1e-9
+    assert report["metrics"]["max_identity_residual"] > 1e-12
+
+
+def test_verify_square_fails_when_an_image_leaves_the_closed_form(capsys, monkeypatch):
+    code, report = run_cli(capsys, "verify", "square", "--n", "10000")
+    assert code == 0 and report["metrics"]["max_identity_residual"] <= 1e-12
+    # Swapping u1 and u2 where v's smallest |entry| is on axis 0 keeps every
+    # image in its orbit's polytope and in the region, but off
+    # ((1 + t) v1, t u1 v1, t u1).
+    square_forms = klein.square_forms
+
+    def swapped(u, v):
+        u = np.array(u)
+        rows = np.argmin(np.abs(v), axis=1) == 0
+        u[rows] = u[rows][:, [1, 0, 2]]
+        return square_forms(u, v)
+
+    monkeypatch.setattr(klein, "square_forms", swapped)
+    code, report = run_cli(capsys, "verify", "square", "--n", "10000")
+    metrics = report["metrics"]
+    assert code == 1 and report["pass"] is False
+    assert metrics["max_identity_residual"] > 1.0
+    assert metrics["max_orbit_containment_violation"] <= 1e-9 and metrics["all_in_region"]
 
 
 def test_klein_reports_carry_the_fibre_suite(capsys):

@@ -326,7 +326,7 @@ def test_prism_region():
 
 
 def test_square_fiber_examples():
-    assert klein.square_fiber_points((1, 0, 0), (1, 0, 0), 1.0) == (2.0, 1.0, 1.0)
+    assert moment.mu_t(klein.square_fiber_form((1, 0, 0), (1, 0, 0), 1.0)) == (2.0, 1.0, 1.0)
     # t -> 0 limit lands on the central square.
     rng = np.random.default_rng(64)
     for _ in range(50):
@@ -339,7 +339,7 @@ def test_square_fiber_examples():
         u = rng.standard_normal(3)
         u = u / np.linalg.norm(u)
         t = float(rng.uniform(0.05, 1.0))
-        X, Y, Z = klein.square_fiber_points(u, v, t)
+        X, Y, Z = moment.mu_t(klein.square_fiber_form(u, v, t))
         # The image ((1 + t) a, t a w, t w) of the square region, a = v1, w = u1.
         assert abs(X - (1 + t) * v[0]) <= 1e-15
         assert abs(Y - t * u[0] * v[0]) <= 1e-15
@@ -364,13 +364,13 @@ def square_draws():
     return np.vstack([u, au]), np.vstack([v, av]), np.concatenate([t, at])
 
 
-def test_square_forms_are_rows_of_square_fiber_points():
+def test_square_forms_are_rows_of_square_fiber_form():
     u, v, t = square_draws()
     p, J = klein.square_forms(u, v)
     assert p.shape == J.shape == (len(t), 15)
     images = p[:, [0, 9, 14]] + t[:, None] * J[:, [0, 9, 14]]
     for k in range(len(t)):
-        assert bits(images[k]) == bits(klein.square_fiber_points(u[k], v[k], t[k])), k
+        assert bits(images[k]) == bits(moment.mu_t(klein.square_fiber_form(u[k], v[k], t[k]))), k
 
 
 def test_square_forms_are_compatible_complex_structures():

@@ -1,6 +1,9 @@
 """Hull computation against a brute-force facet oracle, plus set operations."""
 
+import functools
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from orbitkit import moment, polytopes, weyl
 from orbitkit.errors import EmptyIntersection, EmptySection
 from orbitkit.polytopes import clip, contains, hull, intersect, section
+from test_golden import exact_layer_polytopes
 
 
 def brute_force_facets(points):
@@ -348,12 +352,107 @@ def test_off_of_a_polygon_is_one_cyclic_face():
 
 def test_off_rings_of_a_huge_polytope_match_its_unit_copy():
     # Float coordinates near 2**600 square past the float maximum; the rings
-    # are computed on a copy scaled by a power of two.
+    # are ordered on the integer vertices, which no scale changes.
     lam = (1, Fraction(1, 2), 2)
     unit = polytopes.to_off(hull(weyl.weyl_orbit(lam)))
     big = polytopes.to_off(hull(weyl.weyl_orbit(tuple(2 ** 600 * c for c in lam))))
     rings = len(weyl.weyl_orbit(lam)) + 3
     assert big.splitlines()[rings:] == unit.splitlines()[rings:]
+
+
+def float_facet_rings(P):
+    """Reference: the float ring order `to_off` used before its rings came
+    from the exact monotone chain.  Vertices are scaled by a power of two near
+    1/max|coordinate| and normals by `_float_normal`, and each face is sorted
+    by the atan2 angle about its centroid from its lowest tight vertex."""
+    top = max(abs(c) for v in P.vertices for c in v)
+    scale = Fraction(2) ** (top.denominator.bit_length() - top.numerator.bit_length())
+    verts = np.array([[float(c * scale) for c in v] for v in P.vertices])
+    if P.dim == 2:
+        faces = [(P.equalities[0].normal, range(len(P.vertices)))]
+    else:
+        faces = zip((f.normal for f in P.facets), P.facet_tight_vertices())
+    rings = []
+    for normal, tight in faces:
+        pts = verts[list(tight)]
+        center = np.mean(pts, axis=0)
+        n, _ = polytopes._float_normal(normal)
+        n = n / np.linalg.norm(n)
+        ref = pts[0] - center
+        ref = ref - np.dot(ref, n) * n
+        ref = ref / np.linalg.norm(ref)
+        perp = np.cross(n, ref)
+        angles = []
+        for k, p in zip(tight, pts):
+            d = p - center
+            angles.append((math.atan2(float(np.dot(d, perp)), float(np.dot(d, ref))), k))
+        rings.append(tuple(k for _, k in sorted(angles)))
+    return rings
+
+
+def chamber_sweep(count, seed):
+    """count chamber points z >= x >= |y| with mixed denominators, on and off
+    the walls, led by the two generic points whose float rings started at
+    different vertices on faces with a vertex opposite the first."""
+    rng = random.Random(seed)
+
+    def q():
+        return Fraction(rng.randint(1, 60), rng.choice((1, 2, 3, 4, 6, 8, 12, 72)))
+
+    out = [(1, Fraction(1, 2), 2), (Fraction(5, 6), Fraction(35, 72), 2)]
+    while len(out) < count:
+        a, b, c = sorted((q(), q(), q()))
+        out.append((b, rng.choice((a, -a, 0, b, -b)), rng.choice((c, c, b))))
+    return out
+
+
+@functools.cache
+def ring_polytopes():
+    """(name, polytope) of every polygon and 3-polytope of the exact-layer
+    golden and of a seeded sweep of 240 chamber points."""
+    out = [(name, P) for name, P in exact_layer_polytopes().items() if P.dim >= 2]
+    out += [(f"moment {lam}", moment.moment_polytope(lam)) for lam in chamber_sweep(240, 23)]
+    return out
+
+
+def off_rings(P):
+    """The face rings of P's OFF export, as tuples of vertex indices."""
+    rings = []
+    for line in polytopes.to_off(P).splitlines()[3 + len(P.vertices):]:
+        count, *ring = map(int, line.split())
+        assert count == len(ring)
+        rings.append(tuple(ring))
+    return rings
+
+
+def test_off_rings_are_rotations_of_the_float_rings():
+    for name, P in ring_polytopes():
+        rings, reference = off_rings(P), float_facet_rings(P)
+        assert len(rings) == len(reference), name
+        for ring, ref in zip(rings, reference):
+            assert ring in [ref[k:] + ref[:k] for k in range(len(ref))], name
+
+
+def test_off_rings_run_ccw_round_their_face_from_its_lowest_vertex():
+    for name, P in ring_polytopes():
+        if P.dim == 2:
+            faces = [(P.equalities[0].normal, tuple(range(len(P.vertices))))]
+        else:
+            faces = list(zip((f.normal for f in P.facets), P.facet_tight_vertices()))
+        rings = off_rings(P)
+        assert len(rings) == len(faces), name
+        for ring, (normal, tight) in zip(rings, faces):
+            assert sorted(ring) == list(tight) and ring[0] == min(ring), name
+            # Every other vertex lies strictly left of each edge, so every
+            # consecutive triple turns ccw about the outward normal and the
+            # ring goes once round the face.
+            for a, b in zip(ring, ring[1:] + ring[:1]):
+                A, B = P.vertices[a], P.vertices[b]
+                for c in ring:
+                    if c not in (a, b):
+                        turn = polytopes._cross(polytopes._sub(B, A),
+                                                polytopes._sub(P.vertices[c], A))
+                        assert polytopes._dot(turn, normal) > 0, name
 
 
 def test_facets_json_shape():
