@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from . import weyl
 from .errors import InvalidRotation, NonConvergence, WeightNotTraceFree
@@ -191,12 +190,16 @@ class EigenSplit:
 def eigen_split(form: TwoForm, tol: float = 1e-9) -> EigenSplit:
     """Split R^6 into three orthogonal invariant 2-planes of the form.
 
-    Read off the real Schur form F = Z T Z^T: F is skew, hence normal, so T
-    is block diagonal (Golub & Van Loan, Matrix Computations, 7.4) and each
-    2x2 block k is the plane (Z[:, k], Z[:, k+1]) with value v^T F u, made
-    non-negative by the sign of v.  The 1x1 blocks and the blocks with
-    |value| <= tol * max(1, largest value) are the kernel, paired in order.
-    Kernel planes come first and the others ascend by value; the frame is
+    F is skew, so iF is Hermitian with eigenvalues +-lambda.  An eigenvector
+    z of iF for lambda > 0, turned by the phase that makes its largest entry
+    (the first on ties) real and positive, gives F Re z = lambda Im z and
+    F Im z = -lambda Re z.  The planes (Re z, Im z) of the top three
+    eigenvalues above tol * max(1, largest) are orthonormalised together,
+    column by column (Cholesky QR, positive R diagonal): near zero the
+    +-lambda eigenvectors mix.  Each value is v^T F u, made non-negative by
+    the sign of v.  The kernel is the null space of the projector onto those
+    planes, paired in order.  Kernel planes come first and the others ascend
+    by value, equal values by the index of the largest entry; the frame is
     then forced to det = +1 by flipping the last plane if needed, and the
     planes are permuted/reflected so the signed values equal the chamber
     triple (z >= x >= |y|) in slot order.  Kernel values are +0.0.
@@ -205,42 +208,37 @@ def eigen_split(form: TwoForm, tol: float = 1e-9) -> EigenSplit:
         raise ValueError("tol must be positive")
     F = form.endomorphism()
     try:
-        T, Z = scipy.linalg.schur(F, output="real")
+        lam, Z = np.linalg.eigh(1j * F)
+        top = lam[3:].tolist()
+        r = sum(value > tol * max(1.0, top[2]) for value in top)
+        Z = Z[:, 6 - r:]
+        lead = np.argmax(np.abs(Z), axis=0)
+        phase = Z[lead, np.arange(r)]
+        # Columns Re z_0, Im z_0, Re z_1, ... of the phase-fixed eigenvectors.
+        A = (Z * (phase.conj() / np.abs(phase))).view(float)
+        Q = np.linalg.solve(np.linalg.cholesky(A.T @ A), A.T).T
+        kernel = np.linalg.eigh(Q @ Q.T)[1][:, :6 - 2 * r] if r < 3 else np.zeros((6, 0))
     except np.linalg.LinAlgError as exc:
-        raise NonConvergence("real Schur decomposition of F failed") from exc
-    kernel = []
-    blocks = []
-    k = 0
-    while k < 6:
-        if k == 5 or T[k + 1, k] == 0.0:
-            kernel.append(Z[:, k])
-            k += 1
-            continue
-        u, v = Z[:, k], Z[:, k + 1]
-        value = float(v @ F @ u)
-        if value < 0:
-            v, value = -v, -value
-        blocks.append((u, v, value))
-        k += 2
-    res = tol * max([1.0] + [value for _, _, value in blocks])
-    kernel += [c for u, v, value in blocks if value <= res for c in (u, v)]
-    planes = [(kernel[a], kernel[a + 1], 0.0) for a in range(0, len(kernel), 2)]
-    planes += sorted((b for b in blocks if b[2] > res), key=lambda b: b[2])
-    frame = np.column_stack([c for u, v, _ in planes for c in (u, v)])
+        raise NonConvergence("Hermitian eigensolver on iF failed") from exc
+    values = (Q.T @ F @ Q).diagonal(-1)[::2]
+    Q[:, 1::2] *= np.where(values < 0, -1.0, 1.0)
+    values = np.abs(values).tolist()
+    order = sorted(range(r), key=lambda k: (values[k], lead[k]))
+    frame = np.hstack([kernel, Q.reshape(6, r, 2)[:, order].reshape(6, 2 * r)])
+    triple = [0.0] * (3 - r) + [values[k] for k in order]
     if np.linalg.det(frame) < 0:
-        u, v, value = planes[-1]
-        planes[-1] = (u, -v, -value)
-    triple = tuple(value for _, _, value in planes)
-    _, w = weyl.to_chamber(triple)
+        frame[:, 5] *= -1.0
+        triple[2] = -triple[2]
+    _, w = weyl.to_chamber(tuple(triple))
+    columns = frame.T.tolist()
     ordered = []
     for i in range(3):
         j = next(k for k in range(3) if w[i][k] != 0)
         sign = w[i][j]
-        u, v, value = planes[j]
         # + 0.0 turns the -0.0 of a reflected kernel plane into +0.0.
-        ordered.append(
-            InvariantPlane(tuple(u), tuple(sign * v), sign * value + 0.0)
-        )
+        ordered.append(InvariantPlane(tuple(columns[2 * j]),
+                                      tuple(sign * c for c in columns[2 * j + 1]),
+                                      sign * triple[j] + 0.0))
     return EigenSplit(tuple(ordered))
 
 

@@ -34,7 +34,6 @@ segments x + y = +-1 (`scan_K_intersection`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -44,15 +43,9 @@ from .errors import WrongClass
 from .forms import E12, E34, E56, TwoForm, endomorphisms
 
 
-@dataclass(frozen=True)
-class FrameAlgebra:
-    """Structure constants c[k, i, j] meaning [e_i, e_j] = sum_k c[k,i,j] e_k."""
-
-    c: np.ndarray
-
-
-def iwasawa_algebra() -> FrameAlgebra:
-    """Frame algebra with de5 = e13 + e42, de6 = e14 + e23, other de = 0."""
+def iwasawa_algebra() -> np.ndarray:
+    """Structure constants c (6, 6, 6), [e_i, e_j] = sum_k c[k, i, j] e_k, of
+    the frame algebra with de5 = e13 + e42, de6 = e14 + e23, other de = 0."""
     c = np.zeros((6, 6, 6))
 
     def setb(i, j, k, val):
@@ -64,14 +57,14 @@ def iwasawa_algebra() -> FrameAlgebra:
     setb(2, 4, 5, 1.0)
     setb(1, 4, 6, -1.0)
     setb(2, 3, 6, -1.0)
-    return FrameAlgebra(c)
+    return c
 
 
-def bracket(algebra: FrameAlgebra, X, Y) -> np.ndarray:
+def bracket(c: np.ndarray, X, Y) -> np.ndarray:
     """[X, Y] of two vectors, or row by row of two (..., 6) stacks."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    return np.einsum("kij,...i,...j->...k", algebra.c, X, Y)
+    return np.einsum("kij,...i,...j->...k", c, X, Y)
 
 
 def ocs_matrix(form, tol: float = 1e-8) -> np.ndarray:
@@ -83,7 +76,7 @@ def ocs_matrix(form, tol: float = 1e-8) -> np.ndarray:
     return J
 
 
-def _nijenhuis_norms(algebra: FrameAlgebra, Js: np.ndarray) -> np.ndarray:
+def _nijenhuis_norms(c: np.ndarray, Js: np.ndarray) -> np.ndarray:
     """Per J of a stack (n, 6, 6), the Frobenius norm of N(X,Y) = [JX,JY] -
     J[JX,Y] - J[X,JY] - [X,Y] over the frame pairs; zero exactly on
     integrable complex structures.
@@ -92,7 +85,6 @@ def _nijenhuis_norms(algebra: FrameAlgebra, Js: np.ndarray) -> np.ndarray:
     only the nonzero bracket slices c[m] (2 of 6 for the Iwasawa algebra)
     enter the matrix products.
     """
-    c = algebra.c
     nz = np.flatnonzero(np.any(c != 0, axis=(1, 2)))
     C = c[nz]
     J = Js[:, None]
@@ -115,21 +107,21 @@ def _per_plane(residual: np.ndarray, V: np.ndarray, tol: float):
     return bool(ok) if V.ndim == 2 else ok
 
 
-def horizontal_closed(algebra: FrameAlgebra, V, tol: float = 1e-12):
+def horizontal_closed(c: np.ndarray, V, tol: float = 1e-12):
     """Brackets of the 4-plane orthogonal to V stay out of V: the bracket
     forms B_k = sum_m V[m, k] c[m] vanish there, max |P B_k P| <= tol.
     V is an orthonormal frame (6, 2) or a stack (n, 6, 2); one bool per plane."""
     V = np.asarray(V, dtype=float)
     P = _perp(V)[..., None, :, :]
-    B = np.einsum("mij,...mk->...kij", algebra.c, V)
+    B = np.einsum("mij,...mk->...kij", c, V)
     return _per_plane(P @ B @ P, V, tol)
 
 
-def vertical_closed(algebra: FrameAlgebra, V, tol: float = 1e-12):
+def vertical_closed(c: np.ndarray, V, tol: float = 1e-12):
     """Bracket of the two plane vectors stays in the plane: max |P [v1, v2]|
     <= tol, for a frame (6, 2) or a stack (n, 6, 2); one bool per plane."""
     V = np.asarray(V, dtype=float)
-    br = bracket(algebra, V[..., 0], V[..., 1])
+    br = bracket(c, V[..., 0], V[..., 1])
     return _per_plane((_perp(V) @ br[..., None])[..., 0], V, tol)
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report schema, artifact determinism."""
 
 import argparse
+import ast
 import json
 import math
 import os
@@ -373,6 +374,27 @@ def test_importing_the_cli_loads_no_qhull():
     assert done.returncode == 0, done.stderr
 
 
+def test_importing_orbitkit_loads_no_scipy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    check = ("import sys, orbitkit, orbitkit.cli; "
+             "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
+    done = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+
+
+def test_classify_exits_1_when_the_eigensolver_fails(capsys, form_file, monkeypatch):
+    def fail(a, UPLO="L"):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code = cli.main(["classify", "--form", form_file])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
 def test_export(capsys, form_file, tmp_path):
     facets = tmp_path / "f.json"
     code, report = run_cli(capsys, "export", "--form", form_file,
@@ -676,6 +698,27 @@ def test_readme_command_block_parses_to_every_run():
         assert key in cli.RUNS, line
         documented.append(key)
     assert sorted(documented, key=str) == sorted(cli.RUNS, key=str)
+
+
+def test_readme_library_example_does_what_its_comments_say():
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme) as fh:
+        block = fh.read().split("## Library example", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, shown = {}, []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            shown.append(eval(compile(ast.Expression(stmt.value), "README", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README", "exec"), namespace)
+    orbit_class, triple, complex_part, plane_part = shown
+    assert orbit_class is OrbitClass.F1
+    assert triple == (1.0, 1.0, 2.0)
+    for part, expected in ((complex_part, TwoForm.from_cartan((1, 1, 1))),
+                           (plane_part, TwoForm.basis(5, 6))):
+        assert np.max(np.abs(part.as_array() - expected.as_array())) <= 1e-12
+    P = namespace["P"]
+    assert len(P.vertices) == 24 and len(P.facets) == 14
 
 
 def run_cli_strict(capsys, *argv):

@@ -5,11 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitkit import forms, moment
-from orbitkit.errors import InvalidRotation, WeightNotTraceFree
+from orbitkit import forms, moment, weyl
+from orbitkit.errors import InvalidRotation, NonConvergence, WeightNotTraceFree
 from orbitkit.forms import (
     OrbitClass,
     TwoForm,
@@ -334,6 +334,109 @@ def test_eigen_split_of_haar_conjugates(triple, decade, seed, index):
             assert np.max(np.abs(G @ u - plane.value * v)) <= 1e-12 * scale
             assert np.max(np.abs(G @ v + plane.value * u)) <= 1e-12 * scale
     assert classify(g) is classify(f)
+
+
+def schur_split(form, tol=1e-9):
+    """Reference: the eigen-split read off the real Schur form F = Z T Z^T.
+
+    F is skew, hence normal, so T is block diagonal; each 2x2 block k is the
+    plane (Z[:, k], Z[:, k+1]) with value v^T F u, made non-negative by the
+    sign of v, and the 1x1 blocks and the blocks with |value| <= tol * max(1,
+    largest value) are the kernel, paired in order.  Ordering, orientation and
+    chamber reflection follow `eigen_split`.
+    """
+    import scipy.linalg
+
+    F = form.endomorphism()
+    T, Z = scipy.linalg.schur(F, output="real")
+    kernel = []
+    blocks = []
+    k = 0
+    while k < 6:
+        if k == 5 or T[k + 1, k] == 0.0:
+            kernel.append(Z[:, k])
+            k += 1
+            continue
+        u, v = Z[:, k], Z[:, k + 1]
+        value = float(v @ F @ u)
+        if value < 0:
+            v, value = -v, -value
+        blocks.append((u, v, value))
+        k += 2
+    res = tol * max([1.0] + [value for _, _, value in blocks])
+    kernel += [c for u, v, value in blocks if value <= res for c in (u, v)]
+    planes = [(kernel[a], kernel[a + 1], 0.0) for a in range(0, len(kernel), 2)]
+    planes += sorted((b for b in blocks if b[2] > res), key=lambda b: b[2])
+    frame = np.column_stack([c for u, v, _ in planes for c in (u, v)])
+    if np.linalg.det(frame) < 0:
+        u, v, value = planes[-1]
+        planes[-1] = (u, -v, -value)
+    _, w = weyl.to_chamber(tuple(value for _, _, value in planes))
+    ordered = []
+    for i in range(3):
+        j = next(k for k in range(3) if w[i][k] != 0)
+        sign = w[i][j]
+        u, v, value = planes[j]
+        ordered.append(forms.InvariantPlane(tuple(u), tuple(sign * v), sign * value + 0.0))
+    return forms.EigenSplit(tuple(ordered))
+
+
+#: Cartan coordinates whose triples have ties, values near the kernel
+#: threshold 1e-9 and near-equal pairs.
+SPLIT_COORDS = (0.0, 1.0, -1.0, 2.0, 0.5, 3.0, 5e-9, -5e-9, 3e-9, 1e-9,
+                1 + 3e-9, 3 + 2e-8)
+
+
+# The first example imports scipy.linalg, which takes longer than a deadline.
+@settings(deadline=None, max_examples=300)
+@given(st.tuples(*[st.sampled_from(SPLIT_COORDS)] * 3), st.integers(-6, 6),
+       st.integers(0, 2**32 - 1), st.integers(0, 10**6))
+def test_eigen_split_agrees_with_the_schur_split(triple, decade, seed, index):
+    g = conjugate(TwoForm.from_cartan(tuple(10.0**decade * c for c in triple)),
+                  haar(seed, index))
+    new, old = eigen_split(g), schur_split(g)
+    scale = max(1.0, new.values[2])
+    res = 1e-9 * scale
+    if not any(res / 2 <= abs(v) <= 2 * res for v in new.values + old.values):
+        assert np.max(np.abs(np.subtract(new.values, old.values))) <= 1e-12 * scale
+    for i, (p, q) in enumerate(zip(new.planes, old.planes)):
+        others = [abs(r.value) for j, r in enumerate(new.planes) if j != i]
+        if all(abs(abs(p.value) - t) > 1e-6 * scale for t in others):
+            P = np.outer(p.u, p.u) + np.outer(p.v, p.v)
+            R = np.outer(q.u, q.u) + np.outer(q.v, q.v)
+            assert np.max(np.abs(P - R)) <= 1e-9
+
+
+def test_eigen_split_frames_do_not_depend_on_the_eigenvector_phases(monkeypatch):
+    # Forms whose planes are unique, or block diagonal: the frame of a
+    # rotated tie or of a rotated kernel is any orthonormal basis of it.
+    rng = np.random.default_rng(8)
+    cases = [W0, TwoForm.basis(5, 6), TwoForm.from_cartan((1, 0.5, 2))]
+    cases += [conjugate(TwoForm.from_cartan(t), haar(8, k))
+              for k, t in enumerate(((1, 0.5, 2), (1, 5e-9, 2), (3, -2, 4)))]
+    before = [eigen_split(f) for f in cases]
+    eigh = np.linalg.eigh
+
+    def turned(a, UPLO="L"):
+        lam, Z = eigh(a, UPLO)
+        if np.iscomplexobj(a):
+            Z = Z * np.exp(2j * np.pi * rng.random(Z.shape[1]))
+        return lam, Z
+
+    monkeypatch.setattr(np.linalg, "eigh", turned)
+    for f, split in zip(cases, before):
+        after = eigen_split(f)
+        assert np.max(np.abs(np.subtract(after.values, split.values))) <= 1e-14
+        assert np.max(np.abs(split_frame(after) - split_frame(split))) <= 1e-14
+
+
+def test_eigen_split_raises_non_convergence_when_the_eigensolver_fails(monkeypatch):
+    def fail(a, UPLO="L"):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NonConvergence):
+        eigen_split(W0)
 
 
 def test_kernel_values_are_positive_zeros():

@@ -2,10 +2,10 @@
 
 The files under tests/golden/ pin the promise that identical parameters
 reproduce byte-identical CSV, OFF and facet-JSON files.  They were written
-with numpy 2.4.6, scipy 1.17.1 and OpenBLAS 0.3.31 (Python 3.11).  The
-samplers go through libm's log, cos and sin (Box-Muller) and numpy's einsum
-sums, so another numpy/scipy/OpenBLAS build may legitimately differ in the
-last bits.
+with numpy 2.4.6 and OpenBLAS 0.3.31 (Python 3.11); no scipy code runs on
+the way to them.  The samplers go through libm's log, cos and sin
+(Box-Muller) and numpy's einsum sums, so another numpy/OpenBLAS build may
+legitimately differ in the last bits.
 `exact_layer.json` pins the exact polytope layer with no CLI and no floats
 in between: the facet JSON of moment polytopes, singular-value faces, set
 operations, the klein regions and seeded random hulls.  A change that alters
