@@ -15,7 +15,6 @@ from .errors import (
     NormViolation,
     OrbitkitError,
     ParseError,
-    UnknownSuite,
     WeightNotTraceFree,
     WrongClass,
 )

@@ -1,13 +1,17 @@
 """Command-line front end.
 
 Commands: classify, polytope, sample, verify <suite>, klein <sub>,
-iwasawa <sub>, export.  Every command is one entry of RUNS, started by
-cmd_run, which writes the run's artifacts and prints a JSON report to stdout;
-every report's metrics carry the run's `elapsed_seconds`, and a non-finite
-metric is written as null.  Exit code 0 means all asserted tolerances were
-met, 1 is an assertion failure, 2 a usage or parse error.  The default seed
-comes from ORBITKIT_SEED (fallback 0; a non-integer value is a usage error)
-and an explicit --seed wins; either must lie in [0, 2**64).
+iwasawa <sub>, export.  RUNS is both the registry and the parser: a call is
+parsed against the one run its argv names, which takes exactly the flags of
+its `used` parameters and its command's ARTIFACT_FLAGS.  `--help` after
+`orbitkit`, a command or a run lists the commands, the subs or the flags.
+cmd_run writes the run's artifacts and prints a JSON report to stdout; every
+report's metrics carry the run's `elapsed_seconds`, and a non-finite metric
+is written as null.  Exit code 0 means all asserted tolerances were met, 1 is
+an assertion failure or a reader that closed stdout early, 2 a usage or parse
+error.  The default seed comes from ORBITKIT_SEED (fallback 0; a non-integer
+value is a usage error, on every call) and an explicit --seed wins; either
+must lie in [0, 2**64).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import iwasawa, klein, moment, polytopes, spin, weyl
-from .errors import OrbitkitError, ParseError, UnknownSuite
+from .errors import OrbitkitError, ParseError
 from .forms import (
     E12,
     E34,
@@ -49,10 +53,6 @@ def _seed(text: str, name: str = "--seed") -> int:
     if not 0 <= seed < 2 ** 64:
         raise ParseError(f"{name} must lie in [0, 2**64), got {seed}")
     return seed
-
-
-def _default_seed() -> int:
-    return _seed(os.environ.get("ORBITKIT_SEED", "0"), "ORBITKIT_SEED")
 
 
 def _sample_count(text: str) -> int:
@@ -390,15 +390,13 @@ def _strict_json(value):
     return value
 
 
-def _subs(command: str) -> tuple:
-    return tuple(sub for cmd, sub in RUNS if cmd == command)
+#: command -> the artifact paths its runs take besides their `used` parameters.
+ARTIFACT_FLAGS = {"polytope": ("out_off", "out_facets"), "sample": ("out",), "klein": ("out",),
+                  "iwasawa": ("out",), "export": ("out_off", "out_facets")}
 
 
 def cmd_run(args) -> int:
-    sub = getattr(args, "sub", None)
-    run = RUNS.get((args.command, sub))
-    if run is None:
-        raise UnknownSuite(f"unknown suite {sub!r}")
+    run = RUNS[args.command, args.sub]
     parameters = {k: getattr(args, k) for k in run.used}
     t0 = time.perf_counter()
     out = run.fn(**parameters)
@@ -416,78 +414,85 @@ def cmd_run(args) -> int:
             artifacts += _write_polytope(run.region(), None, path + ".facets.json")
     if "lam" in parameters:  # echoed under its flag name, as floats
         parameters["lambda"] = [float(c) for c in parameters.pop("lam")]
-    report = {"command": args.command if sub is None else f"{args.command} {sub}",
+    report = {"command": args.command if args.sub is None else f"{args.command} {args.sub}",
               "parameters": parameters, "pass": passed, "metrics": metrics,
               "artifacts": artifacts}
     print(json.dumps(_strict_json(report), indent=2, sort_keys=True, allow_nan=False))
     return 0 if passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="orbitkit",
-        description="Orbit classification and moment-polytope toolkit for 2-forms in six dimensions",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    seed = _default_seed()
+def _flags(command: str, seed: int) -> dict:
+    """Parameter -> (flag, add_argument keywords) of every flag a run of
+    command can take; the defaults of --n and --tol depend on the command."""
+    positive = command in ("classify", "export")  # they match patterns within --tol
+    return {
+        "form": ("--form", {"required": True}),
+        "lam": ("--lambda", {"type": _parse_lambda, "required": True, "help": 'e.g. "1,0.5,2"'}),
+        "n": ("--n", {"type": _sample_count, "default": 10000 if command == "verify" else 1000}),
+        "seed": ("--seed", {"type": _seed, "default": seed}),
+        "tol": ("--tol", {"type": _positive_tolerance if positive else _tolerance,
+                          "default": 1e-8 if positive else 1e-6 if command == "iwasawa" else 1e-9}),
+        "which": ("--which", {"choices": ("K", "K_intersection"), "default": "K"}),
+        "out": ("--out", {}),
+        "out_off": ("--out-off", {}),
+        "out_facets": ("--out-facets", {}),
+    }
 
-    p = sub.add_parser("classify", help="classify a 2-form JSON file")
-    p.add_argument("--form", required=True)
-    p.add_argument("--tol", type=_positive_tolerance, default=1e-8)
 
-    p = sub.add_parser("polytope", help="moment polytope of a Cartan point")
-    p.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True,
-                   help='e.g. "1,0.5,2"')
-    p.add_argument("--out-off", default=None)
-    p.add_argument("--out-facets", default=None)
+def _pick(prog: str, choices: dict, argv: list) -> str:
+    """argv[0], a key of choices: --help prints each key with its text and
+    exits 0, and a missing or unknown word is a ParseError naming the keys."""
+    if argv[:1] in (["-h"], ["--help"]):
+        width = max(map(len, choices))
+        print(f"usage: {prog} {{{','.join(choices)}}} ...\n",
+              *(f"  {c:<{width}}  {text}".rstrip() for c, text in choices.items()), sep="\n")
+        raise SystemExit(0)
+    if not argv or argv[0] not in choices:
+        got = f", not {argv[0]!r}" if argv else ""
+        raise ParseError(f"{prog}: choose one of {', '.join(choices)}{got}")
+    return argv[0]
 
-    p = sub.add_parser("sample", help="Haar-sample an orbit and project")
-    p.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True)
-    p.add_argument("--n", type=_sample_count, default=1000)
-    p.add_argument("--seed", type=_seed, default=seed)
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
-    p.add_argument("--out", default=None)
 
-    p = sub.add_parser("verify", help="run a named verification suite")
-    p.add_argument("sub", metavar="suite", help=", ".join(_subs("verify")))
-    p.add_argument("--n", type=_sample_count, default=10000)
-    p.add_argument("--seed", type=_seed, default=seed)
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
-
-    p = sub.add_parser("klein", help="emit inverse-image clouds")
-    p.add_argument("sub", choices=_subs("klein"))
-    p.add_argument("--n", type=_sample_count, default=1000)
-    p.add_argument("--seed", type=_seed, default=seed)
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("iwasawa", help="integrability scans on the nilmanifold")
-    p.add_argument("sub", choices=_subs("iwasawa"))
-    p.add_argument("--n", type=_sample_count, default=1000)
-    p.add_argument("--seed", type=_seed, default=seed)
-    p.add_argument("--tol", type=_tolerance, default=1e-6)
-    p.add_argument("--which", choices=("K", "K_intersection"), default="K")
-    p.add_argument("--out", default=None)
-
-    p = sub.add_parser("export", help="classify a form and export its moment polytope")
-    p.add_argument("--form", required=True)
-    p.add_argument("--tol", type=_positive_tolerance, default=1e-8)
-    p.add_argument("--out-off", default=None)
-    p.add_argument("--out-facets", default=None)
-
-    for p in sub.choices.values():
-        p.set_defaults(func=cmd_run)
-    return parser
+def _parse(argv: list) -> argparse.Namespace:
+    """The arguments of the run argv names, parsed by a parser of that run's
+    flags alone; argparse exits 0 after --help and 2 on a usage error."""
+    seed = _seed(os.environ.get("ORBITKIT_SEED", "0"), "ORBITKIT_SEED")  # on every call
+    subs = {c: [s for k, s in RUNS if k == c] for c, _ in RUNS}
+    command = _pick("orbitkit", {c: " ".join(filter(None, s)) for c, s in subs.items()}, argv)
+    flags = _flags(command, seed)
+    dests = {s: RUNS[command, s].used + ARTIFACT_FLAGS.get(command, ()) for s in subs[command]}
+    sub = None
+    if subs[command] != [None]:
+        sub = _pick(f"orbitkit {command}",
+                    {s: " ".join(flags[d][0] for d in dests[s]) for s in dests}, argv[1:])
+    parser = argparse.ArgumentParser(prog=f"orbitkit {command} {sub or ''}".rstrip())
+    parser.set_defaults(command=command, sub=sub)
+    for dest in dests[sub]:
+        flag, keywords = flags[dest]
+        parser.add_argument(flag, dest=dest, **keywords)
+    return parser.parse_args(argv[1 if sub is None else 2:])
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except (ParseError, UnknownSuite) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OrbitkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        try:
+            code = cmd_run(_parse(sys.argv[1:] if argv is None else list(argv)))
+        except SystemExit as exc:  # argparse after --help (0) or on a usage error (2)
+            code = exc.code
+        except ParseError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        except OrbitkitError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 1
+        sys.stdout.flush()  # a reader that closed the pipe is met here, not at exit
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, so the flush at exit cannot fail again
+        # (the recipe of Python's signal module docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

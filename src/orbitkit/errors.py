@@ -43,7 +43,3 @@ class NormViolation(OrbitkitError):
 
 class ParseError(OrbitkitError):
     """Malformed input file or value."""
-
-
-class UnknownSuite(OrbitkitError):
-    """Verification suite name not recognised."""

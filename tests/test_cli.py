@@ -1,10 +1,10 @@
 """Command-line interface: exit codes, report schema, artifact determinism."""
 
-import argparse
 import ast
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -284,10 +284,13 @@ def test_sample_tol_must_be_finite_and_nonnegative(capsys, command, tol):
 
 def test_iwasawa_echoes_only_used_parameters(capsys):
     for sub in ("scan-k", "scan-kk"):
-        code, report = run_cli(capsys, "iwasawa", sub, "--n", "5", "--seed", "2",
-                               "--tol", "1e-300")
+        code, report = run_cli(capsys, "iwasawa", sub, "--n", "5", "--seed", "2")
         assert code == 0
         assert report["parameters"] == {"n": 5, "seed": 2}
+        # scan-k and scan-kk read no tolerance, so --tol is a usage error.
+        code, report = run_cli(capsys, "iwasawa", sub, "--n", "5", "--seed", "2",
+                               "--tol", "1e-300")
+        assert code == 2 and report is None
     code, report = run_cli(capsys, "iwasawa", "mixed", "--n", "5", "--seed", "2")
     assert report["parameters"] == {"n": 5, "seed": 2, "which": "K"}
     code, report = run_cli(capsys, "iwasawa", "scan-complex", "--n", "5",
@@ -567,16 +570,20 @@ def test_single_run_commands_echo_their_parameters(capsys, form_file):
 
 
 def test_verify_echoes_only_used_parameters(capsys):
-    code, report = run_cli(capsys, "verify", "prop16", "--n", "5")
+    code, report = run_cli(capsys, "verify", "prop16")
     assert code == 0
     assert report["parameters"] == {}
-    code, report = run_cli(capsys, "verify", "edge-prism", "--n", "20",
-                           "--seed", "4", "--tol", "1e-30")
+    code, report = run_cli(capsys, "verify", "edge-prism", "--n", "20", "--seed", "4")
     assert code == 0
     assert report["parameters"] == {"n": 20, "seed": 4}
-    code, report = run_cli(capsys, "verify", "spin-cover", "--n", "10",
-                           "--seed", "4")
+    code, report = run_cli(capsys, "verify", "spin-cover", "--n", "10")
     assert report["parameters"] == {"n": 10}
+    # A flag the suite does not read is a usage error.
+    for argv in (("prop16", "--n", "5"),
+                 ("edge-prism", "--n", "20", "--seed", "4", "--tol", "1e-30"),
+                 ("spin-cover", "--n", "10", "--seed", "4")):
+        code, report = run_cli(capsys, "verify", *argv)
+        assert code == 2 and report is None
 
 
 def test_facet_json_is_exact(capsys, tmp_path):
@@ -666,37 +673,127 @@ def test_mixed_pass_checks_every_draw(capsys):
         assert m["elapsed_seconds"] >= 0.0
 
 
-def test_every_run_choice_has_one_registry_entry():
-    parser = cli.build_parser()
-    commands = next(a for a in parser._actions
-                    if isinstance(a, argparse._SubParsersAction)).choices
-    assert set(commands) == {c for c, _ in cli.RUNS}
-    for command, sub in commands.items():
-        assert sub.get_default("func") is cli.cmd_run, command
-        positional = next((a for a in sub._actions if a.dest == "sub"), None)
+#: command -> the flags its parser took when one parser served all its runs.
+OLD_FLAGS = {
+    "classify": ("--form", "--tol"),
+    "polytope": ("--lambda", "--out-off", "--out-facets"),
+    "sample": ("--lambda", "--n", "--seed", "--tol", "--out"),
+    "verify": ("--n", "--seed", "--tol"),
+    "klein": ("--n", "--seed", "--out"),
+    "iwasawa": ("--n", "--seed", "--tol", "--which", "--out"),
+    "export": ("--form", "--tol", "--out-off", "--out-facets"),
+}
+
+#: command -> its artifact path flags, taken by each of its runs.
+ARTIFACTS = {"polytope": ("out_off", "out_facets"), "sample": ("out",), "klein": ("out",),
+             "iwasawa": ("out",), "export": ("out_off", "out_facets")}
+
+#: The flags of the required parameters, with a value that parses.
+REQUIRED = {"form": ["--form", "w.json"], "lam": ["--lambda", "1,1,1"]}
+
+#: Parameter -> its default; (command, parameter) -> a command's own default.
+DEFAULTS = {"n": 1000, "seed": 0, "tol": 1e-9, "which": "K", "out": None,
+            "out_off": None, "out_facets": None, ("verify", "n"): 10000,
+            ("classify", "tol"): 1e-8, ("export", "tol"): 1e-8, ("iwasawa", "tol"): 1e-6}
+
+
+def flag(dest):
+    return "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
+
+
+def run_argv(command, sub, extra=()):
+    """argv of the run (command, sub) with its required flags and extra."""
+    used = cli.RUNS[command, sub].used
+    return [command, *filter(None, [sub]),
+            *(a for d in used if d in REQUIRED for a in REQUIRED[d]), *extra]
+
+
+@pytest.mark.parametrize("command, sub", list(cli.RUNS), ids=str)
+def test_each_run_takes_exactly_the_flags_it_reads(capsys, monkeypatch, command, sub):
+    monkeypatch.delenv("ORBITKIT_SEED", raising=False)
+    dests = set(cli.RUNS[command, sub].used) | set(ARTIFACTS.get(command, ()))
+    args = vars(cli._parse(run_argv(command, sub)))
+    assert (args.pop("command"), args.pop("sub")) == (command, sub)
+    assert set(args) == dests
+    for dest, value in args.items():
+        if dest not in REQUIRED:
+            assert value == DEFAULTS.get((command, dest), DEFAULTS[dest]), dest
+    # The run's --help shows exactly its flags.
+    assert cli.main([*run_argv(command, sub)[:1 + bool(sub)], "--help"]) == 0
+    shown = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert shown == {"--help"} | {flag(d) for d in dests}
+    # Every flag of the command's old parser that the run does not read exits 2.
+    for unread in sorted(set(OLD_FLAGS[command]) - {flag(d) for d in dests}):
+        code = cli.main(run_argv(command, sub, [unread, "1"]))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", unread
+        assert unread in captured.err
+
+
+def help_choices(capsys, argv):
+    """The first word of each listed line of a command-level --help."""
+    assert cli.main([*argv, "--help"]) == 0
+    return [line.split()[0] for line in capsys.readouterr().out.splitlines()[2:]]
+
+
+def test_every_run_choice_has_one_registry_entry(capsys):
+    commands = list(dict.fromkeys(c for c, _ in cli.RUNS))
+    assert help_choices(capsys, []) == commands
+    for command in commands:
         subs = [s for c, s in cli.RUNS if c == command]
-        if positional is None:
-            assert subs == [None], command
-        elif command == "verify":
-            assert positional.help.split(", ") == subs
-        else:
-            assert list(positional.choices) == subs
-        dests = {a.dest for a in sub._actions}
-        for s in subs:
-            assert set(cli.RUNS[command, s].used) <= dests, (command, s)
+        if subs != [None]:
+            assert help_choices(capsys, [command]) == subs
+        for sub in subs:
+            args = cli._parse(run_argv(command, sub))
+            assert (args.command, args.sub) == (command, sub)
+
+
+@pytest.mark.parametrize("argv, listed", [
+    ([], "classify, polytope, sample, verify, klein, iwasawa, export"),
+    (["nosuch"], "classify, polytope, sample, verify, klein, iwasawa, export, not 'nosuch'"),
+    (["klein"], "edge-prism, square"),
+    (["klein", "nosuch"], "edge-prism, square, not 'nosuch'"),
+    (["iwasawa", "--n", "5", "scan-k"], "scan-complex, scan-k, scan-kk, mixed, not '--n'"),
+])
+def test_an_unknown_command_or_sub_exits_2_listing_the_choices(capsys, argv, listed):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.rstrip().endswith(listed)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify"], "the following arguments are required: --form"),
+    (["polytope", "--lambda"], "argument --lambda: expected one argument"),
+    (["iwasawa", "mixed", "--which", "L"], "argument --which: invalid choice"),
+])
+def test_argparse_usage_errors_return_2(capsys, argv, message):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err
+
+
+def test_a_reader_that_closes_stdout_early_gets_exit_1_and_no_traceback(capsys, monkeypatch):
+    read, write = os.pipe()
+    os.close(read)  # every write to the pipe now raises BrokenPipeError
+    with os.fdopen(write, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = cli.main(["verify", "prop16"])
+        # The report left in the buffer goes to devnull when the file closes.
+        assert os.path.samestat(os.fstat(write), os.stat(os.devnull))
+    assert code == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_readme_command_block_parses_to_every_run():
     readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
     with open(readme) as fh:
         lines = [line for line in fh if line.startswith("orbitkit ")]
-    parser = cli.build_parser()
     documented = []
     for line in lines:
-        args = parser.parse_args(shlex.split(line, comments=True)[1:])
-        key = (args.command, getattr(args, "sub", None))
-        assert key in cli.RUNS, line
-        documented.append(key)
+        args = cli._parse(shlex.split(line, comments=True)[1:])
+        documented.append((args.command, args.sub))
     assert sorted(documented, key=str) == sorted(cli.RUNS, key=str)
 
 
