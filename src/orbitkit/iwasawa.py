@@ -182,12 +182,9 @@ _MOMENT_NORM2_SPREAD = Fraction(12, 5)
 
 def _moment_norm2_bound(n: int) -> float:
     """Half-width t with P(|mean - 3/5| >= t) <= 1e-6 for the mean of n Haar
-    draws of |mu|^2, by Bernstein's inequality with the exact variance and
-    |X - 3/5| <= b = 12/5: 2 exp(-n t^2 / (2 var + 2 b t / 3)) = 1e-6."""
-    # The root of n t^2 - c t - 2 var log(2e6) = 0, c = 2 b log(2e6) / 3.
-    log = math.log(2e6)
-    c = 2.0 * float(_MOMENT_NORM2_SPREAD) * log / 3.0
-    return (c + math.sqrt(c * c + 8.0 * n * float(_MOMENT_NORM2_VAR) * log)) / (2.0 * n)
+    draws of |mu|^2: `moment.bernstein_halfwidth` with the exact variance and
+    |X - 3/5| <= 12/5."""
+    return moment.bernstein_halfwidth(n, float(_MOMENT_NORM2_VAR), float(_MOMENT_NORM2_SPREAD))
 
 
 def scan_complex(n: int, seed: int, tol: float = 1e-6) -> tuple[moment.SampleCloud, dict]:
@@ -252,12 +249,22 @@ def _sample_planes_in(seed: int, n: int, subspace_dim: int = 4,
     return V
 
 
+def _uniform_cdf(v: np.ndarray) -> np.ndarray:
+    """CDF of the uniform law on [-1, 1]."""
+    return (v + 1.0) / 2.0
+
+
 def scan_K(n: int, seed: int) -> tuple[moment.SampleCloud, dict]:
     """Sample product structures with plane inside <e1..e4> and probe closure.
 
     Every in-subspace plane must pass the horizontal closure test and its
     moment image fills the central square |x| + |y| <= 1 in the z = 0 plane;
-    planes leaving the subspace must fail.
+    planes leaving the subspace must fail.  The law is gated too: a Haar
+    plane's form has self-dual and anti-self-dual parts uniform on two
+    spheres, so by Archimedes s = x + y and r = x - y are independent
+    uniforms on [-1, 1].  The KS distance of each from U(-1, 1),
+    `ks_x_plus_y` and `ks_x_minus_y`, must be at most
+    `moment.dkw_halfwidth(n)` (alpha = 1e-6), reported as `ks_bound`.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -268,17 +275,24 @@ def scan_K(n: int, seed: int) -> tuple[moment.SampleCloud, dict]:
     off = _sample_planes_in(seed, min(n, 200), 6, start=n)
     off_failures = int(np.count_nonzero(horizontal_closed(algebra, off)))
     l1 = np.abs(pts[:, 0]) + np.abs(pts[:, 1])
+    ks_s = moment.ks_distance(_uniform_cdf, pts[:, 0] + pts[:, 1])
+    ks_r = moment.ks_distance(_uniform_cdf, pts[:, 0] - pts[:, 1])
+    bound = moment.dkw_halfwidth(n)
     report = {
         "pass": bool(
             closed_ok
             and off_failures == 0
             and float(np.max(l1)) <= 1.0 + 1e-9
             and float(np.max(np.abs(pts[:, 2]))) <= 1e-9
+            and ks_s <= bound and ks_r <= bound
         ),
         "n": n,
         "seed": seed,
         "max_l1": float(np.max(l1)),
         "max_abs_z": float(np.max(np.abs(pts[:, 2]))),
+        "ks_x_plus_y": ks_s,
+        "ks_x_minus_y": ks_r,
+        "ks_bound": bound,
         "all_in_subspace_closed": closed_ok,
         "off_subspace_checked": len(off),
         "off_subspace_closed": off_failures,

@@ -5,7 +5,8 @@ Philox-4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
 3", SC'11), run by numpy's native `np.random.Philox`.  A run with seed s is
 keyed (s mod 2^64, 0).  A call site that takes m words per sample (24 for
 the three unitary columns of a Haar moment image, 8 for the unit vector of
-C^4 of a twistor structure, 36 for a Haar rotation) gives sample k the
+C^4 of a twistor structure, 12 for the two U(3) columns and 2 for the two
+U(2) moduli of a stabilizer image, 36 for a Haar rotation) gives sample k the
 b = ceil(m / 4) counter blocks k b + 1, ..., (k + 1) b, four words each, of
 which it keeps the first m.  So sample k's
 words depend only on (s, k): it is the same whichever batch it is drawn in,
@@ -25,11 +26,15 @@ By Kostant ("On convexity, the Weyl group and the Iwasawa decomposition",
 1973), p lies in the moment polytope conv(W.lam) iff <w.omega_i, p> <=
 <omega_i, lam+> for the 14 vectors w.omega_i (omega_i the fundamental
 weights, lam+ the chamber point of lam): `moment_violations` tests clouds
-against this facet system with no hull.
+against this facet system with no hull.  The face of the polytope exposed by
+w.omega_i is conv(w.(W_i.lam)), the moment image of the orbit of the
+stabilizer of w.omega_i through w.lam; `verify_singular` samples it by
+Schur-Horn on the stabilizer's unitary blocks (`stabilizer_images`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -249,7 +254,7 @@ def stabilizer_algebra(ref_form: TwoForm, tol: float = 1e-10) -> np.ndarray:
     """Orthonormal basis (k, 6, 6) of {X skew : [X, F_ref] = 0}.
 
     Null space of the bracket-with-F map on the 15-dimensional coefficient
-    space, via SVD.
+    space, via SVD.  No command calls it.
     """
     if ref_form.norm() == 0.0:
         raise ValueError("reference form must be nonzero")
@@ -298,7 +303,8 @@ def exp_skew(X: np.ndarray) -> np.ndarray:
     bit for bit alone or in any stack.  The approximant is (V - U)^-1 (V + U)
     with V even and U odd in X, so for skew X the denominator is the
     transpose of the normal numerator and each result is orthogonal to
-    rounding.
+    rounding.  No command calls it: `verify singular` draws its stabilizer
+    points with `stabilizer_images`.
     """
     X = np.asarray(X, dtype=float)
     A = X.reshape(-1, *X.shape[-2:])
@@ -324,13 +330,123 @@ def exp_skew(X: np.ndarray) -> np.ndarray:
     return R.reshape(X.shape)
 
 
-def verify_singular(lam, i: int, w, n: int, seed: int, tol: float = 1e-9) -> dict:
-    """Sample the stabilizer flow at w.lam and test the singular-value hull.
+_QUADRUPLES = np.array(CARTAN_QUADRUPLES)
 
-    Exponentials of the isotropy algebra of the circle direction w.(weight i)
-    act on the Cartan form of w.lam; every moment image must land in the
-    convex hull of w.(W_i.lam).  Raises BadIndex unless i is 1, 2 or 3, and
-    ValueError unless w is in `weyl.weyl_group()`.
+
+def stabilizer_images(d, q, n: int, seed: int) -> np.ndarray:
+    """(n, 3) moment images of n Haar points of the orbit of D = diag(d) under
+    the stabilizer of diag(q) in SU(4): the block-diagonal S(U(m1) x U(m2))
+    on the two sets of equal entries of q, of sizes 1 and 3 or 2 and 2.
+
+    By Schur-Horn the image of U D U* is B P d / 4, B the rows of
+    CARTAN_QUADRUPLES and P_jk = |U_jk|^2, block-diagonal and doubly
+    stochastic.  A U(3) block takes the first two columns of a Haar U(3), the
+    Gram-Schmidt Q of the complex Gaussian 3x2 matrix whose entry (j, c) is
+    the Box-Muller pair 2 j + c of sample k's 12 words; its third column of P
+    is 1 minus the other two.  A U(2) block has P = [[c, 1 - c], [1 - c, c]]
+    with c = |U_11|^2 uniform on [0, 1], the uniform of word 0 for the block
+    holding entry 0 of q and of word 1 for the other.  Each block's theta = P d
+    is summed as d_last + P (d - d_last) over its other columns, so a block
+    whose entries of d agree keeps them exactly.
+    """
+    d = np.asarray(d, dtype=float)
+    q = np.asarray(q, dtype=float)
+    blocks = sorted((np.flatnonzero(q == v) for v in np.unique(q)), key=len)
+    theta = np.empty((n, 4))
+    if len(blocks[0]) == 2:
+        c = uniforms(stream(seed, n, 2))
+        for (a, b), cb in zip(sorted(blocks, key=min), c.T):
+            theta[:, a] = d[b] + cb * (d[a] - d[b])
+            theta[:, b] = d[a] + cb * (d[b] - d[a])
+    else:
+        (j,), block = blocks
+        U = _gram_schmidt(normals(seed, n, 12).view(np.complex128).reshape(n, 3, 2))
+        theta[:, j] = d[j]
+        theta[:, block] = d[block[2]] + np.einsum("njc,c->nj", U.real ** 2 + U.imag ** 2,
+                                                  d[block[:2]] - d[block[2]])
+    return np.einsum("nk,ck->nc", theta, _QUADRUPLES) / 4.0
+
+
+def stabilizer_law(d, q) -> tuple[tuple[Fraction, ...], Fraction, Fraction]:
+    """Exact law data of `stabilizer_images(d, q, ...)` for the spread
+    X = |mu - E mu|^2: (E mu, E X, max X), from the float entries of d.
+
+    Row j of a Haar U(m) has moduli uniform on the simplex (Dirichlet(1^m)),
+    so theta = P d has E theta_j = mean of d over j's block, Var theta_j =
+    S / (m (m + 1)) with S the block's sum of (d - mean)^2, and covariance
+    -Var / (m - 1) within a block (theta sums to sum d), 0 across blocks.  As
+    B^T B = 4 - 1 1^T and the covariance C of theta has C 1 = 0, E X =
+    tr(B C B^T) / 16 = tr C / 4 = sum over blocks of S / (4 (m + 1)).  Also
+    X = |theta - E theta|^2 / 4 and a doubly stochastic P does not lengthen
+    d - E theta, so max X = sum of S / 4, reached where P is a permutation.
+    The rows of B sum to 0, so E mu = B E theta / 4 is (mean_1 - mean_2) / 4
+    times B 1_1, 1_1 the indicator of the first block.
+    """
+    d = [Fraction(c) for c in d]
+    blocks = [[k for k in range(4) if q[k] == v] for v in sorted(set(q))]
+    means = [sum(d[k] for k in b) / len(b) for b in blocks]
+    squares = [sum((d[k] - mean) ** 2 for k in b) for b, mean in zip(blocks, means)]
+    expected = sum(s / (4 * (len(b) + 1)) for b, s in zip(blocks, squares))
+    step = (means[0] - means[1]) / 4
+    e_mu = tuple(step * sum(int(row[k]) for k in blocks[0]) for row in CARTAN_QUADRUPLES)
+    return e_mu, expected, sum(squares) / 4
+
+
+#: False-alarm probability of each law gate.
+ALPHA = 1e-6
+
+
+def bernstein_halfwidth(n: int, var: float, spread: float) -> float:
+    """Half-width t with P(|mean - E X| >= t) <= ALPHA for the mean of n
+    independent draws of X with Var X <= var and |X - E X| <= spread, by
+    Bernstein's inequality: 2 exp(-n t^2 / (2 var + 2 spread t / 3)) = ALPHA."""
+    # The root of n t^2 - c t - 2 var log(2 / ALPHA) = 0, c = 2 spread log(2 / ALPHA) / 3.
+    log = math.log(2.0 / ALPHA)
+    c = 2.0 * spread * log / 3.0
+    return (c + math.sqrt(c * c + 8.0 * n * var * log)) / (2.0 * n)
+
+
+def ks_distance(F, x) -> float:
+    """Kolmogorov-Smirnov distance sup |F_n - F| between the empirical CDF of
+    the sample x and the continuous CDF F, which takes a sorted float array;
+    NaN if x holds a NaN."""
+    x = np.sort(x)
+    f = F(x)
+    k = np.arange(1, len(x) + 1)
+    return float(np.max(np.maximum(k / len(x) - f, f - (k - 1) / len(x))))
+
+
+def dkw_halfwidth(n: int) -> float:
+    """c / sqrt(n), c = sqrt(log(2 / ALPHA) / 2): the KS distance of n
+    independent draws from their own continuous law exceeds it with
+    probability at most ALPHA (Dvoretzky-Kiefer-Wolfowitz, with Massart's
+    constant)."""
+    return math.sqrt(math.log(2.0 / ALPHA) / (2.0 * n))
+
+
+#: Rounding floor of the spread gate, relative to (1 + max |d|)^2: X of a
+#: point within 2^-40 (1 + max |d|) of E mu, some 4000 ulp.  It decides only
+#: where the law has no spread, such as lam = (1, 1, 1) with i = 1.
+LAW_FLOOR = 2.0 ** -80
+
+
+def verify_singular(lam, i: int, w, n: int, seed: int, tol: float = 1e-9) -> dict:
+    """Sample the stabilizer of w.(weight i) at w.lam and test its face and law.
+
+    The images are `stabilizer_images` of d = cartan_to_spin_weight(w.lam)
+    under the stabilizer of q = cartan_to_spin_weight(w.(weight i)).  By
+    Kostant (1973) their set is the face conv(w.(W_i.lam)), the exposed face
+    of conv(W.lam) in the direction w.(weight i), so each image must satisfy
+    `moment_violations` <= tol and lie within tol of the face's plane
+    <w.(weight i), p> = <w.(weight i), w.lam> (distance scaled by the
+    normal's length); `max_violation` is the worst of the two.  The mean of
+    the spread X = |mu - E mu|^2 must lie within `bernstein_halfwidth` of its
+    exact value (`stabilizer_law`), with Var X <= (max X - E X) E X
+    (Bhatia-Davis) and |X - E X| <= max X - E X (as E X <= max X / 3), plus
+    the rounding floor LAW_FLOOR (1 + max |d|)^2;
+    `law_deviation` is the gap over that half-width, at most 1 to pass.  A
+    NaN image reads NaN in both and fails.  Raises BadIndex unless i is 1, 2
+    or 3, and ValueError unless w is in `weyl.weyl_group()`.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -338,25 +454,31 @@ def verify_singular(lam, i: int, w, n: int, seed: int, tol: float = 1e-9) -> dic
         raise ValueError("w is not a Weyl group element")
     lam = tuple(float(c) for c in lam)
     _require_chamber(lam)
-    poly = polytopes.hull(weyl.singular_vertex_set(tuple(Fraction(c) for c in lam), w, i))
-    q = weyl.act(w, weyl.FUNDAMENTAL_WEIGHTS[i])
+    vertices = weyl.singular_vertex_set(tuple(Fraction(c) for c in lam), w, i)
+    normal = np.array(weyl.act(w, weyl.FUNDAMENTAL_WEIGHTS[i]), dtype=float)
     base = weyl.act(w, lam)
-    basis = stabilizer_algebra(TwoForm.from_cartan(q))
-    Fb = TwoForm.from_cartan(base).endomorphism()
-    coords = normals(seed, n, len(basis)) * (np.pi / 2)
-    R = exp_skew(np.einsum("kn,nab->kab", coords, basis))
-    conj = R @ Fb @ np.swapaxes(R, 1, 2)
-    pts = conj[:, (1, 3, 5), (0, 2, 4)]
-    # NaN propagates through np.max, so a non-finite image fails the gate.
-    worst = float(np.max(polytopes.violations_many(poly, pts), initial=0.0))
+    d = cartan_to_spin_weight(base)
+    q = cartan_to_spin_weight(normal)
+    pts = stabilizer_images(d, q, n, seed)
+    off_plane = np.abs(pts @ normal - normal @ base) / np.linalg.norm(normal)
+    # np.maximum and np.max keep a NaN, so a non-finite image fails the gate.
+    worst = float(np.max(np.maximum(moment_violations(lam, pts), off_plane)))
+    e_mu, expected, top = stabilizer_law(d, q)
+    spread2 = float(np.mean(np.sum((pts - np.array(e_mu, dtype=float)) ** 2, axis=1)))
+    width = (bernstein_halfwidth(n, float((top - expected) * expected), float(top - expected))
+             + LAW_FLOOR * (1.0 + max(map(abs, d))) ** 2)
+    law = abs(spread2 - float(expected)) / width
     return {
-        "pass": bool(worst <= tol),
-        "max_violation": float(worst),
+        "pass": bool(worst <= tol and law <= 1.0),
+        "max_violation": worst,
+        "mean_spread2": spread2,
+        "expected_spread2": float(expected),
+        "law_deviation": law,
         "n": n,
         "seed": seed,
         "i": i,
         "w": weyl.element_to_json(w),
-        "polytope_vertices": len(poly.vertices),
+        "polytope_vertices": len(vertices),
     }
 
 

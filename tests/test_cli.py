@@ -160,9 +160,9 @@ def test_verify_edge_prism_small(capsys):
 
 
 def test_verify_singular_builds_each_face_once(capsys, monkeypatch):
-    # One hull for the moment polytope and one per singular class; each
-    # class's vertex set is made once for the facet check and once by
-    # verify_singular.
+    # One exact hull, of the moment polytope: a class's face test needs no
+    # hull of its own.  Each class's vertex set is made once for the facet
+    # check and once by verify_singular.
     calls = {"hull": 0, "vertex_set": 0}
 
     def counted(key, fn):
@@ -179,7 +179,7 @@ def test_verify_singular_builds_each_face_once(capsys, monkeypatch):
     assert report["metrics"]["distinct_classes"] == 14
     assert report["metrics"]["polytopes"] == 14
     assert report["metrics"]["all_facets_covered"]
-    assert calls == {"hull": 15, "vertex_set": 28}
+    assert calls == {"hull": 1, "vertex_set": 28}
 
 
 def test_polytope_writes_artifacts(capsys, tmp_path):
@@ -730,6 +730,27 @@ def test_each_run_takes_exactly_the_flags_it_reads(capsys, monkeypatch, command,
         assert unread in captured.err
 
 
+#: Parameter -> a value its flag parses.
+VALUES = {"form": "w.json", "lam": "1,1,1", "n": "5", "seed": "3", "tol": "1e-9",
+          "which": "K", "out": "x.csv", "out_off": "x.off", "out_facets": "x.json"}
+
+
+@pytest.mark.parametrize("command, sub", list(cli.RUNS), ids=str)
+def test_no_flag_of_a_run_may_be_abbreviated(capsys, command, sub):
+    # argparse would read a unique prefix as its flag: verify edge-prism
+    # --se 3 used to run with seed 3.
+    flags = {flag(d): d for d in cli.RUNS[command, sub].used + ARTIFACTS.get(command, ())}
+    prefixes = {f[:k]: d for f, d in flags.items() for k in range(3, len(f))
+                if sum(g.startswith(f[:k]) for g in flags) == 1}
+    for prefix, dest in prefixes.items():
+        code = cli.main(run_argv(command, sub, [prefix, VALUES[dest]]))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", prefix
+        assert f"unrecognized arguments: {prefix}" in captured.err, prefix
+        assert "Traceback" not in captured.err
+    assert command != "verify" or sub != "edge-prism" or "--se" in prefixes
+
+
 def help_choices(capsys, argv):
     """The first word of each listed line of a command-level --help."""
     assert cli.main([*argv, "--help"]) == 0
@@ -832,11 +853,56 @@ def run_cli_strict(capsys, *argv):
 
 
 def test_verify_singular_fails_on_nan_rotations(capsys, monkeypatch):
-    monkeypatch.setattr(moment, "exp_skew", lambda X: np.full(np.shape(X), np.nan))
+    monkeypatch.setattr(moment, "stabilizer_images",
+                        lambda d, q, n, seed: np.full((n, 3), np.nan))
     with np.errstate(invalid="ignore"):
         code, report = run_cli_strict(capsys, "verify", "singular", "--n", "10")
     assert code == 1 and not report["pass"]
     assert report["metrics"]["max_violation"] is None
+    assert report["metrics"]["max_law_deviation"] is None
+
+
+def test_verify_singular_fails_on_an_uncovered_facet(capsys, monkeypatch):
+    # At the generic point all 14 faces are facets; dropping a class leaves one uncovered.
+    classes = weyl.singular_classes()
+    monkeypatch.setattr(weyl, "singular_classes", lambda: classes[1:])
+    code, report = run_cli(capsys, "verify", "singular", "--n", "10")
+    metrics = report["metrics"]
+    assert code == 1 and not report["pass"]
+    assert not metrics["all_facets_covered"] and metrics["polytopes"] == 13
+    assert metrics["max_violation"] <= 1e-9 and metrics["max_law_deviation"] <= 1.0
+
+
+def test_verify_singular_fails_real_u3_blocks_on_their_law(capsys, monkeypatch):
+    # Real Gaussian entries make the U(3) blocks O(3) blocks: the images stay
+    # on their faces, but Var theta_j is S / (m (m / 2 + 1)), 1.6 times S /
+    # (m (m + 1)), so the (1, 3) and (3, 1) classes fail the law gate.
+    normals = moment.normals
+
+    def real_normals(seed, n, m, start=0):
+        z = normals(seed, n, m, start)
+        z[:, 1::2] = 0.0
+        return z
+
+    monkeypatch.setattr(moment, "normals", real_normals)
+    code, report = run_cli(capsys, "verify", "singular")
+    metrics = report["metrics"]
+    assert code == 1 and not report["pass"]
+    assert metrics["max_violation"] <= 1e-9 and metrics["all_facets_covered"]
+    assert metrics["max_law_deviation"] > 3.0
+
+
+def test_law_gates_pass_on_every_seed_of_a_sweep():
+    # Correct draws never trip the law gates of verify singular (Bernstein on
+    # the spread) and iwasawa scan-k (KS of x + y and x - y): seeds 0-49.
+    singular = cli.RUNS["verify", "singular"].fn
+    scan_k = cli.RUNS["iwasawa", "scan-k"].fn
+    for seed in range(50):
+        report = singular(n=2000, seed=seed, tol=1e-9)
+        assert report["pass"] and report["max_law_deviation"] <= 1.0, (seed, report)
+        _, report = scan_k(n=2000, seed=seed)
+        assert report["pass"], (seed, report)
+        assert max(report["ks_x_plus_y"], report["ks_x_minus_y"]) <= report["ks_bound"]
 
 
 def nan_unitary_columns(n, seed, start=0):

@@ -277,6 +277,25 @@ def test_scan_K(algebra):
     assert l1.max() > 0.9 and l1.min() < 0.3
 
 
+def test_scan_K_gates_the_law_of_x_plus_y_and_x_minus_y(monkeypatch):
+    # Haar planes give independent s = x + y and r = x - y, uniform on [-1, 1].
+    _, rep = iwasawa.scan_K(10000, 2)
+    assert rep["pass"] and rep["ks_bound"] == moment.dkw_halfwidth(10000)
+    assert max(rep["ks_x_plus_y"], rep["ks_x_minus_y"]) <= rep["ks_bound"]
+
+    # A wrong plane law with the right support: frames whose second column is
+    # normalised but not projected off the first.  Their forms are shorter
+    # than unit, so the images crowd the centre of the square.
+    def unprojected(g):
+        return g / np.linalg.norm(g, axis=1, keepdims=True)
+
+    monkeypatch.setattr(moment, "_gram_schmidt", unprojected)
+    _, rep = iwasawa.scan_K(10000, 2)
+    assert rep["max_l1"] <= 1.0 and rep["max_abs_z"] <= 1e-9
+    assert not rep["pass"]
+    assert min(rep["ks_x_plus_y"], rep["ks_x_minus_y"]) > 2 * rep["ks_bound"]
+
+
 def test_scan_K_single_plane_images(algebra):
     assert moment.mu_t(TwoForm.from_wedge(*plane(1, 2).T)) == (1.0, 0.0, 0.0)
     V = np.zeros((6, 2))

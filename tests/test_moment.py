@@ -16,7 +16,9 @@ from orbitkit.forms import (
     OrbitClass,
     STABILIZER_DIM,
     TwoForm,
+    cartan_to_spin_weight,
     classify,
+    spin_weight_to_cartan,
     torus_rotation,
     conjugate,
 )
@@ -227,7 +229,7 @@ DH_DIRECTIONS = (
 )
 #: Kolmogorov-Smirnov bound c(alpha) / sqrt(n) at alpha = 1e-6, n = 20000.
 KS_N = 20000
-KS_BOUND = np.sqrt(-np.log(1e-6 / 2) / 2) / np.sqrt(KS_N)
+KS_BOUND = moment.dkw_halfwidth(KS_N)
 
 
 def _dot(a, b):
@@ -265,12 +267,15 @@ def dh_marginal_cdf(lam, xi):
     return M, F
 
 
-def ks_distance(F, x):
-    """Kolmogorov-Smirnov distance between the sample x and the CDF F."""
-    x = np.sort(x)
-    f = F(x)
-    k = np.arange(1, len(x) + 1)
-    return max(float(np.max(k / len(x) - f)), float(np.max(f - (k - 1) / len(x))))
+def test_ks_distance_and_its_bound():
+    # One draw at 1/4 against U(0, 1): the empirical CDF jumps from 0 to 1 there.
+    assert moment.ks_distance(lambda v: v, np.array([0.25])) == 0.75
+    x = (np.arange(100) + 0.5) / 100
+    assert moment.ks_distance(lambda v: v, x[::-1]) == pytest.approx(0.005)
+    assert math.isnan(moment.ks_distance(lambda v: v, np.array([0.5, np.nan])))
+    assert moment.dkw_halfwidth(1) == pytest.approx(math.sqrt(math.log(2e6) / 2))
+    # 2 exp(-2 n t^2) = alpha.
+    assert 2 * math.exp(-2 * 400 * moment.dkw_halfwidth(400) ** 2) == pytest.approx(1e-6)
 
 
 def test_dh_cdf_of_the_tetrahedron_orbit_is_uniform():
@@ -314,7 +319,7 @@ def test_orbit_samples_follow_the_duistermaat_heckman_law(lam):
         pts = moment.orbit_samples(lam, KS_N, seed).points[:KS_N]
         for xi in DH_DIRECTIONS:
             _, F = dh_marginal_cdf(lam, xi)
-            d = ks_distance(F, pts @ np.array(xi, dtype=float))
+            d = moment.ks_distance(F, pts @ np.array(xi, dtype=float))
             assert d <= KS_BOUND, (seed, xi, d)
 
 
@@ -323,7 +328,7 @@ def test_twistor_images_follow_the_duistermaat_heckman_law():
         pts = moment.twistor_structures(KS_N, seed)[:, (1, 3, 5), (0, 2, 4)]
         for xi in DH_DIRECTIONS:
             _, F = dh_marginal_cdf((1, 1, 1), xi)
-            d = ks_distance(F, pts @ np.array(xi, dtype=float))
+            d = moment.ks_distance(F, pts @ np.array(xi, dtype=float))
             assert d <= KS_BOUND, (seed, xi, d)
 
 
@@ -335,7 +340,7 @@ def test_duistermaat_heckman_gate_rejects_unsigned_qr():
     minors = moment.cartan_minors(q)
     for lam in AGS_LAMBDAS:
         pts = minors @ np.array(lam, dtype=float)
-        d = max(ks_distance(dh_marginal_cdf(lam, xi)[1], pts @ np.array(xi, dtype=float))
+        d = max(moment.ks_distance(dh_marginal_cdf(lam, xi)[1], pts @ np.array(xi, dtype=float))
                 for xi in DH_DIRECTIONS)
         assert d > KS_BOUND, (lam, d)
 
@@ -347,7 +352,7 @@ def test_duistermaat_heckman_gate_rejects_orthogonal_columns(monkeypatch):
         moment._gram_schmidt(moment.normals(seed, n, 12, start).reshape(n, 4, 3))))
     for lam in AGS_LAMBDAS:
         pts = moment.orbit_samples(lam, KS_N, 0).points[:KS_N]
-        d = max(ks_distance(dh_marginal_cdf(lam, xi)[1], pts @ np.array(xi, dtype=float))
+        d = max(moment.ks_distance(dh_marginal_cdf(lam, xi)[1], pts @ np.array(xi, dtype=float))
                 for xi in DH_DIRECTIONS)
         assert d > KS_BOUND, (lam, d)
 
@@ -537,22 +542,118 @@ def test_exp_skew_rotation():
         assert np.array_equal(stack[k], moment.exp_skew(c * X))
 
 
+def _block_unitary(q, normals, c):
+    """The block-diagonal 4x4 unitary of one stabilizer draw, built whole: a
+    U(3) block completes its two Gram-Schmidt columns by a third orthonormal
+    one; a U(2) block is [[sqrt c, -sqrt(1 - c)], [sqrt(1 - c), sqrt c]]."""
+    U = np.zeros((4, 4), dtype=complex)
+    blocks = sorted((np.flatnonzero(q == v) for v in np.unique(q)), key=len)
+    if len(blocks[0]) == 2:
+        for (a, b), cb in zip(sorted(blocks, key=min), c):
+            U[np.ix_((a, b), (a, b))] = [[math.sqrt(cb), -math.sqrt(1 - cb)],
+                                         [math.sqrt(1 - cb), math.sqrt(cb)]]
+    else:
+        (j,), block = blocks
+        g = normals.view(complex).reshape(3, 2)
+        cols = []
+        for v in (g[:, 0], g[:, 1], np.eye(3)[np.argmin(np.abs(g[:, 0]) + np.abs(g[:, 1]))]):
+            for u in cols:
+                v = v - u * np.vdot(u, v)
+            cols.append(v / np.linalg.norm(v))
+        U[j, j] = 1.0
+        U[np.ix_(block, block)] = np.column_stack(cols)
+    return U
+
+
 def test_verify_singular_matches_the_per_sample_loop():
-    lam, i, w, n, seed = (1.0, 0.5, 2.0), 3, weyl.weyl_group()[7], 60, 5
+    # A (3, 1) class, a (2, 2) class and a (1, 3) class.
+    for i, k in ((3, 7), (2, 5), (1, 0)):
+        _check_against_the_per_sample_loop((1.0, 0.5, 2.0), i, weyl.weyl_group()[k], 60, 5)
+
+
+def _check_against_the_per_sample_loop(lam, i, w, n, seed):
     rep = moment.verify_singular(lam, i, w, n, seed)
-    # Reference: one exponential and one conjugation per sample.
-    basis = moment.stabilizer_algebra(
-        TwoForm.from_cartan(weyl.act(w, weyl.FUNDAMENTAL_WEIGHTS[i])))
-    Fb = TwoForm.from_cartan(weyl.act(w, lam)).endomorphism()
-    coords = moment.normals(seed, n, len(basis)) * (np.pi / 2)
+    # Reference: one block-diagonal unitary, diag(U D U*) and a face hull per draw.
+    q = np.array(cartan_to_spin_weight(weyl.act(w, weyl.FUNDAMENTAL_WEIGHTS[i])))
+    D = np.diag(cartan_to_spin_weight(weyl.act(w, lam)))
+    G = moment.normals(seed, n, 12)
+    C = moment.uniforms(moment.stream(seed, n, 2))
     pts = []
-    for k in range(n):
-        R = moment.exp_skew(np.einsum("n,nab->ab", coords[k], basis))
-        F = R @ Fb @ R.T
-        pts.append((F[1, 0], F[3, 2], F[5, 4]))
-    poly = polytopes.hull(weyl.singular_vertex_set(lam, w, i))
-    worst = max(0.0, float(np.max(polytopes.violations_many(poly, np.array(pts)))))
-    assert rep["max_violation"] == worst
+    for s in range(n):
+        U = _block_unitary(q, G[s], C[s])
+        assert np.max(np.abs(U @ U.conj().T - np.eye(4))) <= 1e-14
+        pts.append(spin_weight_to_cartan(np.diag(U @ D @ U.conj().T).real, tol=1e-9))
+    poly = polytopes.hull(weyl.singular_vertex_set(tuple(map(Fraction, lam)), w, i))
+    assert len(poly.vertices) == rep["polytope_vertices"]
+    worst = float(np.max(polytopes.violations_many(poly, np.array(pts))))
+    assert abs(rep["max_violation"] - worst) <= 1e-15
+    assert np.max(np.abs(moment.stabilizer_images(np.diag(D), q, n, seed) - pts)) <= 1e-14
+
+
+def test_the_exp_skew_flow_and_the_block_sampler_land_on_the_same_face():
+    # The old sampler of verify singular (Gaussian coordinates of the
+    # stabilizer algebra, exp_skew, R F R^T) and the block sampler both fill
+    # the face conv(w.(W_i.lam)) of every class, and no other face.
+    lam, n, seed = (1.0, 0.5, 2.0), 200, 3
+    exact = tuple(map(Fraction, lam))
+    for i, w in weyl.singular_classes():
+        normal = weyl.act(w, weyl.FUNDAMENTAL_WEIGHTS[i])
+        basis = moment.stabilizer_algebra(TwoForm.from_cartan(normal))
+        coords = moment.normals(seed, n, len(basis)) * (np.pi / 2)
+        R = moment.exp_skew(np.einsum("kn,nab->kab", coords, basis))
+        conj = R @ TwoForm.from_cartan(weyl.act(w, lam)).endomorphism() @ np.swapaxes(R, 1, 2)
+        old = conj[:, (1, 3, 5), (0, 2, 4)]
+        new = moment.stabilizer_images(cartan_to_spin_weight(weyl.act(w, lam)),
+                                       cartan_to_spin_weight(normal), n, seed)
+        face = polytopes.hull(weyl.singular_vertex_set(exact, w, i))
+        for pts in (old, new):
+            assert np.max(polytopes.violations_many(face, pts)) <= 1e-12, (i, w)
+            # Neither flow stays on a smaller face: its cloud spans the face.
+            assert np.linalg.matrix_rank(pts - pts[0], tol=1e-9) == face.dim, (i, w)
+
+
+def test_stabilizer_law_of_the_generic_point():
+    # d = (-7/2, 3/2, 5/2, -1/2).  Class (1, id): blocks {0} and {1, 2, 3},
+    # whose d has mean 7/6 and squared spread S = 14/3, so E X = S / 16 and
+    # max X = S / 4.  Class (2, id): blocks {0, 3} and {1, 2}, S = 9/2 and 1/2.
+    d = cartan_to_spin_weight((1.0, 0.5, 2.0))
+    e_mu, expected, top = moment.stabilizer_law(d, cartan_to_spin_weight((1, 1, 1)))
+    assert (expected, top) == (Fraction(7, 24), Fraction(7, 6))
+    # E theta = (-7/2, 7/6, 7/6, 7/6), and B E theta / 4 is 7/6 in each row.
+    assert e_mu == (Fraction(7, 6),) * 3
+    e_mu, expected, top = moment.stabilizer_law(d, cartan_to_spin_weight((0, 0, 1)))
+    assert (expected, top) == (Fraction(9, 2) / 12 + Fraction(1, 2) / 12, Fraction(5, 4))
+    assert e_mu == (0, 0, 2)
+    # The zero-spread class of the fixed-point test.
+    e_mu, expected, top = moment.stabilizer_law((-3.0, 1.0, 1.0, 1.0), (-3, 1, 1, 1))
+    assert e_mu == (1, 1, 1) and expected == top == 0
+
+
+@pytest.mark.parametrize("i", [1, 2, 3])
+def test_stabilizer_images_follow_their_exact_law(i):
+    # The sample means of mu and of X over 2e5 images against the exact E mu
+    # and E X, and no X above max X.
+    lam, n = (1.0, 0.5, 2.0), 200000
+    d = cartan_to_spin_weight(lam)
+    q = cartan_to_spin_weight(weyl.FUNDAMENTAL_WEIGHTS[i])
+    pts = moment.stabilizer_images(d, q, n, 8)
+    e_mu, expected, top = moment.stabilizer_law(d, q)
+    X = np.sum((pts - np.array(e_mu, dtype=float)) ** 2, axis=1)
+    assert np.max(X) <= float(top) + 1e-12
+    assert abs(np.mean(X) - float(expected)) <= 5 * np.std(X) / math.sqrt(n)
+    assert np.max(np.abs(np.mean(pts, axis=0) - np.array(e_mu, dtype=float))) <= 0.01
+
+
+def test_verify_singular_law_gate_rejects_draws_at_the_mean(monkeypatch):
+    # Draws on the right face with the wrong law: c = 1/2 on every U(2) block
+    # puts each image at E mu = (0, 0, 2), so the spread reads 0 against 5/12.
+    rep = moment.verify_singular((1, 0.5, 2), 2, weyl.IDENTITY, 100, 1)
+    assert rep["pass"] and rep["law_deviation"] <= 1.0
+    assert rep["expected_spread2"] == 5 / 12
+    monkeypatch.setattr(moment, "uniforms", lambda w: np.full(w.shape, 0.5))
+    rep = moment.verify_singular((1, 0.5, 2), 2, weyl.IDENTITY, 100, 1)
+    assert rep["max_violation"] <= 1e-9 and rep["mean_spread2"] == 0.0
+    assert not rep["pass"] and rep["law_deviation"] > 1.0
 
 
 TOL = 1e-9
