@@ -262,9 +262,10 @@ def scan_K(n: int, seed: int) -> tuple[moment.SampleCloud, dict]:
     planes leaving the subspace must fail.  The law is gated too: a Haar
     plane's form has self-dual and anti-self-dual parts uniform on two
     spheres, so by Archimedes s = x + y and r = x - y are independent
-    uniforms on [-1, 1].  The KS distance of each from U(-1, 1),
-    `ks_x_plus_y` and `ks_x_minus_y`, must be at most
-    `moment.dkw_halfwidth(n)` (alpha = 1e-6), reported as `ks_bound`.
+    uniforms on [-1, 1].  Their KS distances from U(-1, 1), `ks_x_plus_y` and
+    `ks_x_minus_y`, must be at most `ks_bound` = `moment.dkw_halfwidth(n)`
+    (alpha = 1e-6), and the mean of X = s^2 r^2, `mean_s2r2`, must lie within
+    `moment.bernstein_halfwidth` of E X = 1/9 (Var X = 56/2025, |X - E X| <= 8/9).
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -275,9 +276,10 @@ def scan_K(n: int, seed: int) -> tuple[moment.SampleCloud, dict]:
     off = _sample_planes_in(seed, min(n, 200), 6, start=n)
     off_failures = int(np.count_nonzero(horizontal_closed(algebra, off)))
     l1 = np.abs(pts[:, 0]) + np.abs(pts[:, 1])
-    ks_s = moment.ks_distance(_uniform_cdf, pts[:, 0] + pts[:, 1])
-    ks_r = moment.ks_distance(_uniform_cdf, pts[:, 0] - pts[:, 1])
+    s, r = pts[:, 0] + pts[:, 1], pts[:, 0] - pts[:, 1]
+    ks_s, ks_r = moment.ks_distance(_uniform_cdf, s), moment.ks_distance(_uniform_cdf, r)
     bound = moment.dkw_halfwidth(n)
+    s2r2 = float(np.mean((s * r) ** 2))
     report = {
         "pass": bool(
             closed_ok
@@ -285,6 +287,7 @@ def scan_K(n: int, seed: int) -> tuple[moment.SampleCloud, dict]:
             and float(np.max(l1)) <= 1.0 + 1e-9
             and float(np.max(np.abs(pts[:, 2]))) <= 1e-9
             and ks_s <= bound and ks_r <= bound
+            and abs(s2r2 - 1 / 9) <= moment.bernstein_halfwidth(n, 56 / 2025, 8 / 9)
         ),
         "n": n,
         "seed": seed,
@@ -293,6 +296,7 @@ def scan_K(n: int, seed: int) -> tuple[moment.SampleCloud, dict]:
         "ks_x_plus_y": ks_s,
         "ks_x_minus_y": ks_r,
         "ks_bound": bound,
+        "mean_s2r2": s2r2,
         "all_in_subspace_closed": closed_ok,
         "off_subspace_checked": len(off),
         "off_subspace_closed": off_failures,

@@ -29,7 +29,9 @@ weights, lam+ the chamber point of lam): `moment_violations` tests clouds
 against this facet system with no hull.  The face of the polytope exposed by
 w.omega_i is conv(w.(W_i.lam)), the moment image of the orbit of the
 stabilizer of w.omega_i through w.lam; `verify_singular` samples it by
-Schur-Horn on the stabilizer's unitary blocks (`stabilizer_images`).
+Schur-Horn on the stabilizer's unitary blocks (`stabilizer_images`).  Its
+classes share one draw per block shape, so their gates, each of false-alarm
+bound ALPHA, are not independent evidence.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ STREAM = "philox4x64-10-ctr"
 
 _MASK64 = (1 << 64) - 1
 
-#: Samples drawn per batch by `orbit_samples` (three unitary columns each)
-#: and `iwasawa.scan_complex` (one 6x6 structure each), to bound peak memory.
+#: Samples drawn per batch by `orbit_samples`, `verify_singular` (all
+#: classes at once) and `iwasawa.scan_complex`, to bound peak memory.
 HAAR_BATCH = 20000
 
 
@@ -263,8 +265,7 @@ def stabilizer_algebra(ref_form: TwoForm, tol: float = 1e-10) -> np.ndarray:
     u, s, vt = np.linalg.svd(L)
     null_mask = s <= tol * max(1.0, s[0])
     coords = vt[len(s) - int(np.sum(null_mask)):]
-    basis = np.einsum("nk,kab->nab", coords, _SKEW_BASIS)
-    return basis
+    return np.einsum("nk,kab->nab", coords, _SKEW_BASIS)
 
 
 def singular_value_polytopes(lam) -> tuple[polytopes.Polytope, ...]:
@@ -303,9 +304,7 @@ def exp_skew(X: np.ndarray) -> np.ndarray:
     bit for bit alone or in any stack.  The approximant is (V - U)^-1 (V + U)
     with V even and U odd in X, so for skew X the denominator is the
     transpose of the normal numerator and each result is orthogonal to
-    rounding.  No command calls it: `verify singular` draws its stabilizer
-    points with `stabilizer_images`.
-    """
+    rounding.  No command calls it."""
     X = np.asarray(X, dtype=float)
     A = X.reshape(-1, *X.shape[-2:])
     norms = np.max(np.sum(np.abs(A), axis=-2), axis=-1)
@@ -333,38 +332,39 @@ def exp_skew(X: np.ndarray) -> np.ndarray:
 _QUADRUPLES = np.array(CARTAN_QUADRUPLES)
 
 
-def stabilizer_images(d, q, n: int, seed: int) -> np.ndarray:
-    """(n, 3) moment images of n Haar points of the orbit of D = diag(d) under
-    the stabilizer of diag(q) in SU(4): the block-diagonal S(U(m1) x U(m2))
-    on the two sets of equal entries of q, of sizes 1 and 3 or 2 and 2.
+def stabilizer_images(orbits, n: int, seed: int, start: int = 0) -> np.ndarray:
+    """(len(orbits), n, 3) moment images of samples start, ..., start + n - 1
+    of the orbit of diag(d) under the stabilizer S(U(m1) x U(m2)) of diag(q)
+    in SU(4), its blocks on the equal entries of q, for each pair (d, q).
 
-    By Schur-Horn the image of U D U* is B P d / 4, B the rows of
-    CARTAN_QUADRUPLES and P_jk = |U_jk|^2, block-diagonal and doubly
-    stochastic.  A U(3) block takes the first two columns of a Haar U(3), the
-    Gram-Schmidt Q of the complex Gaussian 3x2 matrix whose entry (j, c) is
-    the Box-Muller pair 2 j + c of sample k's 12 words; its third column of P
-    is 1 minus the other two.  A U(2) block has P = [[c, 1 - c], [1 - c, c]]
-    with c = |U_11|^2 uniform on [0, 1], the uniform of word 0 for the block
-    holding entry 0 of q and of word 1 for the other.  Each block's theta = P d
-    is summed as d_last + P (d - d_last) over its other columns, so a block
-    whose entries of d agree keeps them exactly.
+    By Schur-Horn an image is B P d / 4, B the rows of CARTAN_QUADRUPLES and
+    P_jk = |U_jk|^2.  All pairs read one draw per block shape: a U(3) block
+    takes the first two Gram-Schmidt columns of the complex Gaussian 3x2
+    matrix of sample k's 12 words (entry (j, c) is Box-Muller pair 2 j + c),
+    its third column of P being 1 minus the other two; a U(2) block has P =
+    [[c, 1 - c], [1 - c, c]], c the uniform of word 0 (for the block holding
+    entry 0 of q) or word 1 of 2.  A block's theta = P d is summed as d_last
+    + P (d - d_last), so entries of d that agree are kept exactly.
     """
-    d = np.asarray(d, dtype=float)
-    q = np.asarray(q, dtype=float)
-    blocks = sorted((np.flatnonzero(q == v) for v in np.unique(q)), key=len)
-    theta = np.empty((n, 4))
-    if len(blocks[0]) == 2:
-        c = uniforms(stream(seed, n, 2))
-        for (a, b), cb in zip(sorted(blocks, key=min), c.T):
-            theta[:, a] = d[b] + cb * (d[a] - d[b])
-            theta[:, b] = d[a] + cb * (d[b] - d[a])
-    else:
-        (j,), block = blocks
-        U = _gram_schmidt(normals(seed, n, 12).view(np.complex128).reshape(n, 3, 2))
-        theta[:, j] = d[j]
-        theta[:, block] = d[block[2]] + np.einsum("njc,c->nj", U.real ** 2 + U.imag ** 2,
-                                                  d[block[:2]] - d[block[2]])
-    return np.einsum("nk,ck->nc", theta, _QUADRUPLES) / 4.0
+    # theta = base + weights . (six U(3) moduli P_jc, c < 2, and two U(2) uniforms)
+    base, weights = np.empty((len(orbits), 4)), np.zeros((len(orbits), 4, 8))
+    for k, (d, q) in enumerate(orbits):
+        d, q = np.asarray(d, dtype=float), np.asarray(q, dtype=float)
+        blocks = sorted((np.flatnonzero(q == v) for v in np.unique(q)), key=len)
+        if len(blocks[0]) == 2:
+            for word, (a, b) in enumerate(sorted(blocks, key=min)):
+                base[k, [a, b]] = d[b], d[a]
+                weights[k, [a, b], 6 + word] = d[a] - d[b], d[b] - d[a]
+        else:
+            (j,), block = blocks
+            base[k, j] = d[j]
+            base[k, block] = d[block[2]]
+            weights[k, block[:, None], np.arange(6).reshape(3, 2)] = d[block[:2]] - d[block[2]]
+    U = _gram_schmidt(normals(seed, n, 12, start).view(np.complex128).reshape(n, 3, 2))
+    draws = np.concatenate([(U.real ** 2 + U.imag ** 2).reshape(n, 6),
+                            uniforms(stream(seed, n, 2, start))], axis=1)
+    theta = base[:, None, :] + np.einsum("nf,kjf->knj", draws, weights)
+    return np.einsum("knj,cj->knc", theta, _QUADRUPLES) / 4.0
 
 
 def stabilizer_law(d, q) -> tuple[tuple[Fraction, ...], Fraction, Fraction]:
@@ -430,56 +430,56 @@ def dkw_halfwidth(n: int) -> float:
 LAW_FLOOR = 2.0 ** -80
 
 
-def verify_singular(lam, i: int, w, n: int, seed: int, tol: float = 1e-9) -> dict:
-    """Sample the stabilizer of w.(weight i) at w.lam and test its face and law.
+def verify_singular(lam, classes, n: int, seed: int) -> list[dict]:
+    """Sample the stabilizer of w.(weight i) at w.lam for each class (i, w)
+    and test its face and law: one row per class, all drawn in one pass.
 
-    The images are `stabilizer_images` of d = cartan_to_spin_weight(w.lam)
-    under the stabilizer of q = cartan_to_spin_weight(w.(weight i)).  By
-    Kostant (1973) their set is the face conv(w.(W_i.lam)), the exposed face
-    of conv(W.lam) in the direction w.(weight i), so each image must satisfy
-    `moment_violations` <= tol and lie within tol of the face's plane
-    <w.(weight i), p> = <w.(weight i), w.lam> (distance scaled by the
-    normal's length); `max_violation` is the worst of the two.  The mean of
-    the spread X = |mu - E mu|^2 must lie within `bernstein_halfwidth` of its
-    exact value (`stabilizer_law`), with Var X <= (max X - E X) E X
+    By Kostant (1973) the `stabilizer_images` of d = cartan_to_spin_weight(w.lam)
+    and q = cartan_to_spin_weight(w.(weight i)) fill the face (vertex set
+    `face`) of conv(W.lam) exposed by w.(weight i): `max_violation` is the
+    worst `moment_violations` and scaled distance from the plane
+    <w.(weight i), p> = <w.(weight i), w.lam>.  `law_deviation` is the gap of
+    the mean spread X = |mu - E mu|^2 from its exact value (`stabilizer_law`)
+    over its `bernstein_halfwidth`, with Var X <= (max X - E X) E X
     (Bhatia-Davis) and |X - E X| <= max X - E X (as E X <= max X / 3), plus
-    the rounding floor LAW_FLOOR (1 + max |d|)^2;
-    `law_deviation` is the gap over that half-width, at most 1 to pass.  A
-    NaN image reads NaN in both and fails.  Raises BadIndex unless i is 1, 2
-    or 3, and ValueError unless w is in `weyl.weyl_group()`.
-    """
+    the rounding floor LAW_FLOOR (1 + max |d|)^2.  A NaN image reads NaN in
+    both.  Samples go in batches of HAAR_BATCH.  Raises BadIndex unless each
+    i is 1, 2 or 3, and ValueError unless each w is in `weyl.weyl_group()`."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if w not in weyl.weyl_group():
-        raise ValueError("w is not a Weyl group element")
     lam = tuple(float(c) for c in lam)
     _require_chamber(lam)
-    vertices = weyl.singular_vertex_set(tuple(Fraction(c) for c in lam), w, i)
-    normal = np.array(weyl.act(w, weyl.FUNDAMENTAL_WEIGHTS[i]), dtype=float)
-    base = weyl.act(w, lam)
-    d = cartan_to_spin_weight(base)
-    q = cartan_to_spin_weight(normal)
-    pts = stabilizer_images(d, q, n, seed)
-    off_plane = np.abs(pts @ normal - normal @ base) / np.linalg.norm(normal)
-    # np.maximum and np.max keep a NaN, so a non-finite image fails the gate.
-    worst = float(np.max(np.maximum(moment_violations(lam, pts), off_plane)))
-    e_mu, expected, top = stabilizer_law(d, q)
-    spread2 = float(np.mean(np.sum((pts - np.array(e_mu, dtype=float)) ** 2, axis=1)))
-    width = (bernstein_halfwidth(n, float((top - expected) * expected), float(top - expected))
-             + LAW_FLOOR * (1.0 + max(map(abs, d))) ** 2)
-    law = abs(spread2 - float(expected)) / width
-    return {
-        "pass": bool(worst <= tol and law <= 1.0),
-        "max_violation": worst,
-        "mean_spread2": spread2,
-        "expected_spread2": float(expected),
-        "law_deviation": law,
-        "n": n,
-        "seed": seed,
-        "i": i,
-        "w": weyl.element_to_json(w),
-        "polytope_vertices": len(vertices),
-    }
+    exact = tuple(Fraction(c) for c in lam)
+    rows, data = [], []
+    for i, w in classes:
+        if w not in weyl.weyl_group():
+            raise ValueError("w is not a Weyl group element")
+        face = weyl.singular_vertex_set(exact, w, i)
+        normal, base = weyl.act(w, weyl.FUNDAMENTAL_WEIGHTS[i]), weyl.act(w, lam)
+        d, q = cartan_to_spin_weight(base), cartan_to_spin_weight(normal)
+        e_mu, expected, top = stabilizer_law(d, q)
+        width = (bernstein_halfwidth(n, float((top - expected) * expected), float(top - expected))
+                 + LAW_FLOOR * (1.0 + max(map(abs, d))) ** 2)
+        data.append(((d, q), (normal, base), e_mu, width))
+        rows.append({"i": i, "w": weyl.element_to_json(w), "face": face,
+                     "polytope_vertices": len(face), "expected_spread2": float(expected)})
+    orbits, planes, e_mu, widths = zip(*data)
+    normal, base = np.array(planes, dtype=float).transpose(1, 0, 2)
+    offsets = np.einsum("kc,kc->k", normal, base)[:, None]
+    lengths = np.linalg.norm(normal, axis=1, keepdims=True)
+    e_mu = np.array(e_mu, dtype=float)[:, None, :]
+    worst, sums = np.full(len(rows), -np.inf), np.zeros(len(rows))
+    for lo in range(0, n, HAAR_BATCH):
+        pts = stabilizer_images(orbits, min(n, lo + HAAR_BATCH) - lo, seed, start=lo)
+        off_plane = np.abs(np.einsum("knc,kc->kn", pts, normal) - offsets) / lengths
+        violations = moment_violations(lam, pts.reshape(-1, 3)).reshape(off_plane.shape)
+        # np.maximum and np.max keep a NaN, so a non-finite image fails the gate.
+        worst = np.maximum(worst, np.max(np.maximum(violations, off_plane), axis=1))
+        sums += np.sum(np.sum((pts - e_mu) ** 2, axis=2), axis=1)
+    for row, bad, spread2, width in zip(rows, worst.tolist(), (sums / n).tolist(), widths):
+        row.update(max_violation=bad, mean_spread2=spread2,
+                   law_deviation=abs(spread2 - row["expected_spread2"]) / width)
+    return rows
 
 
 def monte_carlo_volume_ratio(inner: polytopes.Polytope,

@@ -124,17 +124,19 @@ def test_c05_singular_values():
         assert facet_vertex_sets <= family, "some facet is not a singular polytope"
         worst = 0.0
         seen = set()
-        runs = 0
+        classes = []
         for i in (1, 2, 3):
             for w in weyl.weyl_group():
                 key = (i, weyl.act(w, weyl.FUNDAMENTAL_WEIGHTS[i]))
                 if key in seen:
                     continue
                 seen.add(key)
-                rep = moment.verify_singular(lam, i, w, n, seed, tol=1e-9)
-                assert rep["pass"], rep
-                worst = max(worst, rep["max_violation"])
-                runs += 1
+                classes.append((i, w))
+        runs = 0
+        for rep in moment.verify_singular(lam, classes, n, seed):
+            assert rep["max_violation"] <= 1e-9 and rep["law_deviation"] <= 1.0, rep
+            worst = max(worst, rep["max_violation"])
+            runs += 1
         assert runs == 14
     t.check(
         f"criterion 5: {runs} singular classes x {n} samples "

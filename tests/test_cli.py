@@ -161,8 +161,8 @@ def test_verify_edge_prism_small(capsys):
 
 def test_verify_singular_builds_each_face_once(capsys, monkeypatch):
     # One exact hull, of the moment polytope: a class's face test needs no
-    # hull of its own.  Each class's vertex set is made once for the facet
-    # check and once by verify_singular.
+    # hull of its own.  Each class's vertex set is made once, by
+    # verify_singular, and the facet check reads it from the class's row.
     calls = {"hull": 0, "vertex_set": 0}
 
     def counted(key, fn):
@@ -179,7 +179,33 @@ def test_verify_singular_builds_each_face_once(capsys, monkeypatch):
     assert report["metrics"]["distinct_classes"] == 14
     assert report["metrics"]["polytopes"] == 14
     assert report["metrics"]["all_facets_covered"]
-    assert calls == {"hull": 1, "vertex_set": 28}
+    assert calls == {"hull": 1, "vertex_set": 14}
+
+
+@pytest.mark.parametrize("n", [10, moment.HAAR_BATCH + 1])
+def test_verify_singular_draws_each_block_shape_once_per_batch(capsys, monkeypatch, n):
+    # All 14 classes read the same U(3) columns (12 words a sample) and U(2)
+    # moduli (2 words): one normals(., ., 12) and one stream(., ., 2) call per
+    # batch of at most HAAR_BATCH samples, however many classes there are.
+    calls = []
+    normals, stream = moment.normals, moment.stream
+
+    def counted_normals(seed, count, m, start=0):
+        calls.append(("normals", m, count, start))
+        return normals(seed, count, m, start)
+
+    def counted_stream(seed, count, m, start=0):
+        if m == 2:
+            calls.append(("stream", m, count, start))
+        return stream(seed, count, m, start)
+
+    monkeypatch.setattr(moment, "normals", counted_normals)
+    monkeypatch.setattr(moment, "stream", counted_stream)
+    code, report = run_cli(capsys, "verify", "singular", "--n", str(n))
+    assert code == 0 and report["metrics"]["distinct_classes"] == 14
+    batches = [(min(n - lo, moment.HAAR_BATCH), lo) for lo in range(0, n, moment.HAAR_BATCH)]
+    assert calls == [(kind, m, count, lo) for count, lo in batches
+                     for kind, m in (("normals", 12), ("stream", 2))]
 
 
 def test_polytope_writes_artifacts(capsys, tmp_path):
@@ -807,6 +833,42 @@ def test_a_reader_that_closes_stdout_early_gets_exit_1_and_no_traceback(capsys, 
     assert capsys.readouterr().err == ""
 
 
+def _figures(values, spec):
+    """A quoted figure: one value, or the range "lo to hi" of several."""
+    lo, hi = format(min(values), spec), format(max(values), spec)
+    return lo if lo == hi else f"{lo} to {hi}"
+
+
+def test_readme_quotes_the_verify_singular_figures(monkeypatch):
+    # The figures the README's verify singular paragraph quotes, re-derived
+    # on seeds 0-3: the face gate at --n 100 and at the default --n, the law
+    # gate at the default --n, and the law gate of real U(3) blocks.
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        text = " ".join(fh.read().split())
+    suite = cli.RUNS["verify", "singular"].fn
+    small = [suite(n=100, seed=seed, tol=1e-9) for seed in range(4)]
+    default = [suite(n=10000, seed=seed, tol=1e-9) for seed in range(4)]
+    assert all(r["pass"] for r in small + default)
+    violations = _figures([r["max_violation"] for r in small], ".1e")
+    violations_default = _figures([r["max_violation"] for r in default], ".1e")
+    assert (f"it reads {violations} at `--n 100` and {violations_default} at the default "
+            f"`--n 10000` on seeds 0-3") in text
+    law = _figures([r["max_law_deviation"] for r in default], ".2f")
+    assert f"it reads {law} at the default `--n` on seeds 0-3" in text
+    normals = moment.normals
+
+    def real_normals(seed, n, m, start=0):
+        z = normals(seed, n, m, start)
+        z[:, 1::2] = 0.0
+        return z
+
+    monkeypatch.setattr(moment, "normals", real_normals)
+    real = [suite(n=10000, seed=seed, tol=1e-9) for seed in range(4)]
+    assert not any(r["pass"] for r in real)
+    law = _figures([r["max_law_deviation"] for r in real], ".1f")
+    assert f"read {law} at the default `--n` on seeds 0-3 and fail" in text
+
+
 def test_readme_command_block_parses_to_every_run():
     readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
     with open(readme) as fh:
@@ -854,7 +916,7 @@ def run_cli_strict(capsys, *argv):
 
 def test_verify_singular_fails_on_nan_rotations(capsys, monkeypatch):
     monkeypatch.setattr(moment, "stabilizer_images",
-                        lambda d, q, n, seed: np.full((n, 3), np.nan))
+                        lambda orbits, n, seed, start=0: np.full((len(orbits), n, 3), np.nan))
     with np.errstate(invalid="ignore"):
         code, report = run_cli_strict(capsys, "verify", "singular", "--n", "10")
     assert code == 1 and not report["pass"]

@@ -296,6 +296,25 @@ def test_scan_K_gates_the_law_of_x_plus_y_and_x_minus_y(monkeypatch):
     assert min(rep["ks_x_plus_y"], rep["ks_x_minus_y"]) > 2 * rep["ks_bound"]
 
 
+def test_scan_K_gates_the_joint_law_by_the_mean_of_s2r2(monkeypatch):
+    # Independent uniform s and r give E s^2 r^2 = 1/9.  Frames of uniform
+    # entries on [-1, 1] instead of normals keep both marginals close enough
+    # to pass the KS gate, but read a mean s^2 r^2 near 0.087.
+    bound = moment.bernstein_halfwidth(50000, 56 / 2025, 8 / 9)
+    _, rep = iwasawa.scan_K(50000, 1)
+    assert rep["pass"] and abs(rep["mean_s2r2"] - 1 / 9) <= bound < 0.0042
+
+    def uniform_entries(seed, n, m, start=0):
+        return 2.0 * moment.uniforms(moment.stream(seed, n, m + m % 2, start))[:, :m] - 1.0
+
+    monkeypatch.setattr(moment, "normals", uniform_entries)
+    _, rep = iwasawa.scan_K(50000, 1)
+    assert max(rep["ks_x_plus_y"], rep["ks_x_minus_y"]) <= rep["ks_bound"]
+    assert rep["all_in_subspace_closed"] and rep["max_l1"] <= 1.0
+    assert not rep["pass"]
+    assert abs(rep["mean_s2r2"] - 1 / 9) > 5 * bound
+
+
 def test_scan_K_single_plane_images(algebra):
     assert moment.mu_t(TwoForm.from_wedge(*plane(1, 2).T)) == (1.0, 0.0, 0.0)
     V = np.zeros((6, 2))

@@ -486,36 +486,120 @@ def test_singular_value_polytopes_generic_cover_facets():
     assert facet_vertex_sets <= family
 
 
+def _one_class(lam, i, w, n, seed):
+    """The row of verify_singular for the single class (i, w)."""
+    (row,) = moment.verify_singular(lam, [(i, w)], n, seed)
+    return row
+
+
+def _passes(row, tol=1e-9):
+    return row["max_violation"] <= tol and row["law_deviation"] <= 1.0
+
+
 def test_verify_singular_fixed_point():
-    rep = moment.verify_singular((1, 1, 1), 1, weyl.IDENTITY, 300, 11)
-    assert rep["pass"]
+    rep = _one_class((1, 1, 1), 1, weyl.IDENTITY, 300, 11)
+    assert _passes(rep)
     assert rep["polytope_vertices"] == 1
 
 
 def test_verify_singular_hexagon_and_edge():
-    rep = moment.verify_singular((1, 0.5, 2), 1, weyl.IDENTITY, 500, 11)
-    assert rep["pass"] and rep["max_violation"] <= 1e-9
-    rep = moment.verify_singular((1, 1, 1), 2, weyl.IDENTITY, 500, 11)
-    assert rep["pass"]
+    rep = _one_class((1, 0.5, 2), 1, weyl.IDENTITY, 500, 11)
+    assert _passes(rep) and rep["max_violation"] <= 1e-9
+    rep = _one_class((1, 1, 1), 2, weyl.IDENTITY, 500, 11)
+    assert _passes(rep)
     assert rep["polytope_vertices"] == 2
 
 
 def test_verify_singular_moved_class():
     w = weyl.weyl_group()[5]
-    rep = moment.verify_singular((1, 0.5, 2), 2, w, 300, 4)
-    assert rep["pass"]
+    rep = _one_class((1, 0.5, 2), 2, w, 300, 4)
+    assert _passes(rep)
 
 
 @pytest.mark.parametrize("i", [0, 4, -1])
 def test_verify_singular_rejects_a_bad_weight_index(i):
     with pytest.raises(BadIndex):
-        moment.verify_singular((1, 0.5, 2), i, weyl.IDENTITY, 10, 1)
+        _one_class((1, 0.5, 2), i, weyl.IDENTITY, 10, 1)
 
 
 def test_verify_singular_rejects_a_matrix_outside_the_group():
     not_in_group = ((1, 0, 0), (0, 1, 0), (0, 0, -1))
     with pytest.raises(ValueError, match="Weyl group"):
-        moment.verify_singular((1, 0.5, 2), 1, not_in_group, 10, 1)
+        _one_class((1, 0.5, 2), 1, not_in_group, 10, 1)
+
+
+def _reference_images(d, q, n, seed):
+    """One class's stabilizer images drawn alone, as each class once drew
+    them: its own U(3) columns or U(2) moduli from the seed."""
+    d = np.asarray(d, dtype=float)
+    q = np.asarray(q, dtype=float)
+    blocks = sorted((np.flatnonzero(q == v) for v in np.unique(q)), key=len)
+    theta = np.empty((n, 4))
+    if len(blocks[0]) == 2:
+        c = moment.uniforms(moment.stream(seed, n, 2))
+        for (a, b), cb in zip(sorted(blocks, key=min), c.T):
+            theta[:, a] = d[b] + cb * (d[a] - d[b])
+            theta[:, b] = d[a] + cb * (d[b] - d[a])
+    else:
+        (j,), block = blocks
+        U = moment._gram_schmidt(moment.normals(seed, n, 12).view(np.complex128).reshape(n, 3, 2))
+        theta[:, j] = d[j]
+        theta[:, block] = d[block[2]] + np.einsum("njc,c->nj", U.real ** 2 + U.imag ** 2,
+                                                  d[block[:2]] - d[block[2]])
+    return np.einsum("nk,ck->nc", theta, np.array(CARTAN_QUADRUPLES)) / 4.0
+
+
+def _reference_row(lam, i, w, n, seed):
+    """One class checked on its own: its images, one moment_violations call,
+    its off-plane distances and its spread, as the per-class form did."""
+    lam = tuple(float(c) for c in lam)
+    vertices = weyl.singular_vertex_set(tuple(Fraction(c) for c in lam), w, i)
+    normal = np.array(weyl.act(w, weyl.FUNDAMENTAL_WEIGHTS[i]), dtype=float)
+    base = weyl.act(w, lam)
+    d = cartan_to_spin_weight(base)
+    q = cartan_to_spin_weight(normal)
+    pts = _reference_images(d, q, n, seed)
+    off_plane = np.abs(pts @ normal - normal @ base) / np.linalg.norm(normal)
+    worst = float(np.max(np.maximum(moment.moment_violations(lam, pts), off_plane)))
+    e_mu, expected, top = moment.stabilizer_law(d, q)
+    spread2 = float(np.mean(np.sum((pts - np.array(e_mu, dtype=float)) ** 2, axis=1)))
+    width = (moment.bernstein_halfwidth(n, float((top - expected) * expected), float(top - expected))
+             + moment.LAW_FLOOR * (1.0 + max(map(abs, d))) ** 2)
+    return {"max_violation": worst, "mean_spread2": spread2, "expected_spread2": float(expected),
+            "law_deviation": abs(spread2 - float(expected)) / width,
+            "polytope_vertices": len(vertices), "i": i, "w": weyl.element_to_json(w)}
+
+
+@pytest.mark.parametrize("n", [1, 100, 10_000])
+def test_verify_singular_rows_equal_the_per_class_reference(n):
+    # Shared draws and stacked gates change no figure: each class's row is
+    # its reference row, max_violation up to BLAS rounding.
+    lam = (1.0, 0.5, 2.0)
+    classes = weyl.singular_classes()
+    for seed in range(4):
+        rows = moment.verify_singular(lam, classes, n, seed)
+        assert len(rows) == len(classes)
+        for (i, w), row in zip(classes, rows):
+            ref = _reference_row(lam, i, w, n, seed)
+            assert abs(row["max_violation"] - ref.pop("max_violation")) <= 1e-15
+            assert {key: row[key] for key in ref} == ref, (n, seed, i, w)
+            assert row["face"] == weyl.singular_vertex_set(tuple(map(Fraction, lam)), w, i)
+
+
+def test_stabilizer_images_are_the_same_in_batches_or_whole():
+    lam, seed, batch = (1.0, 0.5, 2.0), 5, moment.HAAR_BATCH
+    n = 2 * batch + 1
+    orbits = [(cartan_to_spin_weight(weyl.act(w, lam)),
+               cartan_to_spin_weight(weyl.act(w, weyl.FUNDAMENTAL_WEIGHTS[i])))
+              for i, w in weyl.singular_classes()]
+    whole = moment.stabilizer_images(orbits, n, seed)
+    parts = [moment.stabilizer_images(orbits, min(n, lo + batch) - lo, seed, start=lo)
+             for lo in range(0, n, batch)]
+    assert [len(p[0]) for p in parts] == [batch, batch, 1]
+    assert np.array_equal(whole, np.concatenate(parts, axis=1))
+    # Each class's images are the ones it drew alone.
+    for (d, q), pts in zip(orbits, whole):
+        assert np.array_equal(pts, _reference_images(d, q, n, seed))
 
 
 def test_fixed_points_project_to_weyl_orbit():
@@ -572,7 +656,7 @@ def test_verify_singular_matches_the_per_sample_loop():
 
 
 def _check_against_the_per_sample_loop(lam, i, w, n, seed):
-    rep = moment.verify_singular(lam, i, w, n, seed)
+    rep = _one_class(lam, i, w, n, seed)
     # Reference: one block-diagonal unitary, diag(U D U*) and a face hull per draw.
     q = np.array(cartan_to_spin_weight(weyl.act(w, weyl.FUNDAMENTAL_WEIGHTS[i])))
     D = np.diag(cartan_to_spin_weight(weyl.act(w, lam)))
@@ -587,7 +671,8 @@ def _check_against_the_per_sample_loop(lam, i, w, n, seed):
     assert len(poly.vertices) == rep["polytope_vertices"]
     worst = float(np.max(polytopes.violations_many(poly, np.array(pts))))
     assert abs(rep["max_violation"] - worst) <= 1e-15
-    assert np.max(np.abs(moment.stabilizer_images(np.diag(D), q, n, seed) - pts)) <= 1e-14
+    (images,) = moment.stabilizer_images([(np.diag(D), q)], n, seed)
+    assert np.max(np.abs(images - pts)) <= 1e-14
 
 
 def test_the_exp_skew_flow_and_the_block_sampler_land_on_the_same_face():
@@ -603,8 +688,8 @@ def test_the_exp_skew_flow_and_the_block_sampler_land_on_the_same_face():
         R = moment.exp_skew(np.einsum("kn,nab->kab", coords, basis))
         conj = R @ TwoForm.from_cartan(weyl.act(w, lam)).endomorphism() @ np.swapaxes(R, 1, 2)
         old = conj[:, (1, 3, 5), (0, 2, 4)]
-        new = moment.stabilizer_images(cartan_to_spin_weight(weyl.act(w, lam)),
-                                       cartan_to_spin_weight(normal), n, seed)
+        (new,) = moment.stabilizer_images([(cartan_to_spin_weight(weyl.act(w, lam)),
+                                            cartan_to_spin_weight(normal))], n, seed)
         face = polytopes.hull(weyl.singular_vertex_set(exact, w, i))
         for pts in (old, new):
             assert np.max(polytopes.violations_many(face, pts)) <= 1e-12, (i, w)
@@ -636,7 +721,7 @@ def test_stabilizer_images_follow_their_exact_law(i):
     lam, n = (1.0, 0.5, 2.0), 200000
     d = cartan_to_spin_weight(lam)
     q = cartan_to_spin_weight(weyl.FUNDAMENTAL_WEIGHTS[i])
-    pts = moment.stabilizer_images(d, q, n, 8)
+    (pts,) = moment.stabilizer_images([(d, q)], n, 8)
     e_mu, expected, top = moment.stabilizer_law(d, q)
     X = np.sum((pts - np.array(e_mu, dtype=float)) ** 2, axis=1)
     assert np.max(X) <= float(top) + 1e-12
@@ -647,13 +732,13 @@ def test_stabilizer_images_follow_their_exact_law(i):
 def test_verify_singular_law_gate_rejects_draws_at_the_mean(monkeypatch):
     # Draws on the right face with the wrong law: c = 1/2 on every U(2) block
     # puts each image at E mu = (0, 0, 2), so the spread reads 0 against 5/12.
-    rep = moment.verify_singular((1, 0.5, 2), 2, weyl.IDENTITY, 100, 1)
-    assert rep["pass"] and rep["law_deviation"] <= 1.0
+    rep = _one_class((1, 0.5, 2), 2, weyl.IDENTITY, 100, 1)
+    assert _passes(rep) and rep["law_deviation"] <= 1.0
     assert rep["expected_spread2"] == 5 / 12
     monkeypatch.setattr(moment, "uniforms", lambda w: np.full(w.shape, 0.5))
-    rep = moment.verify_singular((1, 0.5, 2), 2, weyl.IDENTITY, 100, 1)
+    rep = _one_class((1, 0.5, 2), 2, weyl.IDENTITY, 100, 1)
     assert rep["max_violation"] <= 1e-9 and rep["mean_spread2"] == 0.0
-    assert not rep["pass"] and rep["law_deviation"] > 1.0
+    assert not _passes(rep) and rep["law_deviation"] > 1.0
 
 
 TOL = 1e-9
