@@ -77,23 +77,30 @@ def ocs_matrix(form, tol: float = 1e-8) -> np.ndarray:
 
 
 def _nijenhuis_norms(c: np.ndarray, Js: np.ndarray) -> np.ndarray:
-    """Per J of a stack (n, 6, 6), the Frobenius norm of N(X,Y) = [JX,JY] -
-    J[JX,Y] - J[X,JY] - [X,Y] over the frame pairs; zero exactly on
-    integrable complex structures.
+    """Per J of a stack (n, 6, 6), the norm of N(X,Y) = [JX,JY] - J[JX,Y] -
+    J[X,JY] - [X,Y] over the 15 frame pairs i < j (N(X,Y) = -N(Y,X) gives
+    the rest); zero exactly on integrable complex structures.
 
-    Slice k of N is J^T c[k] J - sum_m J[k, m] (J^T c[m] + c[m] J) - c[k], and
-    only the nonzero bracket slices c[m] (2 of 6 for the Iwasawa algebra)
-    enter the matrix products.
+    Slice k of N is J^T c[k] J - sum_m J[k, m] (J^T c[m] + c[m] J) - c[k].
+    As c[m] is antisymmetric, J^T c[m] = -(c[m] J)^T, so one product
+    CJ = c[m] J per nonzero slice (2 of 6 for the Iwasawa algebra) gives
+    CJ - CJ^T and J^T CJ.  Every product is per structure, so no row depends
+    on its stack.  Raises ValueError unless c is (6, 6, 6) and antisymmetric
+    in its last two indices and Js is (n, 6, 6); n = 0 gives an empty array.
     """
+    if c.shape != (6, 6, 6) or not np.array_equal(c, -np.swapaxes(c, 1, 2)):
+        raise ValueError("c must be (6, 6, 6) and antisymmetric in its last two indices")
+    if Js.ndim != 3 or Js.shape[1:] != (6, 6):
+        raise ValueError(f"Js must be an (n, 6, 6) stack, not shape {Js.shape}")
     nz = np.flatnonzero(np.any(c != 0, axis=(1, 2)))
-    C = c[nz]
-    J = Js[:, None]
-    Jt = np.swapaxes(J, -1, -2)
-    # [JX, Y] + [X, JY], contracted with J once.
-    mixed = (Jt @ C + C @ J).reshape(len(Js), len(nz), -1)
-    N = -(Js[:, :, nz] @ mixed).reshape((len(Js),) + c.shape) - c
-    N[:, nz] += Jt @ C @ J
-    return np.sqrt(0.5 * np.einsum("nkij,nkij->n", N, N))
+    i, j = np.triu_indices(6, 1)
+    CJ = c[nz] @ Js[:, None]
+    B = CJ[..., i, j] - CJ[..., j, i]
+    A = (np.swapaxes(Js, -1, -2)[:, None] @ CJ)[..., i, j] - c[nz][:, i, j]
+    # -N on the pairs: sum_m J[k, m] B_m, less J^T c[k] J - c[k] on slices nz.
+    minus_N = Js[:, :, nz] @ B
+    minus_N[:, nz] -= A
+    return np.sqrt(np.einsum("nkp,nkp->n", minus_N, minus_N))
 
 
 def _perp(V: np.ndarray) -> np.ndarray:
@@ -197,9 +204,10 @@ def scan_complex(n: int, seed: int, tol: float = 1e-6) -> tuple[moment.SampleClo
     deviation is reported as `max_identity_residual`.  The families must also
     have ||N|| < 1e-10.  The identity holds on the whole orbit, so it says
     nothing of the law of the draws: the mean of |mu|^2 over the Haar draws,
-    reported as `mean_moment_norm2`, must lie within `_moment_norm2_bound(n)`
-    of its exact value 3/5.  Draws with ||N|| < tol are counted as
-    `accepted_haar` and join the family images in the cloud.
+    reported as `mean_moment_norm2` (summed by `math.fsum`, so the same in
+    any batches), must lie within `_moment_norm2_bound(n)` of its exact
+    value 3/5.  Draws with ||N|| < tol are counted as `accepted_haar` and
+    join the family images in the cloud.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -211,7 +219,7 @@ def scan_complex(n: int, seed: int, tol: float = 1e-6) -> tuple[moment.SampleClo
     family_max = float(np.max(family_norms))
     family_images = family[:, (E12, E34, E56)]
     residual = _identity_residual(family_norms, family_images)
-    norm2_sum = 0.0
+    norm2 = []
     accepted = []
     for lo in range(0, n, moment.HAAR_BATCH):
         hi = min(n, lo + moment.HAAR_BATCH)
@@ -219,9 +227,9 @@ def scan_complex(n: int, seed: int, tol: float = 1e-6) -> tuple[moment.SampleClo
         norms = _nijenhuis_norms(algebra, Js)
         images = Js[:, (1, 3, 5), (0, 2, 4)]
         residual = np.maximum(residual, _identity_residual(norms, images))
-        norm2_sum += float(np.sum(images * images))
+        norm2.extend(np.sum(images * images, axis=1).tolist())
         accepted.extend(images[norms < tol])
-    mean_norm2 = norm2_sum / n
+    mean_norm2 = math.fsum(norm2) / n
     pts = np.vstack(accepted + [family_images])
     cloud = moment.SampleCloud(pts, f"source=scan_complex n={n} seed={seed} tol={tol!r}")
     report = {

@@ -14,7 +14,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from orbitkit import cli, klein, moment, polytopes, spin, weyl
+from orbitkit import cli, iwasawa, klein, moment, polytopes, spin, weyl
 from orbitkit.forms import OrbitClass, TwoForm, canonical_triple, class_point, conjugate
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs",
@@ -867,6 +867,20 @@ def test_readme_quotes_the_verify_singular_figures(monkeypatch):
     assert not any(r["pass"] for r in real)
     law = _figures([r["max_law_deviation"] for r in real], ".1f")
     assert f"read {law} at the default `--n` on seeds 0-3 and fail" in text
+
+
+def test_readme_quotes_the_scan_complex_figures():
+    # The figures the README's scan-complex paragraph quotes, re-derived at
+    # the README's --n 100000 on seeds 0-3.
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md")) as fh:
+        text = " ".join(fh.read().split())
+    reports = [iwasawa.scan_complex(100000, seed)[1] for seed in range(4)]
+    assert all(r["pass"] for r in reports)
+    residual = _figures([r["max_identity_residual"] for r in reports], ".1e")
+    assert (f"reported as `max_identity_residual` ({residual} at `--n 100000` "
+            f"on seeds 0-3)") in text
+    family = _figures([r["family_max_nijenhuis"] for r in reports], ".1e")
+    assert f"a rounding residue reported as {family}." in text
 
 
 def test_readme_command_block_parses_to_every_run():

@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from orbitkit import iwasawa, moment
 from orbitkit.errors import WrongClass
@@ -633,7 +636,8 @@ def test_asd_edge_form_matches_twoform_arithmetic():
 
 
 def _einsum_nijenhuis_norms(algebra, Js):
-    """Reference: the dense three-einsum Nijenhuis kernel."""
+    """Reference: the dense three-einsum Nijenhuis kernel, half the sum of
+    N^2 over all 36 ordered frame pairs."""
     c = algebra
     jj = np.einsum("kab,nai,nbj->nkij", c, Js, Js, optimize=True)
     mixed = (np.einsum("kaj,nai->nkij", c, Js, optimize=True)
@@ -656,3 +660,107 @@ def test_nijenhuis_kernel_matches_the_dense_einsums(algebra):
     assert np.max(np.abs(iwasawa._nijenhuis_norms(algebra, family)
                          - _einsum_nijenhuis_norms(algebra, family))) <= 1e-14
     assert iwasawa._nijenhuis_norms(algebra, J0[None])[0] == 0.0
+
+
+def _one_sided(c):
+    """c with [e1, e3] stored but not its mirror [e3, e1]."""
+    c = c.copy()
+    c[4, 2, 0] = 0.0
+    return c
+
+
+@pytest.mark.parametrize("bad", [lambda c: c[:5], lambda c: c.reshape(6, 36),
+                                 lambda c: c + np.eye(6), _one_sided])
+def test_nijenhuis_kernel_rejects_bad_structure_constants(algebra, bad):
+    with pytest.raises(ValueError, match="antisymmetric"):
+        iwasawa._nijenhuis_norms(bad(algebra), moment.twistor_structures(3, 0))
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (3, 6, 5), (3, 36), (2, 3, 6, 6)])
+def test_nijenhuis_kernel_rejects_a_stack_not_n_by_6_by_6(algebra, shape):
+    with pytest.raises(ValueError, match=r"\(n, 6, 6\) stack"):
+        iwasawa._nijenhuis_norms(algebra, np.zeros(shape))
+
+
+def test_nijenhuis_kernel_of_an_empty_stack_is_empty(algebra):
+    norms = iwasawa._nijenhuis_norms(algebra, np.zeros((0, 6, 6)))
+    assert norms.shape == (0,) and norms.dtype == float
+
+
+def test_nijenhuis_norms_rows_do_not_depend_on_their_stack(algebra):
+    Js = moment.twistor_structures(300, 5)
+    one_by_one = [iwasawa._nijenhuis_norms(algebra, J[None])[0] for J in Js]
+    assert np.array_equal(iwasawa._nijenhuis_norms(algebra, Js), one_by_one)
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("tol", [1e-6, 4.0])
+def test_scan_complex_is_the_same_in_batches_of_seven(monkeypatch, seed, tol):
+    # At tol = 4 most of the 50 draws join the cloud, in draw order.  A float
+    # sum batch by batch would move mean_moment_norm2 in its last bit on
+    # seeds 0-1.
+    whole_cloud, whole = iwasawa.scan_complex(50, seed, tol)
+    monkeypatch.setattr(moment, "HAAR_BATCH", 7)
+    cloud, rep = iwasawa.scan_complex(50, seed, tol)
+    assert cloud.to_csv() == whole_cloud.to_csv()
+    assert rep == whole
+
+
+@pytest.mark.parametrize("batch, n", [(7, 1), (7, 7), (7, 8), (7, 50),
+                                      (None, moment.HAAR_BATCH + 1)])
+def test_scan_complex_calls_the_kernel_once_for_the_family_and_once_per_batch(
+        monkeypatch, batch, n):
+    # The traced kernel span then covers the family and every draw.
+    if batch is not None:
+        monkeypatch.setattr(moment, "HAAR_BATCH", batch)
+    batch = moment.HAAR_BATCH
+    kernel, stacks = iwasawa._nijenhuis_norms, []
+
+    def counted(c, Js):
+        stacks.append(len(Js))
+        return kernel(c, Js)
+
+    monkeypatch.setattr(iwasawa, "_nijenhuis_norms", counted)
+    iwasawa.scan_complex(n, 3)
+    assert len(stacks) == 1 + math.ceil(n / batch)
+    assert stacks == [1 + len(iwasawa.asd_edge_grid())] + [
+        min(batch, n - lo) for lo in range(0, n, batch)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(("sparse", "full", "zero")),
+    upper=arrays(float, (6, 15), elements=st.floats(-2.0, 2.0)),
+    keep=arrays(bool, (6, 15)),
+    M=arrays(float, st.tuples(st.integers(1, 4), st.just(6), st.just(6)),
+             elements=st.floats(-1.0, 1.0)),
+    nan_row=st.integers(0, 3),
+)
+def test_nijenhuis_kernel_matches_the_dense_einsums_beyond_the_iwasawa_algebra(
+        kind, upper, keep, M, nan_row):
+    # Antisymmetric c: a random sparsity pattern, all six slices nonzero, or
+    # c = 0; structures J = P J0 P^-1, complex but not orthogonal.
+    i, j = np.triu_indices(6, 1)
+    c = np.zeros((6, 6, 6))
+    if kind == "sparse":
+        c[:, i, j] = upper * keep
+    elif kind == "full":
+        c[:, i, j] = np.where(upper == 0.0, 1.0, upper)
+    c = c - np.swapaxes(c, 1, 2)
+    P = 2.0 * np.eye(6) + M
+    assume(np.max(np.linalg.cond(P)) < 1e3)
+    J0 = TwoForm.from_cartan((1, 1, 1)).endomorphism()
+    Js = P @ J0 @ np.linalg.inv(P)
+    norms = iwasawa._nijenhuis_norms(c, Js)
+    reference = _einsum_nijenhuis_norms(c, Js)
+    assert np.all(np.abs(norms - reference) <= 1e-12 * (1.0 + reference))
+    if kind == "zero":
+        assert np.all(norms == 0.0)
+    # A NaN entry spoils its own row only.  (With c = 0 no product is formed
+    # and every row is 0.)
+    k = nan_row % len(Js)
+    spoilt = Js.copy()
+    spoilt[k, 2, 3] = np.nan
+    out = iwasawa._nijenhuis_norms(c, spoilt)
+    assert np.isnan(out[k]) == bool(np.any(c))
+    assert np.array_equal(np.delete(out, k), np.delete(norms, k))
