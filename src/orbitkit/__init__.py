@@ -31,7 +31,6 @@ from .forms import (
     classify_full,
     conjugate,
     eigen_split,
-    kks_pairing,
     spin_weight_to_cartan,
     torus_rotation,
     validate_rotation,

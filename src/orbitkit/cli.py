@@ -9,9 +9,9 @@ cmd_run writes the run's artifacts and prints a JSON report to stdout; every
 report's metrics carry the run's `elapsed_seconds`, and a non-finite metric
 is written as null.  Exit code 0 means all asserted tolerances were met, 1 is
 an assertion failure or a reader that closed stdout early, 2 a usage or parse
-error.  The default seed comes from ORBITKIT_SEED (fallback 0; a non-integer
-value is a usage error, on every call) and an explicit --seed wins; either
-must lie in [0, 2**64).
+error.  --seed defaults to 0 and must lie in [0, 2**64).  The sampled gates
+(sample, verify ags|singular|square, the klein fibres) read the fixed bound
+moment.GATE_TOL; only classify, export and iwasawa scan-complex take --tol.
 """
 
 from __future__ import annotations
@@ -43,15 +43,15 @@ from .forms import (
 )
 
 
-def _seed(text: str, name: str = "--seed") -> int:
+def _seed(text: str) -> int:
     """argparse type of --seed: an integer in [0, 2**64), the Philox key
     (a larger seed would alias seed mod 2**64 under another name)."""
     try:
         seed = int(text)
     except ValueError as exc:
-        raise ParseError(f"{name} must be an integer, got {text!r}") from exc
+        raise ParseError(f"--seed must be an integer, got {text!r}") from exc
     if not 0 <= seed < 2 ** 64:
-        raise ParseError(f"{name} must lie in [0, 2**64), got {seed}")
+        raise ParseError(f"--seed must lie in [0, 2**64), got {seed}")
     return seed
 
 
@@ -155,10 +155,10 @@ def _run_polytope(lam):
                "facets": len(P.facets)}
 
 
-def _run_sample(lam, n: int, seed: int, tol: float):
+def _run_sample(lam, n: int, seed: int):
     cloud = moment.orbit_samples(lam, n, seed)
     worst = float(np.max(moment.moment_violations(lam, cloud.points)))
-    return cloud, {"pass": worst <= tol, "max_violation": worst,
+    return cloud, {"pass": worst <= moment.GATE_TOL, "max_violation": worst,
                    "points": int(len(cloud.points))}
 
 
@@ -220,7 +220,7 @@ AGS_LAMBDAS = (
 )
 
 
-def _suite_ags(n: int, seed: int, tol: float) -> dict:
+def _suite_ags(n: int, seed: int) -> dict:
     """Each cloud lies in its moment polytope and reaches every vertex; the
     maxima are np.max, so a NaN image reads NaN and fails."""
     per_lambda = {}
@@ -232,14 +232,14 @@ def _suite_ags(n: int, seed: int, tol: float) -> dict:
     worst_overall = float(np.max(list(per_lambda.values()), initial=0.0))
     gap_overall = float(np.max(gaps, initial=0.0))
     return {
-        "pass": worst_overall <= tol and gap_overall <= tol,
+        "pass": worst_overall <= moment.GATE_TOL and gap_overall <= moment.GATE_TOL,
         "max_violation": worst_overall,
         "per_lambda": per_lambda,
         "max_vertex_gap": gap_overall,
     }
 
 
-def _suite_singular(n: int, seed: int, tol: float) -> dict:
+def _suite_singular(n: int, seed: int) -> dict:
     """Each class's stabilizer images stay on its face and follow their law,
     and every facet is a face; face points are orbit points, so vertices, and
     faces compare as vertex sets."""
@@ -252,7 +252,7 @@ def _suite_singular(n: int, seed: int, tol: float) -> dict:
     all_facets_covered = all(tuple(sorted(P.vertices[k] for k in t)) in faces
                              for t in P.facet_tight_vertices())
     return {
-        "pass": worst <= tol and law <= 1.0 and all_facets_covered,
+        "pass": worst <= moment.GATE_TOL and law <= 1.0 and all_facets_covered,
         "max_violation": worst,
         "max_law_deviation": law,
         "distinct_classes": len(rows),
@@ -289,7 +289,7 @@ def _suite_edge_prism(n: int, seed: int):
                    "all_in_region": all_in_region, "n": n, "points": len(pts)}
 
 
-def _suite_square(n: int, seed: int, tol: float = 1e-9):
+def _suite_square(n: int, seed: int):
     """Each fibre image p + t J is ((1 + t) v1, t u1 v1, t u1), the closed
     form of `klein.square_forms`, and lies in conv(W.(t, t, 1 + t)), the
     polytope of its own orbit, and in the exported square region."""
@@ -300,10 +300,11 @@ def _suite_square(n: int, seed: int, tol: float = 1e-9):
     worst = np.max(np.abs(pts - closed))
     triples = np.column_stack([t, t, 1.0 + t])
     worst_contain = float(np.max(moment.moment_violations(triples, pts), initial=0.0))
-    all_in_region = bool(np.max(polytopes.violations_many(klein.square_region(), pts)) <= tol)
+    all_in_region = bool(np.max(polytopes.violations_many(klein.square_region(), pts))
+                         <= moment.GATE_TOL)
     cloud = moment.SampleCloud(pts, f"source=klein_square n={n} seed={seed}")
     return cloud, {
-        "pass": worst <= 1e-12 and worst_contain <= tol and all_in_region,
+        "pass": worst <= 1e-12 and worst_contain <= moment.GATE_TOL and all_in_region,
         "max_identity_residual": float(worst),
         "max_orbit_containment_violation": worst_contain,
         "all_in_region": all_in_region,
@@ -353,15 +354,15 @@ class Run:
 RUNS = {
     ("classify", None): Run(_run_classify, ("form", "tol")),
     ("polytope", None): Run(_run_polytope, ("lam",)),
-    ("sample", None): Run(_run_sample, ("lam", "n", "seed", "tol")),
-    ("verify", "ags"): Run(_suite_ags, ("n", "seed", "tol")),
+    ("sample", None): Run(_run_sample, ("lam", "n", "seed")),
+    ("verify", "ags"): Run(_suite_ags, ("n", "seed")),
     ("verify", "prop16"): Run(_suite_prop16),
     ("verify", "octahedron"): Run(_suite_octahedron),
     ("verify", "intersection"): Run(_suite_intersection),
-    ("verify", "singular"): Run(_suite_singular, ("n", "seed", "tol")),
+    ("verify", "singular"): Run(_suite_singular, ("n", "seed")),
     ("verify", "spin-cover"): Run(_suite_spin_cover, ("n",)),
     ("verify", "edge-prism"): Run(_suite_edge_prism, ("n", "seed")),
-    ("verify", "square"): Run(_suite_square, ("n", "seed", "tol")),
+    ("verify", "square"): Run(_suite_square, ("n", "seed")),
     ("verify", "f3-segments"): Run(_suite_f3_segments),
     ("klein", "edge-prism"): Run(_suite_edge_prism, ("n", "seed"),
                                  lambda: klein.prism_region()),
@@ -420,7 +421,7 @@ def cmd_run(args) -> int:
     return 0 if passed else 1
 
 
-def _flags(command: str, seed: int) -> dict:
+def _flags(command: str) -> dict:
     """Parameter -> (flag, add_argument keywords) of every flag a run of
     command can take; the defaults of --n and --tol depend on the command."""
     positive = command in ("classify", "export")  # they match patterns within --tol
@@ -428,9 +429,9 @@ def _flags(command: str, seed: int) -> dict:
         "form": ("--form", {"required": True}),
         "lam": ("--lambda", {"type": _parse_lambda, "required": True, "help": 'e.g. "1,0.5,2"'}),
         "n": ("--n", {"type": _sample_count, "default": 10000 if command == "verify" else 1000}),
-        "seed": ("--seed", {"type": _seed, "default": seed}),
+        "seed": ("--seed", {"type": _seed, "default": 0}),
         "tol": ("--tol", {"type": _positive_tolerance if positive else _tolerance,
-                          "default": 1e-8 if positive else 1e-6 if command == "iwasawa" else 1e-9}),
+                          "default": 1e-8 if positive else 1e-6}),
         "which": ("--which", {"choices": ("K", "K_intersection"), "default": "K"}),
         "out": ("--out", {}),
         "out_off": ("--out-off", {}),
@@ -456,10 +457,9 @@ def _parse(argv: list) -> argparse.Namespace:
     """The arguments of the run argv names, parsed by a parser of that run's
     flags alone, each spelled in full (a prefix such as --se is unrecognized);
     argparse exits 0 after --help and 2 on a usage error."""
-    seed = _seed(os.environ.get("ORBITKIT_SEED", "0"), "ORBITKIT_SEED")  # on every call
     subs = {c: [s for k, s in RUNS if k == c] for c, _ in RUNS}
     command = _pick("orbitkit", {c: " ".join(filter(None, s)) for c, s in subs.items()}, argv)
-    flags = _flags(command, seed)
+    flags = _flags(command)
     dests = {s: RUNS[command, s].used + ARTIFACT_FLAGS.get(command, ()) for s in subs[command]}
     sub = None
     if subs[command] != [None]:

@@ -380,18 +380,6 @@ def conjugate(form: TwoForm, rot, tol: float = 1e-12) -> TwoForm:
     return TwoForm.from_matrix(R @ form.endomorphism() @ R.T, tol=1e-6)
 
 
-def kks_pairing(base: TwoForm, X, Y) -> float:
-    """Canonical symplectic pairing (base, [X, Y]) under the trace product.
-
-    The inner product is (A, B) = tr(A B^T) / 2, which makes the basis forms
-    e^i ^ e^j orthonormal; antisymmetric in X, Y exactly.
-    """
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    C = X @ Y - Y @ X
-    return 0.5 * float(np.trace(base.endomorphism() @ C.T))
-
-
 def torus_rotation(t1: float, t2: float, t3: float) -> np.ndarray:
     """Block rotation by angles (t1, t2, t3) in the three coordinate planes."""
     R = np.zeros((6, 6))

@@ -71,7 +71,7 @@ def ocs_matrix(form, tol: float = 1e-8) -> np.ndarray:
     """Endomorphism of a complex-structure form, or a stack (n, 6, 6) of
     them, validated to square to -1."""
     J = form.endomorphism() if isinstance(form, TwoForm) else np.asarray(form, dtype=float)
-    if np.max(np.abs(J @ J + np.eye(6))) > math.sqrt(tol):
+    if not np.max(np.abs(J @ J + np.eye(6))) <= math.sqrt(tol):
         raise WrongClass("form does not square to -identity")
     return J
 
@@ -326,7 +326,7 @@ def doubly_closed_plane(sign, u) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if np.any(np.abs(sign) != 1.0):
         raise ValueError("sign must be +1 or -1")
-    if np.any(np.abs(np.sum(u * u, axis=-1) - 1.0) > 1e-12):
+    if not np.all(np.abs(np.sum(u * u, axis=-1) - 1.0) <= 1e-12):
         raise ValueError("u must be a unit 3-vector")
     F = endomorphisms(0.5 * sign[..., None] * _SD + 0.5 * (u @ _ASD))
     lengths = np.linalg.norm(F, axis=-2)
@@ -436,7 +436,7 @@ def mixed_classes_over(n: int, seed: int, which: str = "K") -> tuple[moment.Samp
     lams = np.column_stack([np.ones_like(t), np.ones_like(t), 1.0 + t])
     worst = float(np.max(moment.moment_violations(lams, pts), initial=0.0))
     report = {
-        "pass": skipped == 0 and worst <= 1e-9,
+        "pass": skipped == 0 and worst <= moment.GATE_TOL,
         "n": n,
         "seed": seed,
         "which": which,

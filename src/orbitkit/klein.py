@@ -60,7 +60,7 @@ def fibration_project(form: TwoForm, target, tol: float = 1e-8) -> TwoForm:
 
 def _unit(x, what: str) -> tuple[float, float, float]:
     x = tuple(float(c) for c in x)
-    if abs(sum(c * c for c in x) - 1.0) > 1e-12:
+    if not abs(sum(c * c for c in x) - 1.0) <= 1e-12:
         raise NormViolation(f"{what} must be a unit 3-vector")
     return x
 
@@ -136,11 +136,11 @@ def edge_prism_points(abc, abg, t) -> np.ndarray:
 def edge_prism_point(a, b, c, alpha, beta, gamma, t) -> tuple[float, float, float]:
     """One row of `edge_prism_points`, for unit (a, b, c) and
     (alpha, beta, gamma) and t >= 0."""
-    if abs(a * a + b * b + c * c - 1.0) > 1e-12:
+    if not abs(a * a + b * b + c * c - 1.0) <= 1e-12:
         raise NormViolation("(a, b, c) must be a unit vector")
-    if abs(alpha * alpha + beta * beta + gamma * gamma - 1.0) > 1e-12:
+    if not abs(alpha * alpha + beta * beta + gamma * gamma - 1.0) <= 1e-12:
         raise NormViolation("(alpha, beta, gamma) must be a unit vector")
-    if t < 0:
+    if not t >= 0:
         raise ValueError("t must be nonnegative")
     return tuple(edge_prism_points([(a, b, c)], [(alpha, beta, gamma)], [t])[0].tolist())
 
@@ -155,11 +155,11 @@ def prism_region() -> polytopes.Polytope:
 
 
 def prism_region_test(p) -> bool:
-    """Membership within 1e-9 in the edge-prism region (z <= -1 inside the
-    polytope) of a point, or of every row of an (n, 3) array."""
+    """Membership within `moment.GATE_TOL` in the edge-prism region (z <= -1
+    inside the polytope) of a point, or of every row of an (n, 3) array."""
     pts = np.atleast_2d(np.asarray(p, dtype=float))
-    return bool(np.all(pts[:, 2] <= -1.0 + 1e-9)
-                and np.all(moment.moment_violations(PRISM_LAMBDA, pts) <= 1e-9))
+    return bool(np.all(pts[:, 2] <= -1.0 + moment.GATE_TOL)
+                and np.all(moment.moment_violations(PRISM_LAMBDA, pts) <= moment.GATE_TOL))
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,11 @@ _MASK64 = (1 << 64) - 1
 #: classes at once) and `iwasawa.scan_complex`, to bound peak memory.
 HAAR_BATCH = 20000
 
+#: Fixed bound of the sampled containment gates (`moment_violations`, region
+#: and face distances) of sample, verify ags|singular|square, the klein
+#: fibres and iwasawa mixed.
+GATE_TOL = 1e-9
+
 
 def stream(seed: int, n: int, m: int, start: int = 0) -> np.ndarray:
     """(n, m) uint64 words: row k is the first m words of sample start + k,

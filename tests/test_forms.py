@@ -19,7 +19,6 @@ from orbitkit.forms import (
     classify_full,
     conjugate,
     eigen_split,
-    kks_pairing,
     spin_weight_to_cartan,
     torus_rotation,
 )
@@ -473,45 +472,6 @@ def test_conjugate_rejects_non_rotation():
         conjugate(W0, np.diag([1, 1, 1, 1, 1, -1]))
     with pytest.raises(InvalidRotation):
         conjugate(W0, 2 * np.eye(6))
-
-
-def skew(rng):
-    A = rng.standard_normal((6, 6))
-    return A - A.T
-
-
-def test_kks_antisymmetry_exact():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        X, Y = skew(rng), skew(rng)
-        assert kks_pairing(W0, X, Y) == -kks_pairing(W0, Y, X)
-        assert kks_pairing(W0, X, X) == 0.0
-
-
-def test_kks_stabilizer_direction_vanishes():
-    J0 = W0.endomorphism()
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        X = skew(rng)
-        # Project onto the commutant of J0: X -> (X + J0 X J0^T) / 2.
-        Xc = 0.5 * (X + J0 @ X @ J0.T)
-        assert np.max(np.abs(Xc @ J0 - J0 @ Xc)) <= 1e-12
-        Y = skew(rng)
-        assert abs(kks_pairing(W0, Xc, Y)) <= 1e-12
-
-
-def test_kks_matches_coefficient_pairing_oracle():
-    # Independent evaluation: convert [X, Y] to a 2-form and pair coefficient
-    # vectors, using that the basis forms are orthonormal for the trace product.
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        base = TwoForm(tuple(rng.standard_normal(15)))
-        X, Y = skew(rng), skew(rng)
-        C = X @ Y - Y @ X
-        oracle = float(
-            np.dot(base.as_array(), TwoForm.from_matrix(C).as_array())
-        )
-        assert abs(kks_pairing(base, X, Y) - oracle) <= 1e-12
 
 
 def test_spin_weight_examples():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from orbitkit import iwasawa, klein, moment
-from orbitkit.errors import IncompatiblePattern, NormViolation
+from orbitkit.errors import IncompatiblePattern, NormViolation, WrongClass
 from orbitkit.forms import (
     PAIRS,
     OrbitClass,
@@ -295,6 +295,27 @@ def test_edge_prism_norm_violation():
         klein.edge_prism_point(1, 1, 0, 1, 0, 0, 1.0)
     with pytest.raises(NormViolation):
         klein.edge_prism_point(1, 0, 0, 1, 1, 0, 1.0)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: iwasawa.ocs_matrix(np.full((6, 6), NAN)), WrongClass),
+    (lambda: iwasawa.ocs_matrix(np.stack([W0.endomorphism(), np.full((6, 6), NAN)])),
+     WrongClass),
+    (lambda: iwasawa.doubly_closed_plane(1, [NAN, 0, 0]), ValueError),
+    (lambda: iwasawa.doubly_closed_plane([1, 1], [[1, 0, 0], [0, NAN, 0]]), ValueError),
+    (lambda: klein._unit((NAN, 0, 0), "u"), NormViolation),
+    (lambda: klein.edge_prism_point(NAN, 0, 0, 1, 0, 0, 0.5), NormViolation),
+    (lambda: klein.edge_prism_point(1, 0, 0, 0, NAN, 0, 0.5), NormViolation),
+    (lambda: klein.edge_prism_point(1, 0, 0, 1, 0, 0, NAN), ValueError),
+], ids=["ocs", "ocs-stack", "plane", "plane-stack", "unit", "prism-abc", "prism-abg",
+        "prism-t"])
+def test_input_checks_refuse_nan(call, error):
+    # Each check reads not (value <= bound): a NaN compares false either way.
+    with pytest.raises(error):
+        call()
 
 
 def test_edge_prism_forms_are_complex_structures():
