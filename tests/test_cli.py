@@ -236,11 +236,16 @@ def test_sample_deterministic_csv(capsys, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_the_seed_defaults_to_0_whatever_the_environment(capsys, tmp_path, monkeypatch):
-    # ORBITKIT_SEED once set the default seed and was parsed on every call.
+def test_non_integer_seed_env_is_ignored(capsys, monkeypatch):
+    # ORBITKIT_SEED was once parsed on every call, so prop16 exited 2 on it.
     monkeypatch.setenv("ORBITKIT_SEED", "abc")
     code, report = run_cli(capsys, "verify", "prop16")
     assert code == 0 and report["pass"]
+
+
+def test_seed_env_var_no_longer_sets_the_default(capsys, tmp_path, monkeypatch):
+    # ORBITKIT_SEED once set the default seed; --seed now defaults to 0.
+    monkeypatch.setenv("ORBITKIT_SEED", "123")
     out1 = tmp_path / "a.csv"
     code, _ = run_cli(capsys, "sample", "--lambda", "1,1,1", "--n", "50",
                       "--out", str(out1))
