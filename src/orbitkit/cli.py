@@ -262,8 +262,7 @@ def _suite_singular(n: int, seed: int) -> dict:
 
 
 def _suite_spin_cover(n: int) -> dict:
-    thetas = np.linspace(0.0, 4 * np.pi, n)
-    worst = float(np.max([spin.spin_cover_check(float(t)).discrepancy for t in thetas]))
+    worst = float(np.max(spin.spin_cover_check(np.linspace(0.0, 4 * np.pi, n)).discrepancy))
     r = spin.spin_cover_check(2 * np.pi)
     at_2pi = float(np.max(np.abs(r.su4_element + np.eye(4))))
     so6_identity = float(np.max(np.abs(r.so6_action - np.eye(6))))

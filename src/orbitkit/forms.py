@@ -380,15 +380,16 @@ def conjugate(form: TwoForm, rot, tol: float = 1e-12) -> TwoForm:
     return TwoForm.from_matrix(R @ form.endomorphism() @ R.T, tol=1e-6)
 
 
-def torus_rotation(t1: float, t2: float, t3: float) -> np.ndarray:
-    """Block rotation by angles (t1, t2, t3) in the three coordinate planes."""
-    R = np.zeros((6, 6))
-    for k, t in enumerate((t1, t2, t3)):
-        c, s = math.cos(t), math.sin(t)
-        R[2 * k, 2 * k] = c
-        R[2 * k, 2 * k + 1] = -s
-        R[2 * k + 1, 2 * k] = s
-        R[2 * k + 1, 2 * k + 1] = c
+def torus_rotation(t1, t2, t3) -> np.ndarray:
+    """Block rotation by angles (t1, t2, t3) in the three coordinate planes;
+    angle arrays broadcast to a stack (..., 6, 6) of rotations."""
+    t = np.stack(np.broadcast_arrays(t1, t2, t3), axis=-1)
+    c, s = np.cos(t), np.sin(t)
+    R = np.zeros(t.shape[:-1] + (6, 6))
+    k = np.arange(0, 6, 2)
+    R[..., k, k] = R[..., k + 1, k + 1] = c
+    R[..., k, k + 1] = -s
+    R[..., k + 1, k] = s
     return R
 
 

@@ -12,6 +12,8 @@ with v_ab = v_a ^ v_b.  The diagonal circle with weight quadruple
 the basis above it equals the simultaneous rotation by t in the three
 coordinate planes of W.  At t = 2 pi the unitary element is -1 while the
 rotation is the identity: one loop downstairs lifts to half a loop upstairs.
+`verify spin-cover` compares the two circles at its n angles in one stacked
+`spin_cover_check`.
 
 The derivative Phi of the cover (`wedge_generator`) sends a traceless
 Hermitian H to the real 6x6 matrix of (i/2)(H ^ 1 + 1 ^ H).  Phi(diag(-3, 1,
@@ -48,6 +50,8 @@ _BASIS_MAP = np.array(
 ).T
 
 _BASIS_MAP_INV = np.linalg.inv(_BASIS_MAP)
+#: Weight w_a + w_b of the circle on each v_ab.
+_PAIR_WEIGHTS = np.array([NU1_QUADRUPLE[a] + NU1_QUADRUPLE[b] for a, b in WEDGE_PAIRS])
 
 
 def _phi_table() -> np.ndarray:
@@ -76,20 +80,19 @@ class SpinCoverResult:
     so6_action: np.ndarray
     su4_action_on_wedge: np.ndarray
     su4_element: np.ndarray
-    discrepancy: float
+    discrepancy: float | np.ndarray
 
 
-def su4_circle(theta: float) -> np.ndarray:
-    """The unitary element exp(i theta/2 diag(weights))."""
-    w = np.array(NU1_QUADRUPLE)
-    return np.diag(np.exp(0.5j * theta * w))
+def su4_circle(theta) -> np.ndarray:
+    """The unitary element exp(i theta/2 diag(weights)), stacked like theta."""
+    phase = np.exp(0.5j * np.asarray(theta)[..., None] * np.array(NU1_QUADRUPLE))
+    return phase[..., None] * np.eye(4)
 
 
-def wedge_action(theta: float) -> np.ndarray:
+def wedge_action(theta) -> np.ndarray:
     """Action of su4_circle on the wedge square, in e-basis coordinates."""
-    w = NU1_QUADRUPLE
-    D = np.diag([np.exp(0.5j * theta * (w[a] + w[b])) for a, b in WEDGE_PAIRS])
-    return _BASIS_MAP_INV @ D @ _BASIS_MAP
+    phase = np.exp(0.5j * np.asarray(theta)[..., None] * _PAIR_WEIGHTS)
+    return _BASIS_MAP_INV @ (phase[..., :, None] * _BASIS_MAP)
 
 
 def wedge_generator(H) -> np.ndarray:
@@ -109,13 +112,14 @@ def wedge_generator(H) -> np.ndarray:
     return np.einsum("...k,kc->...c", S, _PHI).reshape(H.shape[:-2] + (6, 6))
 
 
-def spin_cover_check(theta: float) -> SpinCoverResult:
+def spin_cover_check(theta) -> SpinCoverResult:
     """Compare the rotation circle with the transported unitary wedge action.
 
     The discrepancy (operator norm) vanishes for every theta, while the 4x4
-    unitary element itself has period 4 pi.
+    unitary element itself has period 4 pi.  An array of angles gives stacks
+    and an array of discrepancies, each row the bits of its angle alone.
     """
     so6 = torus_rotation(theta, theta, theta)
     wedge = wedge_action(theta)
-    disc = float(np.linalg.norm(wedge - so6, ord=2))
-    return SpinCoverResult(so6, wedge, su4_circle(theta), disc)
+    disc = np.linalg.norm(wedge - so6, ord=2, axis=(-2, -1))
+    return SpinCoverResult(so6, wedge, su4_circle(theta), disc if disc.ndim else float(disc))

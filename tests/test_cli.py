@@ -142,16 +142,33 @@ def test_verify_spin_cover(capsys):
     assert report["metrics"]["max_discrepancy"] < 1e-12
 
 
-def test_verify_spin_cover_samples_the_n_it_echoes(capsys, monkeypatch):
+@pytest.mark.parametrize("n", [1, 2, 100])
+def test_verify_spin_cover_samples_the_n_it_echoes(capsys, monkeypatch, n):
     thetas = []
     check = spin.spin_cover_check
     monkeypatch.setattr(spin, "spin_cover_check",
-                        lambda theta: thetas.append(theta) or check(theta))
-    code, report = run_cli(capsys, "verify", "spin-cover", "--n", "1")
+                        lambda theta: thetas.append(np.array(theta)) or check(theta))
+    code, report = run_cli(capsys, "verify", "spin-cover", "--n", str(n))
     assert code == 0 and report["pass"]
-    assert report["parameters"] == {"n": 1} and report["metrics"]["thetas"] == 1
-    # One sampled angle, then the check at 2 pi.
-    assert thetas == [0.0, 2 * math.pi]
+    assert report["parameters"] == {"n": n} and report["metrics"]["thetas"] == n
+    # One stacked check on exactly the n sampled angles, then one at 2 pi.
+    assert len(thetas) == 2
+    assert thetas[0].shape == (n,)
+    assert np.array_equal(thetas[0], np.linspace(0.0, 4 * math.pi, n))
+    assert thetas[1].shape == () and thetas[1] == 2 * math.pi
+
+
+@pytest.mark.parametrize("name, mutate, metric", [
+    ("_PAIR_WEIGHTS", lambda w: -w, "max_discrepancy"),
+    ("_PAIR_WEIGHTS", lambda w: 2 * w, "max_discrepancy"),
+    ("NU1_QUADRUPLE", lambda w: tuple(2 * x for x in w), "su4_at_2pi_vs_minus_identity"),
+], ids=["wedge-weights-negated", "wedge-theta-not-halved", "su4-theta-not-halved"])
+def test_verify_spin_cover_fails_on_a_wrong_phase_table(capsys, monkeypatch, name, mutate,
+                                                        metric):
+    monkeypatch.setattr(spin, name, mutate(getattr(spin, name)))
+    code, report = run_cli(capsys, "verify", "spin-cover", "--n", "100")
+    assert code == 1 and report["pass"] is False
+    assert report["metrics"][metric] > 0.1
 
 
 def test_verify_edge_prism_small(capsys):

@@ -496,3 +496,14 @@ def test_second_weight_quadruple_by_linear_solve():
 def test_torus_rotation_is_rotation():
     R = torus_rotation(0.3, -1.2, 2.5)
     forms.validate_rotation(R)
+
+
+def test_torus_rotation_broadcasts_over_angle_arrays():
+    t1, t2 = np.linspace(-7.0, 9.0, 5), np.array([[0.3], [-1.2]])
+    R = torus_rotation(t1, t2, 2.5)
+    assert R.shape == (2, 5, 6, 6) and torus_rotation(0.3, -1.2, 2.5).shape == (6, 6)
+    for i, j in itertools.product(range(2), range(5)):
+        assert np.array_equal(R[i, j], torus_rotation(t1[j], t2[i, 0], 2.5))
+        for k, t in enumerate((t1[j], t2[i, 0], 2.5)):
+            block = [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
+            assert np.max(np.abs(R[i, j, 2 * k:2 * k + 2, 2 * k:2 * k + 2] - block)) <= 1e-15

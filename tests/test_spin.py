@@ -1,5 +1,7 @@
 """Double cover of the rotation circle by the unitary circle."""
 
+import math
+
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
@@ -39,6 +41,42 @@ def test_rotation_of_first_basis_vector():
 def test_discrepancy_over_sweep():
     for theta in np.linspace(0, 4 * np.pi, 101):
         assert spin.spin_cover_check(float(theta)).discrepancy < 1e-12
+
+
+def spin_cover_reference(theta):
+    """The check at one angle, built one rotation plane and one wedge
+    coordinate at a time: (rotation, wedge action, unitary, discrepancy)."""
+    c, s = math.cos(theta), math.sin(theta)
+    so6 = np.zeros((6, 6))
+    for k in range(3):
+        so6[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[c, -s], [s, c]]
+    w = spin.NU1_QUADRUPLE
+    D = np.diag([np.exp(0.5j * theta * (w[a] + w[b])) for a, b in spin.WEDGE_PAIRS])
+    wedge = spin._BASIS_MAP_INV @ D @ spin._BASIS_MAP
+    U = np.diag(np.exp(0.5j * theta * np.array(w)))
+    return so6, wedge, U, float(np.linalg.norm(wedge - so6, ord=2))
+
+
+@given(st.lists(st.floats(-8 * np.pi, 8 * np.pi), min_size=1, max_size=40))
+def test_stacked_check_is_the_check_at_each_angle(thetas):
+    stack = spin.spin_cover_check(np.array(thetas))
+    n = len(thetas)
+    assert stack.so6_action.shape == (n, 6, 6) and stack.su4_element.shape == (n, 4, 4)
+    assert stack.su4_action_on_wedge.shape == (n, 6, 6) and stack.discrepancy.shape == (n,)
+    for k, theta in enumerate(thetas):
+        one = spin.spin_cover_check(theta)
+        assert one.so6_action.shape == (6, 6) and one.su4_element.shape == (4, 4)
+        assert type(one.discrepancy) is float
+        # A row does not depend on its stack.
+        assert np.array_equal(stack.so6_action[k], one.so6_action)
+        assert np.array_equal(stack.su4_action_on_wedge[k], one.su4_action_on_wedge)
+        assert np.array_equal(stack.su4_element[k], one.su4_element)
+        assert stack.discrepancy[k] == one.discrepancy
+        so6, wedge, U, disc = spin_cover_reference(theta)
+        assert np.max(np.abs(one.so6_action - so6)) <= 1e-15
+        assert np.max(np.abs(one.su4_action_on_wedge - wedge)) <= 1e-15
+        assert np.max(np.abs(one.su4_element - U)) <= 1e-15
+        assert abs(one.discrepancy - disc) <= 1e-15
 
 
 J0 = TwoForm.from_cartan((1, 1, 1)).endomorphism()
