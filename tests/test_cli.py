@@ -142,20 +142,21 @@ def test_verify_spin_cover(capsys):
     assert report["metrics"]["max_discrepancy"] < 1e-12
 
 
-@pytest.mark.parametrize("n", [1, 2, 100])
-def test_verify_spin_cover_samples_the_n_it_echoes(capsys, monkeypatch, n):
+def test_verify_spin_cover_samples_the_n_it_echoes(capsys, monkeypatch):
     thetas = []
     check = spin.spin_cover_check
     monkeypatch.setattr(spin, "spin_cover_check",
                         lambda theta: thetas.append(np.array(theta)) or check(theta))
-    code, report = run_cli(capsys, "verify", "spin-cover", "--n", str(n))
-    assert code == 0 and report["pass"]
-    assert report["parameters"] == {"n": n} and report["metrics"]["thetas"] == n
-    # One stacked check on exactly the n sampled angles, then one at 2 pi.
-    assert len(thetas) == 2
-    assert thetas[0].shape == (n,)
-    assert np.array_equal(thetas[0], np.linspace(0.0, 4 * math.pi, n))
-    assert thetas[1].shape == () and thetas[1] == 2 * math.pi
+    for n in (1, 2, 100):
+        thetas.clear()
+        code, report = run_cli(capsys, "verify", "spin-cover", "--n", str(n))
+        assert code == 0 and report["pass"], n
+        assert report["parameters"] == {"n": n} and report["metrics"]["thetas"] == n
+        # One stacked check on exactly the n sampled angles, then one at 2 pi.
+        assert len(thetas) == 2, n
+        assert thetas[0].shape == (n,)
+        assert np.array_equal(thetas[0], np.linspace(0.0, 4 * math.pi, n))
+        assert thetas[1].shape == () and thetas[1] == 2 * math.pi
 
 
 @pytest.mark.parametrize("name, mutate, metric", [
