@@ -4,10 +4,10 @@ All structures are left-invariant, so integrability questions reduce to
 finite computations with the frame structure constants: the Nijenhuis tensor
 of an orthogonal complex structure, and bracket-closure of the two
 distributions of an orthogonal product structure.  The scans test whole
-stacks of plane frames (n, 6, 2) and structures (n, 6, 6) at once, and read
-plane images off `moment.cartan_minors`.  The closed-form doubly-closed
-frames and stacked products move `scan-kk` and `mixed` coordinates by up to
-a few 1e-16 against per-plane eigen-split frames.
+stacks of plane frames (n, 6, 2) and structures (n, 6, 6) at once.  The
+closed-form doubly-closed frames and stacked products move `scan-kk` and
+`mixed` coordinates by up to a few 1e-16 against per-plane eigen-split
+frames.
 
 On the U(3) orbit of J0 = `from_cartan((1, 1, 1))` the squared Nijenhuis
 norm is a quadratic in the moment image mu = (x, y, z): with s = x + y,
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import moment
 from .errors import WrongClass
-from .forms import E12, E34, E56, TwoForm, endomorphisms
+from .forms import E12, E34, E56, TwoForm, endomorphisms, wedges
 
 
 def iwasawa_algebra() -> np.ndarray:
@@ -134,7 +134,7 @@ def vertical_closed(c: np.ndarray, V, tol: float = 1e-12):
 
 def _plane_images(V: np.ndarray) -> np.ndarray:
     """(n, 3) Cartan coefficients of the plane forms of a frame stack."""
-    return moment.cartan_minors(V)[..., 0]
+    return wedges(V[..., 0], V[..., 1])[..., (E12, E34, E56)]
 
 
 #: Coefficients of e12 - e34, e13 - e42 and e14 - e23 (anti-self-dual on
@@ -406,27 +406,21 @@ def mixed_classes_over(n: int, seed: int, which: str = "K") -> tuple[moment.Samp
     so by ||[v1, v2]||^2 = 1 - (x + y)^2 it is doubly closed.  A draw a check
     rejects is skipped and counted, and the run passes only when none is
     skipped and every image lies within 1e-9 of conv(W.(1, 1, 1 + t)): the
-    mixed form J + t (v ^ Jv) has chamber triple (1, 1, 1 + t).  Sample k takes 9
-    words of stream (seed, k) whichever branch it takes: 8 normals from words
-    0-7 (3 for the anti-self-dual direction, 4 for the plane vector, one
-    unused) and t ~ U(0.05, 1) from word 8.
+    mixed form J + t (v ^ Jv) has chamber triple (1, 1, 1 + t).  Sample k is
+    `moment.fibre_draws` of sizes (3, 4) whichever branch it takes: the
+    anti-self-dual direction, the plane vector in <e1..e4> and t ~ U(0.05, 1).
     """
     if which not in ("K", "K_intersection"):
         raise ValueError("which must be 'K' or 'K_intersection'")
     if n < 1:
         raise ValueError("n must be at least 1")
     algebra = iwasawa_algebra()
-    w = moment.stream(seed, n, 9)
-    G = moment.gaussians(w[:, :8])
-    T = 0.05 + 0.95 * moment.uniforms(w[:, 8])
+    abc, v4, T = moment.fibre_draws(n, seed, 0.05, (3, 4))
     # The standard structure, or on the odd draws of K the anti-self-dual circle.
     coeffs = np.tile(TwoForm.from_cartan((1, 1, 1)).as_array(), (n, 1))
     if which == "K":
-        abc = G[1::2, :3] / np.linalg.norm(G[1::2, :3], axis=1, keepdims=True)
-        coeffs[1::2] = _asd_edge_coeffs(*abc.T)
-    v = np.zeros((n, 6))
-    v[:, :4] = G[:, 3:7] / np.linalg.norm(G[:, 3:7], axis=1, keepdims=True)
-    V, images = mixed_images(coeffs, v, T)
+        coeffs[1::2] = _asd_edge_coeffs(*abc[1::2].T)
+    V, images = mixed_images(coeffs, np.pad(v4, ((0, 0), (0, 2))), T)
     keep = _invariant(endomorphisms(coeffs), V, 1e-9)
     if which == "K_intersection":
         keep &= horizontal_closed(algebra, V) & vertical_closed(algebra, V)

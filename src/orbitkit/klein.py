@@ -95,28 +95,10 @@ def ocs_over_plane(p, u) -> TwoForm:
     return TwoForm(_complete(p.form.as_array(), h, np.array(u)))
 
 
-# ---------------------------------------------------------------------------
-# Fibre sampling
-# ---------------------------------------------------------------------------
-
-#: Lower end of the fibre parameter t for the edge prism and the square.
+#: Lower end of the fibre parameter t for the edge prism and the square; a
+#: fibre draw is `moment.fibre_draws` of sizes (3, 3).
 EDGE_PRISM_T_LO = 0.0
 SQUARE_T_LO = 0.05
-
-
-def fibre_draws(n: int, seed: int, t_lo: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fibre parameters of samples 0..n-1: unit 3-vectors u (n, 3) and
-    v (n, 3) and t (n,).
-
-    Sample k takes 7 words of stream (seed, k): u and v from the 6 normals of
-    words 0-5 and t ~ U(t_lo, 1) from word 6.
-    """
-    w = moment.stream(seed, n, 7)
-    g = moment.gaussians(w[:, :6])
-    u = g[:, :3] / np.linalg.norm(g[:, :3], axis=1, keepdims=True)
-    v = g[:, 3:] / np.linalg.norm(g[:, 3:], axis=1, keepdims=True)
-    t = t_lo + (1.0 - t_lo) * moment.uniforms(w[:, 6])
-    return u, v, t
 
 
 # ---------------------------------------------------------------------------

@@ -3,16 +3,19 @@
 Every Monte-Carlo draw comes from one counter-based generator,
 Philox-4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
 3", SC'11), run by numpy's native `np.random.Philox`.  A run with seed s is
-keyed (s mod 2^64, 0).  A call site that takes m words per sample (24 for
-the three unitary columns of a Haar moment image, 8 for the unit vector of
-C^4 of a twistor structure, 12 for the two U(3) columns and 2 for the two
-U(2) moduli of a stabilizer image, 36 for a Haar rotation) gives sample k the
-b = ceil(m / 4) counter blocks k b + 1, ..., (k + 1) b, four words each, of
-which it keeps the first m.  So sample k's
-words depend only on (s, k): it is the same whichever batch it is drawn in,
-and a batch split by `start` is bit-identical to the whole.  Uniforms are
-(w >> 11) * 2^-53; normals come from Box-Muller on word pairs.  Sample files
-carry the tag `stream=philox4x64-10-ctr` in their header.
+keyed (s mod 2^64, 0).  A call site that takes m words per sample gives
+sample k the b = ceil(m / 4) counter blocks k b + 1, ..., (k + 1) b, four
+words each, of which it keeps the first m: 24 for the three unitary columns
+of a Haar moment image, 8 for the unit vector of C^4 of a twistor structure,
+12 for the two U(3) columns and 2 for the two U(2) moduli of a stabilizer
+image, 36 for a Haar rotation, 2k for an iwasawa plane of <e1..e_k>, 4 for a
+doubly-closed plane direction, 3 for a volume-ratio point, and sum(sizes)
+rounded up to even, plus 1, for a `fibre_draws` draw (7 for the klein
+fibres, 9 for iwasawa mixed).  So sample k's words depend only on (s, k):
+it is the same whichever batch it is drawn in, and a batch split by `start`
+is bit-identical to the whole.  Uniforms are (w >> 11) * 2^-53; normals come
+from Box-Muller on word pairs.  Sample files carry the tag
+`stream=philox4x64-10-ctr` in their header.
 
 Haar moment images come from SU(4), not SO(6): the spin cover carries the
 orbit of the Cartan form of lam onto the unitary orbit of D = diag(d),
@@ -96,20 +99,26 @@ def normals(seed: int, n: int, m: int, start: int = 0) -> np.ndarray:
     return gaussians(stream(seed, n, m + m % 2, start))[:, :m]
 
 
+def fibre_draws(n: int, seed: int, t_lo: float, sizes) -> tuple[np.ndarray, ...]:
+    """Fibre draws of samples 0..n-1: one uniform unit vector (n, s) per
+    entry s of sizes, in order, then the fibre parameters t (n,).
+
+    Sample k takes m + 1 words of stream (seed, k), m = sum(sizes) rounded up
+    to even: the vectors are the normals of words 0..m-1 split in order and
+    normalised (an odd sum leaves the last normal unused), and t ~ U(t_lo, 1)
+    is the uniform of word m.
+    """
+    m = sum(sizes) + sum(sizes) % 2
+    w = stream(seed, n, m + 1)
+    parts = np.split(gaussians(w[:, :m]), np.cumsum(sizes), axis=1)[:-1]
+    t = t_lo + (1.0 - t_lo) * uniforms(w[:, m])
+    return (*(g / np.linalg.norm(g, axis=1, keepdims=True) for g in parts), t)
+
+
 def mu_t(form: TwoForm) -> tuple[float, float, float]:
     """Projection to the Cartan coefficients (e^12, e^34, e^56)."""
     c = form.coeffs
     return (c[E12], c[E34], c[E56])
-
-
-def cartan_minors(R: np.ndarray) -> np.ndarray:
-    """Minors det R[2c:2c+2, 2j:2j+2], (..., 3, m), of a (..., 6, 2m) stack.
-
-    For a rotation R and the Cartan form of lam, (R F R^T)[2c+1, 2c] = sum_j
-    lam_j minors[c, j]; for a plane frame (v1, v2) they equal, bit for bit,
-    mu_t(TwoForm.from_wedge(v1, v2)).
-    """
-    return R[..., 1::2, 1::2] * R[..., 0::2, 0::2] - R[..., 1::2, 0::2] * R[..., 0::2, 1::2]
 
 
 def haar_rotations(n: int, seed: int, start: int = 0) -> np.ndarray:
@@ -385,14 +394,15 @@ def stabilizer_law(d, q) -> tuple[tuple[Fraction, ...], Fraction, Fraction]:
     X = |theta - E theta|^2 / 4 and a doubly stochastic P does not lengthen
     d - E theta, so max X = sum of S / 4, reached where P is a permutation.
     The rows of B sum to 0, so E mu = B E theta / 4 is (mean_1 - mean_2) / 4
-    times B 1_1, 1_1 the indicator of the first block.
+    times B 1_1, 1_1 the indicator of the first block.  With one block (q
+    constant, the stabilizer all of SU(4)) E mu = 0 and E X = S / 20.
     """
     d = [Fraction(c) for c in d]
     blocks = [[k for k in range(4) if q[k] == v] for v in sorted(set(q))]
     means = [sum(d[k] for k in b) / len(b) for b in blocks]
     squares = [sum((d[k] - mean) ** 2 for k in b) for b, mean in zip(blocks, means)]
     expected = sum(s / (4 * (len(b) + 1)) for b, s in zip(blocks, squares))
-    step = (means[0] - means[1]) / 4
+    step = (means[0] - means[-1]) / 4
     e_mu = tuple(step * sum(int(row[k]) for k in blocks[0]) for row in CARTAN_QUADRUPLES)
     return e_mu, expected, sum(squares) / 4
 

@@ -100,19 +100,20 @@ def weyl_orbit(p) -> tuple:
 def to_chamber(p):
     """Chamber representative with z >= x >= |y|, and an element realising it.
 
-    Brute force over all 24 images, picking the lexicographically maximal
-    (z, x, y).  Signed permutations are exact, so the returned point satisfies
-    the chamber inequalities exactly.
+    The group permutes coordinates and changes an even number of signs, so
+    the lexicographically largest image (z, x, y) has z and x the two largest
+    |coordinates| and y the smallest, negated when an odd number of
+    coordinates are negative; w is the first element of `weyl_group()`
+    reaching it.  The point is exact, so it satisfies the chamber
+    inequalities exactly; a NaN coordinate raises ValueError.
     """
-    best = None
-    best_w = None
+    y, x, z = sorted(map(abs, p))
+    target = (x, -y if sum(c < 0 for c in p) % 2 else y, z)
     for w in weyl_group():
         q = act(w, p)
-        key = (q[2], q[0], q[1])
-        if best is None or key > best:
-            best = key
-            best_w = w
-    return (best[1], best[2], best[0]), best_w
+        if q == target:
+            return q, w
+    raise ValueError(f"{p} has no chamber representative")
 
 
 def singular_vertex_set(lam, w: Element, i: int) -> tuple:

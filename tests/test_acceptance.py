@@ -148,7 +148,7 @@ def test_c06_edge_prism_identity():
     n = 10_000
     seed = 17
     with Timer(5.0) as t:
-        abc, abg, tt = klein.fibre_draws(n, seed, 0.0)
+        abc, abg, tt = moment.fibre_draws(n, seed, klein.EDGE_PRISM_T_LO, (3, 3))
         x, y, z = klein.edge_prism_points(abc, abg, tt).T
         a = abc[:, 0]
         worst = float(np.max(np.abs(x - y - a * z - a * (3.0 + tt))))

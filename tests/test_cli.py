@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report schema, artifact determinism."""
 
 import ast
+import importlib
 import json
 import math
 import os
@@ -394,9 +395,9 @@ def test_klein_square_fails_on_a_row_outside_its_region(capsys, monkeypatch):
     assert code == 0 and report["metrics"]["all_in_region"]
     # t = 3 lies beyond the fibre's range (0, 1]: the image (4, 3, 3) is still
     # a moment image of its own orbit, but it is outside the exported region.
-    u, v, t = klein.fibre_draws(20, 5, klein.SQUARE_T_LO)
+    u, v, t = moment.fibre_draws(20, 5, klein.SQUARE_T_LO, (3, 3))
     u[0], v[0], t[0] = (1.0, 0.0, 0.0), (1.0, 0.0, 0.0), 3.0
-    monkeypatch.setattr(klein, "fibre_draws", lambda n, seed, t_lo: (u, v, t))
+    monkeypatch.setattr(moment, "fibre_draws", lambda n, seed, t_lo, sizes: (u, v, t))
     code, report = run_cli(capsys, "klein", "square", "--n", "20", "--seed", "5")
     metrics = report["metrics"]
     assert code != 0 and not report["pass"] and not metrics["all_in_region"]
@@ -905,6 +906,27 @@ def test_readme_command_block_parses_to_every_run():
     assert sorted(documented, key=str) == sorted(cli.RUNS, key=str)
 
 
+def test_every_cited_module_name_exists():
+    # Each `module.name` that README.md or a src/ file cites, for a module of
+    # orbitkit or np/numpy/math, must be an attribute of that module, so a
+    # deletion cannot leave a stale citation.
+    root = os.path.join(os.path.dirname(__file__), "..")
+    package = os.path.join(root, "src", "orbitkit")
+    files = sorted(f for f in os.listdir(package) if f.endswith(".py"))
+    citable = {"np": np, "numpy": np, "math": math,
+               **{f[:-3]: importlib.import_module(f"orbitkit.{f[:-3]}")
+                  for f in files if f != "__init__.py"}}
+    cited = 0
+    for path in [os.path.join(root, "README.md")] + [os.path.join(package, f) for f in files]:
+        with open(path) as fh:
+            text = fh.read()
+        for module, name in set(re.findall(r"`(\w+)\.([A-Za-z_]\w*)", text)):
+            if module in citable:
+                cited += 1
+                assert hasattr(citable[module], name), (path, f"{module}.{name}")
+    assert cited >= 30
+
+
 def test_readme_library_example_does_what_its_comments_say():
     readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
     with open(readme) as fh:
@@ -1024,15 +1046,15 @@ def test_scan_complex_fails_on_nan_rotations(capsys, monkeypatch):
 
 
 def test_verify_square_reports_nan_images_as_uncontained(capsys, monkeypatch):
-    fibre_draws = klein.fibre_draws
+    fibre_draws = moment.fibre_draws
 
-    def poisoned(n, seed, t_lo):
-        u, v, t = fibre_draws(n, seed, t_lo)
+    def poisoned(n, seed, t_lo, sizes):
+        u, v, t = fibre_draws(n, seed, t_lo, sizes)
         t = t.copy()
         t[0] = np.nan
         return u, v, t
 
-    monkeypatch.setattr(klein, "fibre_draws", poisoned)
+    monkeypatch.setattr(moment, "fibre_draws", poisoned)
     with np.errstate(invalid="ignore"):
         code, report = run_cli_strict(capsys, "verify", "square", "--n", "30")
     assert code == 1 and not report["pass"]

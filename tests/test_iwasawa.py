@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from orbitkit import iwasawa, moment
 from orbitkit.errors import WrongClass
-from orbitkit.forms import CARTAN_QUADRUPLES, TwoForm, eigen_split
+from orbitkit.forms import CARTAN_QUADRUPLES, E12, E34, E56, TwoForm, eigen_split, wedges
 
 
 @pytest.fixture(scope="module")
@@ -156,9 +156,10 @@ def test_nijenhuis_identity_on_haar_conjugates_and_the_family(algebra):
     for seed in (0, 1):
         R = moment.haar_rotations(2000, seed)
         norms = iwasawa._nijenhuis_norms(algebra, R @ J0 @ np.swapaxes(R, 1, 2))
-        # The images as the Cartan minors of R, not read from the entries of
-        # the structures as scan_complex reads them.
-        images = moment.cartan_minors(R) @ np.ones(3)
+        # The images as the Cartan slots of R J0 R^T = sum_j (R e_2j ^ R e_2j+1),
+        # not read from the entries of the structures as scan_complex reads them.
+        images = sum(wedges(R[:, :, 2 * j], R[:, :, 2 * j + 1])[:, (E12, E34, E56)]
+                     for j in range(3))
         assert np.max(np.abs(norms ** 2 - iwasawa.nijenhuis_polynomial(*images.T))) <= 1e-12
         # The twistor draws of scan_complex, with the images -B |u|^2.
         norms = iwasawa._nijenhuis_norms(algebra, moment.twistor_structures(2000, seed))
@@ -479,7 +480,12 @@ def test_doubly_closed_plane_stack_matches_rows_and_family_form():
 
 def test_plane_images_are_the_plane_form_images():
     for V in iwasawa._sample_planes_in(15, 50, 6):
-        assert tuple(moment.cartan_minors(V)[:, 0]) == moment.mu_t(TwoForm.from_wedge(*V.T))
+        assert tuple(wedges(*V.T)[[E12, E34, E56]]) == moment.mu_t(TwoForm.from_wedge(*V.T))
+    # Bit for bit the 2x2 minors det V[2c:2c+2, :] the images were once read as.
+    for dim in (4, 6):
+        V = iwasawa._sample_planes_in(3, 5000, dim)
+        minors = V[:, 1::2, 1] * V[:, 0::2, 0] - V[:, 1::2, 0] * V[:, 0::2, 1]
+        assert np.array_equal(iwasawa._plane_images(V), minors)
 
 
 def test_scan_K_matches_per_plane_loop(algebra):

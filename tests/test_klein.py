@@ -264,7 +264,7 @@ def test_edge_prism_closed_form():
 
 def test_edge_prism_points_match_the_twoform_sum():
     # Each row equals, bit for bit, mu_t of the TwoForm sum w + t e^(Je).
-    abc, abg, t = klein.fibre_draws(3000, 7, klein.EDGE_PRISM_T_LO)
+    abc, abg, t = moment.fibre_draws(3000, 7, klein.EDGE_PRISM_T_LO, (3, 3))
     abc = np.vstack([abc, [(1, 0, 0), (0, 1, 0), (0.0, -0.0, 1.0), (-0.6, 0.0, -0.8)]])
     abg = np.vstack([abg, [(1, 0, 0), (0, 0, 1), (0.0, 1.0, -0.0), (0.0, -0.6, 0.8)]])
     t = np.concatenate([t, [0.7, 2.0, 0.0, 1.0]])
@@ -378,7 +378,7 @@ def test_square_fiber_argument_checks():
 
 def square_draws():
     """3000 square draws of seed 7, then every pair of signed axes."""
-    u, v, t = klein.fibre_draws(3000, 7, klein.SQUARE_T_LO)
+    u, v, t = moment.fibre_draws(3000, 7, klein.SQUARE_T_LO, (3, 3))
     axes = np.vstack([np.eye(3), -np.eye(3), [(0.0, -0.0, 1.0), (-0.0, 1.0, 0.0)]])
     au, av = (a.reshape(-1, 3) for a in np.broadcast_arrays(axes[:, None], axes[None]))
     at = np.linspace(klein.SQUARE_T_LO, 1.0, len(au))

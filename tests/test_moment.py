@@ -8,11 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orbitkit import moment, polytopes, weyl
+from orbitkit import iwasawa, klein, moment, polytopes, weyl
 from orbitkit.cli import AGS_LAMBDAS
 from orbitkit.errors import BadIndex
 from orbitkit.forms import (
     CARTAN_QUADRUPLES,
+    E12,
+    E34,
+    E56,
     OrbitClass,
     STABILIZER_DIM,
     TwoForm,
@@ -21,6 +24,7 @@ from orbitkit.forms import (
     spin_weight_to_cartan,
     torus_rotation,
     conjugate,
+    wedges,
 )
 
 
@@ -127,6 +131,37 @@ def test_normals_moments():
     assert abs(np.mean(z ** 3)) < 0.06
     assert abs(np.mean(z ** 4) - 3.0) < 0.15
     assert abs(np.mean(np.abs(z) < 1.0) - 0.6826894921) < 0.01
+
+
+def fibre_draws_reference(n, seed, words, t_lo):
+    """The two fibre-draw slicings `moment.fibre_draws` replaced: klein's 7
+    words (u, v from normals 0-5, t ~ U(t_lo, 1) from word 6) and iwasawa
+    mixed's 9 (a 3-vector from normals 0-2, a 4-vector from normals 3-6,
+    t ~ U(0.05, 1) from word 8)."""
+    w = moment.stream(seed, n, words)
+    if words == 7:
+        g = moment.gaussians(w[:, :6])
+        u = g[:, :3] / np.linalg.norm(g[:, :3], axis=1, keepdims=True)
+        v = g[:, 3:] / np.linalg.norm(g[:, 3:], axis=1, keepdims=True)
+        return u, v, t_lo + (1.0 - t_lo) * moment.uniforms(w[:, 6])
+    G = moment.gaussians(w[:, :8])
+    abc = G[:, :3] / np.linalg.norm(G[:, :3], axis=1, keepdims=True)
+    v = G[:, 3:7] / np.linalg.norm(G[:, 3:7], axis=1, keepdims=True)
+    return abc, v, 0.05 + 0.95 * moment.uniforms(w[:, 8])
+
+
+@pytest.mark.parametrize("sizes, words, t_lo", [((3, 3), 7, klein.EDGE_PRISM_T_LO),
+                                                ((3, 3), 7, klein.SQUARE_T_LO),
+                                                ((3, 4), 9, 0.05)])
+def test_fibre_draws_are_the_old_slicings_bit_for_bit(sizes, words, t_lo):
+    for seed in range(5):
+        for n in (1, 7, 300, 5001):
+            got = moment.fibre_draws(n, seed, t_lo, sizes)
+            want = fibre_draws_reference(n, seed, words, t_lo)
+            assert len(got) == 3
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and np.array_equal(a, b)
+            assert np.all((got[2] >= t_lo) & (got[2] < 1.0))
 
 
 def test_normals_take_their_words_in_pairs():
@@ -337,9 +372,10 @@ def test_duistermaat_heckman_gate_rejects_unsigned_qr():
     g = moment.normals(0, KS_N, 36).reshape(KS_N, 6, 6)
     q = np.linalg.qr(g)[0]
     q[np.linalg.det(q) < 0, :, 0] *= -1.0
-    minors = moment.cartan_minors(q)
+    # Image of R F R^T, F the Cartan form of lam: sum_j lam_j (R e_2j ^ R e_2j+1).
+    planes = [wedges(q[:, :, 2 * j], q[:, :, 2 * j + 1])[:, (E12, E34, E56)] for j in range(3)]
     for lam in AGS_LAMBDAS:
-        pts = minors @ np.array(lam, dtype=float)
+        pts = sum(c * plane for c, plane in zip(map(float, lam), planes))
         d = max(moment.ks_distance(dh_marginal_cdf(lam, xi)[1], pts @ np.array(xi, dtype=float))
                 for xi in DH_DIRECTIONS)
         assert d > KS_BOUND, (lam, d)
@@ -712,6 +748,20 @@ def test_stabilizer_law_of_the_generic_point():
     # The zero-spread class of the fixed-point test.
     e_mu, expected, top = moment.stabilizer_law((-3.0, 1.0, 1.0, 1.0), (-3, 1, 1, 1))
     assert e_mu == (1, 1, 1) and expected == top == 0
+
+
+def test_stabilizer_law_of_one_block_is_the_whole_orbit_law():
+    # With q constant the stabilizer is all of SU(4): E mu = 0, E X = S / 20
+    # = |lam|^2 / 5 and max X = S / 4.  At (1, 1, 1) this is the law of the
+    # scan-complex draws, whose constants iwasawa derives by hand.
+    e_mu, expected, top = moment.stabilizer_law(cartan_to_spin_weight((1, 1, 1)), (0, 0, 0, 0))
+    assert e_mu == (0, 0, 0)
+    assert expected == iwasawa._MOMENT_NORM2_MEAN == Fraction(3, 5) and top == 3
+    assert top - expected == iwasawa._MOMENT_NORM2_SPREAD
+    for lam, mean in (((1, 0.5, 2), Fraction(21, 20)), ((1, 1, 2), Fraction(6, 5)),
+                      ((0, 0, 1), Fraction(1, 5))):
+        e_mu, expected, top = moment.stabilizer_law(cartan_to_spin_weight(lam), (1, 1, 1, 1))
+        assert e_mu == (0, 0, 0) and expected == mean and top == 5 * mean
 
 
 @pytest.mark.parametrize("i", [1, 2, 3])

@@ -1,5 +1,6 @@
 """Weyl group realisation: closure, orbits, chamber reduction, parabolics."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -72,8 +73,6 @@ def test_group_closed_and_has_inverses():
 def test_transpositions_land_in_group():
     G = set(weyl.weyl_group())
     # All 4! permutations of the quadruple slots realise the group.
-    import itertools
-
     images = set()
     for perm in itertools.permutations(range(4)):
         el = perm_to_element(perm)
@@ -148,6 +147,40 @@ def test_to_chamber_examples():
     q, w = weyl.to_chamber((1, 0.5, 2))
     assert q == (1, 0.5, 2)
     assert w == weyl.IDENTITY
+
+
+def to_chamber_reference(p):
+    """The brute force: the lexicographically largest (z, x, y) over the 24
+    images, from the first element reaching it."""
+    best = best_w = None
+    for w in weyl.weyl_group():
+        q = weyl.act(w, p)
+        if best is None or (q[2], q[0], q[1]) > best:
+            best, best_w = (q[2], q[0], q[1]), w
+    return (best[1], best[2], best[0]), best_w
+
+
+#: Ints, floats of both zero signs and Fractions, with ties across types.
+CHAMBER_GRID = (0, 0.0, -0.0, 1, -1, 2, -2, Fraction(1, 3), Fraction(-1, 3), 0.5, -0.5, 1.0, -1.0)
+
+
+def test_to_chamber_is_the_brute_force_on_every_tie_pattern():
+    # The extremes: a product of the coordinates would underflow or overflow.
+    extremes = [(1e-200, 1e-200, -1e-200), (-1e300, 1e300, 1e300), (math.inf, -1.0, 0.0),
+                (-5e-324, 2.0, 1.0)]
+    for p in itertools.chain(itertools.product(CHAMBER_GRID, repeat=3), extremes):
+        q, w = weyl.to_chamber(p)
+        want_q, want_w = to_chamber_reference(p)
+        assert w == want_w and q == want_q
+        assert [type(c) for c in q] == [type(c) for c in want_q]
+        assert repr(q) == repr(want_q)
+        x, y, z = q
+        assert z >= x >= abs(y)
+
+
+def test_to_chamber_refuses_nan():
+    with pytest.raises(ValueError):
+        weyl.to_chamber((math.nan, 1.0, 2.0))
 
 
 def test_to_chamber_invariant_under_group():
