@@ -236,22 +236,22 @@ def _suite_ags(n: int, seed: int) -> dict:
 
 def _suite_singular(n: int, seed: int) -> dict:
     """Each class's stabilizer images stay on its face and follow their law,
-    and every facet is a face; face points are orbit points, so vertices, and
-    faces compare as vertex sets."""
+    and each facet is the face of the class with its normal, compared as
+    indices into the sorted orbit, which is the hull's vertex list."""
     lam = (1.0, 0.5, 2.0)
     P = moment.moment_polytope(lam)
     rows = moment.verify_singular(lam, weyl.singular_classes(), n, seed)
-    faces = {row["face"] for row in rows}
+    faces = {row["normal"]: row["face_indices"] for row in rows}
     worst = float(np.max([row["max_violation"] for row in rows]))
     law = float(np.max([row["law_deviation"] for row in rows]))
-    all_facets_covered = all(tuple(sorted(P.vertices[k] for k in t)) in faces
-                             for t in P.facet_tight_vertices())
+    all_facets_covered = all(faces.get(f.normal) == t
+                             for f, t in zip(P.facets, P.facet_tight_vertices()))
     return {
         "pass": worst <= moment.GATE_TOL and law <= 1.0 and all_facets_covered,
         "max_violation": worst,
         "max_law_deviation": law,
         "distinct_classes": len(rows),
-        "polytopes": len(faces),
+        "polytopes": len(set(faces.values())),
         "all_facets_covered": all_facets_covered,
     }
 
@@ -280,13 +280,14 @@ def _suite_edge_prism(n: int, seed: int):
     cloud = moment.SampleCloud(pts, f"source=klein_edge_prism n={n} seed={seed}")
     return cloud, {"pass": worst <= 1e-12 and all_in_region,
                    "max_identity_residual": float(worst),
-                   "all_in_region": all_in_region, "n": n, "points": len(pts)}
+                   "all_in_region": all_in_region, "n": n, "points": len(pts)}, klein.prism_region
 
 
 def _suite_square(n: int, seed: int):
     """Each fibre image p + t J is ((1 + t) v1, t u1 v1, t u1), the closed
     form of `klein.square_forms`, and lies in conv(W.(t, t, 1 + t)), the
-    polytope of its own orbit, and in the exported square region."""
+    polytope of its own orbit, and in the square region, which is built once
+    for this gate and for the facet JSON of `klein square`."""
     u, v, t = moment.fibre_draws(n, seed, klein.SQUARE_T_LO, (3, 3))
     p, J = klein.square_forms(u, v)
     pts = p[:, [E12, E34, E56]] + t[:, None] * J[:, [E12, E34, E56]]
@@ -294,8 +295,8 @@ def _suite_square(n: int, seed: int):
     worst = np.max(np.abs(pts - closed))
     triples = np.column_stack([t, t, 1.0 + t])
     worst_contain = float(np.max(moment.moment_violations(triples, pts), initial=0.0))
-    all_in_region = bool(np.max(polytopes.violations_many(klein.square_region(), pts))
-                         <= moment.GATE_TOL)
+    region = klein.square_region()
+    all_in_region = bool(np.max(polytopes.violations_many(region, pts)) <= moment.GATE_TOL)
     cloud = moment.SampleCloud(pts, f"source=klein_square n={n} seed={seed}")
     return cloud, {
         "pass": worst <= 1e-12 and worst_contain <= moment.GATE_TOL and all_in_region,
@@ -304,7 +305,7 @@ def _suite_square(n: int, seed: int):
         "all_in_region": all_in_region,
         "n": n,
         "points": len(pts),
-    }
+    }, lambda: region
 
 
 def _suite_f3_segments() -> dict:
@@ -333,18 +334,17 @@ def _suite_f3_segments() -> dict:
 @dataclass(frozen=True)
 class Run:
     """One command: fn(**{a: args.a for a in used}) returns the metrics with a
-    "pass" key, or (artifact, metrics).  A SampleCloud artifact goes to --out
-    as CSV, with region(), if given, as facet JSON next to it; a Polytope goes
-    to --out-off and --out-facets."""
+    "pass" key, (artifact, metrics) or (cloud, metrics, region).  A SampleCloud
+    artifact goes to --out as CSV, with region(), if returned, as facet JSON
+    next to it; a Polytope goes to --out-off and --out-facets."""
 
     fn: object
     used: tuple = ()
-    region: object = None
 
 
 #: (command, sub) -> the run it starts; sub is None for a command without
-#: one.  iwasawa functions and klein regions are looked up when they run, so
-#: a wrapper set on the module later is the one called.
+#: one.  iwasawa functions are looked up when they run, so a wrapper set on
+#: the module later is the one called.
 RUNS = {
     ("classify", None): Run(_run_classify, ("form", "tol")),
     ("polytope", None): Run(_run_polytope, ("lam",)),
@@ -358,9 +358,8 @@ RUNS = {
     ("verify", "edge-prism"): Run(_suite_edge_prism, ("n", "seed")),
     ("verify", "square"): Run(_suite_square, ("n", "seed")),
     ("verify", "f3-segments"): Run(_suite_f3_segments),
-    ("klein", "edge-prism"): Run(_suite_edge_prism, ("n", "seed"),
-                                 lambda: klein.prism_region()),
-    ("klein", "square"): Run(_suite_square, ("n", "seed"), lambda: klein.square_region()),
+    ("klein", "edge-prism"): Run(_suite_edge_prism, ("n", "seed")),
+    ("klein", "square"): Run(_suite_square, ("n", "seed")),
     ("iwasawa", "scan-complex"): Run(lambda **kw: iwasawa.scan_complex(**kw),
                                      ("n", "seed", "tol")),
     ("iwasawa", "scan-k"): Run(lambda **kw: iwasawa.scan_K(**kw), ("n", "seed")),
@@ -394,7 +393,7 @@ def cmd_run(args) -> int:
     parameters = {k: getattr(args, k) for k in run.used}
     t0 = time.perf_counter()
     out = run.fn(**parameters)
-    artifact, metrics = out if isinstance(out, tuple) else (None, out)
+    artifact, metrics, *region = out if isinstance(out, tuple) else (None, out)
     metrics["elapsed_seconds"] = time.perf_counter() - t0
     passed = bool(metrics.pop("pass"))
     artifacts = []
@@ -404,8 +403,8 @@ def cmd_run(args) -> int:
     elif artifact is not None and path:
         _write(path, artifact.to_csv())
         artifacts.append(path)
-        if run.region is not None:
-            artifacts += _write_polytope(run.region(), None, path + ".facets.json")
+        if region:
+            artifacts += _write_polytope(region[0](), None, path + ".facets.json")
     if "lam" in parameters:  # echoed under its flag name, as floats
         parameters["lambda"] = [float(c) for c in parameters.pop("lam")]
     report = {"command": args.command if args.sub is None else f"{args.command} {args.sub}",

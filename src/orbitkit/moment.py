@@ -286,9 +286,8 @@ def singular_value_polytopes(lam) -> tuple[polytopes.Polytope, ...]:
     """Deduplicated family hull(w . (W_i . lam)) over the singular classes."""
     lam = tuple(Fraction(c) for c in lam)
     _require_chamber(lam)
-    vertex_sets = dict.fromkeys(weyl.singular_vertex_set(lam, w, i)
-                                for i, w in weyl.singular_classes())
-    return tuple(polytopes.hull(pts) for pts in vertex_sets)
+    orbit, faces = weyl.singular_faces(lam, weyl.singular_classes())
+    return tuple(polytopes.hull([orbit[k] for k in face]) for face in dict.fromkeys(faces))
 
 
 def _require_chamber(lam):
@@ -361,19 +360,25 @@ def stabilizer_images(orbits, n: int, seed: int, start: int = 0) -> np.ndarray:
     + P (d - d_last), so entries of d that agree are kept exactly.
     """
     # theta = base + weights . (six U(3) moduli P_jc, c < 2, and two U(2) uniforms)
-    base, weights = np.empty((len(orbits), 4)), np.zeros((len(orbits), 4, 8))
-    for k, (d, q) in enumerate(orbits):
-        d, q = np.asarray(d, dtype=float), np.asarray(q, dtype=float)
-        blocks = sorted((np.flatnonzero(q == v) for v in np.unique(q)), key=len)
-        if len(blocks[0]) == 2:
-            for word, (a, b) in enumerate(sorted(blocks, key=min)):
-                base[k, [a, b]] = d[b], d[a]
-                weights[k, [a, b], 6 + word] = d[a] - d[b], d[b] - d[a]
-        else:
-            (j,), block = blocks
-            base[k, j] = d[j]
-            base[k, block] = d[block[2]]
-            weights[k, block[:, None], np.arange(6).reshape(3, 2)] = d[block[:2]] - d[block[2]]
+    table = []
+    for d, q in orbits:
+        d, q = [float(c) for c in d], [float(c) for c in q]
+        blocks = [[j for j in range(4) if q[j] == v] for v in dict.fromkeys(q)]
+        if {len(b) for b in blocks} not in ({2}, {1, 3}):
+            raise ValueError(f"q = {q} has no blocks of sizes 2 + 2 or 1 + 3 (a constant q's "
+                             "stabilizer is all of SU(4), whose orbit `orbit_samples` draws)")
+        theta, w = d[:], [0.0] * 32  # w[8 j + f]: the weight of draw f in theta_j
+        for word, b in enumerate(blocks):  # a U(2) block takes word 0 if it holds entry 0
+            if len(b) == 2:
+                for j, p in (b, b[::-1]):
+                    theta[j], w[8 * j + 6 + word] = d[p], d[j] - d[p]
+            elif len(b) == 3:  # a U(3) block, summed from its last entry
+                for r, j in enumerate(b):
+                    theta[j] = d[b[2]]
+                    w[8 * j + 2 * r:8 * j + 2 * r + 2] = d[b[0]] - d[b[2]], d[b[1]] - d[b[2]]
+        table.append(theta + w)
+    table = np.array(table).reshape(-1, 36)
+    base, weights = table[:, :4], table[:, 4:].reshape(-1, 4, 8)
     U = _gram_schmidt(normals(seed, n, 12, start).view(np.complex128).reshape(n, 3, 2))
     draws = np.concatenate([(U.real ** 2 + U.imag ** 2).reshape(n, 6),
                             uniforms(stream(seed, n, 2, start))], axis=1)
@@ -397,14 +402,17 @@ def stabilizer_law(d, q) -> tuple[tuple[Fraction, ...], Fraction, Fraction]:
     times B 1_1, 1_1 the indicator of the first block.  With one block (q
     constant, the stabilizer all of SU(4)) E mu = 0 and E X = S / 20.
     """
-    d = [Fraction(c) for c in d]
+    a, D = polytopes._scaled(d)
     blocks = [[k for k in range(4) if q[k] == v] for v in sorted(set(q))]
-    means = [sum(d[k] for k in b) / len(b) for b in blocks]
-    squares = [sum((d[k] - mean) ** 2 for k in b) for b, mean in zip(blocks, means)]
-    expected = sum(s / (4 * (len(b) + 1)) for b, s in zip(blocks, squares))
-    step = (means[0] - means[-1]) / 4
-    e_mu = tuple(step * sum(int(row[k]) for k in blocks[0]) for row in CARTAN_QUADRUPLES)
-    return e_mu, expected, sum(squares) / 4
+    # On a = D d, a block of size m and numerator sum s has 240 D^2 S / 4 = x =
+    # (60 / m) (m (sum of a^2) - s^2), and m + 1 divides 60 / m for m <= 4.
+    stats = [(len(b), sum(a[k] for k in b)) for b in blocks]
+    x = [60 // m * (m * sum(a[k] ** 2 for k in b) - s * s) for b, (m, s) in zip(blocks, stats)]
+    (m0, s0), (m1, s1) = stats[0], stats[-1]
+    e_mu = tuple(Fraction((s0 * m1 - s1 * m0) * sum(int(row[k]) for k in blocks[0]),
+                          4 * m0 * m1 * D) for row in CARTAN_QUADRUPLES)
+    expected = sum(v // (m + 1) for v, (m, _) in zip(x, stats))
+    return e_mu, Fraction(expected, 240 * D * D), Fraction(sum(x), 240 * D * D)
 
 
 #: False-alarm probability of each law gate.
@@ -450,34 +458,36 @@ def verify_singular(lam, classes, n: int, seed: int) -> list[dict]:
     and test its face and law: one row per class, all drawn in one pass.
 
     By Kostant (1973) the `stabilizer_images` of d = cartan_to_spin_weight(w.lam)
-    and q = cartan_to_spin_weight(w.(weight i)) fill the face (vertex set
-    `face`) of conv(W.lam) exposed by w.(weight i): `max_violation` is the
-    worst `moment_violations` and scaled distance from the plane
-    <w.(weight i), p> = <w.(weight i), w.lam>.  `law_deviation` is the gap of
-    the mean spread X = |mu - E mu|^2 from its exact value (`stabilizer_law`)
-    over its `bernstein_halfwidth`, with Var X <= (max X - E X) E X
-    (Bhatia-Davis) and |X - E X| <= max X - E X (as E X <= max X / 3), plus
-    the rounding floor LAW_FLOOR (1 + max |d|)^2.  A NaN image reads NaN in
-    both.  Samples go in batches of HAAR_BATCH.  Raises BadIndex unless each
-    i is 1, 2 or 3, and ValueError unless each w is in `weyl.weyl_group()`."""
+    and q = cartan_to_spin_weight(w.(weight i)) fill the face of conv(W.lam)
+    exposed by `normal` = w.(weight i), whose vertices `face` and their
+    `face_indices` into the sorted orbit come from one `weyl.singular_faces`
+    pass.  `max_violation` is the worst `moment_violations` and scaled
+    distance from the plane <w.(weight i), p> = <w.(weight i), w.lam>.
+    `law_deviation` is the gap of the mean spread X = |mu - E mu|^2 from its
+    exact value (`stabilizer_law`) over its `bernstein_halfwidth`, with Var X
+    <= (max X - E X) E X (Bhatia-Davis) and |X - E X| <= max X - E X (as E X
+    <= max X / 3), plus the rounding floor LAW_FLOOR (1 + max |d|)^2.  A NaN
+    image reads NaN in both.  Samples go in batches of HAAR_BATCH.  Raises
+    BadIndex unless each i is 1, 2 or 3, and ValueError for a w outside W."""
     if n < 1:
         raise ValueError("n must be at least 1")
     lam = tuple(float(c) for c in lam)
     _require_chamber(lam)
-    exact = tuple(Fraction(c) for c in lam)
+    orbit, faces = weyl.singular_faces(lam, classes)
+    exact = {c: Fraction(c) for c in lam + tuple(-c for c in lam)}  # each orbit coordinate
+    orbit = [tuple(map(exact.__getitem__, p)) for p in orbit]
     rows, data = [], []
-    for i, w in classes:
-        if w not in weyl.weyl_group():
-            raise ValueError("w is not a Weyl group element")
-        face = weyl.singular_vertex_set(exact, w, i)
+    for (i, w), face in zip(classes, faces):
         normal, base = weyl.act(w, weyl.FUNDAMENTAL_WEIGHTS[i]), weyl.act(w, lam)
         d, q = cartan_to_spin_weight(base), cartan_to_spin_weight(normal)
         e_mu, expected, top = stabilizer_law(d, q)
-        width = (bernstein_halfwidth(n, float((top - expected) * expected), float(top - expected))
+        spread = top - expected
+        width = (bernstein_halfwidth(n, float(spread * expected), float(spread))
                  + LAW_FLOOR * (1.0 + max(map(abs, d))) ** 2)
         data.append(((d, q), (normal, base), e_mu, width))
-        rows.append({"i": i, "w": weyl.element_to_json(w), "face": face,
-                     "polytope_vertices": len(face), "expected_spread2": float(expected)})
+        rows.append({"i": i, "w": weyl.element_to_json(w), "normal": normal, "face_indices": face,
+                     "face": tuple(map(orbit.__getitem__, face)), "polytope_vertices": len(face),
+                     "expected_spread2": float(expected)})
     orbits, planes, e_mu, widths = zip(*data)
     normal, base = np.array(planes, dtype=float).transpose(1, 0, 2)
     offsets = np.einsum("kc,kc->k", normal, base)[:, None]

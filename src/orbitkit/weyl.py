@@ -64,6 +64,9 @@ _MOVES = {
     for moves in [tuple(zip(perm, signs))]
 }
 
+#: Per group element w its code w.(1, 2, 3); w moves u's code to that of w u.
+_CODES = {w: tuple(s * (c + 1) for c, s in moves) for w, moves in _MOVES.items()}
+
 
 @lru_cache(maxsize=1)
 def weyl_group() -> tuple[Element, ...]:
@@ -120,6 +123,24 @@ def singular_vertex_set(lam, w: Element, i: int) -> tuple:
     """Vertices w·(W_i·lam), distinct and sorted: the orbit points on the
     plane through w·lam orthogonal to w·(weight i)."""
     return tuple(sorted({act(w, act(u, lam)) for u in parabolic(i)}))
+
+
+def singular_faces(lam, classes) -> tuple[tuple, list[tuple[int, ...]]]:
+    """`weyl_orbit(lam)` and, per class (i, w), the sorted indices into it of
+    `singular_vertex_set(lam, w, i)`, the images of the products w u, u in
+    `parabolic(i)`, from one act per element.  Raises ValueError unless each
+    w is in `weyl_group()`."""
+    images = {_CODES[g]: act(g, lam) for g in weyl_group()}
+    orbit = sorted(set(images.values()))
+    at = {p: k for k, p in enumerate(orbit)}
+    faces = []
+    for i, w in classes:
+        if w not in _MOVES:
+            raise ValueError(f"{w} is not an element of the Weyl group")
+        (a, s), (b, t), (c, r) = _MOVES[w]
+        faces.append(tuple(sorted({at[images[s * u[a], t * u[b], r * u[c]]]
+                                   for u in map(_CODES.get, parabolic(i))})))
+    return tuple(orbit), faces
 
 
 def element_to_json(w: Element) -> list[int]:

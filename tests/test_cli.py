@@ -180,9 +180,10 @@ def test_verify_edge_prism_small(capsys):
 
 def test_verify_singular_builds_each_face_once(capsys, monkeypatch):
     # One exact hull, of the moment polytope: a class's face test needs no
-    # hull of its own.  Each class's vertex set is made once, by
-    # verify_singular, and the facet check reads it from the class's row.
-    calls = {"hull": 0, "vertex_set": 0}
+    # hull of its own.  The faces come from one orbit pass: one Weyl action
+    # per group element for the faces and 24 for the hull's orbit, plus each
+    # class's normal and base point, and no singular_vertex_set call.
+    calls = {"hull": 0, "vertex_set": 0, "act": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -190,15 +191,18 @@ def test_verify_singular_builds_each_face_once(capsys, monkeypatch):
             return fn(*args)
         return wrapper
 
+    for i in (1, 2, 3):  # the parabolic subgroups are built once per process
+        weyl.parabolic(i)
     monkeypatch.setattr(polytopes, "_hull_exact", counted("hull", polytopes._hull_exact))
     monkeypatch.setattr(weyl, "singular_vertex_set",
                         counted("vertex_set", weyl.singular_vertex_set))
+    monkeypatch.setattr(weyl, "act", counted("act", weyl.act))
     code, report = run_cli(capsys, "verify", "singular", "--n", "10")
     assert code == 0
     assert report["metrics"]["distinct_classes"] == 14
     assert report["metrics"]["polytopes"] == 14
     assert report["metrics"]["all_facets_covered"]
-    assert calls == {"hull": 1, "vertex_set": 14}
+    assert calls == {"hull": 1, "vertex_set": 0, "act": 24 + 24 + 2 * 14}
 
 
 @pytest.mark.parametrize("n", [10, moment.HAAR_BATCH + 1])
@@ -388,6 +392,25 @@ def test_klein_commands(capsys, tmp_path):
     assert len(rows) == 100
     assert max(sum(a * b for a, b in zip(f["normal"], row)) - f["offset"]
                for f in region["facets"] for row in rows) <= 1e-9
+
+
+def test_klein_square_builds_its_region_once(capsys, monkeypatch, tmp_path):
+    # One square_region per run serves the region gate and the facet JSON.
+    calls = []
+    square_region = klein.square_region
+
+    def counted():
+        calls.append(1)
+        return square_region()
+
+    monkeypatch.setattr(klein, "square_region", counted)
+    out = tmp_path / "square.csv"
+    code, report = run_cli(capsys, "klein", "square", "--n", "20", "--out", str(out))
+    assert code == 0 and report["metrics"]["all_in_region"] and len(calls) == 1
+    facets = json.loads((tmp_path / "square.csv.facets.json").read_text())
+    assert facets == polytopes.polytope_to_json(square_region())
+    code, report = run_cli(capsys, "verify", "square", "--n", "20")
+    assert code == 0 and len(calls) == 2
 
 
 def test_klein_square_fails_on_a_row_outside_its_region(capsys, monkeypatch):
@@ -979,6 +1002,25 @@ def test_verify_singular_fails_on_an_uncovered_facet(capsys, monkeypatch):
     metrics = report["metrics"]
     assert code == 1 and not report["pass"]
     assert not metrics["all_facets_covered"] and metrics["polytopes"] == 13
+    assert metrics["max_violation"] <= 1e-9 and metrics["max_law_deviation"] <= 1.0
+
+
+def test_verify_singular_fails_when_two_classes_trade_faces(capsys, monkeypatch):
+    # Each facet must be the face of the class with its normal: two classes
+    # that trade faces leave the set of faces as it was but fail the check.
+    verify = moment.verify_singular
+
+    def swapped(*args):
+        rows = verify(*args)
+        rows[0]["face_indices"], rows[5]["face_indices"] = (rows[5]["face_indices"],
+                                                            rows[0]["face_indices"])
+        return rows
+
+    monkeypatch.setattr(moment, "verify_singular", swapped)
+    code, report = run_cli(capsys, "verify", "singular", "--n", "10")
+    metrics = report["metrics"]
+    assert code == 1 and not report["pass"] and not metrics["all_facets_covered"]
+    assert metrics["polytopes"] == 14
     assert metrics["max_violation"] <= 1e-9 and metrics["max_law_deviation"] <= 1.0
 
 

@@ -638,6 +638,133 @@ def test_stabilizer_images_are_the_same_in_batches_or_whole():
         assert np.array_equal(pts, _reference_images(d, q, n, seed))
 
 
+def _reference_law(d, q):
+    """stabilizer_law as Fraction arithmetic on the entries of d."""
+    d = [Fraction(c) for c in d]
+    blocks = [[k for k in range(4) if q[k] == v] for v in sorted(set(q))]
+    means = [sum(d[k] for k in b) / len(b) for b in blocks]
+    squares = [sum((d[k] - mean) ** 2 for k in b) for b, mean in zip(blocks, means)]
+    expected = sum(s / (4 * (len(b) + 1)) for b, s in zip(blocks, squares))
+    step = (means[0] - means[-1]) / 4
+    e_mu = tuple(step * sum(int(row[k]) for k in blocks[0]) for row in CARTAN_QUADRUPLES)
+    return e_mu, expected, sum(squares) / 4
+
+
+def _reference_verify_singular(lam, classes, n, seed):
+    """verify_singular class by class: each face a `singular_vertex_set`,
+    each law `_reference_law`, the gates stacked over the classes."""
+    lam = tuple(float(c) for c in lam)
+    exact = tuple(Fraction(c) for c in lam)
+    rows, data = [], []
+    for i, w in classes:
+        face = weyl.singular_vertex_set(exact, w, i)
+        normal, base = weyl.act(w, weyl.FUNDAMENTAL_WEIGHTS[i]), weyl.act(w, lam)
+        d, q = cartan_to_spin_weight(base), cartan_to_spin_weight(normal)
+        e_mu, expected, top = _reference_law(d, q)
+        width = (moment.bernstein_halfwidth(n, float((top - expected) * expected),
+                                            float(top - expected))
+                 + moment.LAW_FLOOR * (1.0 + max(map(abs, d))) ** 2)
+        data.append(((d, q), (normal, base), e_mu, width))
+        rows.append({"i": i, "w": weyl.element_to_json(w), "face": face,
+                     "polytope_vertices": len(face), "expected_spread2": float(expected)})
+    orbits, planes, e_mu, widths = zip(*data)
+    normal, base = np.array(planes, dtype=float).transpose(1, 0, 2)
+    offsets = np.einsum("kc,kc->k", normal, base)[:, None]
+    lengths = np.linalg.norm(normal, axis=1, keepdims=True)
+    e_mu = np.array(e_mu, dtype=float)[:, None, :]
+    worst, sums = np.full(len(rows), -np.inf), np.zeros(len(rows))
+    for lo in range(0, n, moment.HAAR_BATCH):
+        pts = moment.stabilizer_images(orbits, min(n, lo + moment.HAAR_BATCH) - lo, seed, start=lo)
+        off_plane = np.abs(np.einsum("knc,kc->kn", pts, normal) - offsets) / lengths
+        violations = moment.moment_violations(lam, pts.reshape(-1, 3)).reshape(off_plane.shape)
+        worst = np.maximum(worst, np.max(np.maximum(violations, off_plane), axis=1))
+        sums += np.sum(np.sum((pts - e_mu) ** 2, axis=2), axis=1)
+    for row, bad, spread2, width in zip(rows, worst.tolist(), (sums / n).tolist(), widths):
+        row.update(max_violation=bad, mean_spread2=spread2,
+                   law_deviation=abs(spread2 - row["expected_spread2"]) / width)
+    return rows
+
+
+#: Chamber points of every orbit pattern, and one whose spin weights round.
+_SINGULAR_LAMBDAS = (*AGS_LAMBDAS, (0.1, -0.03, 0.7))
+
+
+@pytest.mark.parametrize("n", [1, 100, moment.HAAR_BATCH + 1])
+def test_verify_singular_rows_equal_the_class_by_class_body(n):
+    # Faces from one orbit pass and laws on integers change no figure: every
+    # row is the class-by-class row, value and type, at each chamber pattern.
+    classes = weyl.singular_classes()
+    for lam in _SINGULAR_LAMBDAS:
+        for seed in range(3):
+            rows = moment.verify_singular(lam, classes, n, seed)
+            refs = _reference_verify_singular(lam, classes, n, seed)
+            assert len(rows) == len(refs) == 14
+            for row, ref in zip(rows, refs):
+                assert repr({key: row[key] for key in ref}) == repr(ref), (lam, seed, n)
+                assert row["face"] == tuple(weyl.weyl_orbit(tuple(map(Fraction, lam)))[k]
+                                            for k in row["face_indices"])
+
+
+def test_singular_faces_are_the_singular_vertex_sets():
+    # Exact and float points, generic and on walls, and classes beyond the 14.
+    classes = [(i, w) for i in (1, 2, 3) for w in weyl.weyl_group()]
+    for lam in (*_SINGULAR_LAMBDAS, (Fraction(1, 3), Fraction(-1, 7), 2), (0, 0, 0)):
+        orbit, faces = weyl.singular_faces(lam, classes)
+        assert orbit == weyl.weyl_orbit(lam)
+        for (i, w), face in zip(classes, faces):
+            assert tuple(orbit[k] for k in face) == weyl.singular_vertex_set(lam, w, i)
+    with pytest.raises(ValueError, match="Weyl group"):
+        weyl.singular_faces((1, 0.5, 2), [(1, ((1, 0, 0), (0, 1, 0), (0, 0, -1)))])
+    with pytest.raises(BadIndex):
+        weyl.singular_faces((1, 0.5, 2), [(4, weyl.IDENTITY)])
+
+
+def test_stabilizer_law_is_the_fraction_law_on_random_chamber_points():
+    # The integer law against Fraction arithmetic on every class of 60 random
+    # float chamber points, whose spin weights round in their last bits.
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        small, mid, big = np.sort(rng.uniform(0.0, 3.0, 3) * 10.0 ** rng.integers(-3, 4))
+        lam = (float(mid), float(small) * float(rng.choice((-1, 1))), float(big))
+        for i, w in weyl.singular_classes():
+            d = cartan_to_spin_weight(weyl.act(w, lam))
+            q = cartan_to_spin_weight(weyl.act(w, weyl.FUNDAMENTAL_WEIGHTS[i]))
+            got = moment.stabilizer_law(d, q)
+            assert got == _reference_law(d, q), (lam, i, w)
+            assert all(type(c) is Fraction for c in (*got[0], got[1], got[2]))
+    for q in ((0, 0, 0, 0), (1, 1, 1, 1)):
+        assert moment.stabilizer_law((-3.5, 1.5, 2.5, -0.5), q) == _reference_law(
+            (-3.5, 1.5, 2.5, -0.5), q)
+
+
+def test_stabilizer_images_refuse_one_block_and_point_to_orbit_samples():
+    d = cartan_to_spin_weight((1.0, 0.5, 2.0))
+    with pytest.raises(ValueError, match=r"all of SU\(4\).*orbit_samples"):
+        moment.stabilizer_images([(d, (0.0, 0.0, 0.0, 0.0))], 5, 0)
+    # A torus-like q with three values has no U(3) or U(2) x U(2) blocks either.
+    with pytest.raises(ValueError, match=r"blocks of sizes 2 \+ 2 or 1 \+ 3"):
+        moment.stabilizer_images([(d, (0.0, 1.0, 2.0, 2.0))], 5, 0)
+
+
+@pytest.mark.parametrize("lam", [(1.0, 0.5, 2.0), (1.0, 1.0, 1.0), (0.0, 0.0, 1.0)])
+def test_one_block_law_is_the_mean_of_orbit_samples(lam):
+    # With q constant the stabilizer is all of SU(4) and its orbit is the one
+    # orbit_samples draws: E mu = 0, and the mean |mu|^2 of the Haar images
+    # lies within the Bernstein half-width of E X = S / 20 (21/20 at (1, 0.5, 2)).
+    n = 20000
+    e_mu, expected, top = moment.stabilizer_law(cartan_to_spin_weight(lam), (1, 1, 1, 1))
+    assert e_mu == (0, 0, 0)
+    if lam == (1.0, 0.5, 2.0):
+        assert expected == Fraction(21, 20)
+    width = moment.bernstein_halfwidth(n, float((top - expected) * expected),
+                                       float(top - expected))
+    for seed in range(3):
+        pts = moment.orbit_samples(lam, n, seed).points[:n]
+        X = np.sum(pts ** 2, axis=1)
+        assert np.max(X) <= float(top) * (1 + 1e-12)
+        assert abs(np.mean(X) - float(expected)) <= width, (lam, seed)
+
+
 def test_fixed_points_project_to_weyl_orbit():
     lam = (1, 0.5, 2)
     for p in weyl.weyl_orbit(lam):
