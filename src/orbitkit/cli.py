@@ -38,8 +38,8 @@ from .forms import (
     TwoForm,
     canonical_triple,  # unused here; perfbench's alias test traces cli.canonical_triple
     class_point,
-    classify,
     classify_full,
+    classify_many,
 )
 
 
@@ -309,26 +309,16 @@ def _suite_square(n: int, seed: int):
 
 
 def _suite_f3_segments() -> dict:
-    e12 = TwoForm.basis(1, 2)
-    e34 = TwoForm.basis(3, 4)
-    e56 = TwoForm.basis(5, 6)
-    cases_plus = [(-1) * e12 + e56, e12 - e56]
-    cases_minus = [e12 + e56, (-1) * e12 - e56]
-    ok = True
-    results = {}
-    for b in (0.25, 0.5, 0.75):
-        for base in cases_plus:
-            got = classify(base - b * e34)
-            ok = ok and got is OrbitClass.F3_PLUS
-        for base in cases_minus:
-            got = classify(base - b * e34)
-            ok = ok and got is OrbitClass.F3_MINUS
+    e12, e34, e56 = np.eye(15)[[E12, E34, E56]]
+    # For each b two forms of the F3Plus family, then two of the F3Minus one.
+    bases = (-e12 + e56, e12 - e56, e12 + e56, -e12 - e56)
+    got = classify_many([base - b * e34 for b in (0.25, 0.5, 0.75) for base in bases])
+    expected = ([OrbitClass.F3_PLUS] * 2 + [OrbitClass.F3_MINUS] * 2) * 3
     degenerate = TwoForm.basis(1, 4) + TwoForm.basis(2, 3)
-    mu0 = moment.mu_t(degenerate)
-    mu1 = moment.mu_t(degenerate + e56)
-    ok = ok and mu0 == (0.0, 0.0, 0.0) and mu1 == (0.0, 0.0, 1.0)
-    results["degenerate_images"] = [list(mu0), list(mu1)]
-    return {"pass": ok, **results}
+    mu0, mu1 = moment.mu_t(degenerate), moment.mu_t(degenerate + TwoForm.basis(5, 6))
+    ok = ([c.orbit_class for c in got] == expected
+          and mu0 == (0.0, 0.0, 0.0) and mu1 == (0.0, 0.0, 1.0))
+    return {"pass": ok, "degenerate_images": [list(mu0), list(mu1)]}
 
 
 @dataclass(frozen=True)

@@ -187,59 +187,71 @@ class EigenSplit:
         return tuple(p.value for p in self.planes)
 
 
-def eigen_split(form: TwoForm, tol: float = 1e-9) -> EigenSplit:
-    """Split R^6 into three orthogonal invariant 2-planes of the form.
+def eigen_splits(coeffs, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """Three orthogonal invariant 2-planes of each row of an (n, 15) stack:
+    chamber values (n, 3) and frames (n, 6, 6), columns u1, v1, u2, v2, u3, v3.
 
-    F is skew, so iF is Hermitian with eigenvalues +-lambda.  An eigenvector
-    z of iF for lambda > 0, turned by the phase that makes its largest entry
-    (the first on ties) real and positive, gives F Re z = lambda Im z and
-    F Im z = -lambda Re z.  The planes (Re z, Im z) of the top three
-    eigenvalues above tol * max(1, largest) are orthonormalised together,
-    column by column (Cholesky QR, positive R diagonal): near zero the
-    +-lambda eigenvectors mix.  Each value is v^T F u, made non-negative by
-    the sign of v.  The kernel is the null space of the projector onto those
-    planes, paired in order.  Kernel planes come first and the others ascend
-    by value, equal values by the index of the largest entry; the frame is
-    then forced to det = +1 by flipping the last plane if needed, and the
-    planes are permuted/reflected so the signed values equal the chamber
-    triple (z >= x >= |y|) in slot order.  Kernel values are +0.0.
+    An eigenvector z of the Hermitian iF for lambda > 0, turned so that its
+    largest entry (the first on ties) is real and positive, gives F Re z =
+    lambda Im z and F Im z = -lambda Re z.  The planes of the r eigenvalues
+    above tol * max(1, largest) are orthonormalised together (Cholesky QR:
+    near zero the +-lambda eigenvectors mix), each value v^T F u made
+    non-negative by the sign of v; the kernel is the null space of their
+    projector.  Kernel planes come first, the others ascend by value, then by
+    largest entry; the last plane is flipped if det < 0, and the planes are
+    permuted/reflected so the values are the chamber triple z >= x >= |y|
+    (kernel values +0.0).  Forms of one rank share each LAPACK call in a
+    single form's layout, so a row has the same bits in any stack.
+    ValueError: a bad shape or entry; NonConvergence: LAPACK failed.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    F = form.endomorphism()
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.ndim != 2 or coeffs.shape[1] != 15 or not np.isfinite(coeffs).all():
+        raise ValueError(f"expected finite coefficients of shape (n, 15), got {coeffs.shape}")
+    F = endomorphisms(coeffs)
+    n, at = len(F), np.arange(len(F))[:, None]
+    vectors, triples = np.empty_like(F), np.zeros((n, 3))  # vectors[k]: frame k transposed
     try:
-        lam, Z = np.linalg.eigh(1j * F)
-        top = lam[3:].tolist()
-        r = sum(value > tol * max(1.0, top[2]) for value in top)
-        Z = Z[:, 6 - r:]
-        lead = np.argmax(np.abs(Z), axis=0)
-        phase = Z[lead, np.arange(r)]
+        lam, Z = (top[..., 3:] for top in np.linalg.eigh(1j * F))  # the top three pairs
+        ranks = (lam > tol * np.maximum(1.0, lam[:, 2:])).sum(axis=1)
+        lead = np.abs(Z).argmax(axis=1)
+        phase = Z[at, lead, [0, 1, 2]]
         # Columns Re z_0, Im z_0, Re z_1, ... of the phase-fixed eigenvectors.
-        A = (Z * (phase.conj() / np.abs(phase))).view(float)
-        Q = np.linalg.solve(np.linalg.cholesky(A.T @ A), A.T).T
-        kernel = np.linalg.eigh(Q @ Q.T)[1][:, :6 - 2 * r] if r < 3 else np.zeros((6, 0))
+        A = (Z * (phase.conj() / np.abs(phase))[:, None]).view(float)
+        for r in set(ranks.tolist()):
+            rows = np.flatnonzero(ranks == r)
+            m = len(rows)
+            A_r = A[rows, :, 6 - 2 * r:]
+            X = np.linalg.solve(np.linalg.cholesky(A_r.swapaxes(1, 2) @ A_r), A_r.swapaxes(1, 2))
+            if r < 3:
+                kernel = np.linalg.eigh(X.swapaxes(1, 2) @ X)[1]
+                vectors[rows, :6 - 2 * r] = kernel.swapaxes(1, 2)[:, :6 - 2 * r]
+            values = np.diagonal(X @ F[rows] @ X.swapaxes(1, 2), -1, 1, 2)[:, ::2]
+            X[:, 1::2] *= np.where(values < 0, -1.0, 1.0)[:, :, None]
+            values = np.abs(values)
+            order = np.lexsort((lead[rows, 3 - r:], values))
+            vectors[rows, 6 - 2 * r:] = X.reshape(m, r, 2, 6)[at[:m], order].reshape(m, 2 * r, 6)
+            triples[rows, 3 - r:] = values[at[:m], order]
+        flips = (np.linalg.det(vectors.swapaxes(1, 2)) < 0).tolist()
     except np.linalg.LinAlgError as exc:
         raise NonConvergence("Hermitian eigensolver on iF failed") from exc
-    values = (Q.T @ F @ Q).diagonal(-1)[::2]
-    Q[:, 1::2] *= np.where(values < 0, -1.0, 1.0)
-    values = np.abs(values).tolist()
-    order = sorted(range(r), key=lambda k: (values[k], lead[k]))
-    frame = np.hstack([kernel, Q.reshape(6, r, 2)[:, order].reshape(6, 2 * r)])
-    triple = [0.0] * (3 - r) + [values[k] for k in order]
-    if np.linalg.det(frame) < 0:
-        frame[:, 5] *= -1.0
-        triple[2] = -triple[2]
-    _, w = weyl.to_chamber(tuple(triple))
-    columns = frame.T.tolist()
-    ordered = []
-    for i in range(3):
-        j = next(k for k in range(3) if w[i][k] != 0)
-        sign = w[i][j]
-        # + 0.0 turns the -0.0 of a reflected kernel plane into +0.0.
-        ordered.append(InvariantPlane(tuple(columns[2 * j]),
-                                      tuple(sign * c for c in columns[2 * j + 1]),
-                                      sign * triple[j] + 0.0))
-    return EigenSplit(tuple(ordered))
+    # A flip negates z and v3; slot i of w.triple is plane j, v times s.
+    chambers, index, signs = [], [], []
+    for k, ((x, y, z), flip) in enumerate(zip(triples.tolist(), flips)):
+        q, w = weyl.to_chamber((x, y, -z if flip else z))
+        chambers.append(q)
+        index += [6 * k + 2 * j + b for j, _ in weyl._MOVES[w] for b in (0, 1)]
+        signs += [c for j, s in weyl._MOVES[w] for c in (1.0, -s if flip and j == 2 else s)]
+    frames = vectors.reshape(-1, 6)[index] * np.array(signs)[:, None]
+    return np.array(chambers).reshape(n, 3), frames.reshape(n, 6, 6).swapaxes(1, 2)
+
+
+def eigen_split(form: TwoForm, tol: float = 1e-9) -> EigenSplit:
+    """The `eigen_splits` row of one form, as three invariant planes."""
+    values, frames = eigen_splits([form.coeffs], tol)
+    c = [tuple(column) for column in frames[0].T.tolist()]
+    return EigenSplit(tuple(map(InvariantPlane, c[::2], c[1::2], values[0].tolist())))
 
 
 def canonical_triple(form: TwoForm, tol: float = 1e-9) -> tuple[float, float, float]:
@@ -349,9 +361,15 @@ def classify_full(form: TwoForm, tol: float = 1e-8) -> Classification:
     outside the winner's closure, i.e. two patterns genuinely disagree.  The
     patterns are mirror images, so classification commutes with y -> -y.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    triple = canonical_triple(form, tol=min(tol, 1e-9))
+    return _class_of(canonical_triple(form, tol=min(tol, 1e-9)), tol)
+
+
+def classify_many(coeffs, tol: float = 1e-8) -> list[Classification]:
+    """`classify_full` of each row of an (n, 15) stack, split in one call."""
+    return [_class_of(tuple(t), tol) for t in eigen_splits(coeffs, min(tol, 1e-9))[0].tolist()]
+
+
+def _class_of(triple, tol: float) -> Classification:
     matched = [c for c, p in _PATTERNS.items() if _matches(*p, triple, tol)]
     matched = matched or [OrbitClass.GENERIC]
     ambiguous = not _CLOSURE[matched[0]].issuperset(matched)

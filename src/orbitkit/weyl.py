@@ -7,13 +7,14 @@ it is the group generated by the reflections in the 12 roots
 tuple of integers, so that the action on rational or floating-point points
 is exact: a signed permutation only moves and negates coordinates.  Orbits
 are therefore deduplicated by equality, with no tolerance, and a point near
-a wall keeps all of its distinct images.
+a wall keeps all of its distinct images; `weyl_orbit` deduplicates them as
+integer ranks of the signed coordinates, and refuses a NaN coordinate.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import accumulate, permutations, product
 
 from .errors import BadIndex
 
@@ -95,9 +96,25 @@ def parabolic(i: int) -> tuple[Element, ...]:
     return tuple(w for w in weyl_group() if act(w, nu) == nu)
 
 
+#: Per element of `weyl_group()`, the slot 2 j + (s < 0) of each row's move (j, s).
+_SLOTS = tuple(tuple(2 * j + (s < 0) for j, s in _MOVES[w]) for w in weyl_group())
+
+
 def weyl_orbit(p) -> tuple:
-    """Distinct points of the orbit of a point under the full group, sorted."""
-    return tuple(sorted({act(w, p) for w in weyl_group()}))
+    """Distinct points of the orbit of a point under the full group, sorted,
+    as a set of the 24 `act` images: the six signed coordinates +-p[j] (+0
+    for a zero) are ranked once, and each rank triple is built by the first
+    element of `weyl_group()` reaching it.  A NaN raises ValueError."""
+    if any(c != c for c in p):
+        raise ValueError(f"{tuple(p)} has a NaN coordinate")
+    signed = [v or abs(v) for c in p for v in (c, -c)]
+    order = sorted(range(6), key=signed.__getitem__)
+    steps = (signed[b] != signed[a] for a, b in zip(order, order[1:]))
+    rank = dict(zip(order, accumulate(steps, initial=0)))
+    firsts = {}
+    for a, b, c in _SLOTS:  # the triple of ranks < 6 as one base-6 key
+        firsts.setdefault(36 * rank[a] + 6 * rank[b] + rank[c], (a, b, c))
+    return tuple((signed[a], signed[b], signed[c]) for a, b, c in map(firsts.get, sorted(firsts)))
 
 
 def to_chamber(p):

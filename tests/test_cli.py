@@ -181,9 +181,10 @@ def test_verify_edge_prism_small(capsys):
 def test_verify_singular_builds_each_face_once(capsys, monkeypatch):
     # One exact hull, of the moment polytope: a class's face test needs no
     # hull of its own.  The faces come from one orbit pass: one Weyl action
-    # per group element for the faces and 24 for the hull's orbit, plus each
-    # class's normal and base point, and no singular_vertex_set call.
-    calls = {"hull": 0, "vertex_set": 0, "act": 0}
+    # per group element for the faces, plus each class's normal and base
+    # point, and no singular_vertex_set call.  The hull's orbit is one
+    # weyl_orbit call, which ranks coordinates instead of calling act.
+    calls = {"hull": 0, "vertex_set": 0, "orbit": 0, "act": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -196,13 +197,14 @@ def test_verify_singular_builds_each_face_once(capsys, monkeypatch):
     monkeypatch.setattr(polytopes, "_hull_exact", counted("hull", polytopes._hull_exact))
     monkeypatch.setattr(weyl, "singular_vertex_set",
                         counted("vertex_set", weyl.singular_vertex_set))
+    monkeypatch.setattr(weyl, "weyl_orbit", counted("orbit", weyl.weyl_orbit))
     monkeypatch.setattr(weyl, "act", counted("act", weyl.act))
     code, report = run_cli(capsys, "verify", "singular", "--n", "10")
     assert code == 0
     assert report["metrics"]["distinct_classes"] == 14
     assert report["metrics"]["polytopes"] == 14
     assert report["metrics"]["all_facets_covered"]
-    assert calls == {"hull": 1, "vertex_set": 0, "act": 24 + 24 + 2 * 14}
+    assert calls == {"hull": 1, "vertex_set": 0, "orbit": 1, "act": 24 + 2 * 14}
 
 
 @pytest.mark.parametrize("n", [10, moment.HAAR_BATCH + 1])

@@ -436,6 +436,11 @@ def test_eigen_split_raises_non_convergence_when_the_eigensolver_fails(monkeypat
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(NonConvergence):
         eigen_split(W0)
+    stack = np.array([W0.coeffs, TwoForm.basis(5, 6).coeffs])
+    with pytest.raises(NonConvergence):
+        forms.eigen_splits(stack)
+    with pytest.raises(NonConvergence):
+        forms.classify_many(stack)
 
 
 def test_kernel_values_are_positive_zeros():
@@ -444,6 +449,144 @@ def test_kernel_values_are_positive_zeros():
             f = conjugate(TwoForm.from_cartan(triple), haar(5, k))
             for value in eigen_split(f).values + canonical_triple(f):
                 assert value != 0.0 or math.copysign(1.0, value) == 1.0
+
+
+def reference_split(form, tol=1e-9):
+    """Reference: the one-form eigen-split that `forms.eigen_splits` stacks,
+    with its own LAPACK calls, a Python sort and a per-plane chamber move."""
+    F = form.endomorphism()
+    lam, Z = np.linalg.eigh(1j * F)
+    top = lam[3:].tolist()
+    r = sum(value > tol * max(1.0, top[2]) for value in top)
+    Z = Z[:, 6 - r:]
+    lead = np.argmax(np.abs(Z), axis=0)
+    phase = Z[lead, np.arange(r)]
+    A = (Z * (phase.conj() / np.abs(phase))).view(float)
+    Q = np.linalg.solve(np.linalg.cholesky(A.T @ A), A.T).T
+    kernel = np.linalg.eigh(Q @ Q.T)[1][:, :6 - 2 * r] if r < 3 else np.zeros((6, 0))
+    values = (Q.T @ F @ Q).diagonal(-1)[::2]
+    Q[:, 1::2] *= np.where(values < 0, -1.0, 1.0)
+    values = np.abs(values).tolist()
+    order = sorted(range(r), key=lambda k: (values[k], lead[k]))
+    frame = np.hstack([kernel, Q.reshape(6, r, 2)[:, order].reshape(6, 2 * r)])
+    triple = [0.0] * (3 - r) + [values[k] for k in order]
+    if np.linalg.det(frame) < 0:
+        frame[:, 5] *= -1.0
+        triple[2] = -triple[2]
+    _, w = weyl.to_chamber(tuple(triple))
+    columns = frame.T.tolist()
+    ordered = []
+    for i in range(3):
+        j = next(k for k in range(3) if w[i][k] != 0)
+        sign = w[i][j]
+        ordered.append(forms.InvariantPlane(tuple(columns[2 * j]),
+                                            tuple(sign * c for c in columns[2 * j + 1]),
+                                            sign * triple[j] + 0.0))
+    return forms.EigenSplit(tuple(ordered))
+
+
+def reference_classification(form, tol=1e-8):
+    """Reference: the pattern match of `classify_full` on `reference_split`."""
+    triple = reference_split(form, tol=min(tol, 1e-9)).values
+    matched = [c for c, p in forms._PATTERNS.items() if forms._matches(*p, triple, tol)]
+    matched = matched or [OrbitClass.GENERIC]
+    ambiguous = not forms._CLOSURE[matched[0]].issuperset(matched)
+    return forms.Classification(matched[0], triple, ambiguous, tuple(matched))
+
+
+def bits(values, frame=()):
+    """Values and frame entries, each with the sign of its zero."""
+    return [(float(x), math.copysign(1.0, x))
+            for x in itertools.chain(np.ravel(values), np.ravel(frame))]
+
+
+def split_bits(split):
+    return bits(split.values, split_frame(split))
+
+
+#: Every CLASS_CASES point, triples on and near the kernel threshold 1e-9,
+#: and near ties: the kernels of one stack have ranks 0 to 3.
+STACK_TRIPLES = [triple for triple, _ in CLASS_CASES] + [
+    (3e-9, 1e-9, 1), (1e-9, -1e-9, 1), (2e-9, 0, 1e-9), (1, 5e-9, 1), (1, -5e-9, 1),
+    (1, 1, 1 + 3e-9), (3, 2, 3 + 2e-8),
+]
+
+#: A form: a triple scaled by 10**decade, Haar-rotated or on the torus.
+STACK_FORMS = st.builds(
+    lambda triple, decade, rotation: conjugate(
+        TwoForm.from_cartan(tuple(10.0**decade * c for c in triple)),
+        haar(*rotation) if rotation else np.eye(6)),
+    st.sampled_from(STACK_TRIPLES), st.integers(-6, 6),
+    st.none() | st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 10**6)))
+
+def f3_coeffs():
+    """The twelve forms of `verify f3-segments`, as it builds them."""
+    e12, e34, e56 = np.eye(15)[[forms.E12, forms.E34, forms.E56]]
+    bases = (-e12 + e56, e12 - e56, e12 + e56, -e12 - e56)
+    return np.array([base - b * e34 for b in (0.25, 0.5, 0.75) for base in bases])
+
+
+def assert_stack_is_the_reference(fs):
+    """Each row of the stacked split and classification of fs has the bits of
+    the per-form reference: in this stack, alone and in a shuffled stack."""
+    coeffs = np.array([f.coeffs for f in fs])
+    want = [split_bits(reference_split(f)) for f in fs]
+    values, frames = forms.eigen_splits(coeffs)
+    assert values.shape == (len(fs), 3) and frames.shape == (len(fs), 6, 6)
+    assert [bits(v, fr) for v, fr in zip(values, frames)] == want
+    assert [split_bits(eigen_split(f)) for f in fs] == want
+    for k in range(len(fs)):
+        alone = forms.eigen_splits(coeffs[k:k + 1])
+        assert bits(alone[0][0], alone[1][0]) == want[k]
+    order = np.random.default_rng(len(fs)).permutation(len(fs))
+    values, frames = forms.eigen_splits(coeffs[order])
+    assert [bits(v, fr) for v, fr in zip(values, frames)] == [want[k] for k in order]
+    for got, f in zip(forms.classify_many(coeffs), fs):
+        ref = reference_classification(f)
+        assert (got.orbit_class, got.matches, got.ambiguous) == (
+            ref.orbit_class, ref.matches, ref.ambiguous)
+        assert bits(got.triple) == bits(ref.triple)
+        assert classify_full(f) == got
+
+
+@settings(deadline=None)
+@given(st.lists(STACK_FORMS, min_size=1, max_size=8))
+def test_stacked_split_and_classes_are_the_per_form_reference_bit_for_bit(fs):
+    assert_stack_is_the_reference(fs)
+
+
+def test_stacked_split_of_the_f3_segments_and_of_every_rank_at_once():
+    fs = [TwoForm(tuple(c)) for c in f3_coeffs()]
+    fs += [conjugate(TwoForm.from_cartan(t), haar(11, k)) for k, t in enumerate(
+        ((0, 0, 0), (0, 0, 1), (1, 0, 2), (1, 0.5, 2), (3e-9, 1e-9, 1), (1, 1, 1)))]
+    assert_stack_is_the_reference(fs)
+
+
+@pytest.mark.parametrize("coeffs", [
+    np.zeros(15), np.zeros((2, 14)), np.zeros((1, 2, 15)), [[math.nan] + [0.0] * 14],
+    [[1.0] * 15, [0.0] * 14 + [math.inf]], [[1.0] * 15, [-math.inf] + [0.0] * 14],
+])
+def test_stacked_split_refuses_a_bad_shape_or_a_non_finite_row(coeffs):
+    with pytest.raises(ValueError):
+        forms.eigen_splits(coeffs)
+    with pytest.raises(ValueError):
+        forms.classify_many(coeffs)
+
+
+def test_a_non_positive_tol_is_refused():
+    for tol in (0.0, -1e-9):
+        for call in (forms.eigen_splits, forms.classify_many):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                call(np.ones((1, 15)), tol)
+        for call in (eigen_split, classify_full):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                call(W0, tol)
+
+
+def test_stacked_split_of_an_empty_stack_is_empty():
+    values, frames = forms.eigen_splits(np.zeros((0, 15)))
+    assert values.shape == (0, 3) and frames.shape == (0, 6, 6)
+    assert forms.classify_many(np.zeros((0, 15))) == []
 
 
 def test_conjugate_identity_and_invariant_plane():

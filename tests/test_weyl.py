@@ -251,12 +251,68 @@ def test_singular_classes_pick_the_first_element_of_each_class():
     assert np.array_equal(np.array(sorted(images), dtype=float), moment._NORMALS)
 
 
+def orbit_reference(p):
+    """Reference: the set of the 24 `act` images, sorted."""
+    return tuple(sorted({weyl.act(w, p) for w in weyl.weyl_group()}))
+
+
+def typed(points):
+    """Each coordinate as (type, repr): equal only for the same value, type
+    and zero sign."""
+    return [[(type(c), repr(c)) for c in p] for p in points]
+
+
+def near_wall(a, shift):
+    """A point of the root wall <a, p> = 0 on no other wall, moved off it by
+    shift * a."""
+    i, j = (k for k in range(3) if a[k])
+    p = [3, 3, 3]
+    p[i], p[j] = 2, -a[i] * a[j] * 2
+    return tuple(c + shift * s for c, s in zip(p, a))
+
+
+#: Ints, Fractions, floats with both zero signs, numpy floats, points scaled
+#: by 2**600 and the zero point.
+ORBIT_POINTS = [
+    (1, 2, 3), (0, 0, 1), (1, 1, 1), (1, -1, 1), (-4, 0, 7), (0, 0, 0), (0.0, 0.0, 0.0),
+    (Fraction(1, 3), Fraction(-2), Fraction(0)), (Fraction(1), Fraction(1, 2), Fraction(2)),
+    (1.0, 0.5, 2.0), (0.0, -0.0, 1.5), (-0.0, -0.0, -0.0), (-1e-300, 3.25, -0.0),
+    (np.float64(-0.0), np.float64(2.0), np.float64(0.1)),
+    (np.float64(1.0), np.float64(1.0), np.float64(-1.0)),
+    (2 ** 600, 2 ** 599, 3 * 2 ** 600), (2.0 ** 600, -(2.0 ** 600), 2.0 ** 599),
+    (Fraction(2 ** 600, 3), Fraction(-(2 ** 600), 3), 0),
+]
+
+
+def test_weyl_orbit_is_the_set_of_act_images():
+    # On every tie pattern of CHAMBER_GRID too, mixed types included: an image
+    # equal to an earlier one keeps the types of the earlier one, as a set
+    # keeps its first element.
+    for p in itertools.chain(ORBIT_POINTS, itertools.product(CHAMBER_GRID, repeat=3)):
+        assert typed(weyl.weyl_orbit(p)) == typed(orbit_reference(p))
+
+
 def test_orbit_near_a_wall_keeps_every_image():
     # 1e-13 off the F1 wall in float and in Fraction: 24 distinct images,
     # and the 6 vertices of a hexagon face, none merged.
     for lam in ((1.0, 1.0 + 1e-13, 2.0), (1, Fraction(10**13 + 1, 10**13), 2)):
         assert len(weyl.weyl_orbit(lam)) == 24
         assert len(weyl.singular_vertex_set(lam, weyl.IDENTITY, 1)) == 6
+    # The same off each root wall, where the wall itself halves the orbit.
+    for a in weyl.ROOTS:
+        for p in (near_wall(a, 1e-13), near_wall(a, Fraction(1, 10**13))):
+            assert len(weyl.weyl_orbit(p)) == 24
+            assert typed(weyl.weyl_orbit(p)) == typed(orbit_reference(p))
+        assert len(weyl.weyl_orbit(near_wall(a, 0))) == 12
+
+
+def test_weyl_orbit_refuses_nan():
+    # NaN equals nothing, so a set would keep 24 unordered "distinct" images.
+    for p in ((math.nan, 0.0, 1.0), (1.0, np.float64(math.nan), 2.0), (0, 0, math.nan)):
+        with pytest.raises(ValueError):
+            weyl.weyl_orbit(p)
+    with pytest.raises(ValueError):
+        moment.orbit_samples((math.nan, 0, 1), 3, 0)
 
 
 def test_singular_vertex_set_examples():
