@@ -132,8 +132,11 @@ PRISM_LAMBDA = (1, 1, 2)
 
 
 def prism_region() -> polytopes.Polytope:
-    """Moment polytope of (1, 1, 2) cut down to z <= -1."""
-    return polytopes.clip(moment.moment_polytope(PRISM_LAMBDA), (0, 0, 1), -1)
+    """Moment polytope of (1, 1, 2) cut down to z <= -1: the hull of its orbit
+    points with z <= -1, as no edge crosses z = -1 between its ends.  An edge
+    joins p to p - <p, b> b for a root b = +-e_i +- e_j with <p, b> in {1, 2};
+    from z = -2, the lowest orbit value, such a step reaches only z <= -1."""
+    return polytopes.hull([p for p in weyl.weyl_orbit(PRISM_LAMBDA) if p[2] <= -1])
 
 
 def prism_region_test(p) -> bool:

@@ -10,11 +10,13 @@ The geometry runs on Python ints: each input is scaled once by the common
 denominator D of its coordinates (or offsets), every sign test is taken on
 the integer numerators, and Fractions are built only for the output.  Three
 exact primitives carry it: `_independent` is the one rank test (the affine
-basis of a point set, and which hull points are vertices), `_meet` the one
-three-plane solve (the candidate vertices of `intersect`, `clip` and
-`section`) and `_polygon` the one polygon ordering (the edges of a dim-2
-hull and the face rings of `to_off`), a monotone chain on a coordinate
-projection.  No step has a tolerance.
+basis of a point set), `_meet` the one three-plane solve (the candidate
+vertices of `intersect`, `clip` and `section`) and `_polygon` the one
+polygon ordering (the edges of a dim-2 hull and the face rings of
+`to_off`), a monotone chain on a coordinate projection.  A 3-dimensional
+hull is one incremental pass that tests each (face, point) pair once and
+reads its vertices off the final triangulation: the triangle corners that
+lie on three distinct facet planes.  No step has a tolerance.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ def _json_number(x):
     as that float, any other rational as the string "p/q".  A float's reduced
     numerator has at most 53 bits, so p / q is taken only where it cannot
     overflow."""
-    p, q = Fraction(x).as_integer_ratio()
+    p, q = _ratio(x)
     if q == 1:
         return p
     exact = p.bit_length() <= 53 and (p / q).as_integer_ratio() == (p, q)
@@ -129,12 +131,16 @@ class Polytope:
     equalities: tuple
 
     def facet_tight_vertices(self):
-        """Per facet, the tuple of vertex indices where it is tight, tested on
-        the vertices scaled to integers over their common denominator d."""
+        """Per facet, the tuple of vertex indices where it is tight."""
         ints, d = _scaled(c for v in self.vertices for c in v)
-        pts = list(zip(ints[0::3], ints[1::3], ints[2::3]))
-        return [tuple(k for k, p in enumerate(pts) if _dot(f.normal, p) == off)
-                for f in self.facets for off in [f.offset * d]]
+        return _tight_sets(self.facets, list(zip(ints[0::3], ints[1::3], ints[2::3])), d)
+
+
+def _tight_sets(facets, pts, d):
+    """Per facet, the indices of the integer points pts (exact points scaled
+    by d) where it is tight."""
+    return [tuple(k for k, p in enumerate(pts) if _dot(f.normal, p) == off)
+            for f in facets for off in [f.offset * d]]
 
 
 def _float_normal(normal) -> tuple[np.ndarray, int]:
@@ -270,10 +276,11 @@ def _hull3_exact(pts, basis, d) -> Polytope:
     faces = [make_face(*tri) for tri in itertools.combinations(order[:4], 3)]
     for ip in order[4:]:
         p = pts[ip]
-        visible = [f for f in faces if _dot(f[3], p) > f[4]]
+        visible, hidden = [], []
+        for f in faces:
+            (visible if _dot(f[3], p) > f[4] else hidden).append(f)
         if not visible:
             continue
-        hidden = [f for f in faces if _dot(f[3], p) <= f[4]]
         edges = {}
         for f in visible:
             for a, b in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
@@ -283,17 +290,18 @@ def _hull3_exact(pts, basis, d) -> Polytope:
                     edges[(a, b)] = True
         faces = hidden + [make_face(a, b, ip) for a, b in edges]
 
-    planes = set()
-    for f in faces:
-        n = _primitive(f[3])
-        planes.add((n, _dot(n, pts[f[0]])))
-
-    def is_vertex(p):
-        tight = [n for n, off in planes if _dot(n, p) == off]
-        return any(_independent(c) for c in itertools.combinations(tight, 3))
-
-    vertices = [_rational(p, d) for p in pts if is_vertex(p)]
-    facets = [Facet(n, Fraction(off, d)) for n, off in planes]
+    # A corner is a vertex iff its triangles span three facet planes: a vertex
+    # is a corner in each facet through it, a point inside a facet or an edge
+    # lies on at most two.
+    planes, corner_planes = {}, {}
+    for ia, ib, ic, n, off in faces:
+        g = math.gcd(*n)
+        n = (n[0] // g, n[1] // g, n[2] // g)
+        planes[n] = off // g
+        for k in (ia, ib, ic):
+            corner_planes.setdefault(k, set()).add(n)
+    vertices = [_rational(pts[k], d) for k in sorted(corner_planes) if len(corner_planes[k]) >= 3]
+    facets = [Facet(n, Fraction(off, d)) for n, off in planes.items()]
     return Polytope(3, tuple(vertices), _sort_facets(facets), ())
 
 
@@ -408,7 +416,8 @@ def _feasible_vertices(facets):
 def _exact_halfspace(normal, offset) -> Facet:
     if not (all(_is_exact_scalar(c) for c in normal) and _is_exact_scalar(offset)):
         raise ValueError("normal and offset must be int or Fraction")
-    return Facet(tuple(normal), Fraction(offset))
+    ints, k = _scaled(normal)  # Python ints, as numpy integers overflow
+    return Facet(tuple(ints), Fraction(*_ratio(offset)) * k)
 
 
 def intersect(P: Polytope, Q: Polytope) -> Polytope:
@@ -457,14 +466,14 @@ def section(P: Polytope, normal, offset) -> Polytope:
 # Export
 # ---------------------------------------------------------------------------
 
-def _facet_rings(P: Polytope, pts):
+def _facet_rings(P: Polytope, pts, d):
     """Vertex index rings ccw about their normal, each starting at its lowest
     index: one per facet of a 3-polytope, or the polygon itself about its
-    plane's normal.  pts are the vertices scaled to integers."""
+    plane's normal.  pts are the vertices scaled to integers by d."""
     if P.dim == 2:
         faces = [(P.equalities[0].normal, range(len(pts)))]
     else:
-        faces = zip((f.normal for f in P.facets), P.facet_tight_vertices())
+        faces = zip((f.normal for f in P.facets), _tight_sets(P.facets, pts, d))
     index = {p: k for k, p in enumerate(pts)}
     rings = []
     for normal, tight in faces:
@@ -479,7 +488,7 @@ def to_off(P: Polytope) -> str:
     scaled by their common denominator."""
     ints, denom = _scaled(c for v in P.vertices for c in v)
     pts = list(zip(ints[0::3], ints[1::3], ints[2::3]))
-    rings = _facet_rings(P, pts) if P.dim >= 2 else []
+    rings = _facet_rings(P, pts, denom) if P.dim >= 2 else []
     lines = ["OFF", f"# rational vertices scaled by common denominator {denom}",
              f"{len(P.vertices)} {len(rings)} 0"]
     lines += [" ".join(map(str, p)) for p in pts]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from orbitkit import iwasawa, klein, moment
+from orbitkit import iwasawa, klein, moment, polytopes
 from orbitkit.errors import IncompatiblePattern, NormViolation, WrongClass
 from orbitkit.forms import (
     PAIRS,
@@ -344,6 +344,12 @@ def test_prism_region():
         abg = abg / np.linalg.norm(abg)
         t = float(rng.uniform(0, 1))
         assert klein.prism_region_test(klein.edge_prism_point(*abc, *abg, t))
+
+
+def test_prism_region_is_the_clipped_moment_polytope():
+    # Built from the orbit points with z <= -1; the clip is the definition.
+    assert klein.prism_region() == polytopes.clip(moment.moment_polytope(klein.PRISM_LAMBDA),
+                                                  (0, 0, 1), -1)
 
 
 def test_square_fiber_examples():

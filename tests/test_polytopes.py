@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from orbitkit import moment, polytopes, weyl
 from orbitkit.errors import EmptyIntersection, EmptySection
 from orbitkit.polytopes import clip, contains, hull, intersect, section
-from test_golden import exact_layer_polytopes
+from test_golden import ORBIT_TYPE_LAMBDAS, exact_layer_polytopes
 
 
 def brute_force_facets(points):
@@ -555,3 +556,220 @@ def test_violations_many_reads_non_finite_rows_as_outside():
     assert v[0] <= 0
     assert not np.any(v[1:] <= 1e-9)
     assert np.isnan(np.max(v)) or np.max(v) == np.inf
+
+
+# ---------------------------------------------------------------------------
+# The one-pass hull and the writers against their earlier forms
+# ---------------------------------------------------------------------------
+
+def reference_hull3(pts, basis, d):
+    """Reference: the 3-dimensional hull before it read its vertices off the
+    triangulation.  Visible and hidden faces are two list scans, each normal
+    is reduced by `_primitive`, and a point is a vertex when three of the
+    planes tight on it are independent."""
+    order = basis + [k for k in range(len(pts)) if k not in basis]
+    inside = tuple(sum(pts[k][i] for k in basis) for i in range(3))
+
+    def make_face(ia, ib, ic):
+        a, b, c = pts[ia], pts[ib], pts[ic]
+        n = polytopes._cross(polytopes._sub(b, a), polytopes._sub(c, a))
+        off = polytopes._dot(n, a)
+        if polytopes._dot(n, inside) > 4 * off:
+            n, off = polytopes._neg(n), -off
+            ia, ib = ib, ia
+        return (ia, ib, ic, n, off)
+
+    faces = [make_face(*tri) for tri in itertools.combinations(order[:4], 3)]
+    for ip in order[4:]:
+        p = pts[ip]
+        visible = [f for f in faces if polytopes._dot(f[3], p) > f[4]]
+        if not visible:
+            continue
+        hidden = [f for f in faces if polytopes._dot(f[3], p) <= f[4]]
+        edges = {}
+        for f in visible:
+            for a, b in ((f[0], f[1]), (f[1], f[2]), (f[2], f[0])):
+                if (b, a) in edges:
+                    del edges[(b, a)]
+                else:
+                    edges[(a, b)] = True
+        faces = hidden + [make_face(a, b, ip) for a, b in edges]
+
+    planes = set()
+    for f in faces:
+        n = polytopes._primitive(f[3])
+        planes.add((n, polytopes._dot(n, pts[f[0]])))
+
+    def is_vertex(p):
+        tight = [n for n, off in planes if polytopes._dot(n, p) == off]
+        return any(polytopes._independent(c) for c in itertools.combinations(tight, 3))
+
+    vertices = [polytopes._rational(p, d) for p in pts if is_vertex(p)]
+    facets = [polytopes.Facet(n, Fraction(off, d)) for n, off in planes]
+    return polytopes.Polytope(3, tuple(vertices), polytopes._sort_facets(facets), ())
+
+
+def reference_hull(points):
+    """`reference_hull3` of the points as `_hull_exact` scales them, or None
+    when their hull is not 3-dimensional."""
+    ints, d = polytopes._scaled(c for p in points for c in p)
+    pts = sorted(set(zip(ints[0::3], ints[1::3], ints[2::3])))
+    basis = polytopes._affine_basis_exact(pts)
+    return reference_hull3(pts, basis, d) if len(basis) == 4 else None
+
+
+def orbit_point_sets():
+    """The Weyl orbit of every CHAMBER_GRID tie pattern with exact and with
+    float coordinates, and of its chamber point 1e-13 off each wall, in
+    float and in Fraction; once per distinct chamber point, as equal points
+    have one orbit."""
+    from test_weyl import CHAMBER_GRID
+
+    chamber = {}
+    for p in itertools.product(CHAMBER_GRID, repeat=3):
+        for lam in (tuple(map(Fraction, p)), tuple(map(float, p))):
+            q = weyl.to_chamber(lam)[0]
+            chamber.setdefault(q, q)
+    lams = dict(chamber)
+    for q in chamber:
+        for eps in (1e-13, Fraction(1, 10 ** 13)):
+            x, y, z = (type(eps)(c) for c in q)
+            for lam in ((x, y + eps, z), (x, y - eps, z), (x, y, z + eps)):
+                lams.setdefault(lam, lam)
+    return [weyl.weyl_orbit(lam) for lam in lams.values()]
+
+
+def test_hull_of_every_tie_pattern_orbit_is_the_reference_hull():
+    count = 0
+    for orbit in orbit_point_sets():
+        want = reference_hull(orbit)
+        assert want is None or hull(orbit) == want, orbit
+        count += want is not None
+    assert count > 100
+
+
+@st.composite
+def cluttered_points(draw):
+    """Rational or float points with duplicates, points on the lines and
+    inside the triangles of others (so on edges and facets, or collinear and
+    coplanar with them), scaled to 1, 2**-1074 or 2**1000."""
+    # Built from integers: hypothesis draws st.fractions slowly.
+    coord = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 2, 3))) | st.floats(-3, 3)
+    base = [tuple(map(Fraction, p))
+            for p in draw(st.lists(st.tuples(coord, coord, coord), min_size=4, max_size=10))]
+    pick = st.sampled_from(base)
+    weight = st.builds(Fraction, st.integers(-4, 8), st.just(4))
+    extra = []
+    for kind in draw(st.lists(st.sampled_from(("duplicate", "line", "plane")), max_size=8)):
+        u, v, w = draw(pick), draw(pick), draw(pick)
+        s, t = draw(weight), draw(weight)
+        if kind == "duplicate":
+            extra.append(u)
+        elif kind == "line":
+            extra.append(tuple(a + s * (b - a) for a, b in zip(u, v)))
+        else:
+            extra.append(tuple(a + s * (b - a) + t * (c - a) for a, b, c in zip(u, v, w)))
+    scale = draw(st.sampled_from((1, Fraction(2) ** -1074, Fraction(2) ** 1000)))
+    pts = [tuple(c * scale for c in p) for p in base + extra]
+    return [tuple(map(float, p)) for p in pts] if draw(st.booleans()) else pts
+
+
+@settings(deadline=None, max_examples=200)
+@given(cluttered_points())
+def test_hull_is_the_reference_hull(points):
+    want = reference_hull(points)
+    if want is not None:
+        assert hull(points) == want
+
+
+def reference_facet_tight_vertices(P):
+    ints, d = polytopes._scaled(c for v in P.vertices for c in v)
+    pts = list(zip(ints[0::3], ints[1::3], ints[2::3]))
+    return [tuple(k for k, p in enumerate(pts) if polytopes._dot(f.normal, p) == off)
+            for f in P.facets for off in [f.offset * d]]
+
+
+def reference_to_off(P):
+    """Reference: `to_off` when its face rings rescaled the vertices through
+    `facet_tight_vertices`."""
+    ints, denom = polytopes._scaled(c for v in P.vertices for c in v)
+    pts = list(zip(ints[0::3], ints[1::3], ints[2::3]))
+    rings = []
+    if P.dim >= 2:
+        if P.dim == 2:
+            faces = [(P.equalities[0].normal, range(len(pts)))]
+        else:
+            faces = zip((f.normal for f in P.facets), reference_facet_tight_vertices(P))
+        index = {p: k for k, p in enumerate(pts)}
+        for normal, tight in faces:
+            ring = [index[p] for p in polytopes._polygon([pts[k] for k in tight], normal)]
+            low = ring.index(min(ring))
+            rings.append(tuple(ring[low:] + ring[:low]))
+    lines = ["OFF", f"# rational vertices scaled by common denominator {denom}",
+             f"{len(P.vertices)} {len(rings)} 0"]
+    lines += [" ".join(map(str, p)) for p in pts]
+    lines += [" ".join(map(str, (len(ring),) + ring)) for ring in rings]
+    return "\n".join(lines) + "\n"
+
+
+def reference_json_number(x):
+    p, q = Fraction(x).as_integer_ratio()
+    if q == 1:
+        return p
+    exact = p.bit_length() <= 53 and (p / q).as_integer_ratio() == (p, q)
+    return p / q if exact else f"{p}/{q}"
+
+
+def reference_polytope_to_json(P):
+    def facet(f):
+        return {"normal": [reference_json_number(c) for c in f.normal],
+                "offset": reference_json_number(f.offset), "sense": "le"}
+
+    return {
+        "dim": P.dim,
+        "exact": True,
+        "vertices": [[reference_json_number(c) for c in v] for v in P.vertices],
+        "facets": [facet(f) for f in P.facets],
+        "equalities": [facet(f) for f in P.equalities],
+    }
+
+
+def writer_polytopes():
+    """Every orbit type, singular-value, clip, section, intersect and random
+    polytope of the exact-layer golden, the cut polytopes of the other orbit
+    types, and hulls at 2**600 and with normals past the float range."""
+    out = list(exact_layer_polytopes().values())
+    for name, lam in ORBIT_TYPE_LAMBDAS.items():
+        P = moment.moment_polytope(lam)
+        if P.dim == 3:
+            out += [clip(P, (1, 1, 1), 0), section(P, (1, 1, 1), 0),
+                    section(P, (0, 0, 1), Fraction(1, 3))]
+            out.append(intersect(P, moment.moment_polytope((1, Fraction(1, 2), 2))))
+    out.append(hull(weyl.weyl_orbit((2 ** 600, 2 ** 599, 2 ** 601))))
+    out.append(hull([(0, 0, 0), (Fraction(1, 3), 0, 0), (0, Fraction(1, 7), 0), (0, 0, Fraction(1, 11)),
+                     (5e-324, 5e-324, 5e-324), (2.0 ** 1000, Fraction(1, 3), Fraction(-1, 7)),
+                     (-1, Fraction(2, 11), 5e-324), (0.5, -2.0 ** 1000, 1)]))
+    return out
+
+
+def test_writers_are_byte_identical_to_the_reference_writers():
+    for P in writer_polytopes():
+        assert polytopes.to_off(P) == reference_to_off(P)
+        assert (json.dumps(polytopes.polytope_to_json(P), indent=2)
+                == json.dumps(reference_polytope_to_json(P), indent=2))
+        if P.dim == 3:
+            assert P.facet_tight_vertices() == reference_facet_tight_vertices(P)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int64])
+def test_numpy_integer_normals_cut_as_int_normals(dtype):
+    small = moment.moment_polytope((1, Fraction(1, 2), 2))
+    huge = moment.moment_polytope((10 ** 20, 5 * 10 ** 19, 2 * 10 ** 20))
+    for P, offset in ((small, Fraction(1, 3)), (huge, 3 * 10 ** 19)):
+        for normal in ((0, 0, 1), (1, -1, 1)):
+            typed = tuple(dtype(c) for c in normal)
+            assert clip(P, typed, offset) == clip(P, normal, offset)
+            assert section(P, typed, offset) == section(P, normal, offset)
+            assert clip(P, normal, dtype(1)) == clip(P, normal, 1)
+    # A rational normal cuts as the integer normal of the same halfspace.
+    assert clip(small, (Fraction(1, 2), 0, 0), Fraction(1, 4)) == clip(small, (1, 0, 0), Fraction(1, 2))
