@@ -84,12 +84,18 @@ def gaussians(w: np.ndarray) -> np.ndarray:
     """Standard normals from an (n, 2j) word array by Box-Muller on the
     column pairs (2i, 2i + 1); the radius uniform of word 2i lies in (0, 1],
     so its logarithm is finite."""
-    u1 = ((w[:, 0::2] >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
-    r = np.sqrt(-2.0 * np.log(u1))
-    phi = (2.0 * np.pi) * uniforms(w[:, 1::2])
+    # In place on fresh buffers, never on w.  Each ufunc reads a contiguous
+    # array and writes a fresh one or its own input: the loops that the plain
+    # expressions sqrt(-2 log u1) and 2 pi u2 run, so the same bits.
+    k = w[:, 0::2] >> np.uint64(11)
+    k += np.uint64(1)
+    r = k * 2.0 ** -53
+    np.sqrt(np.multiply(np.log(r, out=r), -2.0, out=r), out=r)
+    phi = np.right_shift(w[:, 1::2], np.uint64(11), out=k) * 2.0 ** -53
+    phi *= 2.0 * np.pi
     z = np.empty(w.shape)
-    z[:, 0::2] = r * np.cos(phi)
-    z[:, 1::2] = r * np.sin(phi)
+    np.multiply(r, np.cos(phi), out=z[:, 0::2])
+    np.multiply(r, np.sin(phi, out=phi), out=z[:, 1::2])
     return z
 
 
@@ -172,10 +178,10 @@ def _gram_schmidt(g: np.ndarray) -> np.ndarray:
     so real results do not depend on the complex case."""
     q = np.empty_like(g)
     for j in range(g.shape[2]):
-        v = g[:, :, j]
+        v, qj = g[:, :, j], q[:, :, :j]
+        qc = qj.conj()
         for _ in range(2 if j else 0):
-            c = np.einsum("nij,ni->nj", q[:, :, :j].conj(), v)
-            v = v - np.einsum("nij,nj->ni", q[:, :, :j], c)
+            v = v - np.einsum("nij,nj->ni", qj, np.einsum("nij,ni->nj", qc, v))
         q[:, :, j] = v / np.sqrt(np.einsum("ni,ni->n", v.conj(), v).real)[:, None]
     return q
 
@@ -188,7 +194,12 @@ class SampleCloud:
     source: str
 
     def to_csv(self) -> str:
-        rows = [f"{x!r},{y!r},{z!r}" for x, y, z in self.points.tolist()]
+        """Lines `# <source> stream=<STREAM>` and `x,y,z`, then one line per
+        row of points: its coordinates' `repr` (the shortest string that reads
+        back as the same double) joined by commas; every line ends in "\\n".
+        The fields come from one flat list: a list per row sets off the GC."""
+        values = iter(map(repr, self.points.ravel().tolist()))
+        rows = map(",".join, zip(values, values, values))
         return "\n".join([f"# {self.source} stream={STREAM}", "x,y,z", *rows]) + "\n"
 
 
@@ -212,14 +223,14 @@ def orbit_samples(lam, n: int, seed: int) -> SampleCloud:
     # d[3]) / 4 on the three drawn columns, one (12, 3) weight per lam.
     d = np.array(cartan_to_spin_weight(lam))
     weights = np.einsum("ci,j->ijc", np.array(CARTAN_QUADRUPLES) / 4.0, d[:3] - d[3]).reshape(12, 3)
-    pts = np.empty((n, 3))
+    fixed = weyl.weyl_orbit(lam)
+    pts = np.empty((n + len(fixed), 3))
+    pts[n:] = fixed
     for lo in range(0, n, HAAR_BATCH):
         hi = min(n, lo + HAAR_BATCH)
         U = haar_unitary_columns(hi - lo, seed, start=lo)
         # einsum, not a BLAS product, so that a row does not depend on its batch.
         pts[lo:hi] = np.einsum("nk,kc->nc", (U.real ** 2 + U.imag ** 2).reshape(-1, 12), weights)
-    fixed = np.array([[float(c) for c in p] for p in weyl.weyl_orbit(lam)])
-    pts = np.vstack([pts, fixed])
     source = (f"source=orbit_samples lambda=({lam[0]!r},{lam[1]!r},{lam[2]!r}) n={n} "
               f"seed={seed} haar=u4")
     return SampleCloud(pts, source)

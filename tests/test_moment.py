@@ -1,5 +1,6 @@
 """Moment map, Haar sampling, moment polytopes, stabilizers, singular values."""
 
+import gc
 import math
 from fractions import Fraction
 
@@ -171,6 +172,33 @@ def test_normals_take_their_words_in_pairs():
     assert np.array_equal(moment.normals(9, 50, 4), moment.gaussians(words))
     u = moment.uniforms(words)
     assert u.min() >= 0.0 and u.max() < 1.0
+
+
+def reference_gaussians(w):
+    """Box-Muller as written before the in-place rewrite of `moment.gaussians`."""
+    u1 = ((w[:, 0::2] >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
+    r = np.sqrt(-2.0 * np.log(u1))
+    phi = (2.0 * np.pi) * moment.uniforms(w[:, 1::2])
+    z = np.empty(w.shape)
+    z[:, 0::2] = r * np.cos(phi)
+    z[:, 1::2] = r * np.sin(phi)
+    return z
+
+
+def test_gaussians_are_the_box_muller_expressions_and_leave_their_words():
+    # Word 0 gives the radius uniform 2^-53, the largest radius there is, and
+    # 2^64 - 1 gives radius 0 and the angle nearest 2 pi.
+    words = np.concatenate([moment.stream(4, 3000, 10),
+                            np.zeros((2, 10), np.uint64), np.full((2, 10), 2 ** 64 - 1, np.uint64)])
+    words[0, :4] = words[1, 4:8] = 0, 2 ** 64 - 1, 2 ** 64 - 1, 0
+    kept = words.copy()
+    for w in (words, words[:, :6], words[:, 2:], words[::3, 1:9]):
+        got, want = moment.gaussians(w), reference_gaussians(w)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(words, kept)
+    z = moment.gaussians(np.zeros((1, 2), np.uint64))
+    assert z[0, 0] == math.sqrt(-2.0 * math.log(2.0 ** -53)) and z[0, 1] == 0.0
 
 
 def test_haar_rotations_are_the_sign_fixed_lapack_q():
@@ -412,6 +440,51 @@ def test_orbit_samples_csv_deterministic():
     header, cols = a.splitlines()[:2]
     assert header.startswith("#") and "seed=9" in header and "n=100" in header
     assert cols == "x,y,z"
+
+
+def reference_csv(cloud):
+    """`SampleCloud.to_csv` as written before it read one flat list: a list per row."""
+    rows = [f"{x!r},{y!r},{z!r}" for x, y, z in cloud.points.tolist()]
+    return "\n".join([f"# {cloud.source} stream={moment.STREAM}", "x,y,z", *rows]) + "\n"
+
+
+def test_to_csv_is_the_per_row_writer_byte_for_byte():
+    odd = np.array([[-0.0, 1e-05, 1e16], [5e-324, 2.0, math.nan], [math.inf, -math.inf, 0.1],
+                    [-1.5e-300, 1.7976931348623157e308, 123456789.125]])
+    wide = np.arange(60.0).reshape(5, 12) / 7.0
+    clouds = [moment.SampleCloud(odd, "source=odd"),
+              moment.SampleCloud(np.empty((0, 3)), "source=empty n=0"),
+              moment.SampleCloud(wide[:, 2:11:4], "source=strided"),
+              moment.SampleCloud(wide.reshape(20, 3)[::-2], "source=reversed"),
+              moment.SampleCloud(wide.reshape(3, 20).T, "source=transposed"),
+              moment.orbit_samples((1, 0.5, 2), 300, 9)]
+    for cloud in clouds:
+        assert cloud.to_csv() == reference_csv(cloud)
+    assert clouds[0].to_csv().splitlines()[2:4] == ["-0.0,1e-05,1e+16", "5e-324,2.0,nan"]
+    assert clouds[1].to_csv() == "# source=empty n=0 stream=philox4x64-10-ctr\nx,y,z\n"
+    # Each field reads back as the drawn double.
+    rows = [line.split(",") for line in clouds[-1].to_csv().splitlines()[2:]]
+    assert np.array_equal(np.array(rows, dtype=float), clouds[-1].points)
+
+
+def test_to_csv_of_a_large_cloud_runs_no_garbage_collection():
+    # A list per row would make the cyclic collector run several times here.
+    cloud = moment.orbit_samples((1, 0.5, 2), 5000, 1)
+    stops = []
+
+    def count(phase, info):
+        if phase == "stop":
+            stops.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.collect()
+    gc.callbacks.append(count)
+    try:
+        text = cloud.to_csv()
+    finally:
+        gc.callbacks.remove(count)
+    assert stops == []
+    assert text.count("\n") == 5000 + 24 + 2
 
 
 def test_cloud_hull_reaches_polytope():
@@ -693,9 +766,12 @@ _SINGULAR_LAMBDAS = (*AGS_LAMBDAS, (0.1, -0.03, 0.7))
 def test_verify_singular_rows_equal_the_class_by_class_body(n):
     # Faces from one orbit pass and laws on integers change no figure: every
     # row is the class-by-class row, value and type, at each chamber pattern.
+    # Past one Haar batch, the generic point and the rounding one with seed 0
+    # cross the batch boundary.
     classes = weyl.singular_classes()
-    for lam in _SINGULAR_LAMBDAS:
-        for seed in range(3):
+    big = n > moment.HAAR_BATCH
+    for lam in ((1.0, 0.5, 2.0), (0.1, -0.03, 0.7)) if big else _SINGULAR_LAMBDAS:
+        for seed in range(1 if big else 3):
             rows = moment.verify_singular(lam, classes, n, seed)
             refs = _reference_verify_singular(lam, classes, n, seed)
             assert len(rows) == len(refs) == 14
