@@ -3,7 +3,8 @@
 Commands: classify, polytope, sample, verify <suite>, klein <sub>,
 iwasawa <sub>, export.  RUNS is both the registry and the parser: a call is
 parsed against the one run its argv names, which takes exactly the flags of
-its `used` parameters and its command's ARTIFACT_FLAGS.  `--help` after
+its `used` parameters and its command's ARTIFACT_FLAGS; each run's parser is
+built from RUNS once per process, on first use.  `--help` after
 `orbitkit`, a command or a run lists the commands, the subs or the flags.
 cmd_run writes the run's artifacts and prints a JSON report to stdout; every
 report's metrics carry the run's `elapsed_seconds`, and a non-finite metric
@@ -17,6 +18,7 @@ moment.GATE_TOL; only classify, export and iwasawa scan-complex take --tol.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -112,24 +114,21 @@ def _load_form(path: str) -> TwoForm:
     return form
 
 
-def _write(path: str, text: str):
+def _write(path: str, text: str, written: list):
     try:
         with open(path, "w") as fh:
             fh.write(text)
     except OSError as exc:
         raise ParseError(f"cannot write {path}: {exc}") from exc
+    written.append(path)
 
 
-def _write_polytope(P, off_path, facets_path) -> list:
-    """Write P as an OFF mesh and/or a facet JSON file; return the paths written."""
-    artifacts = []
+def _write_polytope(P, off_path, facets_path, written: list):
+    """Write P as an OFF mesh and/or a facet JSON file."""
     if off_path:
-        _write(off_path, polytopes.to_off(P))
-        artifacts.append(off_path)
+        _write(off_path, polytopes.to_off(P), written)
     if facets_path:
-        _write(facets_path, json.dumps(polytopes.polytope_to_json(P), indent=2))
-        artifacts.append(facets_path)
-    return artifacts
+        _write(facets_path, json.dumps(polytopes.polytope_to_json(P), indent=2), written)
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +387,17 @@ def cmd_run(args) -> int:
     passed = bool(metrics.pop("pass"))
     artifacts = []
     path = getattr(args, "out", None)
-    if isinstance(artifact, polytopes.Polytope):
-        artifacts = _write_polytope(artifact, args.out_off, args.out_facets)
-    elif artifact is not None and path:
-        _write(path, artifact.to_csv())
-        artifacts.append(path)
-        if region:
-            artifacts += _write_polytope(region[0](), None, path + ".facets.json")
+    try:  # a call that fails to write one artifact leaves none of its set
+        if isinstance(artifact, polytopes.Polytope):
+            _write_polytope(artifact, args.out_off, args.out_facets, artifacts)
+        elif artifact is not None and path:
+            _write(path, artifact.to_csv(), artifacts)
+            if region:
+                _write_polytope(region[0](), None, path + ".facets.json", artifacts)
+    except BaseException:
+        for written in artifacts:
+            os.remove(written)
+        raise
     if "lam" in parameters:  # echoed under its flag name, as floats
         parameters["lambda"] = [float(c) for c in parameters.pop("lam")]
     report = {"command": args.command if args.sub is None else f"{args.command} {args.sub}",
@@ -436,25 +439,35 @@ def _pick(prog: str, choices: dict, argv: list) -> str:
     return argv[0]
 
 
-def _parse(argv: list) -> argparse.Namespace:
-    """The arguments of the run argv names, parsed by a parser of that run's
-    flags alone, each spelled in full (a prefix such as --se is unrecognized);
-    argparse exits 0 after --help and 2 on a usage error."""
-    subs = {c: [s for k, s in RUNS if k == c] for c, _ in RUNS}
-    command = _pick("orbitkit", {c: " ".join(filter(None, s)) for c, s in subs.items()}, argv)
+#: (command, sub) -> the parameters its flags set, and the menus _pick lists:
+#: the commands with their subs, and each command's subs with their flags.
+_DESTS = {(c, s): run.used + ARTIFACT_FLAGS.get(c, ()) for (c, s), run in RUNS.items()}
+_COMMANDS = {c: " ".join(s for k, s in RUNS if k == c and s) for c, _ in RUNS}
+_SUB_MENUS = {c: {s: " ".join(_flags(c)[d][0] for d in _DESTS[c, s]) for k, s in RUNS if k == c}
+              for c, subs in _COMMANDS.items() if subs}
+
+
+@functools.cache
+def _parser(command: str, sub) -> argparse.ArgumentParser:
+    """The parser of the run (command, sub), built on its first call: its
+    flags alone, each spelled in full (a prefix such as --se is unrecognized)."""
     flags = _flags(command)
-    dests = {s: RUNS[command, s].used + ARTIFACT_FLAGS.get(command, ()) for s in subs[command]}
-    sub = None
-    if subs[command] != [None]:
-        sub = _pick(f"orbitkit {command}",
-                    {s: " ".join(flags[d][0] for d in dests[s]) for s in dests}, argv[1:])
     parser = argparse.ArgumentParser(prog=f"orbitkit {command} {sub or ''}".rstrip(),
                                      allow_abbrev=False)
     parser.set_defaults(command=command, sub=sub)
-    for dest in dests[sub]:
+    for dest in _DESTS[command, sub]:
         flag, keywords = flags[dest]
         parser.add_argument(flag, dest=dest, **keywords)
-    return parser.parse_args(argv[1 if sub is None else 2:])
+    return parser
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """The arguments of the run argv names, parsed by that run's parser;
+    argparse exits 0 after --help and 2 on a usage error."""
+    command = _pick("orbitkit", _COMMANDS, argv)
+    sub = (_pick(f"orbitkit {command}", _SUB_MENUS[command], argv[1:])
+           if command in _SUB_MENUS else None)
+    return _parser(command, sub).parse_args(argv[1 if sub is None else 2:])
 
 
 def main(argv=None) -> int:

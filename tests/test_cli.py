@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report schema, artifact determinism."""
 
+import argparse
 import ast
 import importlib
 import json
@@ -601,6 +602,28 @@ def test_unwritable_artifact_path_exits_2(capsys, tmp_path, argv):
     assert "error: cannot write" in captured.err
 
 
+@pytest.mark.parametrize("argv, written", [
+    (("polytope", "--lambda", "1,0.5,2", "--out-off", "ok.off", "--out-facets", "{missing}"),
+     "ok.off"),
+    (("export", "--form", "{form}", "--out-off", "ok.off", "--out-facets", "{missing}"),
+     "ok.off"),
+    (("klein", "square", "--n", "5", "--out", "ok.csv"), "ok.csv"),
+    (("klein", "edge-prism", "--n", "5", "--out", "ok.csv"), "ok.csv"),
+])
+def test_a_failed_artifact_write_removes_the_artifacts_written_before_it(
+        capsys, tmp_path, form_file, argv, written):
+    # The OFF mesh or the CSV is written first; then the facet JSON fails, at
+    # a missing directory or, for klein, at a directory named like the file.
+    (tmp_path / "ok.csv.facets.json").mkdir()
+    paths = {"missing": str(tmp_path / "missing" / "x.json"), "form": form_file}
+    argv = [str(tmp_path / a) if a == written else a.format(**paths) for a in argv]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "error: cannot write" in captured.err
+    assert not (tmp_path / written).exists()
+
+
 @pytest.mark.parametrize("seed", [str(2 ** 64), "-1", str(2 ** 64 + 1)])
 def test_seed_outside_the_philox_key_range_exits_2(capsys, seed):
     # Philox takes the seed mod 2**64: 2**64 + 1 drew the rows of seed 1.
@@ -921,14 +944,69 @@ def test_readme_quotes_the_scan_complex_figures():
 
 
 def test_readme_command_block_parses_to_every_run():
+    # Each line parses to the same namespace again later in the process.
     readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
     with open(readme) as fh:
-        lines = [line for line in fh if line.startswith("orbitkit ")]
-    documented = []
-    for line in lines:
-        args = cli._parse(shlex.split(line, comments=True)[1:])
-        documented.append((args.command, args.sub))
+        argvs = [shlex.split(line, comments=True)[1:] for line in fh
+                 if line.startswith("orbitkit ")]
+    first = [dict(vars(cli._parse(argv))) for argv in argvs]
+    assert [vars(cli._parse(argv)) for argv in argvs] == first
+    documented = [(args["command"], args["sub"]) for args in first]
     assert sorted(documented, key=str) == sorted(cli.RUNS, key=str)
+
+
+@pytest.fixture()
+def fresh_parsers():
+    """No run's parser is built yet, and none built here outlives the test."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_each_runs_parser_is_built_once(monkeypatch, fresh_parsers):
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for command, sub in cli.RUNS:
+        cli._parse(run_argv(command, sub))
+    assert len(built) == len(set(built)) == len(cli.RUNS)
+    for command, sub in cli.RUNS:
+        cli._parse(run_argv(command, sub))
+        assert cli._parser(command, sub) is cli._parser(command, sub)
+    assert len(built) == len(cli.RUNS)
+
+
+def test_a_reused_parser_keeps_no_values_of_an_earlier_call():
+    args = cli._parse(["verify", "singular", "--n", "5", "--seed", "3"])
+    assert (args.n, args.seed) == (5, 3)
+    args = cli._parse(["verify", "singular"])
+    assert (args.n, args.seed) == (10000, 0)
+
+
+def test_a_usage_error_does_not_spoil_the_next_call_of_its_run(capsys):
+    assert cli.main(["iwasawa", "scan-k", "--tol", "1"]) == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    args = cli._parse(["iwasawa", "scan-k", "--n", "7"])
+    assert (args.command, args.sub, args.n, args.seed, args.out) == (
+        "iwasawa", "scan-k", 7, 0, None)
+
+
+@pytest.mark.parametrize("command, sub", list(cli.RUNS), ids=str)
+def test_a_runs_help_is_the_same_on_every_call(capsys, fresh_parsers, command, sub):
+    def shown():
+        assert cli.main([command, *filter(None, [sub]), "--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        return captured.out
+
+    first = shown()
+    assert shown() == first
+    cli._parser.cache_clear()
+    assert shown() == first
 
 
 def test_every_cited_module_name_exists():
