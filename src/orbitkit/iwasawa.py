@@ -61,10 +61,11 @@ def iwasawa_algebra() -> np.ndarray:
 
 
 def bracket(c: np.ndarray, X, Y) -> np.ndarray:
-    """[X, Y] of two vectors, or row by row of two (..., 6) stacks."""
+    """[X, Y] = (c Y) X of two vectors, or row by row of two (..., 6) stacks."""
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    return np.einsum("kij,...i,...j->...k", c, X, Y)
+    cY = (c.reshape(36, 6) @ Y[..., None]).reshape(*Y.shape[:-1], 6, 6)
+    return (cY @ X[..., None])[..., 0]
 
 
 def ocs_matrix(form, tol: float = 1e-8) -> np.ndarray:
@@ -120,7 +121,7 @@ def horizontal_closed(c: np.ndarray, V, tol: float = 1e-12):
     V is an orthonormal frame (6, 2) or a stack (n, 6, 2); one bool per plane."""
     V = np.asarray(V, dtype=float)
     P = _perp(V)[..., None, :, :]
-    B = np.einsum("mij,...mk->...kij", c, V)
+    B = (np.swapaxes(V, -1, -2) @ c.reshape(6, 36)).reshape(*V.shape[:-2], 2, 6, 6)
     return _per_plane(P @ B @ P, V, tol)
 
 

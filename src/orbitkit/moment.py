@@ -28,13 +28,14 @@ CP^3 = SU(4)/U(3), and a Haar point on it needs one unit vector of C^4.
 By Kostant ("On convexity, the Weyl group and the Iwasawa decomposition",
 1973), p lies in the moment polytope conv(W.lam) iff <w.omega_i, p> <=
 <omega_i, lam+> for the 14 vectors w.omega_i (omega_i the fundamental
-weights, lam+ the chamber point of lam): `moment_violations` tests clouds
-against this facet system with no hull.  The face of the polytope exposed by
-w.omega_i is conv(w.(W_i.lam)), the moment image of the orbit of the
-stabilizer of w.omega_i through w.lam; `verify_singular` samples it by
-Schur-Horn on the stabilizer's unitary blocks (`stabilizer_images`).  Its
-classes share one draw per block shape, so their gates, each of false-alarm
-bound ALPHA, are not independent evidence.
+weights, lam+ the chamber point of lam; the offset is the support function
+max of mu.lam over mu in W.omega_i): `moment_violations` tests clouds
+against this facet system with no hull and no chamber reduction.  The face
+of the polytope exposed by w.omega_i is conv(w.(W_i.lam)), the moment image
+of the orbit of the stabilizer of w.omega_i through w.lam; `verify_singular`
+samples it by Schur-Horn on the stabilizer's unitary blocks
+(`stabilizer_images`).  Its classes share one draw per block shape, so their
+gates, each of false-alarm bound ALPHA, are not independent evidence.
 """
 
 from __future__ import annotations
@@ -241,21 +242,24 @@ def moment_polytope(lam) -> polytopes.Polytope:
     return polytopes.hull(weyl.weyl_orbit(tuple(Fraction(c) for c in lam)))
 
 
-#: The 14 facet normals w.omega_i, and the 24 Weyl elements as matrices.
-_NORMALS = np.array(sorted(weyl.act(w, weyl.FUNDAMENTAL_WEIGHTS[i])
-                           for i, w in weyl.singular_classes()), dtype=float)
+#: The 14 facet normals w.omega_i sorted, in orbit order W.omega_1, _2, _3
+#: (4 + 6 + 4 from _ORBIT_STARTS), and each one's orbit; the 24 Weyl elements.
+_ORBITS = {weyl.act(w, weyl.FUNDAMENTAL_WEIGHTS[i]): i - 1 for i, w in weyl.singular_classes()}
+_NORMALS = np.array(sorted(_ORBITS), dtype=float)
 _NORMAL_LENGTHS = np.linalg.norm(_NORMALS, axis=1)
+_ORBIT_NORMALS, _ORBIT_STARTS = np.array(list(_ORBITS), dtype=float), (0, 4, 10)
+_NORMAL_ORBIT = np.array([_ORBITS[v] for v in sorted(_ORBITS)])
 _WEYL = np.array(weyl.weyl_group(), dtype=float)
 
 
 def moment_violations(lam, points) -> np.ndarray:
     """Scaled violation of each row of points against conv(W.lam), as in
     `polytopes.violations_many` (<= 0 means inside); lam is one triple or one
-    per row.  Offsets are max n.(w.lam) over the 24 Weyl images, so lam needs
-    no chamber reduction.  For singular lam the extra normals only support
-    the polytope: membership is the same, an outside point reads up to 3x."""
-    images = np.einsum("wij,...j->...wi", _WEYL, np.asarray(lam, dtype=float))
-    offsets = np.max(images @ _NORMALS.T, axis=-2)
+    per row.  Offsets are the support functions max of mu.lam over mu in each
+    orbit W.omega_i.  For singular lam the extra normals only support the
+    polytope: membership is the same, an outside point reads up to 3x."""
+    mu_lam = np.asarray(lam, dtype=float) @ _ORBIT_NORMALS.T
+    offsets = np.maximum.reduceat(mu_lam, _ORBIT_STARTS, axis=-1)[..., _NORMAL_ORBIT]
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     return np.max((pts @ _NORMALS.T - offsets) / _NORMAL_LENGTHS, axis=1)
 

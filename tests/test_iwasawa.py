@@ -462,6 +462,110 @@ def test_stacked_closure_matches_svd_reference(algebra):
     assert seen == {True, False}
 
 
+def _einsum_bracket(c, X, Y):
+    """Reference: [X, Y] as one three-operand einsum."""
+    return np.einsum("kij,...i,...j->...k", c, np.asarray(X, dtype=float),
+                     np.asarray(Y, dtype=float))
+
+
+def _einsum_closures(c, V, tol=1e-12):
+    """Reference: horizontal and vertical closure of a frame stack, with the
+    bracket forms B_k = sum_m V[m, k] c[m] and [v1, v2] built by einsum."""
+    P = iwasawa._perp(V)
+    B = np.einsum("mij,...mk->...kij", c, V)
+    horizontal = iwasawa._per_plane(P[..., None, :, :] @ B @ P[..., None, :, :], V, tol)
+    br = _einsum_bracket(c, V[..., 0], V[..., 1])
+    return horizontal, iwasawa._per_plane((P @ br[..., None])[..., 0], V, tol)
+
+
+def _closures_match_the_einsums(c, Vs):
+    """Stacked closures are the einsum references, and each frame alone
+    gives the same answer as a bool."""
+    horizontal, vertical = _einsum_closures(c, Vs)
+    assert np.array_equal(iwasawa.horizontal_closed(c, Vs), horizontal)
+    assert np.array_equal(iwasawa.vertical_closed(c, Vs), vertical)
+    for V, h, v in zip(Vs, horizontal.tolist(), vertical.tolist()):
+        one = iwasawa.horizontal_closed(c, V), iwasawa.vertical_closed(c, V)
+        assert [type(x) for x in one] == [bool, bool] and one == (h, v)
+    return horizontal, vertical
+
+
+def test_closures_are_the_einsum_tables_on_every_kind_of_frame(algebra):
+    signs, U = family_directions(23, 60)
+    nan = iwasawa._sample_planes_in(24, 60, 4)
+    nan[::7, 2, 1] = np.nan
+    kinds = {"in-subspace": (iwasawa._sample_planes_in(21, 60, 4), True, None),
+             "off-subspace": (iwasawa._sample_planes_in(22, 60, 6), False, None),
+             "doubly-closed": (iwasawa.doubly_closed_plane(signs, U), True, True),
+             "NaN": (nan, None, None)}
+    for name, (Vs, h_expected, v_expected) in kinds.items():
+        horizontal, vertical = _closures_match_the_einsums(algebra, Vs)
+        assert h_expected is None or horizontal.all() == h_expected, name
+        assert v_expected is None or vertical.all() == v_expected, name
+    assert not horizontal[::7].any() and not vertical[::7].any()
+    assert np.delete(horizontal, np.s_[::7]).all()
+
+
+def test_bracket_is_the_einsum_to_rounding_whatever_its_stack(algebra):
+    V = np.concatenate([iwasawa._sample_planes_in(25, 100, 4),
+                        iwasawa._sample_planes_in(26, 100, 6)])
+    X, Y = V[..., 0], V[..., 1]
+    br = iwasawa.bracket(algebra, X, Y)
+    assert br.shape == (200, 6)
+    assert np.max(np.abs(br - _einsum_bracket(algebra, X, Y))) <= 1e-15
+    rows = np.array([iwasawa.bracket(algebra, x, y) for x, y in zip(X, Y)])
+    assert br.tobytes() == rows.tobytes()
+    assert iwasawa.bracket(algebra, X.reshape(4, 50, 6), Y.reshape(4, 50, 6)).tobytes() \
+        == br.tobytes()
+    # One vector against a stack, on either side.
+    assert iwasawa.bracket(algebra, X[0], Y).tobytes() == np.array(
+        [iwasawa.bracket(algebra, X[0], y) for y in Y]).tobytes()
+    assert iwasawa.bracket(algebra, X, Y[0]).tobytes() == np.array(
+        [iwasawa.bracket(algebra, x, Y[0]) for x in X]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(("sparse", "full", "zero")),
+    upper=arrays(float, (6, 15), elements=st.floats(-2.0, -0.25) | st.floats(0.25, 2.0)),
+    keep=arrays(bool, (6, 15)),
+    M=arrays(float, st.tuples(st.integers(1, 5), st.just(6), st.just(2)),
+             elements=st.floats(-0.5, 0.5)),
+    nan_row=st.integers(0, 100),
+)
+def test_closures_and_bracket_are_the_einsums_beyond_the_iwasawa_algebra(
+        kind, upper, keep, M, nan_row):
+    # Antisymmetric c as in the Nijenhuis test; Gram-Schmidt frames of
+    # 2 (e1, e2) + M, whose columns are never parallel, and the 15 coordinate
+    # planes, which a sparse c can leave closed.  No entry of c is below 1/4,
+    # so no residual lands within rounding of the tolerance 1e-12.
+    i, j = np.triu_indices(6, 1)
+    c = np.zeros((6, 6, 6))
+    if kind == "sparse":
+        c[:, i, j] = upper * keep
+    elif kind == "full":
+        c[:, i, j] = upper
+    c = c - np.swapaxes(c, 1, 2)
+    Vs = np.concatenate([moment._gram_schmidt(2.0 * plane(1, 2) + M),
+                         [plane(a + 1, b + 1) for a, b in zip(i, j)]])
+    X, Y = Vs[..., 0], Vs[..., 1]
+    br = iwasawa.bracket(c, X, Y)
+    size = _einsum_bracket(np.abs(c), np.abs(X), np.abs(Y))
+    assert np.all(np.abs(br - _einsum_bracket(c, X, Y)) <= 1e-14 * size)
+    assert br.tobytes() == np.array([iwasawa.bracket(c, x, y) for x, y in zip(X, Y)]).tobytes()
+    horizontal, vertical = _closures_match_the_einsums(c, Vs)
+    if kind == "zero":
+        assert horizontal.all() and vertical.all()
+    # A NaN frame fails both tests and spoils its own row only.
+    k = nan_row % len(Vs)
+    spoilt = Vs.copy()
+    spoilt[k, nan_row % 6, nan_row % 2] = np.nan
+    for test, clean in ((iwasawa.horizontal_closed, horizontal),
+                        (iwasawa.vertical_closed, vertical)):
+        out = test(c, spoilt)
+        assert not out[k] and np.array_equal(np.delete(out, k), np.delete(clean, k))
+
+
 def test_doubly_closed_plane_stack_matches_rows_and_family_form():
     signs, U = family_directions(14, 50)
     stacked = iwasawa.doubly_closed_plane(signs, U)

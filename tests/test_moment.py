@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from orbitkit import iwasawa, klein, moment, polytopes, weyl
 from orbitkit.cli import AGS_LAMBDAS
@@ -1052,6 +1053,85 @@ def test_moment_violations_take_one_triple_per_row():
     # The offsets are Weyl-invariant in lam: no chamber reduction is needed.
     assert np.array_equal(moment.moment_violations((-1.0, -1.0, -1.0), pts),
                           moment.moment_violations((1.0, -1.0, 1.0), pts))
+
+
+def _weyl_sweep_violations(lam, points):
+    """Reference: offsets max n.(w.lam) over the 24 Weyl images of lam, an
+    (..., 24, 14) table reduced over its middle axis."""
+    images = np.einsum("wij,...j->...wi", moment._WEYL, np.asarray(lam, dtype=float))
+    offsets = np.max(images @ moment._NORMALS.T, axis=-2)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    return np.max((pts @ moment._NORMALS.T - offsets) / moment._NORMAL_LENGTHS, axis=1)
+
+
+def test_the_orbit_table_splits_the_normals_4_6_4_into_weight_orbits():
+    assert np.bincount(moment._NORMAL_ORBIT).tolist() == [4, 6, 4]
+    starts = moment._ORBIT_STARTS + (len(moment._ORBIT_NORMALS),)
+    for i, (lo, hi) in enumerate(zip(starts, starts[1:])):
+        orbit = weyl.weyl_orbit(weyl.FUNDAMENTAL_WEIGHTS[i + 1])
+        assert sorted(map(tuple, moment._ORBIT_NORMALS[lo:hi].tolist())) == list(orbit)
+        normals = moment._NORMALS[moment._NORMAL_ORBIT == i]
+        assert sorted(map(tuple, normals.tolist())) == list(orbit)
+
+
+_ORBIT_KINDS = ("zero", "p_plus", "p_minus", "plane", "f1_plus", "f1_minus", "f2", "wall",
+                "generic")
+
+
+@st.composite
+def weyl_moved_rows(draw):
+    """(lam, points) of one row: a chamber point of any orbit type, or a tie
+    a = b, moved 1e-13 off a wall or not, then by a Weyl element, its zeros
+    signed at random and all scaled by 2^e; points in the box |lam| [-1, 1]^3
+    and the Weyl images of lam."""
+    kind = draw(st.sampled_from(_ORBIT_KINDS))
+    a, u = draw(st.floats(0.1, 3.0)), draw(st.floats(-0.95, 0.95))
+    b = draw(st.one_of(st.just(a), st.floats(0.1, 3.0)))
+    nudge = draw(st.sampled_from((0.0, 1e-13, -1e-13))) * np.array(
+        draw(st.sampled_from(weyl.ROOTS)))
+    lam = np.add(_chamber_point(kind, a, b, u), nudge)
+    lam = np.array(weyl.act(draw(st.sampled_from(weyl.weyl_group())), tuple(lam.tolist())))
+    lam = np.where((lam == 0.0) & draw(arrays(bool, 3)), -0.0, lam)
+    lam = lam * 2.0 ** draw(st.sampled_from((-500, -1, 0, 5, 500)))
+    box = draw(arrays(float, st.tuples(st.integers(0, 6), st.just(3)),
+                      elements=st.floats(-1.0, 1.0)))
+    points = np.vstack([box * np.linalg.norm(lam), weyl.weyl_orbit(tuple(lam.tolist()))])
+    return lam, points
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.lists(weyl_moved_rows(), min_size=1, max_size=6), nan_row=st.integers(0, 100))
+def test_per_row_offsets_are_the_weyl_sweep_to_rounding(rows, nan_row):
+    lams = np.vstack([np.tile(lam, (len(points), 1)) for lam, points in rows])
+    pts = np.vstack([points for _, points in rows])
+    got = moment.moment_violations(lams, pts)
+    scale = 1.0 + np.linalg.norm(lams, axis=1)
+    assert np.all(np.abs(got - _weyl_sweep_violations(lams, pts)) <= 1e-15 * scale)
+    # Stacked rows are row-by-row calls bit for bit.
+    one_by_one = np.concatenate([moment.moment_violations(lam, p) for lam, p in zip(lams, pts)])
+    assert got.tobytes() == one_by_one.tobytes()
+    # A NaN lam spoils its own row only.
+    k = nan_row % len(lams)
+    spoilt = lams.copy()
+    spoilt[k, nan_row % 3] = np.nan
+    out = moment.moment_violations(spoilt, pts)
+    assert np.isnan(out[k])
+    assert np.delete(out, k).tobytes() == np.delete(got, k).tobytes()
+
+
+def test_an_empty_stack_of_triples_has_no_violations():
+    out = moment.moment_violations(np.zeros((0, 3)), np.zeros((0, 3)))
+    assert out.shape == (0,) and out.dtype == float
+
+
+@pytest.mark.parametrize("lam", [*AGS_LAMBDAS, klein.PRISM_LAMBDA, (0.1, -0.03, 0.7)])
+def test_one_triple_offsets_are_the_weyl_sweep_bit_for_bit(lam):
+    # So the sample, verify ags and verify singular reports keep their bytes.
+    cloud = moment.orbit_samples(lam, 300, 4).points
+    box = 3.0 * moment.uniforms(moment.stream(5, 300, 3)) - 1.5
+    for pts in (cloud, box, np.array(weyl.weyl_orbit(tuple(map(float, lam))))):
+        assert (moment.moment_violations(lam, pts).tobytes()
+                == _weyl_sweep_violations(lam, pts).tobytes())
 
 
 def _skew_with_norm(rng, norm, shape=()):
