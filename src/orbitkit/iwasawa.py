@@ -205,10 +205,10 @@ def scan_complex(n: int, seed: int, tol: float = 1e-6) -> tuple[moment.SampleClo
     deviation is reported as `max_identity_residual`.  The families must also
     have ||N|| < 1e-10.  The identity holds on the whole orbit, so it says
     nothing of the law of the draws: the mean of |mu|^2 over the Haar draws,
-    reported as `mean_moment_norm2` (summed by `math.fsum`, so the same in
-    any batches), must lie within `_moment_norm2_bound(n)` of its exact
-    value 3/5.  Draws with ||N|| < tol are counted as `accepted_haar` and
-    join the family images in the cloud.
+    reported as `mean_moment_norm2` (summed by `math.fsum`), must lie within
+    `_moment_norm2_bound(n)` of its exact value 3/5.  Draws with ||N|| < tol
+    are counted as `accepted_haar` and join the family images in the cloud.
+    Draws go in `moment.haar_batches` of 8 words; no figure depends on them.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -222,8 +222,7 @@ def scan_complex(n: int, seed: int, tol: float = 1e-6) -> tuple[moment.SampleClo
     residual = _identity_residual(family_norms, family_images)
     norm2 = []
     accepted = []
-    for lo in range(0, n, moment.HAAR_BATCH):
-        hi = min(n, lo + moment.HAAR_BATCH)
+    for lo, hi in moment.haar_batches(n, 8):
         Js = moment.twistor_structures(hi - lo, seed, start=lo)
         norms = _nijenhuis_norms(algebra, Js)
         images = Js[:, (1, 3, 5), (0, 2, 4)]

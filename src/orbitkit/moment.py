@@ -55,9 +55,17 @@ STREAM = "philox4x64-10-ctr"
 
 _MASK64 = (1 << 64) - 1
 
-#: Samples drawn per batch by `orbit_samples`, `verify_singular` (all
-#: classes at once) and `iwasawa.scan_complex`, to bound peak memory.
-HAAR_BATCH = 20000
+#: Stream words per batch of `orbit_samples` (682 draws of 24), `verify_singular`
+#: (1170 of 14) and `iwasawa.scan_complex` (2048 of 8): L2-sized temporaries, which
+#: the heap reuses rather than returning to the OS.  No row depends on its batch.
+HAAR_BATCH_WORDS = 16384
+
+
+def haar_batches(n: int, words: int) -> list[tuple[int, int]]:
+    """(lo, hi) of n draws of `words` words each, HAAR_BATCH_WORDS // words a batch."""
+    step = max(1, HAAR_BATCH_WORDS // words)
+    return [(lo, min(n, lo + step)) for lo in range(0, n, step)]
+
 
 #: Fixed bound of the sampled containment gates (`moment_violations`, region
 #: and face distances) of sample, verify ags|singular|square, the klein
@@ -212,8 +220,8 @@ def orbit_samples(lam, n: int, seed: int) -> SampleCloud:
     The header tag `haar=u4` marks these clouds; files without it hold images
     of SO(6) rotations (36 words per sample) and do not match files written
     now.  The exact Weyl-orbit images (the torus-fixed points) are appended,
-    so the hull of the cloud coincides with the moment polytope
-    deterministically (`vertex_gaps` reads 0).
+    so the hull of the cloud is the moment polytope deterministically
+    (`vertex_gaps` reads 0).  No row depends on its 24-word `haar_batches`.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -227,8 +235,7 @@ def orbit_samples(lam, n: int, seed: int) -> SampleCloud:
     fixed = weyl.weyl_orbit(lam)
     pts = np.empty((n + len(fixed), 3))
     pts[n:] = fixed
-    for lo in range(0, n, HAAR_BATCH):
-        hi = min(n, lo + HAAR_BATCH)
+    for lo, hi in haar_batches(n, 24):
         U = haar_unitary_columns(hi - lo, seed, start=lo)
         # einsum, not a BLAS product, so that a row does not depend on its batch.
         pts[lo:hi] = np.einsum("nk,kc->nc", (U.real ** 2 + U.imag ** 2).reshape(-1, 12), weights)
@@ -260,8 +267,10 @@ def moment_violations(lam, points) -> np.ndarray:
     polytope: membership is the same, an outside point reads up to 3x."""
     mu_lam = np.asarray(lam, dtype=float) @ _ORBIT_NORMALS.T
     offsets = np.maximum.reduceat(mu_lam, _ORBIT_STARTS, axis=-1)[..., _NORMAL_ORBIT]
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return np.max((pts @ _NORMALS.T - offsets) / _NORMAL_LENGTHS, axis=1)
+    table = np.atleast_2d(np.asarray(points, dtype=float)) @ _NORMALS.T
+    table -= offsets
+    table /= _NORMAL_LENGTHS
+    return np.max(table, axis=1)
 
 
 def vertex_gaps(lam, points) -> np.ndarray:
@@ -482,7 +491,8 @@ def verify_singular(lam, classes, n: int, seed: int) -> list[dict]:
     exact value (`stabilizer_law`) over its `bernstein_halfwidth`, with Var X
     <= (max X - E X) E X (Bhatia-Davis) and |X - E X| <= max X - E X (as E X
     <= max X / 3), plus the rounding floor LAW_FLOOR (1 + max |d|)^2.  A NaN
-    image reads NaN in both.  Samples go in batches of HAAR_BATCH.  Raises
+    image reads NaN in both.  Draws go in `haar_batches` of 14 words, and the
+    spreads are summed once over all n: no row depends on the batch.  Raises
     BadIndex unless each i is 1, 2 or 3, and ValueError for a w outside W."""
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -508,15 +518,16 @@ def verify_singular(lam, classes, n: int, seed: int) -> list[dict]:
     offsets = np.einsum("kc,kc->k", normal, base)[:, None]
     lengths = np.linalg.norm(normal, axis=1, keepdims=True)
     e_mu = np.array(e_mu, dtype=float)[:, None, :]
-    worst, sums = np.full(len(rows), -np.inf), np.zeros(len(rows))
-    for lo in range(0, n, HAAR_BATCH):
-        pts = stabilizer_images(orbits, min(n, lo + HAAR_BATCH) - lo, seed, start=lo)
+    worst, spreads = np.full(len(rows), -np.inf), np.empty((len(rows), n))
+    for lo, hi in haar_batches(n, 14):
+        pts = stabilizer_images(orbits, hi - lo, seed, start=lo)
         off_plane = np.abs(np.einsum("knc,kc->kn", pts, normal) - offsets) / lengths
         violations = moment_violations(lam, pts.reshape(-1, 3)).reshape(off_plane.shape)
         # np.maximum and np.max keep a NaN, so a non-finite image fails the gate.
         worst = np.maximum(worst, np.max(np.maximum(violations, off_plane), axis=1))
-        sums += np.sum(np.sum((pts - e_mu) ** 2, axis=2), axis=1)
-    for row, bad, spread2, width in zip(rows, worst.tolist(), (sums / n).tolist(), widths):
+        spreads[:, lo:hi] = np.sum((pts - e_mu) ** 2, axis=2)
+    means = np.sum(spreads, axis=1) / n
+    for row, bad, spread2, width in zip(rows, worst.tolist(), means.tolist(), widths):
         row.update(max_violation=bad, mean_spread2=spread2,
                    law_deviation=abs(spread2 - row["expected_spread2"]) / width)
     return rows

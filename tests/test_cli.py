@@ -208,11 +208,12 @@ def test_verify_singular_builds_each_face_once(capsys, monkeypatch):
     assert calls == {"hull": 1, "vertex_set": 0, "orbit": 1, "act": 24 + 2 * 14}
 
 
-@pytest.mark.parametrize("n", [10, moment.HAAR_BATCH + 1])
+@pytest.mark.parametrize("n", [10, moment.HAAR_BATCH_WORDS // 14 + 1])
 def test_verify_singular_draws_each_block_shape_once_per_batch(capsys, monkeypatch, n):
     # All 14 classes read the same U(3) columns (12 words a sample) and U(2)
     # moduli (2 words): one normals(., ., 12) and one stream(., ., 2) call per
-    # batch of at most HAAR_BATCH samples, however many classes there are.
+    # batch of at most HAAR_BATCH_WORDS // 14 samples, however many classes
+    # there are.
     calls = []
     normals, stream = moment.normals, moment.stream
 
@@ -229,7 +230,8 @@ def test_verify_singular_draws_each_block_shape_once_per_batch(capsys, monkeypat
     monkeypatch.setattr(moment, "stream", counted_stream)
     code, report = run_cli(capsys, "verify", "singular", "--n", str(n))
     assert code == 0 and report["metrics"]["distinct_classes"] == 14
-    batches = [(min(n - lo, moment.HAAR_BATCH), lo) for lo in range(0, n, moment.HAAR_BATCH)]
+    batch = moment.HAAR_BATCH_WORDS // 14
+    batches = [(min(n - lo, batch), lo) for lo in range(0, n, batch)]
     assert calls == [(kind, m, count, lo) for count, lo in batches
                      for kind, m in (("normals", 12), ("stream", 2))]
 

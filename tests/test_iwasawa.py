@@ -810,20 +810,21 @@ def test_scan_complex_is_the_same_in_batches_of_seven(monkeypatch, seed, tol):
     # sum batch by batch would move mean_moment_norm2 in its last bit on
     # seeds 0-1.
     whole_cloud, whole = iwasawa.scan_complex(50, seed, tol)
-    monkeypatch.setattr(moment, "HAAR_BATCH", 7)
+    monkeypatch.setattr(moment, "HAAR_BATCH_WORDS", 7 * 8)  # 7 draws of 8 words
     cloud, rep = iwasawa.scan_complex(50, seed, tol)
     assert cloud.to_csv() == whole_cloud.to_csv()
     assert rep == whole
 
 
 @pytest.mark.parametrize("batch, n", [(7, 1), (7, 7), (7, 8), (7, 50),
-                                      (None, moment.HAAR_BATCH + 1)])
+                                      (None, moment.HAAR_BATCH_WORDS // 8 + 1)])
 def test_scan_complex_calls_the_kernel_once_for_the_family_and_once_per_batch(
         monkeypatch, batch, n):
-    # The traced kernel span then covers the family and every draw.
+    # The traced kernel span then covers the family and every draw, 8 words a
+    # draw: a batch of b draws is 8 b words.
     if batch is not None:
-        monkeypatch.setattr(moment, "HAAR_BATCH", batch)
-    batch = moment.HAAR_BATCH
+        monkeypatch.setattr(moment, "HAAR_BATCH_WORDS", 8 * batch)
+    batch = moment.HAAR_BATCH_WORDS // 8
     kernel, stacks = iwasawa._nijenhuis_norms, []
 
     def counted(c, Js):

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -248,7 +249,7 @@ def test_twistor_structures_are_read_off_one_unit_vector_of_c4():
 
 
 def test_twistor_structures_split_by_start_at_the_batch_bound():
-    N, seed = moment.HAAR_BATCH, 4
+    N, seed = moment.HAAR_BATCH_WORDS // 8, 4
     whole = moment.twistor_structures(N + 7, seed)
     halves = [moment.twistor_structures(N, seed), moment.twistor_structures(7, seed, start=N)]
     assert np.array_equal(whole, np.concatenate(halves))
@@ -257,10 +258,10 @@ def test_twistor_structures_split_by_start_at_the_batch_bound():
 
 
 def test_orbit_samples_split_by_start_at_the_batch_bound(monkeypatch):
-    # The HAAR_BATCH + 7 draws are two batches; each equals the cloud of its
-    # own size, the second one with its draws started at HAAR_BATCH, and
-    # each of its rows equals the cloud of that draw alone.
-    lam, seed, N = (1.0, 0.5, 2.0), 4, moment.HAAR_BATCH
+    # The N + 7 draws, N = HAAR_BATCH_WORDS // 24, are two batches; each
+    # equals the cloud of its own size, the second one with its draws started
+    # at N, and each of its rows equals the cloud of that draw alone.
+    lam, seed, N = (1.0, 0.5, 2.0), 4, moment.HAAR_BATCH_WORDS // 24
     whole = moment.orbit_samples(lam, N + 7, seed).points
     head = moment.orbit_samples(lam, N, seed).points
     columns = moment.haar_unitary_columns
@@ -697,7 +698,7 @@ def test_verify_singular_rows_equal_the_per_class_reference(n):
 
 
 def test_stabilizer_images_are_the_same_in_batches_or_whole():
-    lam, seed, batch = (1.0, 0.5, 2.0), 5, moment.HAAR_BATCH
+    lam, seed, batch = (1.0, 0.5, 2.0), 5, moment.HAAR_BATCH_WORDS // 14
     n = 2 * batch + 1
     orbits = [(cartan_to_spin_weight(weyl.act(w, lam)),
                cartan_to_spin_weight(weyl.act(w, weyl.FUNDAMENTAL_WEIGHTS[i])))
@@ -726,7 +727,8 @@ def _reference_law(d, q):
 
 def _reference_verify_singular(lam, classes, n, seed):
     """verify_singular class by class: each face a `singular_vertex_set`,
-    each law `_reference_law`, the gates stacked over the classes."""
+    each law `_reference_law`, the gates stacked over the classes and all n
+    draws in one batch."""
     lam = tuple(float(c) for c in lam)
     exact = tuple(Fraction(c) for c in lam)
     rows, data = [], []
@@ -746,13 +748,11 @@ def _reference_verify_singular(lam, classes, n, seed):
     offsets = np.einsum("kc,kc->k", normal, base)[:, None]
     lengths = np.linalg.norm(normal, axis=1, keepdims=True)
     e_mu = np.array(e_mu, dtype=float)[:, None, :]
-    worst, sums = np.full(len(rows), -np.inf), np.zeros(len(rows))
-    for lo in range(0, n, moment.HAAR_BATCH):
-        pts = moment.stabilizer_images(orbits, min(n, lo + moment.HAAR_BATCH) - lo, seed, start=lo)
-        off_plane = np.abs(np.einsum("knc,kc->kn", pts, normal) - offsets) / lengths
-        violations = moment.moment_violations(lam, pts.reshape(-1, 3)).reshape(off_plane.shape)
-        worst = np.maximum(worst, np.max(np.maximum(violations, off_plane), axis=1))
-        sums += np.sum(np.sum((pts - e_mu) ** 2, axis=2), axis=1)
+    pts = moment.stabilizer_images(orbits, n, seed)
+    off_plane = np.abs(np.einsum("knc,kc->kn", pts, normal) - offsets) / lengths
+    violations = moment.moment_violations(lam, pts.reshape(-1, 3)).reshape(off_plane.shape)
+    worst = np.max(np.maximum(violations, off_plane), axis=1)
+    sums = np.sum(np.sum((pts - e_mu) ** 2, axis=2), axis=1)
     for row, bad, spread2, width in zip(rows, worst.tolist(), (sums / n).tolist(), widths):
         row.update(max_violation=bad, mean_spread2=spread2,
                    law_deviation=abs(spread2 - row["expected_spread2"]) / width)
@@ -763,14 +763,14 @@ def _reference_verify_singular(lam, classes, n, seed):
 _SINGULAR_LAMBDAS = (*AGS_LAMBDAS, (0.1, -0.03, 0.7))
 
 
-@pytest.mark.parametrize("n", [1, 100, moment.HAAR_BATCH + 1])
+@pytest.mark.parametrize("n", [1, 100, moment.HAAR_BATCH_WORDS // 14 + 1])
 def test_verify_singular_rows_equal_the_class_by_class_body(n):
     # Faces from one orbit pass and laws on integers change no figure: every
     # row is the class-by-class row, value and type, at each chamber pattern.
-    # Past one Haar batch, the generic point and the rounding one with seed 0
-    # cross the batch boundary.
+    # Past one Haar batch (HAAR_BATCH_WORDS // 14 draws), the generic point
+    # and the rounding one with seed 0 cross the batch boundary.
     classes = weyl.singular_classes()
-    big = n > moment.HAAR_BATCH
+    big = n > moment.HAAR_BATCH_WORDS // 14
     for lam in ((1.0, 0.5, 2.0), (0.1, -0.03, 0.7)) if big else _SINGULAR_LAMBDAS:
         for seed in range(1 if big else 3):
             rows = moment.verify_singular(lam, classes, n, seed)
@@ -780,6 +780,38 @@ def test_verify_singular_rows_equal_the_class_by_class_body(n):
                 assert repr({key: row[key] for key in ref}) == repr(ref), (lam, seed, n)
                 assert row["face"] == tuple(weyl.weyl_orbit(tuple(map(Fraction, lam)))[k]
                                             for k in row["face_indices"])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_singular_is_the_same_in_batches_of_seven(monkeypatch, seed):
+    # The spreads are summed once over all draws: a sum batch by batch would
+    # move mean_spread2 and law_deviation in their last bits.
+    classes = weyl.singular_classes()
+    for lam in ((1.0, 0.5, 2.0), (0.1, -0.03, 0.7)):
+        whole = moment.verify_singular(lam, classes, 50, seed)
+        with monkeypatch.context() as m:
+            m.setattr(moment, "HAAR_BATCH_WORDS", 7 * 14)  # 7 draws of 14 words
+            assert repr(moment.verify_singular(lam, classes, 50, seed)) == repr(whole)
+
+
+def test_haar_sampling_and_violations_peak_memory():
+    # tracemalloc counts numpy's buffers whatever the allocator does with
+    # them.  Batches of HAAR_BATCH_WORDS keep the sampler's temporaries
+    # small, and moment_violations needs one (n, 14) table.
+    lam = (1.0, 0.5, 2.0)
+    moment.moment_violations(lam, moment.orbit_samples(lam, 20000, 3).points)  # warm-up
+    tracemalloc.start()
+    try:
+        cloud = moment.orbit_samples(lam, 20000, 3)
+        _, sampler_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        moment.moment_violations(lam, cloud.points)
+        _, violations_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sampler_peak - cloud.points.nbytes <= 2e6
+    assert violations_peak - before <= 1.1 * len(cloud.points) * 14 * 8
 
 
 def test_singular_faces_are_the_singular_vertex_sets():
