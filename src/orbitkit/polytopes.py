@@ -6,17 +6,18 @@ inputs come out verbatim.  Float coordinates are taken at their binary
 values.  Degenerate hulls of dimension 0, 1 and 2 are first-class values
 carrying their affine hull as a list of equality constraints.
 
-The geometry runs on Python ints: each input is scaled once by the common
+The hulls run on Python ints: each input is scaled once by the common
 denominator D of its coordinates (or offsets), every sign test is taken on
-the integer numerators, and Fractions are built only for the output.  Three
+the integer numerators, and Fractions are built only for the output.  Two
 exact primitives carry it: `_independent` is the one rank test (the affine
-basis of a point set), `_meet` the one three-plane solve (the candidate
-vertices of `intersect`, `clip` and `section`) and `_polygon` the one
-polygon ordering (the edges of a dim-2 hull and the face rings of
-`to_off`), a monotone chain on a coordinate projection.  A 3-dimensional
-hull is one incremental pass that tests each (face, point) pair once and
-reads its vertices off the final triangulation: the triangle corners that
-lie on three distinct facet planes.  No step has a tolerance.
+basis of a point set) and `_polygon` the one polygon ordering (the edges of
+a dim-2 hull and the face rings of `to_off`), a monotone chain on a
+coordinate projection.  A 3-dimensional hull is one incremental pass that
+tests each (face, point) pair once and reads its vertices off the final
+triangulation: the triangle corners that lie on three distinct facet
+planes.  `intersect`, `clip` and `section` read their vertices off the
+polar hull of their halfspaces (`_cut`), so that hull is the one routine
+between points and halfspaces.  No step has a tolerance.
 """
 
 from __future__ import annotations
@@ -313,8 +314,11 @@ def _sort_facets(facets):
 # Public operations
 # ---------------------------------------------------------------------------
 
-def _require_finite(point):
-    """Raise ValueError unless every float coordinate of a point is finite."""
+def _require_point(point):
+    """Raise ValueError unless a point has 3 coordinates and every float
+    coordinate is finite."""
+    if len(point) != 3:
+        raise ValueError(f"a point has 3 coordinates, got {point!r}")
     if not all(_is_exact_scalar(c) or np.isfinite(c) for c in point):
         raise ValueError(f"point coordinates must be finite, got {point!r}")
 
@@ -330,10 +334,10 @@ def hull(points) -> Polytope:
     pts = list(points)
     if not pts:
         raise ValueError("hull of an empty point set")
+    for p in pts:
+        _require_point(p)
     if all(_is_exact_scalar(c) for p in pts for c in p):
         return _hull_exact(pts)
-    for p in pts:
-        _require_finite(p)
     return _hull_float(pts)
 
 
@@ -347,7 +351,7 @@ def _hull_float(points) -> Polytope:
 def violation(P: Polytope, point) -> float:
     """Largest scaled constraint violation of a point (<= 0 means inside):
     one row of `violations_many`; a non-finite coordinate raises ValueError."""
-    _require_finite(point)
+    _require_point(point)
     return float(violations_many(P, [point])[0])
 
 
@@ -375,60 +379,65 @@ def contains(P: Polytope, point, tol: float = 0.0) -> bool:
     binary values as in `hull`.  A non-finite coordinate raises ValueError."""
     if tol != 0.0:
         return violation(P, point) <= tol
-    _require_finite(point)
+    _require_point(point)
     q = tuple(Fraction(*_ratio(c)) for c in point)
     return all(_dot(f.normal, q) <= f.offset for f in P.facets) and all(
         _dot(f.normal, q) == f.offset for f in P.equalities
     )
 
 
-def _meet(f, g, h):
-    """Where the planes n . p = d of three (normal, integer offset) pairs
-    meet: the integer triple x = d_f (n_g x n_h) + d_g (n_h x n_f) +
-    d_h (n_f x n_g) and det = |n_f . (n_g x n_h)| > 0, with the point at
-    x / det; None when that determinant is 0."""
-    (nf, df), (ng, dg), (nh, dh) = f, g, h
-    gh, hf, fg = _cross(ng, nh), _cross(nh, nf), _cross(nf, ng)
-    det = _dot(nf, gh)
-    if det == 0:
-        return None
-    x = tuple(df * a + dg * b + dh * c for a, b, c in zip(gh, hf, fg))
-    return (x, det) if det > 0 else (_neg(x), -det)
+def _cut(P: Polytope, halfspaces) -> list:
+    """The vertices of P cut by halfspaces (Facets with integer normals); []
+    if empty.  With c strictly inside the cut, n . p <= d is the polar point
+    n / (d - n . c), scaled to integers, and facet g . q <= e of their hull
+    the vertex c + g / e.  c starts at P's centroid; a halfspace with
+    n . c >= d misses, touches (vertices off its plane go) or cuts the vertices
+    so far; c then moves to the midpoint of the plane and a lowest vertex."""
 
+    def polar_vertices():
+        ints, D = _scaled([*c, *(h.offset for h in kept)])
+        E = [off - _dot(h.normal, ints) for h, off in zip(kept, ints[3:])]
+        L = math.lcm(*E)
+        polar = _hull_exact([tuple(x * (L // e) for x in h.normal) for h, e in zip(kept, E)])
+        return [tuple(Fraction(a * e + b * L, e * D) for a, b in zip(ints[:3], f.normal))
+                for f in polar.facets for e in [f.offset.numerator]]
 
-def _feasible_vertices(facets):
-    """The set of points where three facet planes meet and no facet is
-    violated; the offsets are scaled once to integers over their common
-    denominator e, so a meet x / det lies at x / (det e)."""
-    offsets, e = _scaled(f.offset for f in facets)
-    planes = list(zip((f.normal for f in facets), offsets))
-    found = set()
-    for f, g, h in itertools.combinations(planes, 3):
-        m = _meet(f, g, h)
-        if m is None:
-            continue
-        x, det = m
-        if all(_dot(n, x) <= off * det for n, off in planes):
-            found.add(_rational(x, det * e))
-    return found
+    verts, kept, planes = P.vertices, list(P.facets), []
+    c = tuple(sum(x) / len(verts) for x in zip(*verts))
+    for h in halfspaces:
+        nc = _dot(h.normal, c)
+        if nc >= h.offset:
+            verts = verts or polar_vertices()
+            s, low = min((_dot(h.normal, v), v) for v in verts)
+            if s > h.offset:
+                return []
+            if s == h.offset:
+                planes.append(h)
+                continue
+            t = (1 + (nc - h.offset) / (nc - s)) / 2
+            c = tuple(a + t * (b - a) for a, b in zip(c, low))
+        kept.append(h)
+        verts = None
+    verts = verts or polar_vertices()
+    return [v for v in verts if all(_dot(h.normal, v) == h.offset for h in planes)]
 
 
 def _exact_halfspace(normal, offset) -> Facet:
     if not (all(_is_exact_scalar(c) for c in normal) and _is_exact_scalar(offset)):
         raise ValueError("normal and offset must be int or Fraction")
     ints, k = _scaled(normal)  # Python ints, as numpy integers overflow
+    if len(ints) != 3 or not any(ints):
+        raise ValueError(f"normal must be a nonzero 3-vector, got {normal!r}")
     return Facet(tuple(ints), Fraction(*_ratio(offset)) * k)
 
 
 def intersect(P: Polytope, Q: Polytope) -> Polytope:
-    """Intersection of two full-dimensional polytopes.
-
-    Raises EmptyIntersection when the halfspace systems share no point;
-    empty-interior intersections come back with dim < 3.
-    """
+    """Intersection of two full-dimensional polytopes: P cut by Q's facets.
+    Raises EmptyIntersection when they share no point; an intersection with
+    empty interior comes back with dim < 3."""
     if P.dim != 3 or Q.dim != 3:
         raise ValueError("intersect requires two 3-dimensional polytopes")
-    verts = _feasible_vertices(list(P.facets) + list(Q.facets))
+    verts = _cut(P, Q.facets)
     if not verts:
         raise EmptyIntersection("polytopes do not meet")
     return _hull_exact(verts)
@@ -439,7 +448,7 @@ def clip(P: Polytope, normal, offset) -> Polytope:
     (int or Fraction coefficients)."""
     if P.dim != 3:
         raise ValueError("clip requires a 3-dimensional polytope")
-    verts = _feasible_vertices(list(P.facets) + [_exact_halfspace(normal, offset)])
+    verts = _cut(P, [_exact_halfspace(normal, offset)])
     if not verts:
         raise EmptyIntersection("halfspace misses the polytope")
     return _hull_exact(verts)
@@ -447,19 +456,15 @@ def clip(P: Polytope, normal, offset) -> Polytope:
 
 def section(P: Polytope, normal, offset) -> Polytope:
     """Slice of a 3-polytope by the plane normal . p = offset (int or
-    Fraction coefficients; dim <= 2).
-
-    The plane enters as the facet pair normal . p <= offset and
-    -normal . p <= -offset, so every feasible vertex lies on it.
-    """
+    Fraction coefficients; dim <= 2): its cut by the halfspace pair
+    normal . p <= offset and -normal . p <= -offset."""
     if P.dim != 3:
         raise ValueError("section requires a 3-dimensional polytope")
     plane = _exact_halfspace(normal, offset)
-    flipped = Facet(_neg(plane.normal), -plane.offset)
-    cand = _feasible_vertices(list(P.facets) + [plane, flipped])
-    if not cand:
+    verts = _cut(P, [plane, Facet(_neg(plane.normal), -plane.offset)])
+    if not verts:
         raise EmptySection("plane misses the polytope")
-    return _hull_exact(cand)
+    return _hull_exact(verts)
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,44 @@ def test_set_operations_take_only_exact_input():
     assert section(O, (0, 0, 1), Fraction(1, 2)).dim == 2
 
 
+def test_section_by_a_zero_normal_raises_value_error():
+    # The zero normal's plane 0 . p = 0 holds everywhere: it returned P, dim 3.
+    with pytest.raises(ValueError, match="nonzero 3-vector"):
+        section(hull(OCTA_POINTS), (0, 0, 0), 0)
+
+
+def test_clip_by_a_zero_normal_raises_value_error():
+    # 0 . p <= -1 holds nowhere: it raised EmptyIntersection.
+    with pytest.raises(ValueError, match="nonzero 3-vector"):
+        clip(hull(OCTA_POINTS), (0, 0, 0), -1)
+
+
+def test_normals_of_other_lengths_raise_value_error():
+    # The 4th component was dropped, the cut taken by (1, 0, 0).
+    O = hull(OCTA_POINTS)
+    for normal in ((1, 0, 0, 7), (1, 0), ()):
+        with pytest.raises(ValueError, match="nonzero 3-vector"):
+            clip(O, normal, 0)
+        with pytest.raises(ValueError, match="nonzero 3-vector"):
+            section(O, normal, 0)
+
+
+def test_points_of_other_lengths_raise_value_error():
+    # The coordinates were read as one flat list in threes: this hull had
+    # vertices such as (4, 0, 0) and (0, 9, 1), none of them an input point.
+    with pytest.raises(ValueError, match="3 coordinates"):
+        hull([(1, 2, 3, 4), (0, 0, 0, 9), (1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0)])
+    with pytest.raises(ValueError, match="3 coordinates"):
+        hull([(0.5, 1.0), (1.0, 2.0, 0.0)])
+    P = moment.moment_polytope((1, Fraction(1, 2), 2))
+    for tol in (0.0, 1e-9):
+        # contains read the first three coordinates and answered True.
+        with pytest.raises(ValueError, match="3 coordinates"):
+            contains(P, (0, 0, 0, 5), tol)
+        with pytest.raises(ValueError, match="3 coordinates"):
+            contains(P, (0, 0), tol)
+
+
 def test_float_hull_simplex_cloud():
     rng = np.random.default_rng(0)
     # Random points inside the octahedron plus its exact vertices.
@@ -773,3 +811,134 @@ def test_numpy_integer_normals_cut_as_int_normals(dtype):
             assert clip(P, normal, dtype(1)) == clip(P, normal, 1)
     # A rational normal cuts as the integer normal of the same halfspace.
     assert clip(small, (Fraction(1, 2), 0, 0), Fraction(1, 4)) == clip(small, (1, 0, 0), Fraction(1, 2))
+
+
+# ---------------------------------------------------------------------------
+# The polar-hull cut against the three-plane scan it replaced
+# ---------------------------------------------------------------------------
+
+def reference_meet(f, g, h):
+    """Reference: the three-plane solve `_meet` that the set operations used
+    before they read their vertices off the polar hull.
+
+    Where the planes n . p = d of three (normal, integer offset) pairs
+    meet: the integer triple x = d_f (n_g x n_h) + d_g (n_h x n_f) +
+    d_h (n_f x n_g) and det = |n_f . (n_g x n_h)| > 0, with the point at
+    x / det; None when that determinant is 0."""
+    (nf, df), (ng, dg), (nh, dh) = f, g, h
+    gh, hf, fg = polytopes._cross(ng, nh), polytopes._cross(nh, nf), polytopes._cross(nf, ng)
+    det = polytopes._dot(nf, gh)
+    if det == 0:
+        return None
+    x = tuple(df * a + dg * b + dh * c for a, b, c in zip(gh, hf, fg))
+    return (x, det) if det > 0 else (polytopes._neg(x), -det)
+
+
+def reference_feasible_vertices(facets):
+    """Reference: `_feasible_vertices`, the vertices of `clip`, `section`
+    and `intersect` before `_cut`.
+
+    The set of points where three facet planes meet and no facet is
+    violated; the offsets are scaled once to integers over their common
+    denominator e, so a meet x / det lies at x / (det e)."""
+    offsets, e = polytopes._scaled(f.offset for f in facets)
+    planes = list(zip((f.normal for f in facets), offsets))
+    found = set()
+    for f, g, h in itertools.combinations(planes, 3):
+        m = reference_meet(f, g, h)
+        if m is None:
+            continue
+        x, det = m
+        if all(polytopes._dot(n, x) <= off * det for n, off in planes):
+            found.add(polytopes._rational(x, det * e))
+    return found
+
+
+def reference_cut(P, halfspaces, empty):
+    verts = reference_feasible_vertices(list(P.facets) + halfspaces)
+    if not verts:
+        raise empty("reference cut is empty")
+    return polytopes._hull_exact(verts)
+
+
+def reference_clip(P, normal, offset):
+    return reference_cut(P, [polytopes._exact_halfspace(normal, offset)], EmptyIntersection)
+
+
+def reference_section(P, normal, offset):
+    plane = polytopes._exact_halfspace(normal, offset)
+    flipped = polytopes.Facet(polytopes._neg(plane.normal), -plane.offset)
+    return reference_cut(P, [plane, flipped], EmptySection)
+
+
+def reference_intersect(P, Q):
+    return reference_cut(P, list(Q.facets), EmptyIntersection)
+
+
+def outcome(op, *args):
+    """The Polytope an operation returns, or the type of what it raises."""
+    try:
+        return op(*args)
+    except (EmptyIntersection, EmptySection) as exc:
+        return type(exc)
+
+
+CUT_POLYTOPES = [moment.moment_polytope(lam) for lam in
+                 ((1, Fraction(1, 2), 2), (0, 0, 1), (1, 1, 1), (1, -1, 1), (1, 0, 1))]
+SOLIDS = st.sampled_from(CUT_POLYTOPES) | st.lists(POINT, min_size=4, max_size=8).map(solid).filter(bool)
+SCALES = st.sampled_from((1, Fraction(2) ** -1000, Fraction(2) ** 1000))
+
+
+def scaled(P, scale):
+    return hull([tuple(c * scale for c in v) for v in P.vertices])
+
+
+@st.composite
+def cuts(draw):
+    """A solid of small rational points or a moment polytope, scaled by 1,
+    2**-1000 or 2**1000, a normal, and an offset at a vertex value, half way
+    between two or beyond every vertex: cuts that touch a vertex, an edge or
+    a facet, lower-dimensional sections and empty cuts."""
+    scale = draw(SCALES)
+    P = scaled(draw(SOLIDS), scale)
+    normal = draw(NORMAL)
+    values = sorted({polytopes._dot(normal, v) for v in P.vertices})
+    a, b = draw(st.sampled_from(values)), draw(st.sampled_from(values))
+    offset = draw(st.sampled_from((a, (a + b) / 2, values[0] - scale, values[-1] + scale)))
+    return P, normal, offset
+
+
+@settings(deadline=None, max_examples=150)
+@given(cuts())
+def test_clip_and_section_are_the_three_plane_reference(cut):
+    assert outcome(clip, *cut) == outcome(reference_clip, *cut)
+    assert outcome(section, *cut) == outcome(reference_section, *cut)
+
+
+@st.composite
+def intersect_pairs(draw):
+    """Two polytopes at one scale: P and another solid, or P and its copy
+    shifted along a facet normal until it touches that facet from outside (a
+    shared face, edge or vertex) or past it (disjoint)."""
+    scale = draw(SCALES)
+    P = scaled(draw(SOLIDS), scale)
+    kind = draw(st.sampled_from(("other", "touch", "apart")))
+    if kind == "other":
+        return P, scaled(draw(SOLIDS), scale)
+    f = draw(st.sampled_from(P.facets))
+    low = min(polytopes._dot(f.normal, v) for v in P.vertices)
+    t = (f.offset - low) / polytopes._dot(f.normal, f.normal) + (kind == "apart")
+    return P, hull([tuple(c + t * n for c, n in zip(v, f.normal)) for v in P.vertices])
+
+
+@settings(deadline=None, max_examples=100)
+@given(intersect_pairs())
+def test_intersect_is_the_three_plane_reference(pair):
+    P, Q = pair
+    assert outcome(intersect, P, Q) == outcome(reference_intersect, P, Q)
+    assert outcome(intersect, Q, P) == outcome(reference_intersect, Q, P)
+
+
+def test_intersect_of_moment_polytopes_is_the_three_plane_reference():
+    for P, Q in itertools.product(CUT_POLYTOPES, repeat=2):
+        assert intersect(P, Q) == reference_intersect(P, Q)
